@@ -654,6 +654,7 @@ def _load_policy_table(args):
 
 
 def _cmd_serve(args) -> int:
+    from .errors import ConfigError
     from .sched.loop import AdmissionConfig
     from .sched.serve import ServeConfig, run_serve
     from .sched.traffic import TrafficConfig
@@ -682,6 +683,11 @@ def _cmd_serve(args) -> int:
         policy_table=table,
         adapt_window_txns=args.adapt_window,
     )
+    try:
+        config.validate()
+    except ConfigError as exc:
+        print(f"serve: {exc}", file=sys.stderr)
+        return 2
     report = run_serve(config)
     print(report.render())
     if args.markdown:

@@ -59,6 +59,9 @@ class HardwareLogging:
         self.tracer = None
         """Optional tracer (set by the machine's ``tracer`` property);
         emits one ``log_place`` event per appended record."""
+        self.log_tap = None
+        """Optional log-stream tap (set by the machine's ``log_tap``
+        property); told of every appended record and its release time."""
 
     # ------------------------------------------------------------------
     # Transaction lifecycle
@@ -160,6 +163,8 @@ class HardwareLogging:
                 force_completion=force_completion,
                 release=release,
             )
+        if self.log_tap is not None:
+            self.log_tap.on_log_place(record, placed.addr, placed.payload, now, release)
         return stall + push_stall, release
 
     @property

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import mul
 
 from ..errors import LogError
 
@@ -51,18 +52,52 @@ HEADER_BYTES = 32
 """Meaningful bytes of a record; the rest of the entry is padding."""
 
 
+def _checksum_tables() -> tuple:
+    """Per input length, the roll's constant term and per-byte weights.
+
+    The roll ``value = (value * 31 + byte) & 0xFF`` over ``n`` bytes is
+    linear mod 256: it equals ``0x5C * 31**n + sum(byte_k * 31**(n-1-k))``
+    mod 256, where ``k`` counts only the rolled bytes (offset 6, the
+    checksum itself, is skipped and weighs 0).
+    """
+    tables = []
+    for length in range(HEADER_BYTES + 1):
+        rolled = [offset for offset in range(length) if offset != 6]
+        weights = [0] * length
+        for rank, offset in enumerate(rolled):
+            weights[offset] = pow(31, len(rolled) - 1 - rank, 256)
+        tables.append(((0x5C * pow(31, len(rolled), 256)) & 0xFF, tuple(weights)))
+    return tuple(tables)
+
+
+_CHECKSUM_TABLES = _checksum_tables()
+
+
 def _checksum(buf: bytes) -> int:
     """Position-sensitive rolling checksum over the meaningful bytes.
 
     A plain XOR would cancel on repeated-byte payloads (a zeroed tail of
     ``b"OO...O"`` keeps the XOR intact); the multiplicative roll makes
-    every byte's position matter, so a torn tail is detected.
+    every byte's position matter, so a torn tail is detected.  Computed
+    as a weighted byte sum from :func:`_checksum_tables` (bytes past the
+    header weigh nothing: ``map`` stops at the shorter sequence).
     """
-    value = 0x5C
-    for offset in range(min(len(buf), HEADER_BYTES)):
-        if offset != 6:
-            value = (value * 31 + buf[offset]) & 0xFF
-    return value
+    base, weights = _CHECKSUM_TABLES[min(len(buf), HEADER_BYTES)]
+    return (base + sum(map(mul, weights, buf))) & 0xFF
+
+
+def stamp_torn(entry: bytes, torn: int) -> bytes:
+    """``entry`` (an encoded record) with its torn bit set to ``torn``.
+
+    The checksum covers the flags byte, so it is recomputed; an entry
+    that already carries ``torn`` is returned unchanged.
+    """
+    if (entry[0] & 1) == torn:
+        return entry
+    buf = bytearray(entry)
+    buf[0] = (buf[0] & 0xFE) | torn
+    buf[6] = _checksum(buf)
+    return bytes(buf)
 
 
 class RecordKind(enum.IntEnum):

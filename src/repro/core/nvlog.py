@@ -33,6 +33,9 @@ class PlacedRecord:
     slot: int
     displaced_line: Optional[int]
     displaced_kind: Optional[RecordKind]
+    record: LogRecord
+    """The record as given to :meth:`CircularLog.place` (``payload`` is
+    its encoding, stamped with the pass parity)."""
 
 
 class CircularLog:
@@ -109,6 +112,7 @@ class CircularLog:
             slot=slot,
             displaced_line=displaced_line,
             displaced_kind=displaced_kind,
+            record=record,
         )
 
     # ------------------------------------------------------------------

@@ -3,8 +3,9 @@
 The paper makes one machine's log provably durable before its data; this
 package asks what survives the loss of the whole machine.  A *primary*
 node runs a workload on the ordinary simulator stack
-(:mod:`repro.sim.machine`) while a :class:`~repro.dist.ship.LogStreamCollector`
-taps its trace-event stream for the durable log records.  A
+(:mod:`repro.sim.machine`) while a :class:`~repro.dist.ship.LogStreamCollector`,
+installed as the machine's log tap, collects its durable log records
+where they are placed.  A
 deterministic :class:`~repro.dist.ship.ShipTimeline` then models an
 interconnect with latency/bandwidth links shipping those records, in
 batches with a bounded in-flight window and per-link ack tracking, to R
@@ -15,7 +16,7 @@ Because the simulator is deterministic, a primary crash at cycle ``T``
 is exactly a truncation of the durable record stream at ``T``
 (verified against a really-crashed run in ``tests/dist``), so the
 distributed fault campaign (:mod:`repro.dist.campaign`) can evaluate a
-whole grid of node-crash x link-fault points from **one** traced primary
+whole grid of node-crash x link-fault points from **one** tapped primary
 run per workload: each point re-derives the shipping timeline, damages
 it (dropped / duplicated / delayed / torn batches, per-node kills),
 replays the surviving deliveries into fresh replica rings, and proves

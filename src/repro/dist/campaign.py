@@ -1,15 +1,16 @@
 """The distributed fault campaign: node crashes x link faults, converged.
 
-One traced primary run per (benchmark, design) produces the durable
-record stream and the golden model; every campaign point then reshapes
-the *shipping timeline* deterministically — kill the primary
-mid-transaction or mid-log-ship, kill a replica, drop / duplicate /
-delay / tear shipment batches, corrupt a replica's ring after the fact,
-interrupt the recovery source mid-replay — and proves that cluster
-recovery still converges: every eligible survivor reconstructs the same
-bit-identical image, that image equals the golden expectation for the
-common committed frontier, and the replication-ordering sanitizer stays
-clean over the point's event stream.
+One primary run per (benchmark, design), tapped by the log-stream
+collector, produces the durable record stream and the golden model;
+every campaign point then reshapes the *shipping timeline*
+deterministically — kill the primary mid-transaction or mid-log-ship,
+kill a replica, drop / duplicate / delay / tear shipment batches,
+corrupt a replica's ring after the fact, interrupt the recovery source
+mid-replay — and proves that cluster recovery still converges: every
+eligible survivor reconstructs the same bit-identical image, that image
+equals the golden expectation for the common committed frontier, and
+the replication-ordering sanitizer stays clean over the point's event
+stream.
 
 This composes the three existing gates the single-node campaign already
 provides (crash points, fault injection, psan) with the node/link axis —
@@ -25,7 +26,6 @@ from ..core.design import HWL, DesignSpec
 from ..faults.campaign import campaign_workload, default_campaign_system
 from ..harness.runner import RunConfig, prepare_workload, run_workload
 from ..sanitizer.replication import check_replication
-from ..sim.trace import Tracer
 from .config import DistConfig
 from .node import ReplicaNode
 from .recovery import recover_cluster, required_frontier
@@ -137,7 +137,7 @@ class DistCampaignResult:
 def traced_primary_run(
     prepared, policy: DesignSpec, threads: int, txns_per_thread: int
 ) -> tuple:
-    """Run the workload once with the collector attached.
+    """Run the workload once with the log-stream collector tapping it.
 
     Returns ``(stream, golden, outcome)``; the stream is the primary's
     durable record history, the golden model its committed truth.
@@ -145,7 +145,6 @@ def traced_primary_run(
     holder: dict = {}
 
     def hook(machine) -> None:
-        machine.tracer = Tracer(capacity=64)
         holder["collector"] = LogStreamCollector(machine)
 
     outcome = run_workload(

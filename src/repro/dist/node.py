@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from ..core.logrecord import LogRecord, RecordKind
+from ..core.logrecord import LogRecord, RecordKind, stamp_torn
 from ..core.nvlog import CircularLog
 from ..core.recovery import RecoveryManager, RecoveryReport
 from ..errors import ConfigError
@@ -75,6 +75,8 @@ class ReplicaNode:
             replace(system.nvram, size_bytes=size), track_crash_state=False
         )
         self.nvram.load_image_prefix(image_prefix)
+        # Ring geometry (entry addresses) only: shipped entries are
+        # written straight into their slots, never placed.
         self.ring = CircularLog(base, entries, entry_size, line_size=line_size)
         self.appended = 0  # slots occupied, torn tail included
         self.base_seq = 0  # first sequence number still held in the ring
@@ -105,15 +107,7 @@ class ReplicaNode:
                 f"replica {self.node_id}: out-of-order append "
                 f"(seq {rec.seq}, expected {expected})"
             )
-        if self.appended >= self.ring.num_entries:
-            raise ConfigError(
-                f"replica {self.node_id}: ring full at seq {rec.seq}; "
-                "compact below the cluster-committed frontier first"
-            )
-        placed = self.ring.place(self._materialize(rec))
-        self.nvram.poke(placed.addr, placed.payload)
-        self.appended += 1
-        return placed.slot
+        return self._write_next(rec, len(rec.payload))
 
     def append_torn(self, rec, keep_bytes: int) -> int:
         """A torn landing: only ``keep_bytes`` of the entry became durable."""
@@ -122,27 +116,28 @@ class ReplicaNode:
                 f"replica {self.node_id}: out-of-order torn append "
                 f"(seq {rec.seq}, expected {self.base_seq + self.appended})"
             )
+        slot = self._write_next(rec, max(0, keep_bytes))
+        self.torn_tail = True
+        return slot
+
+    def _write_next(self, rec, keep: int) -> int:
+        """Write the first ``keep`` bytes of ``rec``'s entry at the next slot.
+
+        The bytes are the primary's own encoding.  The replica ring never
+        wraps, so every entry in it is a first-pass entry with torn bit
+        1; a record the primary wrote on an even pass of its ring (torn
+        bit 0) is re-stamped.
+        """
         if self.appended >= self.ring.num_entries:
             raise ConfigError(
                 f"replica {self.node_id}: ring full at seq {rec.seq}; "
                 "compact below the cluster-committed frontier first"
             )
-        placed = self.ring.place(self._materialize(rec))
-        keep = max(0, min(keep_bytes, len(placed.payload)))
-        self.nvram.poke(placed.addr, placed.payload[:keep])
+        slot = self.appended
+        entry = stamp_torn(rec.payload, 1)
+        self.nvram.poke(self.ring.entry_addr(slot), entry[:keep])
         self.appended += 1
-        self.torn_tail = True
-        return placed.slot
-
-    def _materialize(self, rec) -> LogRecord:
-        return LogRecord(
-            kind=RecordKind[rec.kind],
-            txid=rec.txid,
-            tid=rec.tid,
-            addr=rec.addr if rec.addr is not None else 0,
-            undo=rec.undo,
-            redo=rec.redo,
-        )
+        return slot
 
     def corrupt_slot(self, slot: int, offset: int = 8, flip: int = 0xFF) -> None:
         """Post-hoc storage damage: flip bits inside an occupied entry.
@@ -188,20 +183,13 @@ class ReplicaNode:
         cannot be rewound.
         """
         rel = max(0, frontier - self.base_seq)
-        entry_size = self.ring.entry_size
-        zeros = bytes(entry_size)
-        for slot in range(rel, self.appended):
-            self.nvram.poke(self.ring.entry_addr(slot), zeros)
-            self.ring._slot_lines[slot] = None
-            self.ring._slot_kinds[slot] = None
-        self.appended = min(self.appended, rel)
+        if rel < self.appended:
+            cleared = (self.appended - rel) * self.ring.entry_size
+            self.nvram.poke(self.ring.entry_addr(rel), bytes(cleared))
+            # A record re-shipped after the truncation lands back in its
+            # own slot (slot == seq - base_seq).
+            self.appended = rel
         self.torn_tail = False
-        # Rewind the ring cursor too (the replica ring never wraps, so
-        # slot == seq - base_seq must keep holding): a record re-shipped
-        # after the truncation lands back in its own slot, not wherever
-        # the stale cursor pointed.
-        self.ring.tail = self.appended
-        self.ring.appended = min(self.ring.appended, self.appended)
 
     def compact_below(self, frontier: int) -> int:
         """Fold records below sequence ``frontier`` into the heap.
@@ -244,21 +232,13 @@ class ReplicaNode:
                     )
                 self.nvram.poke(record.addr, record.redo)
             # BEGIN/COMMIT records are pure markers: nothing to fold.
+        # Slide the surviving suffix down to slot 0 (slots are contiguous
+        # in NVRAM), then clear the slots it vacated.
         keep = self.appended - drop
-        for slot in range(keep):
-            src = self.ring.entry_addr(slot + drop)
-            self.nvram.poke(
-                self.ring.entry_addr(slot), self.nvram.peek(src, entry_size)
-            )
-            self.ring._slot_lines[slot] = self.ring._slot_lines[slot + drop]
-            self.ring._slot_kinds[slot] = self.ring._slot_kinds[slot + drop]
-        zeros = bytes(entry_size)
-        for slot in range(keep, self.appended):
-            self.nvram.poke(self.ring.entry_addr(slot), zeros)
-            self.ring._slot_lines[slot] = None
-            self.ring._slot_kinds[slot] = None
-        self.ring.tail = keep
-        self.ring.appended = keep
+        if keep:
+            suffix = self.nvram.peek(self.ring.entry_addr(drop), keep * entry_size)
+            self.nvram.poke(self.ring.entry_addr(0), suffix)
+        self.nvram.poke(self.ring.entry_addr(keep), bytes(drop * entry_size))
         self.base_seq += drop
         self.appended = keep
         return drop

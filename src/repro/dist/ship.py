@@ -2,13 +2,16 @@
 
 Two halves:
 
-* :class:`LogStreamCollector` taps a traced primary run and produces the
-  ordered stream of *durable* log records — each ``log_place`` event
-  paired with the NVRAM completion that made it durable (hardware
-  records carry their release time; software records resolve against the
-  ``nvram_write`` covering their log entry, the same pairing psan uses).
-  Sequence numbers follow durability order, so "the primary crashed at
-  cycle T" is exactly "truncate the stream at T".
+* :class:`LogStreamCollector` taps a primary run for the ordered stream
+  of *durable* log records.  It is installed as the machine's
+  :attr:`~repro.sim.machine.Machine.log_tap`, so it hears of each record
+  where it is placed — the HWL engine's append, or the transaction
+  runtime's uncacheable log store — together with the encoded entry the
+  primary wrote.  Hardware records carry their release time; software
+  records resolve at the first timed NVRAM write covering their log
+  entry (the same pairing psan uses on ``log_place``/``nvram_write``
+  events).  Sequence numbers follow durability order, so "the primary
+  crashed at cycle T" is exactly "truncate the stream at T".
 
 * :class:`ShipTimeline` turns a stream into per-link shipping schedules:
   records are cut into batches (size- or COMMIT-bounded), each link
@@ -25,10 +28,13 @@ Two halves:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..sim.trace import TraceEvent, Tracer
+from ..core.logrecord import RecordKind
+from ..errors import ConfigError
+from ..sim.trace import TraceEvent
 from .config import DistConfig
 
 
@@ -45,6 +51,9 @@ class ShippedRecord:
     redo: bytes
     place_time: float
     durable: float
+    payload: bytes
+    """The entry exactly as the primary encoded it (its torn bit is the
+    primary ring's pass parity); replicas write these bytes."""
 
 
 @dataclass
@@ -54,10 +63,10 @@ class LogStream:
     records: list
     entry_size: int
     reported: list
-    """``(tid, reported_durable, emit_time)`` per ``commit_reported``
-    event, in emission order — index ``i`` pairs with the golden model's
+    """``(tid, reported_durable, report_time)`` per reported commit, in
+    report order — index ``i`` pairs with the golden model's
     ``commits[i]`` (the runtime records the golden entry immediately
-    after emitting the event)."""
+    after reporting)."""
 
     undrained: int = 0
     """Records placed but never durable by end of run (not shippable)."""
@@ -72,8 +81,8 @@ class LogStream:
         """``(tid, ordinal) -> (seq, physical_txid, golden_index, reported)``.
 
         ``ordinal`` is the per-thread commit counter (k-th COMMIT record
-        of ``tid`` in stream order matches the k-th ``commit_reported``
-        for ``tid``); ``golden_index`` indexes the golden model's commit
+        of ``tid`` in stream order matches the k-th reported commit of
+        ``tid``); ``golden_index`` indexes the golden model's commit
         list; ``reported`` is the durability the runtime reported.
         """
         reported_by_tid: dict = {}
@@ -98,79 +107,91 @@ class LogStream:
 
 
 class LogStreamCollector:
-    """Subscribe to a machine's tracer; collect its durable log records."""
+    """A machine's log-stream tap: collects its durable log records.
 
-    def __init__(self, machine, tracer: Optional[Tracer] = None) -> None:
-        if tracer is None:
-            tracer = machine.tracer
-        if tracer is None:
-            tracer = Tracer(capacity=1024)
-            machine.tracer = tracer
-        self.tracer = tracer
+    Construction installs the collector as ``machine.log_tap``;
+    :meth:`finish` removes it.  The machine calls the three ``on_*``
+    methods; nothing else feeds the stream.
+    """
+
+    def __init__(self, machine) -> None:
+        if machine.log_tap is not None:
+            raise ConfigError("machine already has a log-stream tap")
+        # Weak: the machine holds the tap, and a strong back-reference
+        # would leave the machine (and its NVRAM image) to the cyclic
+        # garbage collector instead of freeing it when the run is done.
+        self._machine = weakref.ref(machine)
         self._entry_size = machine.log.entry_size
-        self._regions = tuple(
-            (log.base, log.num_entries * log.entry_size) for log in machine.logs
-        )
-        self._placed: list = []  # (place_order, ShippedRecord)
+        self._placed: list = []  # (place_order, ShippedRecord), unharvested
         self._place_count = 0
         self._next_seq = 0  # continues across incremental harvests
-        self._pending_by_entry: dict = {}
+        self._pending_by_entry: dict = {}  # entry addr -> unresolved sw record
         self._reported: list = []
-        tracer.subscribe(self._on_event)
+        machine.log_tap = self
 
     # ------------------------------------------------------------------
-    def _on_event(self, event: TraceEvent) -> None:
-        kind = event.kind
-        if kind == "log_place":
-            self._on_log_place(event)
-        elif kind == "nvram_write":
-            self._on_nvram_write(event)
-        elif kind == "commit_reported":
-            detail = event.detail
-            self._reported.append((detail["tid"], detail["durable"], event.time))
-
-    def _on_log_place(self, event: TraceEvent) -> None:
-        d = event.detail
+    # Tap interface (called by the machine)
+    # ------------------------------------------------------------------
+    def on_log_place(
+        self, record, entry_addr: int, payload: bytes, now: float, release
+    ) -> None:
+        """A record was placed at ``entry_addr``; ``release`` is its
+        durability time, or None for a software record still on its way
+        to NVRAM."""
+        kind = record.kind
         rec = ShippedRecord(
             seq=-1,
-            kind=d["kind"],
-            txid=d["txid"],
-            tid=d["tid"],
-            addr=d["addr"],
-            undo=bytes.fromhex(d["undo"]),
-            redo=bytes.fromhex(d["redo"]),
-            place_time=event.time,
-            durable=d["release"] if d["release"] is not None else -1.0,
+            kind=kind.name,
+            txid=record.txid,
+            tid=record.tid,
+            addr=record.addr if kind is RecordKind.DATA else None,
+            undo=record.undo,
+            redo=record.redo,
+            place_time=now,
+            durable=-1.0 if release is None else release,
+            payload=payload,
         )
         self._placed.append((self._place_count, rec))
         self._place_count += 1
-        if d["release"] is None:
-            # Software record: durability resolves at the NVRAM write
-            # covering its log entry (uncacheable store via the WCB).
-            self._pending_by_entry[d["entry_addr"]] = rec
+        if release is None:
+            self._pending_by_entry[entry_addr] = rec
 
-    def _on_nvram_write(self, event: TraceEvent) -> None:
-        d = event.detail
-        addr = d["addr"]
-        for base, size in self._regions:
-            if base <= addr < base + size:
-                break
-        else:
+    def on_commit_reported(self, tid: int, durable: float, now: float) -> None:
+        """The runtime reported a commit durable at ``durable``."""
+        self._reported.append((tid, durable, now))
+
+    def on_nvram_write(self, addr: int, size: int, completion: float) -> None:
+        """A timed NVRAM write completes at ``completion``: it makes every
+        pending software record whose log entry it covers durable.  (Only
+        log entries are pending, so writes elsewhere match nothing.)"""
+        pending = self._pending_by_entry
+        if not pending:
             return
-        entry = addr - (addr % self._entry_size)
-        end = addr + d["size"]
-        completion = d["completion"]
-        while entry < end:
-            rec = self._pending_by_entry.get(entry)
-            if rec is not None and rec.durable < 0:
+        entry_size = self._entry_size
+        entry = addr - (addr % entry_size)
+        stop = addr + size
+        while entry < stop:
+            rec = pending.pop(entry, None)
+            if rec is not None:
                 rec.durable = completion
-            entry += self._entry_size
+            entry += entry_size
 
     # ------------------------------------------------------------------
+    def _number(self, placed: list) -> list:
+        """Sort ``(order, record)`` pairs into durability order (placement
+        order breaks ties) and assign the next sequence numbers."""
+        placed.sort(key=lambda item: (item[1].durable, item[0]))
+        records = []
+        for _order, rec in placed:
+            rec.seq = self._next_seq
+            self._next_seq += 1
+            records.append(rec)
+        return records
+
     def harvest(self, before: float) -> list:
         """Extract records durable strictly before ``before`` (mid-run).
 
-        The incremental shipping API: once every thread of the traced
+        The incremental shipping API: once every thread of the tapped
         machine has been stepped to cycle ``before``, any record still
         pending durability will resolve at or after ``before``, so the
         harvested prefix is final — its durability order can never be
@@ -179,45 +200,32 @@ class LogStreamCollector:
         durability order a single end-of-run collection would have
         assigned.
         """
-        ripe = [
-            (rec.durable, order, rec)
-            for order, rec in self._placed
-            if 0 <= rec.durable < before
-        ]
-        ripe.sort(key=lambda item: (item[0], item[1]))
-        taken = {id(rec) for _d, _o, rec in ripe}
-        self._placed = [
-            (order, rec) for order, rec in self._placed if id(rec) not in taken
-        ]
-        records = []
-        for _durable, _order, rec in ripe:
-            rec.seq = self._next_seq
-            self._next_seq += 1
-            records.append(rec)
-        return records
+        ripe: list = []
+        rest: list = []
+        for item in self._placed:
+            durable = item[1].durable
+            if 0 <= durable < before:
+                ripe.append(item)
+            else:
+                rest.append(item)
+        self._placed = rest
+        return self._number(ripe)
 
     def finish(self) -> LogStream:
-        """Stop listening; return the durability-ordered stream.
+        """Detach from the machine; return the durability-ordered stream.
 
         After incremental :meth:`harvest` calls, only the leftover
         records appear here, numbered continuing from the harvested
         prefix.
         """
-        self.tracer.unsubscribe(self._on_event)
+        machine = self._machine()
+        if machine is not None and machine.log_tap is self:
+            machine.log_tap = None
         undrained = sum(1 for _order, rec in self._placed if rec.durable < 0)
-        durable = [
-            (rec.durable, order, rec)
-            for order, rec in self._placed
-            if rec.durable >= 0
-        ]
-        durable.sort(key=lambda item: (item[0], item[1]))
-        records = []
-        for _durable, _order, rec in durable:
-            rec.seq = self._next_seq
-            self._next_seq += 1
-            records.append(rec)
+        durable = [item for item in self._placed if item[1].durable >= 0]
+        self._placed = []
         return LogStream(
-            records=records,
+            records=self._number(durable),
             entry_size=self._entry_size,
             reported=self._reported,
             undrained=undrained,

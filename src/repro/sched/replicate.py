@@ -11,7 +11,9 @@ the set of records durable *strictly before* ``t`` is final and its
 durability order can never change.  The scheduler's per-arrival
 checkpoint hands exactly that horizon to the replicator, which harvests
 the ripe prefix from its :class:`~repro.dist.ship.LogStreamCollector`
-and appends it synchronously to every replica ring.
+(the shard machine's log tap — no tracer is involved) and appends it
+synchronously to every replica ring, as the entry bytes the primary
+encoded.
 
 Because serve traffic is unbounded, replica rings compact instead of
 growing: the replicator tracks the **cluster-committed frontier** — the

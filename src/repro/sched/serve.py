@@ -102,6 +102,21 @@ class ServeConfig:
             raise ConfigError("adapt_window_txns must be positive")
         if self.drain_checkpoint_cycles <= 0:
             raise ConfigError("drain_checkpoint_cycles must be positive")
+        if self.replicas > 0:
+            # Replica rings compact by folding redo content into their
+            # checkpoint, so every design a shard may run must log redo.
+            # Adaptive shards may switch log content mid-run: check every
+            # design the table can name.
+            designs = [self.policy]
+            if self.policy_table is not None:
+                designs += self.policy_table.specs()
+            for spec in designs:
+                logs_records = spec.uses_hw_logging or spec.uses_sw_logging
+                if logs_records and not spec.logs_redo:
+                    raise ConfigError(
+                        f"replicas need redo log records, but design "
+                        f"{spec.name!r} logs {spec.log_content.value} only"
+                    )
         self.traffic.validate()
         self.admission.validate()
 

@@ -171,6 +171,7 @@ class Machine:
         self.crashed = False
         self._ops_since_retire = 0
         self._tracer = None
+        self._log_tap = None
         self.fault_monitor = None
         """Optional :class:`~repro.faults.crashpoints.FaultMonitor`
         observing every retired micro-op (and, via the stats counters,
@@ -203,6 +204,25 @@ class Machine:
             buffer.ident = index
         if self.fwb is not None:
             self.fwb.tracer = tracer
+
+    @property
+    def log_tap(self):
+        """Optional log-stream tap; None (the default) costs nothing.
+
+        The tap (a :class:`~repro.dist.ship.LogStreamCollector`) is told
+        of every log record where it is placed — by the HWL engine or by
+        the transaction runtime — of every reported commit, and of every
+        timed NVRAM write, which is how software records learn when they
+        became durable.  It works with or without a tracer attached.
+        """
+        return self._log_tap
+
+    @log_tap.setter
+    def log_tap(self, tap) -> None:
+        self._log_tap = tap
+        self.nvram.log_tap = tap
+        if self.hwl is not None:
+            self.hwl.log_tap = tap
 
     # ------------------------------------------------------------------
     # Address-space helpers

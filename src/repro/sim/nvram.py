@@ -76,6 +76,9 @@ class NVRAM:
         """Optional tracer (set by the machine's ``tracer`` property);
         emits one ``nvram_write`` event per timed write.  ``poke`` and
         bulk image restores are untimed setup paths and never emit."""
+        self.log_tap = None
+        """Optional log-stream tap (set by the machine's ``log_tap``
+        property); told of every timed write, like the tracer."""
 
     def row_buffer_access(self, bank: int, row: int) -> bool:
         """Touch ``row`` in ``bank``'s row buffers; True on a hit."""
@@ -186,6 +189,8 @@ class NVRAM:
                 size=size,
                 completion=completion_time,
             )
+        if self.log_tap is not None:
+            self.log_tap.on_nvram_write(addr, size, completion_time)
 
     def poke(self, addr: int, data: bytes) -> None:
         """Write without timing, journaling, or counters (setup/recovery)."""

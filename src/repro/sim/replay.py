@@ -616,9 +616,9 @@ def run_compiled(trace: CompiledTrace, run, machine_hook=None, bind_out=None):
     :func:`~repro.harness.runner.run_workload` with bit-identical stats.
 
     Engine selection happens *after* ``machine_hook`` runs: attaching a
-    tracer or fault monitor (psan does both via ``machine.tracer``)
-    switches to the via-API engine, which preserves the exact event
-    stream; otherwise the trace-free fast engine runs.
+    tracer, log tap or fault monitor (psan does both via
+    ``machine.tracer``) switches to the via-API engine, which preserves
+    the exact event stream; otherwise the trace-free fast engine runs.
 
     ``bind_out`` (a dict, filled in place) receives the symbolic
     block-id -> real-address binding the replay establishes; the static
@@ -654,7 +654,11 @@ def run_compiled(trace: CompiledTrace, run, machine_hook=None, bind_out=None):
     pm.heap.restore(trace.heap_state)
 
     bind: dict[int, int] = {} if bind_out is None else bind_out
-    if machine.tracer is not None or machine.fault_monitor is not None:
+    if (
+        machine.tracer is not None
+        or machine.log_tap is not None
+        or machine.fault_monitor is not None
+    ):
         generators = [
             _api_thread(pm.api(core_id=tid, tid=tid), trace.thread_cols[tid], bind)
             for tid in range(run.threads)

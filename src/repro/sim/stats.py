@@ -8,7 +8,7 @@ traffic) are computed by properties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 @dataclass
@@ -106,20 +106,22 @@ class MachineStats:
         self.per_core_cycles[core_id] = cycles
 
     def snapshot(self) -> dict:
-        """Return a plain-dict summary useful for reports and JSON dumps."""
-        return {
-            "instructions": self.instructions,
-            "cycles": self.cycles,
-            "ipc": self.ipc,
-            "transactions_committed": self.transactions_committed,
-            "throughput_per_mcycle": self.throughput,
-            "l1_hit_rate": self.l1_hit_rate,
-            "nvram_write_bytes": self.nvram_write_bytes,
-            "nvram_read_bytes": self.nvram_read_bytes,
-            "log_bytes": self.log_bytes,
-            "memory_energy_pj": self.memory_dynamic_energy_pj,
-            "total_energy_pj": self.total_dynamic_energy_pj,
-            "clwb_count": self.clwb_count,
-            "fwb_writebacks": self.fwb_writebacks,
-            "fence_stall_cycles": self.fence_stall_cycles,
+        """Return a plain-dict summary useful for reports and JSON dumps.
+
+        Every scalar counter appears under its field name (read from the
+        dataclass fields, so a new counter cannot be left out), followed
+        by the derived ratios.
+        """
+        out = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if isinstance(getattr(self, f.name), (int, float))
         }
+        out.update(
+            ipc=self.ipc,
+            throughput_per_mcycle=self.throughput,
+            l1_hit_rate=self.l1_hit_rate,
+            memory_energy_pj=self.memory_dynamic_energy_pj,
+            total_energy_pj=self.total_dynamic_energy_pj,
+        )
+        return out

@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core.design import CommitProtocol, DesignSpec
-from ..core.logrecord import LogRecord, RecordKind
+from ..core.logrecord import RecordKind
 from ..core.nvlog import PlacedRecord
 from ..errors import TransactionError
 from ..sim.machine import Machine
@@ -239,6 +239,9 @@ class ThreadAPI:
                 tid=self.tid,
                 durable=durable,
             )
+        tap = self._machine.log_tap
+        if tap is not None:
+            tap.on_commit_reported(self.tid, durable, self.now)
         self._pm.golden.record(durable, self._writes)
         self._pm.golden.finalize(self.tid)
         if self._tagged_requests is not None:
@@ -459,9 +462,9 @@ class ThreadAPI:
                 core = machine.cores[self.core_id]
                 if completion > core.time:
                     core.time = completion
+        record = placed.record
         tracer = machine.tracer
         if tracer is not None:
-            record = LogRecord.decode(placed.payload)
             tracer.emit(
                 self.now,
                 "log_place",
@@ -481,6 +484,11 @@ class ThreadAPI:
                 force_completion=force_completion,
                 release=None,
             )
+        tap = machine.log_tap
+        if tap is not None:
+            # Software records resolve their durability later, at the
+            # NVRAM write that covers their entry.
+            tap.on_log_place(record, placed.addr, placed.payload, self.now, None)
         machine.execute(
             self.core_id, LogStore(placed.addr, placed.payload, kind)
         )

@@ -11,6 +11,7 @@ import dataclasses
 
 import pytest
 
+from repro.core.logrecord import LogRecord, RecordKind
 from repro.dist.node import ReplicaNode
 from repro.errors import ConfigError
 
@@ -140,7 +141,12 @@ def test_undo_only_records_cannot_compact(traced_hash):
     node, stream = _node(traced_hash)
     records = stream.records
     data = next(rec for rec in records if rec.kind == "DATA")
-    stripped = dataclasses.replace(data, redo=b"", seq=0)
+    # Replicas write the shipped entry bytes, so the stripped record
+    # carries the encoding of its undo-only form.
+    undo_only = LogRecord(RecordKind.DATA, data.txid, data.tid, data.addr, undo=data.undo)
+    stripped = dataclasses.replace(
+        data, redo=b"", seq=0, payload=undo_only.encode(len(data.payload))
+    )
     try:
         node.append(stripped)
         if stripped.kind != "COMMIT":

@@ -115,6 +115,38 @@ class TestGuards:
         with pytest.raises(ConfigError):
             run_serve(_config(shards=0))
 
+    @pytest.mark.parametrize("design", ["undo-clwb", "hw-ulog", "unsafe-base"])
+    def test_replication_without_redo_rejected_before_any_machine(
+        self, design, monkeypatch
+    ):
+        """Replica compaction folds redo content into the checkpoint, so
+        an undo-only design must be refused up front, not mid-run."""
+        from repro.sched import serve
+
+        def no_machine(*_args, **_kwargs):
+            raise AssertionError("a machine was built")
+
+        monkeypatch.setattr(serve, "Machine", no_machine)
+        with pytest.raises(ConfigError, match="redo"):
+            run_serve(_config(policy=design, replicas=1))
+        _config(policy=design).validate()  # no replicas: fine
+
+    def test_replication_checks_every_adaptive_design(self):
+        from repro.adapt.table import PolicyTable, make_rule
+        from repro.core.design import resolve_design
+
+        table = PolicyTable(
+            rules=(make_rule({"wrap_pressure_min": 0.5}, "sw+undo+clwb"),),
+            start=resolve_design("sw+undo+redo+clwb"),
+        )
+        _config(policy_table=table).validate()
+        with pytest.raises(ConfigError, match="redo"):
+            _config(policy_table=table, replicas=1).validate()
+
+    def test_non_persistent_design_replicates_nothing(self):
+        report = run_serve(_config(policy="non-pers", replicas=1))
+        assert report.replication["shipped"] == 0
+
 
 class TestPsanOnServeStreams:
     def test_scheduler_produced_streams_are_clean(self):
@@ -157,3 +189,14 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["offered"] == 16
         assert payload["completed"] == payload["admitted"]
+
+    def test_serve_replication_without_redo_exits_2(self, capsys):
+        from repro.__main__ import main
+
+        code = main(
+            ["serve", "--design", "undo-clwb", "--replicas", "1", "--requests", "16"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "redo" in captured.err

@@ -1,5 +1,7 @@
 """Unit tests for repro.sim.energy and repro.sim.stats."""
 
+import dataclasses
+
 from repro.sim.config import EnergyConfig
 from repro.sim.energy import EnergyModel
 from repro.sim.stats import MachineStats
@@ -84,6 +86,18 @@ class TestMachineStats:
         assert stats.per_core_cycles[1] == 75.0
 
     def test_snapshot_keys(self):
-        snapshot = MachineStats().snapshot()
+        stats = MachineStats()
+        for index, f in enumerate(dataclasses.fields(MachineStats)):
+            if isinstance(getattr(stats, f.name), (int, float)):
+                setattr(stats, f.name, type(getattr(stats, f.name))(index + 1))
+        snapshot = stats.snapshot()
         for key in ("instructions", "cycles", "ipc", "throughput_per_mcycle"):
             assert key in snapshot
+        scalars = [
+            f.name
+            for f in dataclasses.fields(MachineStats)
+            if isinstance(getattr(stats, f.name), (int, float))
+        ]
+        assert "log_buffer_stall_cycles" in scalars and "design_switches" in scalars
+        for name in scalars:
+            assert snapshot[name] == getattr(stats, name), name

@@ -1,8 +1,17 @@
 """Unit tests for repro.core.logrecord."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.logrecord import HEADER_BYTES, LogRecord, RecordKind
+from repro.core.logrecord import (
+    HEADER_BYTES,
+    DecodeStatus,
+    LogRecord,
+    RecordKind,
+    _checksum,
+    stamp_torn,
+)
 from repro.errors import LogError
 
 
@@ -105,3 +114,53 @@ class TestEncoding:
         for torn in (0, 1):
             decoded = LogRecord.decode(data_record(torn=torn).encode(64))
             assert decoded.torn == torn
+
+
+def rolling_checksum(buf: bytes) -> int:
+    """The checksum's defining byte-at-a-time roll (offset 6 skipped)."""
+    value = 0x5C
+    for offset in range(min(len(buf), HEADER_BYTES)):
+        if offset != 6:
+            value = (value * 31 + buf[offset]) & 0xFF
+    return value
+
+
+class TestChecksum:
+    @settings(max_examples=400, deadline=None)
+    @given(st.binary(min_size=0, max_size=2 * HEADER_BYTES + 3))
+    def test_table_matches_the_roll(self, buf):
+        assert _checksum(buf) == rolling_checksum(buf)
+
+    def test_table_matches_the_roll_on_extremes(self):
+        for length in range(2 * HEADER_BYTES + 1):
+            for fill in (0x00, 0x01, 0x7F, 0x80, 0xFF):
+                buf = bytes([fill]) * length
+                assert _checksum(buf) == rolling_checksum(buf)
+                assert _checksum(bytearray(buf)) == rolling_checksum(buf)
+
+    def test_encoded_entries_carry_the_rolled_checksum(self):
+        for torn in (0, 1):
+            raw = data_record(torn=torn).encode(64)
+            assert raw[6] == rolling_checksum(raw)
+
+    def test_decode_rejects_any_flipped_header_byte(self):
+        raw = data_record().encode(64)
+        for offset in range(HEADER_BYTES):
+            if offset == 4:
+                continue  # the magic byte: the entry no longer claims a record
+            damaged = bytearray(raw)
+            damaged[offset] ^= 0x01
+            _record, status = LogRecord.classify(bytes(damaged))
+            assert status is DecodeStatus.CHECKSUM, offset
+
+
+class TestStampTorn:
+    def test_restamp_equals_encoding_with_that_bit(self):
+        for source, target in ((0, 1), (1, 0), (1, 1), (0, 0)):
+            raw = data_record(torn=source).encode(64)
+            assert stamp_torn(raw, target) == data_record(torn=target).encode(64)
+
+    def test_restamped_entry_decodes(self):
+        raw = data_record(torn=0).encode(64)
+        decoded = LogRecord.decode(stamp_torn(raw, 1))
+        assert decoded == data_record(torn=1)
