@@ -124,24 +124,20 @@ class HardwareLogging:
     # ------------------------------------------------------------------
     def _append(self, record: LogRecord, tid: int, now: float) -> tuple[float, float]:
         log = self._router.log_for(tid)
-        placed = log.place(record)
+        entry_addr, payload, slot, displaced_line, _kind, _record = log.place(record)
         stall = 0.0
         displaced_dirty = False
         force_completion = None
-        if placed.displaced_line is not None and self._hierarchy.is_line_dirty(
-            placed.displaced_line
-        ):
+        if displaced_line is not None and self._hierarchy.is_line_dirty(displaced_line):
             displaced_dirty = True
             if self._protect_wrap:
-                completion = self._hierarchy.force_writeback(placed.displaced_line, now)
+                completion = self._hierarchy.force_writeback(displaced_line, now)
                 self._stats.log_wrap_forced_writebacks += 1
                 if completion is not None:
                     force_completion = completion
                     stall = max(0.0, completion - now)
                     now += stall
-        push_stall, release = self._router.buffer_for(tid).push(
-            placed.addr, placed.payload, now
-        )
+        push_stall, release = self._router.buffer_for(tid).push(entry_addr, payload, now)
         self._registers.set_log_pointers(log.head, log.tail)
         if self.tracer is not None:
             self.tracer.emit(
@@ -154,17 +150,17 @@ class HardwareLogging:
                 addr=record.addr if record.kind is RecordKind.DATA else None,
                 undo=record.undo.hex(),
                 redo=record.redo.hex(),
-                entry_addr=placed.addr,
-                slot=placed.slot,
+                entry_addr=entry_addr,
+                slot=slot,
                 base=log.base,
-                torn=placed.payload[0] & 1,
-                displaced_line=placed.displaced_line,
+                torn=payload[0] & 1,
+                displaced_line=displaced_line,
                 displaced_dirty=displaced_dirty,
                 force_completion=force_completion,
                 release=release,
             )
         if self.log_tap is not None:
-            self.log_tap.on_log_place(record, placed.addr, placed.payload, now, release)
+            self.log_tap.on_log_place(record, entry_addr, payload, now, release)
         return stall + push_stall, release
 
     @property

@@ -60,21 +60,21 @@ class LogBuffer:
                 stall = max(0.0, freed_at - now)
                 now += stall
                 self._stats.log_buffer_stall_cycles += stall
-        ticket = self._memctrl.write(
+        completion, queue_stall, accepted = self._memctrl.write(
             addr, payload, now, min_completion=self.last_completion
         )
         if self.depth > 0:
-            self._accept_times.append(ticket.accepted)
+            self._accept_times.append(accepted)
         else:
             # Unbuffered: the triggering store waits for bus acceptance.
-            bus_wait = max(0.0, ticket.accepted - now)
+            bus_wait = max(0.0, accepted - now)
             stall += bus_wait
             self._stats.log_buffer_stall_cycles += bus_wait
         self._stats.log_records += 1
         self._stats.log_bytes += len(payload)
-        self._stats.log_buffer_stall_cycles += ticket.stall
-        stall += ticket.stall
-        self.last_completion = max(self.last_completion, ticket.completion)
+        self._stats.log_buffer_stall_cycles += queue_stall
+        stall += queue_stall
+        self.last_completion = max(self.last_completion, completion)
         if self.tracer is not None:
             self.tracer.emit(
                 now,

@@ -27,6 +27,13 @@ offset size   field
 24     8      redo value (new data word)
 ====== ====== ==============================================
 
+One :class:`struct.Struct` (``_HEADER``) describes those 32 bytes and
+serves both directions: :meth:`LogRecord.encode` packs it and
+:meth:`LogRecord.classify` unpacks it.  The address is packed as an
+8-byte field whose top two bytes (offsets 14-15) are zero because the
+address fits in 48 bits; decoding masks them off, so a non-zero value
+there only matters to the checksum.
+
 The checksum lets recovery reject a *torn* entry — one whose write was
 in flight at the crash and only partially reached NVRAM — as the end of
 the valid window (the role the paper assigns to consistent torn-bit
@@ -36,6 +43,7 @@ values over complete records).
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass
 from operator import mul
 
@@ -50,6 +58,14 @@ the marker in place, so a second recovery replays nothing instead of
 replaying a partially zeroed (and therefore misleading) window."""
 HEADER_BYTES = 32
 """Meaningful bytes of a record; the rest of the entry is padding."""
+
+_HEADER = struct.Struct("<BHBBBBxQ8s8s")
+"""flags, txid, tid, magic, value size, checksum, reserved, address,
+undo, redo: the header table above (``8s`` zero-fills a short value)."""
+_ADDR_MASK = (1 << 48) - 1
+_TORN, _HAS_UNDO, _HAS_REDO = 0x1, 0x8, 0x10
+_PADDING: dict = {}
+"""Zero padding past the header, by entry size."""
 
 
 def _checksum_tables() -> tuple:
@@ -71,6 +87,7 @@ def _checksum_tables() -> tuple:
 
 
 _CHECKSUM_TABLES = _checksum_tables()
+_CHECKSUM_BYTES = tuple(bytes((value,)) for value in range(256))
 
 
 def _checksum(buf: bytes) -> int:
@@ -107,6 +124,9 @@ class RecordKind(enum.IntEnum):
     BEGIN = 1
     DATA = 2
     COMMIT = 3
+
+
+_KINDS = tuple(RecordKind)
 
 
 class DecodeStatus(enum.Enum):
@@ -183,37 +203,42 @@ class LogRecord:
         """Size in bytes of the logged word piece (0 for BEGIN/COMMIT)."""
         return max(len(self.undo), len(self.redo))
 
-    def with_torn(self, torn: int) -> "LogRecord":
-        """Return a copy with the torn bit set to ``torn``."""
-        return LogRecord(
-            self.kind, self.txid, self.tid, self.addr, self.undo, self.redo, torn
-        )
-
     # ------------------------------------------------------------------
     # Binary encoding
     # ------------------------------------------------------------------
-    def encode(self, entry_size: int) -> bytes:
-        """Encode into an ``entry_size``-byte log entry."""
+    def encode(self, entry_size: int, torn: "int | None" = None) -> bytes:
+        """Encode into an ``entry_size``-byte log entry.
+
+        ``torn`` overrides the record's own torn bit; the circular log
+        passes its pass parity here instead of building a stamped copy.
+        """
         if entry_size < HEADER_BYTES:
             raise LogError(f"entry size {entry_size} below {HEADER_BYTES}")
-        flags = (
-            (self.torn & 1)
-            | (int(self.kind) << 1)
-            | (int(self.has_undo) << 3)
-            | (int(self.has_redo) << 4)
+        if torn is None:
+            torn = self.torn
+        elif torn not in (0, 1):
+            raise LogError("torn bit must be 0 or 1")
+        undo, redo = self.undo, self.redo
+        header = _HEADER.pack(
+            torn
+            | (self.kind << 1)
+            | (_HAS_UNDO if undo else 0)
+            | (_HAS_REDO if redo else 0),
+            self.txid,
+            self.tid,
+            MAGIC,
+            max(len(undo), len(redo)),
+            0,
+            self.addr,
+            undo,
+            redo,
         )
-        size = self.value_size
-        buf = bytearray(entry_size)
-        buf[0] = flags
-        buf[1:3] = self.txid.to_bytes(2, "little")
-        buf[3] = self.tid
-        buf[4] = MAGIC
-        buf[5] = size
-        buf[8:14] = self.addr.to_bytes(6, "little")
-        buf[16:16 + len(self.undo)] = self.undo
-        buf[24:24 + len(self.redo)] = self.redo
-        buf[6] = _checksum(buf)
-        return bytes(buf)
+        padding = _PADDING.get(entry_size)
+        if padding is None:
+            padding = _PADDING[entry_size] = bytes(entry_size - HEADER_BYTES)
+        return b"".join(
+            (header[:6], _CHECKSUM_BYTES[_checksum(header)], header[7:], padding)
+        )
 
     @classmethod
     def decode(cls, raw: bytes, verify_checksum: bool = True) -> "LogRecord | None":
@@ -235,28 +260,25 @@ class LogRecord:
         """
         if len(raw) < HEADER_BYTES:
             raise LogError(f"log entry of {len(raw)} bytes is too short")
-        if raw[4] != MAGIC:
-            if raw[4] == RESET_MAGIC:
+        flags, txid, tid, magic, size, checksum, addr, undo, redo = _HEADER.unpack_from(raw)
+        if magic != MAGIC:
+            if magic == RESET_MAGIC:
                 return None, DecodeStatus.RESET_MARKER
             return None, DecodeStatus.EMPTY
-        if verify_checksum and _checksum(raw[:HEADER_BYTES]) != raw[6]:
+        if verify_checksum and _checksum(raw) != checksum:
             return None, DecodeStatus.CHECKSUM
-        flags = raw[0]
-        kind = RecordKind((flags >> 1) & 0x3)
+        kind = (flags >> 1) & 0x3
         if kind == RecordKind.INVALID:
             return None, DecodeStatus.CORRUPT
-        size = raw[5]
         if size > 8:
             return None, DecodeStatus.CORRUPT
-        undo = bytes(raw[16:16 + size]) if flags & 0x8 else b""
-        redo = bytes(raw[24:24 + size]) if flags & 0x10 else b""
         record = cls(
-            kind=kind,
-            txid=int.from_bytes(raw[1:3], "little"),
-            tid=raw[3],
-            addr=int.from_bytes(raw[8:14], "little"),
-            undo=undo,
-            redo=redo,
-            torn=flags & 1,
+            _KINDS[kind],
+            txid,
+            tid,
+            addr & _ADDR_MASK,
+            undo[:size] if flags & _HAS_UNDO else b"",
+            redo[:size] if flags & _HAS_REDO else b"",
+            flags & _TORN,
         )
         return record, DecodeStatus.OK

@@ -17,15 +17,13 @@ cost the FWB mechanism exists to avoid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..errors import LogError
 from .logrecord import LogRecord, RecordKind
 
 
-@dataclass(frozen=True)
-class PlacedRecord:
+class PlacedRecord(NamedTuple):
     """Result of placing a record: where to write it and what it displaces."""
 
     addr: int
@@ -93,8 +91,7 @@ class CircularLog:
         slot = self.tail
         displaced_line = self._slot_lines[slot] if self.wrapped else None
         displaced_kind = self._slot_kinds[slot] if self.wrapped else None
-        stamped = record.with_torn(self.parity)
-        payload = stamped.encode(self.entry_size)
+        payload = record.encode(self.entry_size, self.parity)
         line = None
         if record.kind == RecordKind.DATA:
             line = record.addr - (record.addr % self._line_size)
@@ -107,12 +104,12 @@ class CircularLog:
             self.parity ^= 1
             self.wrapped = True
         return PlacedRecord(
-            addr=self.entry_addr(slot),
-            payload=payload,
-            slot=slot,
-            displaced_line=displaced_line,
-            displaced_kind=displaced_kind,
-            record=record,
+            self.base + slot * self.entry_size,
+            payload,
+            slot,
+            displaced_line,
+            displaced_kind,
+            record,
         )
 
     # ------------------------------------------------------------------

@@ -111,8 +111,6 @@ class Machine:
                 config.line_size,
             )
             self.logs = [self.log]
-        self.nvram.register_region("heap", HEAP_BASE, heap_limit - HEAP_BASE)
-        self.nvram.register_region("log", heap_limit, config.nvram.size_bytes - heap_limit)
 
         self.hwl: Optional[HardwareLogging] = None
         self.log_buffer: Optional[LogBuffer] = None

@@ -12,8 +12,7 @@ uncacheable software-log stores expensive in the paper).
 from __future__ import annotations
 
 import heapq
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..utils import ns_to_cycles
 from .config import MemCtrlConfig, NVDimmConfig
@@ -22,8 +21,7 @@ from .nvram import NVRAM
 from .stats import MachineStats
 
 
-@dataclass(frozen=True)
-class WriteTicket:
+class WriteTicket(NamedTuple):
     """Outcome of a posted write.
 
     ``completion`` — when the data is durable in NVRAM;
@@ -78,37 +76,28 @@ class MemoryController:
         controllers (e.g. FIRM).  Row-buffer state is shared, so heavy
         write drains still cost reads their row hits.
         """
-        bank = self.nvram.bank_of(addr)
-        row = self.nvram.row_of(addr)
+        nvram = self.nvram
+        bank = nvram.bank_of(addr)
+        row = nvram.row_of(addr)
         # The channel is occupied per transfer from issue time (DIMM-side
         # buffers decouple the transfer from bank service).
         bus_start = max(self._bus_free, now + self._queue_latency)
         self._bus_free = bus_start + self._bus_cycles
         if is_write:
-            start = max(
-                bus_start,
-                self.nvram.bank_write_free[bank],
-                self.nvram.bank_read_free[bank],
-            )
+            start = max(bus_start, nvram.bank_write_free[bank], nvram.bank_read_free[bank])
         else:
-            write_block = min(
-                self.nvram.bank_write_free[bank], now + self._row_hit
-            )
-            start = max(
-                bus_start,
-                self.nvram.bank_read_free[bank],
-                write_block,
-            )
-        row_hit = self.nvram.row_buffer_access(bank, row)
+            write_block = min(nvram.bank_write_free[bank], now + self._row_hit)
+            start = max(bus_start, nvram.bank_read_free[bank], write_block)
+        row_hit = nvram.row_buffer_access(bank, row)
         if row_hit:
             service = self._row_hit
         else:
             service = self._write_conflict if is_write else self._read_conflict
         finish = start + service
         if is_write:
-            self.nvram.bank_write_free[bank] = finish
+            nvram.bank_write_free[bank] = finish
         else:
-            self.nvram.bank_read_free[bank] = finish
+            nvram.bank_read_free[bank] = finish
         if row_hit:
             self._stats.nvram_row_hits += 1
         else:
@@ -141,33 +130,30 @@ class MemoryController:
         size = len(data)
         stall = 0.0
         if self._infinite_write_bw:
-            completion = max(now + self._queue_latency + self._row_hit, min_completion)
-            self._finish_write(addr, data, size, completion, row_hit=True)
-            return WriteTicket(completion, stall, now + self._queue_latency)
-        # Free slots whose writes have completed.
-        while self._write_slots and self._write_slots[0] <= now:
-            heapq.heappop(self._write_slots)
-        if len(self._write_slots) >= self.config.write_queue_entries:
-            freed_at = heapq.heappop(self._write_slots)
-            stall = max(0.0, freed_at - now)
-            now = max(now, freed_at)
-            self._stats.write_queue_stall_cycles += stall
-        accepted, service_finish, row_hit = self._service(addr, now, is_write=True)
-        heapq.heappush(self._write_slots, service_finish)
-        # Durability: at bank-service completion in the paper's model, or
-        # at controller acceptance under an ADR persist domain.
-        durable = accepted if self._adr else service_finish
-        durable = max(durable, min_completion)
-        self._finish_write(addr, data, size, durable, row_hit)
-        return WriteTicket(durable, stall, accepted)
-
-    def _finish_write(
-        self, addr: int, data: bytes, size: int, completion: float, row_hit: bool
-    ) -> None:
-        self.nvram.write(addr, data, completion_time=completion)
+            durable = max(now + self._queue_latency + self._row_hit, min_completion)
+            accepted = now + self._queue_latency
+            row_hit = True
+        else:
+            # Free slots whose writes have completed.
+            slots = self._write_slots
+            while slots and slots[0] <= now:
+                heapq.heappop(slots)
+            if len(slots) >= self.config.write_queue_entries:
+                freed_at = heapq.heappop(slots)
+                stall = max(0.0, freed_at - now)
+                now = max(now, freed_at)
+                self._stats.write_queue_stall_cycles += stall
+            accepted, service_finish, row_hit = self._service(addr, now, True)
+            heapq.heappush(slots, service_finish)
+            # Durability: at bank-service completion in the paper's model,
+            # or at controller acceptance under an ADR persist domain.
+            durable = accepted if self._adr else service_finish
+            durable = max(durable, min_completion)
+        self.nvram.write(addr, data, durable)
         self._stats.nvram_writes += 1
         self._stats.nvram_write_bytes += size
         self._energy.nvram_write(size, row_hit)
+        return WriteTicket(durable, stall, accepted)
 
     def pending_write_completion(self) -> float:
         """Latest completion time among writes still holding queue slots."""

@@ -26,7 +26,6 @@ Two hot-path design points keep large sweeps fast:
 from __future__ import annotations
 
 from ..errors import AddressError
-from ..utils import check_range
 from .config import NVDimmConfig
 
 
@@ -53,6 +52,12 @@ class NVRAM:
         self._lo_hwm = 0
         self._hi_lwm = self._size
         self._track = track_crash_state
+        # Geometry copied out of the config once: bank_of, row_of and
+        # row_buffer_access read it on every timed access.
+        self._interleave = config.interleave_bytes
+        self._num_banks = config.num_banks
+        self._row_stripe = config.row_bytes * config.num_banks
+        self._row_buffers = config.row_buffers_per_bank
         # Per-bank open rows (LRU list, newest last; the cited PCM design
         # has several row buffers per bank) and next-free times.  Reads
         # and writes are tracked separately: the memory controller
@@ -65,8 +70,6 @@ class NVRAM:
         self._journal: list[tuple[float, int, bytes]] = []
         self.total_read_bytes = 0
         self.total_write_bytes = 0
-        self._regions: dict[str, tuple[int, int]] = {}
-        self.region_write_bytes: dict[str, int] = {}
         self.injector = None
         """Optional :class:`~repro.faults.plan.FaultInjector`: filters
         timed writes (stuck-at media faults) and decides what in-flight
@@ -88,7 +91,7 @@ class NVRAM:
             rows.append(row)
             return True
         rows.append(row)
-        if len(rows) > self.config.row_buffers_per_bank:
+        if len(rows) > self._row_buffers:
             rows.pop(0)
         return False
 
@@ -99,7 +102,7 @@ class NVRAM:
         """Bank index for ``addr`` (cache-line interleaved across banks,
         the usual DIMM configuration: sequential lines hit distinct banks
         so streams — like the log — use all-bank bandwidth)."""
-        return (addr // self.config.interleave_bytes) % self.config.num_banks
+        return (addr // self._interleave) % self._num_banks
 
     def row_of(self, addr: int) -> int:
         """Row index (within its bank) for ``addr``.
@@ -107,30 +110,7 @@ class NVRAM:
         With line interleaving, one row per bank covers a contiguous
         ``row_bytes * num_banks`` stripe of the address space.
         """
-        return addr // (self.config.row_bytes * self.config.num_banks)
-
-    # ------------------------------------------------------------------
-    # Region registration (stats only)
-    # ------------------------------------------------------------------
-    def register_region(self, name: str, base: int, size: int) -> None:
-        """Label an address range for per-region write accounting."""
-        check_range(base, size, self._size, f"region {name}")
-        self._regions[name] = (base, size)
-        self.region_write_bytes.setdefault(name, 0)
-
-    def _account_region_write(self, addr: int, size: int) -> None:
-        for name, (base, rsize) in self._regions.items():
-            if base <= addr < base + rsize:
-                self.region_write_bytes[name] += size
-                return
-
-    def _note_write(self, addr: int, end: int) -> None:
-        """Fold ``[addr, end)`` into the dirty-extent windows."""
-        if addr < self._mid:
-            if end > self._lo_hwm:
-                self._lo_hwm = end
-        elif addr < self._hi_lwm:
-            self._hi_lwm = addr
+        return addr // self._row_stripe
 
     # ------------------------------------------------------------------
     # Functional access
@@ -173,13 +153,16 @@ class NVRAM:
             )
         if self.injector is not None:
             data = self.injector.filter_write(addr, data)
+        image = self.image
         if self._track:
-            old = bytes(self.image[addr:end])
-            self._journal.append((completion_time, addr, old))
-        self.image[addr:end] = data
-        self._note_write(addr, end)
+            self._journal.append((completion_time, addr, bytes(image[addr:end])))
+        image[addr:end] = data
+        if addr < self._mid:
+            if end > self._lo_hwm:
+                self._lo_hwm = end
+        elif addr < self._hi_lwm:
+            self._hi_lwm = addr
         self.total_write_bytes += size
-        self._account_region_write(addr, size)
         if self.tracer is not None:
             self.tracer.emit(
                 completion_time,
@@ -214,7 +197,8 @@ class NVRAM:
                 f"image prefix of {len(data)} bytes exceeds device size {self._size}"
             )
         self.image[: len(data)] = data
-        self._note_write(0, len(data))
+        if len(data) > self._lo_hwm:  # address 0 lies in the low window
+            self._lo_hwm = len(data)
 
     def written_extent(self) -> tuple[int, int]:
         """The dirty-extent windows as ``(lo_end, hi_start)``.

@@ -1,17 +1,22 @@
 """Unit tests for repro.core.logrecord."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.logrecord import (
     HEADER_BYTES,
+    MAGIC,
+    RESET_MAGIC,
     DecodeStatus,
     LogRecord,
     RecordKind,
     _checksum,
     stamp_torn,
 )
+from repro.core.nvlog import CircularLog
 from repro.errors import LogError
 
 
@@ -64,11 +69,6 @@ class TestProperties:
         assert data_record().value_size == 8
         assert data_record(undo=b"abc", redo=b"xyz").value_size == 3
         assert LogRecord(RecordKind.COMMIT, 1, 0).value_size == 0
-
-    def test_with_torn(self):
-        flipped = data_record(torn=0).with_torn(1)
-        assert flipped.torn == 1
-        assert flipped.addr == data_record().addr
 
 
 class TestEncoding:
@@ -164,3 +164,139 @@ class TestStampTorn:
         raw = data_record(torn=0).encode(64)
         decoded = LogRecord.decode(stamp_torn(raw, 1))
         assert decoded == data_record(torn=1)
+
+
+# ----------------------------------------------------------------------
+# Reference: the byte-at-a-time encoder and decoder the packed layout
+# replaced.  The packed path must agree with them on every input.
+# ----------------------------------------------------------------------
+def reference_encode(record: LogRecord, entry_size: int) -> bytes:
+    if entry_size < HEADER_BYTES:
+        raise LogError(f"entry size {entry_size} below {HEADER_BYTES}")
+    flags = (
+        (record.torn & 1)
+        | (int(record.kind) << 1)
+        | (int(record.has_undo) << 3)
+        | (int(record.has_redo) << 4)
+    )
+    buf = bytearray(entry_size)
+    buf[0] = flags
+    buf[1:3] = record.txid.to_bytes(2, "little")
+    buf[3] = record.tid
+    buf[4] = MAGIC
+    buf[5] = record.value_size
+    buf[8:14] = record.addr.to_bytes(6, "little")
+    buf[16:16 + len(record.undo)] = record.undo
+    buf[24:24 + len(record.redo)] = record.redo
+    buf[6] = rolling_checksum(buf)
+    return bytes(buf)
+
+
+def reference_classify(raw: bytes, verify_checksum: bool = True):
+    if len(raw) < HEADER_BYTES:
+        raise LogError(f"log entry of {len(raw)} bytes is too short")
+    if raw[4] != MAGIC:
+        if raw[4] == RESET_MAGIC:
+            return None, DecodeStatus.RESET_MARKER
+        return None, DecodeStatus.EMPTY
+    if verify_checksum and rolling_checksum(raw[:HEADER_BYTES]) != raw[6]:
+        return None, DecodeStatus.CHECKSUM
+    flags = raw[0]
+    kind = RecordKind((flags >> 1) & 0x3)
+    if kind == RecordKind.INVALID:
+        return None, DecodeStatus.CORRUPT
+    size = raw[5]
+    if size > 8:
+        return None, DecodeStatus.CORRUPT
+    undo = bytes(raw[16:16 + size]) if flags & 0x8 else b""
+    redo = bytes(raw[24:24 + size]) if flags & 0x10 else b""
+    record = LogRecord(
+        kind=kind,
+        txid=int.from_bytes(raw[1:3], "little"),
+        tid=raw[3],
+        addr=int.from_bytes(raw[8:14], "little"),
+        undo=undo,
+        redo=redo,
+        torn=flags & 1,
+    )
+    return record, DecodeStatus.OK
+
+
+records = st.builds(
+    LogRecord,
+    kind=st.sampled_from([RecordKind.BEGIN, RecordKind.DATA, RecordKind.COMMIT]),
+    txid=st.integers(0, (1 << 16) - 1),
+    tid=st.integers(0, 255),
+    addr=st.one_of(st.sampled_from([0, (1 << 48) - 1]), st.integers(0, (1 << 48) - 1)),
+    undo=st.binary(max_size=8),
+    redo=st.binary(max_size=8),
+    torn=st.integers(0, 1),
+)
+entry_sizes = st.sampled_from([32, 64])
+
+
+class TestPackedLayoutMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(record=records, entry_size=entry_sizes, torn=st.sampled_from([None, 0, 1]))
+    def test_encode_matches_byte_for_byte(self, record, entry_size, torn):
+        stamped = record if torn is None else dataclasses.replace(record, torn=torn)
+        assert record.encode(entry_size, torn) == reference_encode(stamped, entry_size)
+
+    @settings(max_examples=400, deadline=None)
+    @given(record=records, entry_size=entry_sizes)
+    def test_classify_matches_on_encoded_entries(self, record, entry_size):
+        raw = reference_encode(record, entry_size)
+        for verify in (True, False):
+            assert LogRecord.classify(raw, verify) == reference_classify(raw, verify)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        record=records,
+        entry_size=entry_sizes,
+        reserved=st.tuples(*[st.integers(1, 255)] * 3),
+    )
+    def test_classify_ignores_reserved_bytes(self, record, entry_size, reserved):
+        clean = reference_encode(record, entry_size)
+        raw = bytearray(clean)
+        raw[7], raw[14], raw[15] = reserved
+        raw = bytes(raw)
+        for verify in (True, False):
+            assert LogRecord.classify(raw, verify) == reference_classify(raw, verify)
+        assert LogRecord.classify(raw, False) == LogRecord.classify(clean, False)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        raw=st.binary(min_size=HEADER_BYTES, max_size=64),
+        magic=st.sampled_from([MAGIC, RESET_MAGIC, 0x00, 0x5A]),
+        seal=st.booleans(),
+    )
+    def test_classify_matches_on_arbitrary_entries(self, raw, magic, seal):
+        """Damaged and foreign entries get the reference's status, checked
+        in its order: magic, reset marker, checksum, kind, size."""
+        buf = bytearray(raw)
+        buf[4] = magic
+        if seal:
+            buf[6] = rolling_checksum(buf)
+        for verify in (True, False):
+            assert LogRecord.classify(bytes(buf), verify) == reference_classify(
+                bytes(buf), verify
+            )
+
+    def test_torn_override_is_a_bit(self):
+        with pytest.raises(LogError):
+            data_record().encode(64, torn=2)
+
+    def test_ring_payloads_carry_each_pass_parity(self):
+        ring = CircularLog(base=0x4000, num_entries=4, entry_size=64)
+        for index in range(3 * ring.num_entries):
+            if index % 4 in (1, 2):
+                record = data_record(txid=index, addr=0x1000 + 8 * index, torn=index % 2)
+            else:
+                kind = RecordKind.BEGIN if index % 4 == 0 else RecordKind.COMMIT
+                record = LogRecord(kind, txid=index, tid=index % 3, torn=index % 2)
+            parity = 1 - (index // ring.num_entries) % 2
+            placed = ring.place(record)
+            assert placed.payload == reference_encode(
+                dataclasses.replace(record, torn=parity), ring.entry_size
+            ), index
+            assert placed.record is record

@@ -40,10 +40,6 @@ class TestAssembly:
         assert m.log_base + m.config.logging.log_bytes == m.config.nvram.size_bytes
         assert m.heap_base < m.heap_limit == m.log_base
 
-    def test_regions_registered(self):
-        m = Machine(tiny_system(), Policy.FWB)
-        assert set(m.nvram.region_write_bytes) == {"heap", "log"}
-
 
 class TestExecution:
     def test_finalize_aggregates(self):

@@ -118,17 +118,3 @@ class TestCrashJournal:
         nvram.write(0, b"A", completion_time=1.0)
         with pytest.raises(AddressError):
             nvram.revert_after(0.0)
-
-
-class TestRegions:
-    def test_region_accounting(self, nvram):
-        nvram.register_region("log", 0, 1024)
-        nvram.register_region("heap", 1024, 1024)
-        nvram.write(100, bytes(8))
-        nvram.write(1500, bytes(16))
-        assert nvram.region_write_bytes["log"] == 8
-        assert nvram.region_write_bytes["heap"] == 16
-
-    def test_region_out_of_range(self, nvram):
-        with pytest.raises(AddressError):
-            nvram.register_region("bad", 0, 2 * 1024 * 1024)
