@@ -21,18 +21,18 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator, Optional, Tuple
 
 from ..core.design import DesignSpec, legal_switch_targets, resolve_design
 from ..errors import ConfigError
-from ..harness.runner import prepare_workload
+from ..harness.runner import RunConfig, build_run, prepare_workload
 from ..sched.loop import AdmissionConfig, EventLoopScheduler
 from ..sched.serve import default_serve_config
 from ..sched.shard import ShardMachine
 from ..sched.traffic import TrafficConfig, open_loop_schedule
 from ..sim.config import LoggingConfig, SystemConfig
-from ..sim.machine import Machine
-from ..txn.runtime import PersistentMemory, ThreadAPI
+from ..txn.runtime import ThreadAPI
 from ..workloads.rng import ZipfGenerator, thread_rng
 from ..workloads.whisper import make_whisper_kernel
 from ..workloads.whisper.base import MAX_PARTITIONS
@@ -271,18 +271,12 @@ def run_drift(
         )
     system = config.system or drift_system(config.threads)
     prepared = prepare_workload(workload, system)
-    workload = prepared.workload
-    workload.reset_run_state()
 
     shards = []
+    run = RunConfig(policy=config.policy, threads=config.threads, system=system)
     for shard_id in range(config.shards):
-        machine = Machine(system, config.policy)
-        if machine_hook is not None:
-            machine_hook(shard_id, machine)
-        pm = PersistentMemory(machine)
-        prepared.restore_into(machine)
-        pm.heap.restore(prepared.heap_state)
-        workload.attach(pm)
+        hook = None if machine_hook is None else partial(machine_hook, shard_id)
+        machine, pm, workload = build_run(workload, run, prepared, hook)
         shard = ShardMachine(
             machine,
             pm,

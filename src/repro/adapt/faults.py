@@ -25,7 +25,6 @@ Per legal transition the campaign asserts three things:
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -33,6 +32,7 @@ from ..core.design import DesignSpec, resolve_design, switch_legal
 from ..core.recovery import RecoveryManager
 from ..errors import SimulatedCrash
 from ..faults.campaign import (
+    _campaign_shard,
     _count_mismatches,
     campaign_workload,
     default_campaign_system,
@@ -145,57 +145,41 @@ class SwitchCampaignResult:
 # ----------------------------------------------------------------------
 # Single-run driver: closed-loop threads with one mid-run switch
 # ----------------------------------------------------------------------
+def _makespan(
+    prepared: PreparedWorkload, spec: DesignSpec, threads: int, txns_per_thread: int
+) -> float:
+    """Shard clock at the end of the unswitched run under ``spec``."""
+    shard = _campaign_shard(prepared, spec, threads, txns_per_thread, None)
+    shard.drain()
+    makespan = shard.clock()
+    shard.machine.nvram.recycle()
+    return makespan
+
+
 def _run_with_switch(
     prepared: PreparedWorkload,
     old: DesignSpec,
     new: DesignSpec,
     threads: int,
     txns_per_thread: int,
-    switch_at_txns: int,
+    horizon: float,
     monitor: Optional[FaultMonitor],
 ) -> Tuple[Machine, PersistentMemory, Optional[SimulatedCrash]]:
-    """Run under ``old``, switch to ``new`` mid-run, finish (or crash).
+    """Run under ``old``, switch to ``new`` at ``horizon``, finish (or crash).
 
-    The switch fires at the first transaction boundary at or after
-    ``switch_at_txns`` commits — generators yield only between
-    transactions, so the machine is quiescent there by construction.
+    The switch is serve's: step the shard to the cycle horizon, run its
+    safe-switch protocol (quiesce, barrier, re-priced drive order), then
+    drain — so the campaign crashes the interleaving
+    :class:`~repro.adapt.controller.AdaptiveController` runs.
     """
-    machine = Machine(prepared.system, old)
-    machine.fault_monitor = monitor
-    pm = PersistentMemory(machine)
-    workload = prepared.workload
-    prepared.restore_into(machine)
-    pm.heap.restore(prepared.heap_state)
-    workload.attach(pm)
-    apis = [pm.api(core_id=tid, tid=tid) for tid in range(threads)]
-    generators = [
-        workload.thread_body(apis[tid], tid, txns_per_thread)
-        for tid in range(threads)
-    ]
-    ready = [(machine.core_time(tid), tid) for tid in range(threads)]
-    heapq.heapify(ready)
-    switched = False
+    shard = _campaign_shard(prepared, old, threads, txns_per_thread, monitor)
     try:
-        while ready:
-            if (
-                not switched
-                and machine.stats.transactions_committed >= switch_at_txns
-            ):
-                machine.switch_design(new)
-                for api in apis:
-                    api.refresh_policy()
-                switched = True
-            _, tid = heapq.heappop(ready)
-            try:
-                next(generators[tid])
-            except StopIteration:
-                continue
-            heapq.heappush(ready, (machine.core_time(tid), tid))
-        if not switched:  # short run: switch at the end, still a barrier
-            machine.switch_design(new)
-    except SimulatedCrash as crash:
-        return machine, pm, crash
-    return machine, pm, None
+        shard.step(horizon)
+        shard.switch_design(new)
+        shard.drain()
+    except SimulatedCrash as crash:  # traceback dropped as in _fresh_run
+        return shard.machine, shard.pm, crash.with_traceback(None)
+    return shard.machine, shard.pm, None
 
 
 def _crash_and_recover(
@@ -204,14 +188,14 @@ def _crash_and_recover(
     new: DesignSpec,
     threads: int,
     txns_per_thread: int,
-    switch_at_txns: int,
+    horizon: float,
     trigger: CrashPoint,
     label: str,
 ) -> Tuple[SwitchPointResult, bytes]:
     """Crash one switched run at ``trigger``; recover twice; verify."""
     monitor = FaultMonitor(trigger)
     machine, pm, crash = _run_with_switch(
-        prepared, old, new, threads, txns_per_thread, switch_at_txns, monitor
+        prepared, old, new, threads, txns_per_thread, horizon, monitor
     )
     crash_time = (
         machine.crash_at_point(crash) if crash is not None else machine.crash()
@@ -251,7 +235,7 @@ def run_switch_campaign(
     ]
     wl = campaign_workload(workload, seed)
     prepared = prepare_workload(wl, system)
-    switch_at = max(1, (txns_per_thread * threads) // 2)
+    makespans = {}
 
     result = SwitchCampaignResult(
         workload=workload,
@@ -261,13 +245,17 @@ def run_switch_campaign(
     )
     for old, new in transitions:
         report = TransitionReport(old=old, new=new)
+        # Switch halfway through the unswitched run under the old design.
+        if old not in makespans:
+            makespans[old] = _makespan(prepared, old, threads, txns_per_thread)
+        horizon = makespans[old] / 2
 
         before, image_before = _crash_and_recover(
-            prepared, old, new, threads, txns_per_thread, switch_at,
+            prepared, old, new, threads, txns_per_thread, horizon,
             CrashPoint(EventKind.SWITCH_BEFORE, 0), "switch-before",
         )
         after, image_after = _crash_and_recover(
-            prepared, old, new, threads, txns_per_thread, switch_at,
+            prepared, old, new, threads, txns_per_thread, horizon,
             CrashPoint(EventKind.SWITCH_AFTER, 0), "switch-after",
         )
         report.points.extend([before, after])
@@ -277,13 +265,13 @@ def run_switch_campaign(
         # stream, then crash 90% of the way in (inside the new epoch).
         profile = FaultMonitor()
         machine, _pm, _ = _run_with_switch(
-            prepared, old, new, threads, txns_per_thread, switch_at, profile
+            prepared, old, new, threads, txns_per_thread, horizon, profile
         )
         machine.nvram.recycle()
         retire_total = profile.counts[EventKind.RETIRE]
         if retire_total > 0:
             late, _image = _crash_and_recover(
-                prepared, old, new, threads, txns_per_thread, switch_at,
+                prepared, old, new, threads, txns_per_thread, horizon,
                 CrashPoint(EventKind.RETIRE, (retire_total * 9) // 10),
                 "post-switch-retire",
             )

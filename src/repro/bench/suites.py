@@ -33,8 +33,9 @@ Each suite exercises one performance-critical path of the system:
     lookup — the work every scheduler checkpoint pays in adaptive mode.
 ``adapt-switch``
     The safe-switch epoch barrier itself: a closed-loop run that cycles
-    the write-back policy mid-run, so WCB drain, log-FIFO settling and
-    the dirty-line force are all on the timed path.
+    the write-back policy at cycle horizons, the way serve switches, so
+    WCB drain, log-FIFO settling and the dirty-line force are all on the
+    timed path.
 ``pstatic-matrix``
     The static persistency verifier against the dynamic checker over
     the same canonical-design matrix: one symbolic column walk per
@@ -553,11 +554,9 @@ def adapt_decide(quick: bool, timer: BenchTimer) -> dict:
 
 @register("adapt-switch", "safe-switch epoch barrier: drain + force + swap, mid-run")
 def adapt_switch(quick: bool, timer: BenchTimer) -> dict:
-    import heapq
-
     from ..core.design import resolve_design
     from ..faults.campaign import campaign_workload
-    from ..harness.runner import prepare_workload
+    from ..harness.runner import RunConfig, batch_shard, prepare_workload
 
     cycle_specs = [
         resolve_design(name)
@@ -567,43 +566,28 @@ def adapt_switch(quick: bool, timer: BenchTimer) -> dict:
             "hw+undo+redo+nowb",
         )
     ]
-    threads = 2
-    txns_per_thread = 24 if quick else 96
-    total = threads * txns_per_thread
-    # One switch per quarter of the run, cycling through the family.
-    thresholds = [total // 4, total // 2, (3 * total) // 4]
     system = _tiny_system(logging=LoggingConfig(log_entries=256))
-    workload = campaign_workload("hash", 7)
-    prepared = prepare_workload(workload, system)
-    machine = Machine(system, resolve_design("hw+undo+redo+nowb"))
-    pm = PersistentMemory(machine)
-    prepared.restore_into(machine)
-    pm.heap.restore(prepared.heap_state)
-    prepared.workload.attach(pm)
-    apis = [pm.api(core_id=tid, tid=tid) for tid in range(threads)]
-    generators = [
-        prepared.workload.thread_body(apis[tid], tid, txns_per_thread)
-        for tid in range(threads)
-    ]
+    prepared = prepare_workload(campaign_workload("hash", 7), system)
+    run = RunConfig(
+        policy=resolve_design("hw+undo+redo+nowb"),
+        threads=2,
+        txns_per_thread=24 if quick else 96,
+        system=system,
+    )
+    # One switch per quarter of the unswitched run's makespan, cycling
+    # through the family — at cycle horizons, the way serve switches.
+    profile = batch_shard(prepared.workload, run, prepared)
+    profile.drain()
+    makespan = profile.clock()
+    profile.machine.nvram.recycle()
+    horizons = [makespan / 4, makespan / 2, 3 * makespan / 4]
+    shard = batch_shard(prepared.workload, run, prepared)
     with timer.timed():
-        ready = [(machine.core_time(tid), tid) for tid in range(threads)]
-        heapq.heapify(ready)
-        pending = list(zip(thresholds, cycle_specs))
-        while ready:
-            if (
-                pending
-                and machine.stats.transactions_committed >= pending[0][0]
-            ):
-                machine.switch_design(pending.pop(0)[1])
-                for api in apis:
-                    api.refresh_policy()
-            _, tid = heapq.heappop(ready)
-            try:
-                next(generators[tid])
-            except StopIteration:
-                continue
-            heapq.heappush(ready, (machine.core_time(tid), tid))
-        stats = machine.finalize()
+        for horizon, spec in zip(horizons, cycle_specs):
+            shard.step(horizon)
+            shard.switch_design(spec)
+        shard.drain()
+        stats = shard.machine.finalize()
     return {
         "design_switches": stats.design_switches,
         "switch_barrier_cycles": int(round(stats.switch_barrier_cycles)),

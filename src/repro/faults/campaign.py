@@ -30,9 +30,8 @@ to the image after a single uninterrupted recovery.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.design import (
     FWB,
@@ -49,7 +48,7 @@ from ..core.design import (
 from ..core.nvlog import CircularLog
 from ..core.recovery import RecoveryManager
 from ..errors import RecoveryInterrupted, SimulatedCrash, WorkloadError
-from ..harness.runner import PreparedWorkload, prepare_workload
+from ..harness.runner import PreparedWorkload, RunConfig, batch_shard, prepare_workload
 from ..sim.config import (
     CacheConfig,
     CoreConfig,
@@ -301,21 +300,29 @@ def enumerate_points(
 # ----------------------------------------------------------------------
 # Single-point execution
 # ----------------------------------------------------------------------
-def _drive(machine: Machine, generators: Sequence) -> None:
-    """Advance generators fairly (laggard core first) until exhausted.
+def _campaign_shard(
+    prepared: PreparedWorkload,
+    policy: DesignSpec,
+    threads: int,
+    txns_per_thread: int,
+    monitor: Optional[FaultMonitor],
+    injector: Optional[FaultInjector] = None,
+):
+    """A started closed-loop shard of the prepared workload under
+    ``policy``, with the fault monitor and torn-write injector armed."""
 
-    A :class:`~repro.errors.SimulatedCrash` from an armed fault monitor
-    propagates to the caller.
-    """
-    ready = [(machine.core_time(tid), tid) for tid in range(len(generators))]
-    heapq.heapify(ready)
-    while ready:
-        _, tid = heapq.heappop(ready)
-        try:
-            next(generators[tid])
-        except StopIteration:
-            continue
-        heapq.heappush(ready, (machine.core_time(tid), tid))
+    def arm(machine: Machine) -> None:
+        machine.fault_monitor = monitor
+        if injector is not None:
+            machine.nvram.injector = injector
+
+    run = RunConfig(
+        policy=policy,
+        threads=threads,
+        txns_per_thread=txns_per_thread,
+        system=prepared.system,
+    )
+    return batch_shard(prepared.workload, run, prepared, arm)
 
 
 def _fresh_run(
@@ -326,25 +333,22 @@ def _fresh_run(
     monitor: Optional[FaultMonitor],
     injector: Optional[FaultInjector] = None,
 ) -> Tuple[Machine, PersistentMemory, Optional[SimulatedCrash]]:
-    """Run the prepared workload under ``policy`` until completion or crash."""
-    machine = Machine(prepared.system, policy)
-    machine.fault_monitor = monitor
-    if injector is not None:
-        machine.nvram.injector = injector
-    pm = PersistentMemory(machine)
-    workload = prepared.workload
-    prepared.restore_into(machine)
-    pm.heap.restore(prepared.heap_state)
-    workload.attach(pm)
-    generators = [
-        workload.thread_body(pm.api(core_id=tid, tid=tid), tid, txns_per_thread)
-        for tid in range(threads)
-    ]
+    """Run the prepared workload under ``policy`` until completion or crash.
+
+    A :class:`~repro.errors.SimulatedCrash` raised by the armed fault
+    monitor ends the run and is returned with the crashed machine,
+    without its traceback: the traceback's frames reach the caller's
+    frame, which holds the crash, and that cycle would leave every
+    crashed machine's NVRAM image to the cyclic garbage collector.
+    """
+    shard = _campaign_shard(
+        prepared, policy, threads, txns_per_thread, monitor, injector
+    )
     try:
-        _drive(machine, generators)
+        shard.drain()
     except SimulatedCrash as crash:
-        return machine, pm, crash
-    return machine, pm, None
+        return shard.machine, shard.pm, crash.with_traceback(None)
+    return shard.machine, shard.pm, None
 
 
 def _find_empty_slot(nvram: NVRAM, log: CircularLog) -> Optional[int]:

@@ -33,9 +33,7 @@ Environment knobs:
   current working directory);
 * ``REPRO_SWEEP_CACHE=0`` — disable the result cache even where the CLI
   would turn it on (:func:`cache_enabled`);
-* ``REPRO_TRACE=0`` — disable the trace-replay engine entirely (every
-  cell runs interpreted, as before the engine existed);
-* ``REPRO_TRACE_CACHE=0`` — keep the engine but skip its on-disk store
+* ``REPRO_TRACE_CACHE=0`` — skip the trace engine's on-disk store
   (traces are still compiled once per process and memoised in memory).
 """
 
@@ -67,7 +65,6 @@ TRACE_SALT = "ctrace-v2"
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_DISABLE = "REPRO_SWEEP_CACHE"
-ENV_TRACE = "REPRO_TRACE"
 ENV_TRACE_CACHE = "REPRO_TRACE_CACHE"
 
 _STATS_FIELDS = {f.name for f in dataclasses.fields(MachineStats)}
@@ -80,11 +77,6 @@ _OFF_VALUES = ("0", "off", "no", "false")
 def cache_enabled() -> bool:
     """False when ``REPRO_SWEEP_CACHE`` is set to an off value."""
     return os.environ.get(ENV_DISABLE, "1").lower() not in _OFF_VALUES
-
-
-def trace_enabled() -> bool:
-    """False when ``REPRO_TRACE`` is set to an off value."""
-    return os.environ.get(ENV_TRACE, "1").lower() not in _OFF_VALUES
 
 
 def trace_cache_enabled() -> bool:

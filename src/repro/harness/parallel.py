@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 from ..sim.stats import MachineStats
-from .runner import PreparedWorkload, RunConfig, run_workload
+from .runner import RunConfig, run_workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sweep imports us)
     from .sweep import SweepCell
@@ -149,114 +149,59 @@ def _finish_psan(holder: dict, stats: MachineStats, benchmark: str, threads: int
     stats.psan_report = report
 
 
-def _run_cell(
-    benchmark: str,
-    threads: int,
-    policy,
+def run_cell(
+    shipping: Dict[str, object],
+    cell: "SweepCell",
     txns_per_thread: int,
     seed: int,
     psan: bool = False,
 ) -> MachineStats:
-    """Run one sweep cell in a worker process; returns its stats.
+    """Run one sweep cell from a shipping map; returns its stats.
 
-    The sweep ships compiled traces under ``trace:<benchmark>@<threads>``
-    keys (as ``(system, trace)`` pairs) alongside any prepared workloads;
-    a cell with a trace replays it (bit-identical stats, far cheaper) and
-    falls back to interpreting the prepared workload otherwise.
+    The map holds compiled traces under ``trace:<benchmark>@<threads>``
+    keys (as ``(system, trace)`` pairs) and prepared workloads under
+    benchmark names.  A cell with a trace replays it (bit-identical
+    stats, far cheaper); otherwise it interprets the prepared workload.
+    The finished machine's NVRAM buffer is recycled, saving an
+    allocate+zero of the full device for the next cell.  ``psan`` runs
+    the cell under the persistency-ordering sanitizer.
     """
-    _apply_test_fault(benchmark, threads, policy)
     holder: dict = {}
     hook = _psan_hook(holder) if psan else None
-    entry = _WORKER_PREPARED.get(f"trace:{benchmark}@{threads}")
+    entry = shipping.get(f"trace:{cell.benchmark}@{cell.threads}")
+    if entry is not None:
+        system, trace = entry
+    else:
+        prepared = shipping[cell.benchmark]
+        system = prepared.system
+    run = RunConfig(
+        policy=cell.policy,
+        threads=cell.threads,
+        txns_per_thread=txns_per_thread,
+        system=system,
+        seed=seed,
+    )
     if entry is not None:
         from ..sim.replay import run_compiled
 
-        system, trace = entry
-        outcome = run_compiled(
-            trace,
-            RunConfig(
-                policy=policy,
-                threads=threads,
-                txns_per_thread=txns_per_thread,
-                system=system,
-                seed=seed,
-            ),
-            machine_hook=hook,
-        )
+        outcome = run_compiled(trace, run, machine_hook=hook)
     else:
-        prepared = _WORKER_PREPARED[benchmark]
         outcome = run_workload(
-            prepared.workload,
-            RunConfig(
-                policy=policy,
-                threads=threads,
-                txns_per_thread=txns_per_thread,
-                system=prepared.system,
-                seed=seed,
-            ),
-            prepared=prepared,
-            machine_hook=hook,
+            prepared.workload, run, prepared=prepared, machine_hook=hook
         )
     outcome.machine.nvram.recycle()
     if psan:
-        _finish_psan(holder, outcome.stats, benchmark, threads)
-    return outcome.stats
-
-
-def _run_cell_inline(
-    prepared: PreparedWorkload,
-    cell: "SweepCell",
-    txns_per_thread: int,
-    seed: int,
-    psan: bool = False,
-) -> MachineStats:
-    """Serial fallback: run one cell in the driver process."""
-    holder: dict = {}
-    outcome = run_workload(
-        prepared.workload,
-        RunConfig(
-            policy=cell.policy,
-            threads=cell.threads,
-            txns_per_thread=txns_per_thread,
-            system=prepared.system,
-            seed=seed,
-        ),
-        prepared=prepared,
-        machine_hook=_psan_hook(holder) if psan else None,
-    )
-    outcome.machine.nvram.recycle()
-    if psan:
         _finish_psan(holder, outcome.stats, cell.benchmark, cell.threads)
     return outcome.stats
 
 
-def _run_trace_inline(
-    trace,
-    system,
-    cell: "SweepCell",
-    txns_per_thread: int,
-    seed: int,
-    psan: bool = False,
+def _run_cell(
+    cell: "SweepCell", txns_per_thread: int, seed: int, psan: bool = False
 ) -> MachineStats:
-    """Serial trace replay of one cell in the driver process."""
-    from ..sim.replay import run_compiled
-
-    holder: dict = {}
-    outcome = run_compiled(
-        trace,
-        RunConfig(
-            policy=cell.policy,
-            threads=cell.threads,
-            txns_per_thread=txns_per_thread,
-            system=system,
-            seed=seed,
-        ),
-        machine_hook=_psan_hook(holder) if psan else None,
-    )
-    outcome.machine.nvram.recycle()
-    if psan:
-        _finish_psan(holder, outcome.stats, cell.benchmark, cell.threads)
-    return outcome.stats
+    """Worker-process entry: the test fault hook, then :func:`run_cell`
+    over the shipping map the pool initializer installed."""
+    _apply_test_fault(cell.benchmark, cell.threads, cell.policy)
+    return run_cell(_WORKER_PREPARED, cell, txns_per_thread, seed, psan)
 
 
 def default_jobs(cells: int) -> int:
@@ -302,15 +247,7 @@ def _parallel_round(
         futures: List[Tuple["SweepCell", object]] = [
             (
                 cell,
-                pool.submit(
-                    _run_cell,
-                    cell.benchmark,
-                    cell.threads,
-                    cell.policy,
-                    txns_per_thread,
-                    seed,
-                    psan,
-                ),
+                pool.submit(_run_cell, cell, txns_per_thread, seed, psan),
             )
             for cell in cells
         ]
@@ -390,14 +327,5 @@ def run_cells_parallel(
     # Last resort: no pool machinery between us and the result.
     for cell in remaining:
         health.serial_fallback_cells += 1
-        entry = prepared_map.get(f"trace:{cell.benchmark}@{cell.threads}")
-        if entry is not None:
-            system, trace = entry
-            results[cell] = _run_trace_inline(
-                trace, system, cell, txns_per_thread, seed, psan
-            )
-        else:
-            results[cell] = _run_cell_inline(
-                prepared_map[cell.benchmark], cell, txns_per_thread, seed, psan
-            )
+        results[cell] = run_cell(prepared_map, cell, txns_per_thread, seed, psan)
     return results

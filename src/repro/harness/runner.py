@@ -1,9 +1,12 @@
-"""Single-experiment driver.
+"""Single-experiment driver and the one run builder.
 
-Builds a machine under a design spec, sets a workload up (untimed), then runs
-one transaction-generator per thread, always advancing the thread whose
-core clock is furthest behind — a fair interleaving in which the shared
-LLC and NVRAM banks see time-ordered contention.
+:func:`build_run` assembles every run — sweep cells, compiled replay,
+serve and drift shards, the crash campaigns: a machine under a design
+spec, its persistent memory, and a workload set up (untimed) or restored
+from a snapshot.  Runs then advance through a
+:class:`~repro.sched.shard.ShardMachine`, always stepping the thread
+whose core clock is furthest behind — a fair interleaving in which the
+shared LLC and NVRAM banks see time-ordered contention.
 """
 
 from __future__ import annotations
@@ -148,29 +151,41 @@ class RunOutcome:
         return self.stats.ipc
 
 
-def _build_run(
-    workload: Workload,
+def build_run(
+    workload: Optional[Workload],
     run: RunConfig,
-    prepared: Optional[PreparedWorkload],
-    machine_hook,
+    snapshot=None,
+    machine_hook=None,
 ):
-    """Shared run construction: machine, memory, and a ready workload.
+    """The one run builder: machine, memory, and a ready workload.
 
-    With ``prepared``, the setup phase is skipped and the prepared NVRAM
-    image and heap state are restored instead (the workload must have the
-    same identity key as the prepared one; see
-    :meth:`~repro.workloads.base.Workload.identity_key`).
+    Order: ``Machine`` → ``machine_hook(machine)`` → ``PersistentMemory``
+    → NVRAM image → heap → ``attach`` → ``reset_run_state``.
+
+    ``snapshot`` is a :class:`PreparedWorkload` or a
+    :class:`~repro.sim.ctrace.CompiledTrace`; both carry the post-setup
+    ``image_prefix`` and ``heap_state``, which are restored instead of
+    running setup.  A prepared snapshot must belong to ``workload`` (same
+    identity key; see
+    :meth:`~repro.workloads.base.Workload.identity_key`).  A compiled
+    trace needs no workload: pass ``None`` and only the memory is built.
+    Without a snapshot, ``workload.setup`` runs on the fresh machine.
 
     ``machine_hook(machine)``, when given, is called on the freshly built
     machine before any setup or execution — the attachment point for
-    tracers and the persistency-ordering sanitizer (setup uses untimed
-    pokes, so a tracer attached here sees only timed execution).
+    tracers, the persistency-ordering sanitizer, and the campaigns'
+    fault monitor and torn-write injector (setup uses untimed pokes, so
+    a tracer attached here sees only timed execution).
 
-    Returns ``(machine, pm, workload)`` with ``reset_run_state`` already
-    applied (the post-reset state is the baseline checkpoint shards
-    capture at construction).
+    Returns ``(machine, pm, workload)``; the post-reset run state is the
+    baseline checkpoint shards capture at construction.
     """
-    system = run.system or (prepared.system if prepared else default_experiment_config())
+    system = run.system
+    if system is None:
+        if isinstance(snapshot, PreparedWorkload):
+            system = snapshot.system
+        else:
+            system = default_experiment_config()
     if run.threads > system.num_cores:
         raise WorkloadError(
             f"{run.threads} threads need {run.threads} cores, "
@@ -180,24 +195,47 @@ def _build_run(
     if machine_hook is not None:
         machine_hook(machine)
     pm = PersistentMemory(machine)
-    if prepared is not None:
-        # Identity-key comparison (not object identity): a prepared
-        # workload that crossed a pickle boundary — e.g. shipped to a
-        # sweep worker process — is a different object with the same
-        # configuration and post-setup state, and must be accepted.
-        if prepared.workload.identity_key() != workload.identity_key():
-            raise WorkloadError("prepared state belongs to a different workload")
-        # The prepared instance carries the post-setup host-side state
-        # (layout addresses, resident sets); run that one even if the
-        # caller passed an equivalent fresh instance.
-        workload = prepared.workload
-        prepared.restore_into(machine)
-        pm.heap.restore(prepared.heap_state)
-        workload.attach(pm)
-    else:
+    if snapshot is None:
         workload.setup(pm)
-    workload.reset_run_state()
+    else:
+        if isinstance(snapshot, PreparedWorkload):
+            # Identity-key comparison (not object identity): a prepared
+            # workload that crossed a pickle boundary — e.g. shipped to
+            # a sweep worker process — is a different object with the
+            # same configuration and post-setup state, and must be
+            # accepted.
+            if snapshot.workload.identity_key() != workload.identity_key():
+                raise WorkloadError("prepared state belongs to a different workload")
+            # The prepared instance carries the post-setup host-side
+            # state (layout addresses, resident sets); run that one even
+            # if the caller passed an equivalent fresh instance.
+            workload = snapshot.workload
+        machine.nvram.load_image_prefix(snapshot.image_prefix)
+        pm.heap.restore(snapshot.heap_state)
+        if workload is not None:
+            workload.attach(pm)
+    if workload is not None:
+        workload.reset_run_state()
     return machine, pm, workload
+
+
+def batch_shard(
+    workload: Workload,
+    run: RunConfig,
+    prepared: Optional[PreparedWorkload] = None,
+    machine_hook=None,
+):
+    """Build ``run`` and start it as one closed-loop
+    :class:`~repro.sched.shard.ShardMachine` (one ``thread_body`` per
+    thread, ``run.txns_per_thread`` transactions each)."""
+    # Local import: harness is a lower layer that sched builds on for
+    # serve mode; pulling sched in lazily avoids the import cycle.
+    from ..sched.shard import ShardMachine
+
+    machine, pm, workload = build_run(workload, run, prepared, machine_hook)
+    shard = ShardMachine(machine, pm, workload, threads=run.threads)
+    shard.start_batch(run.txns_per_thread)
+    return shard
 
 
 def run_workload(
@@ -208,25 +246,19 @@ def run_workload(
 ) -> RunOutcome:
     """Execute ``workload`` under ``run`` and return the outcome.
 
-    Since the service-layer refactor this is a thin adapter: the run is
-    a single :class:`~repro.sched.shard.ShardMachine` in batch mode,
-    drained to completion by the event-loop scheduler.  The shard's step
-    loop replicates the historical core-clock min-heap drive order, so
-    outcomes are bit-identical to the pre-refactor monolithic loop
-    (kept below as :func:`run_workload_monolithic`; the differential
-    gate in ``tests/integration`` compares the two).
+    The run is a single :class:`~repro.sched.shard.ShardMachine` in batch
+    mode, drained to completion by the event-loop scheduler.  The
+    shard's step loop is the historical core-clock min-heap drive order,
+    so outcomes are bit-identical to the monolithic loop kept below as
+    :func:`run_workload_monolithic` (the differential gate in
+    ``tests/sched/test_shard_equivalence.py`` compares the two).
     """
-    # Local imports: harness is a lower layer that sched builds on for
-    # serve mode; the adapter pulls sched in lazily to avoid the cycle.
     from ..sched.loop import EventLoopScheduler
-    from ..sched.shard import ShardMachine
 
-    machine, pm, workload = _build_run(workload, run, prepared, machine_hook)
-    shard = ShardMachine(machine, pm, workload, threads=run.threads)
-    shard.start_batch(run.txns_per_thread)
+    shard = batch_shard(workload, run, prepared, machine_hook)
     EventLoopScheduler([shard]).drain()
-    stats = machine.finalize()
-    return RunOutcome(run.policy, run.threads, stats, machine, pm)
+    stats = shard.machine.finalize()
+    return RunOutcome(run.policy, run.threads, stats, shard.machine, shard.pm)
 
 
 def run_workload_monolithic(
@@ -242,7 +274,7 @@ def run_workload_monolithic(
     against :func:`run_workload` to prove the steppable-shard path is
     bit-identical in cost counters; it is not used by any entry point.
     """
-    machine, pm, workload = _build_run(workload, run, prepared, machine_hook)
+    machine, pm, workload = build_run(workload, run, prepared, machine_hook)
 
     generators = []
     for tid in range(run.threads):

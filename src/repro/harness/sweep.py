@@ -13,11 +13,11 @@ The sweep engine has three throughput levers on top of the serial loop:
 * ``cache=`` consults a content-addressed on-disk store
   (:mod:`~repro.harness.cache`) before running anything; benchmarks whose
   cells all hit are never even prepared.
-* trace compilation (:mod:`~repro.sim.replay`, on by default for
-  ``trace_compilable`` workloads, ``REPRO_TRACE=0`` to disable): each
-  ``(benchmark, threads)`` pair's micro-op stream is decoded once —
-  or fetched from the shared trace cache, skipping preparation entirely
-  — and replayed per design cell, bit-identically.
+* trace compilation (:mod:`~repro.sim.replay`, for every
+  ``trace_compilable`` workload): each ``(benchmark, threads)`` pair's
+  micro-op stream is decoded once — or fetched from the shared trace
+  cache, skipping preparation entirely — and replayed per design cell,
+  bit-identically.
 
 Whatever mix of cached and fresh cells a sweep ends up with, the result
 dict is assembled in canonical matrix order (benchmarks outermost,
@@ -36,7 +36,7 @@ from ..sim.config import SystemConfig
 from ..sim.stats import MachineStats
 from ..workloads import make_microbenchmark
 from ..workloads.base import Workload
-from .cache import SweepCache, shared_trace_cache, trace_enabled
+from .cache import SweepCache, shared_trace_cache
 from .runner import default_experiment_config, prepare_workload
 
 
@@ -189,7 +189,7 @@ def run_micro_sweep(
         for cell in pending:
             needed_threads.setdefault(cell.benchmark, set()).add(cell.threads)
 
-        trace_cache = shared_trace_cache() if trace_enabled() else None
+        trace_cache = shared_trace_cache()
         prepared: Dict[str, object] = {}
         traces: Dict[tuple, object] = {}
 
@@ -200,7 +200,7 @@ def run_micro_sweep(
 
         for benchmark, thread_counts in needed_threads.items():
             workload = workloads[benchmark]
-            if trace_cache is not None and getattr(workload, "trace_compilable", False):
+            if getattr(workload, "trace_compilable", False):
                 from ..sim.replay import compile_trace
 
                 for nthreads in sorted(thread_counts):
@@ -217,20 +217,19 @@ def run_micro_sweep(
             else:
                 _prepared_for(benchmark)
 
+        # Ship compiled traces; a prepared snapshot rides along only for
+        # benchmarks with interpreted cells.
+        traced_benchmarks = {benchmark for benchmark, _ in traces}
+        shipping: Dict[str, object] = {
+            benchmark: prepared[benchmark]
+            for benchmark in needed_threads
+            if benchmark not in traced_benchmarks
+        }
+        for (benchmark, nthreads), trace in traces.items():
+            shipping[f"trace:{benchmark}@{nthreads}"] = (resolved_system, trace)
         if jobs > 1:
             from .parallel import run_cells_parallel
 
-            # Ship compiled traces to the pool workers; a prepared
-            # snapshot rides along only for benchmarks with interpreted
-            # cells.
-            traced_benchmarks = {benchmark for benchmark, _ in traces}
-            shipping: Dict[str, object] = {
-                benchmark: prepared[benchmark]
-                for benchmark in needed_threads
-                if benchmark not in traced_benchmarks
-            }
-            for (benchmark, nthreads), trace in traces.items():
-                shipping[f"trace:{benchmark}@{nthreads}"] = (resolved_system, trace)
             fresh = run_cells_parallel(
                 shipping,
                 pending,
@@ -244,31 +243,14 @@ def run_micro_sweep(
                 psan=psan_report is not None,
             )
         else:
-            from .parallel import _run_cell_inline, _run_trace_inline
+            from .parallel import run_cell
 
-            fresh = {}
-            for cell in pending:
-                # Both inline runners recycle the finished machine's
-                # NVRAM buffer, saving an allocate+zero of the full
-                # device for the next cell.
-                trace = traces.get((cell.benchmark, cell.threads))
-                if trace is not None:
-                    fresh[cell] = _run_trace_inline(
-                        trace,
-                        resolved_system,
-                        cell,
-                        txns_per_thread,
-                        seed,
-                        psan=psan_report is not None,
-                    )
-                else:
-                    fresh[cell] = _run_cell_inline(
-                        prepared[cell.benchmark],
-                        cell,
-                        txns_per_thread,
-                        seed,
-                        psan=psan_report is not None,
-                    )
+            fresh = {
+                cell: run_cell(
+                    shipping, cell, txns_per_thread, seed, psan_report is not None
+                )
+                for cell in pending
+            }
         for cell, stats in fresh.items():
             collected[cell] = stats
             if cache is not None:

@@ -777,7 +777,7 @@ def run_psan(
     ``tests/sim/test_replay.py``); one decode then amortizes across the
     whole policy x threads matrix through the shared trace cache.
     """
-    from ..harness.cache import shared_trace_cache, trace_enabled
+    from ..harness.cache import shared_trace_cache
     from ..harness.runner import RunConfig, prepare_workload, run_workload
     from ..workloads import make_microbenchmark
 
@@ -790,7 +790,7 @@ def run_psan(
     def hook(machine) -> None:
         holder["checker"] = PersistOrderChecker.attach(machine, capacity=capacity)
 
-    if trace_enabled() and getattr(workload, "trace_compilable", False):
+    if getattr(workload, "trace_compilable", False):
         from ..sim.replay import compile_trace, run_compiled
 
         if prepared is None:

@@ -19,14 +19,13 @@ runs with the same :class:`ServeConfig` produce byte-identical reports
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from ..core.design import DesignSpec, resolve_design
 from ..errors import ConfigError
-from ..harness.runner import prepare_workload
+from ..harness.runner import RunConfig, build_run, prepare_workload
 from ..sim.config import CacheConfig, LoggingConfig, NVDimmConfig, SystemConfig
-from ..sim.machine import Machine
-from ..txn.runtime import PersistentMemory
 from ..workloads.whisper import make_whisper_kernel
 from .loop import AdmissionConfig, EventLoopScheduler
 from .metrics import ServeReport, ShardServeStats, percentile
@@ -138,22 +137,16 @@ def run_serve(config: ServeConfig, machine_hook=None) -> ServeReport:
         )
     system = config.system or default_serve_config(config.threads)
     prepared = prepare_workload(workload, system)
-    workload = prepared.workload
-    # All shards share the prepared workload instance; the volatile
-    # run-state checkpoint each shard captures at construction is the
-    # post-reset baseline, swapped in around every step window.
-    workload.reset_run_state()
 
     shards = []
     replicators = []
+    run = RunConfig(policy=config.policy, threads=config.threads, system=system)
     for shard_id in range(config.shards):
-        machine = Machine(system, config.policy)
-        if machine_hook is not None:
-            machine_hook(shard_id, machine)
-        pm = PersistentMemory(machine)
-        prepared.restore_into(machine)
-        pm.heap.restore(prepared.heap_state)
-        workload.attach(pm)
+        # All shards share the prepared workload instance; the volatile
+        # run-state checkpoint each shard captures at construction is the
+        # post-reset baseline, swapped in around every step window.
+        hook = None if machine_hook is None else partial(machine_hook, shard_id)
+        machine, pm, workload = build_run(workload, run, prepared, hook)
         shard = ShardMachine(
             machine,
             pm,

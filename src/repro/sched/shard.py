@@ -17,12 +17,17 @@ scheduler can interleave many shards and inject work between steps:
 ``drain()``
     Run to completion (and, in serve mode, close the queue first).
 
+It is the package's only drive loop: batch runs, serve and drift
+shards, compiled replay (:func:`~repro.sim.replay.run_compiled`, via
+:meth:`start` with its replay generators) and the crash campaigns all
+advance through :meth:`step`.
+
 Bit-identity: with ``until_cycle=None`` the step loop is structurally
 the monolithic loop — same heap contents, same tie-break, same
 ``next()`` sequence — which is what makes the single-shard scheduler
 path bit-identical in cost counters to the pre-refactor runner (the
-differential gate in ``tests/integration`` proves it against the golden
-fixture).
+differential gate in ``tests/sched/test_shard_equivalence.py`` proves
+it against the golden fixture).
 
 Volatile workload state: shards may *share* one prepared workload
 instance (setup is expensive; the persistent image is per-machine
@@ -30,7 +35,8 @@ anyway).  Anything host-side that thread bodies mutate — append
 cursors, inode rotors — is checkpointed per shard through the
 ``Workload.run_state()`` / ``restore_run_state()`` contract and swapped
 in around every step window, so interleaved shard stepping can never
-leak run state across shards or requests.
+leak run state across shards or requests.  A shard built without a
+workload (compiled replay) has no run state to swap.
 """
 
 from __future__ import annotations
@@ -82,7 +88,7 @@ class ShardMachine:
         # Per-shard checkpoint of the workload's volatile run state,
         # captured at construction (the post-reset baseline) and swapped
         # in around every step window.
-        self._run_state = workload.run_state()
+        self._run_state = None if workload is None else workload.run_state()
 
     # ------------------------------------------------------------------
     # Mode selection
@@ -90,7 +96,7 @@ class ShardMachine:
     def start_batch(self, txns_per_thread: int) -> None:
         """Closed-loop mode: one classic ``thread_body`` generator per
         thread, exactly as the monolithic runner created them."""
-        self._start(
+        self.start(
             [
                 self.workload.thread_body(self._apis[tid], tid, txns_per_thread)
                 for tid in range(self.threads)
@@ -100,11 +106,18 @@ class ShardMachine:
     def start_serve(self) -> None:
         """Open-loop mode: every thread serves the shard's request queue."""
         self._serving = True
-        self._start(
+        self.start(
             [self._serve_body(self._apis[tid], tid) for tid in range(self.threads)]
         )
 
-    def _start(self, generators: list) -> None:
+    def start(self, generators: list) -> None:
+        """Drive ``generators``, one per thread, in the shard's order.
+
+        :meth:`start_batch` and :meth:`start_serve` build theirs on the
+        shard's thread APIs.  Compiled replay passes its own replay
+        generators, whose APIs (if any) :meth:`switch_design` does not
+        refresh: such a shard is drained, never switched.
+        """
         if self._started:
             raise WorkloadError("shard already started")
         self._started = True
@@ -129,12 +142,13 @@ class ShardMachine:
         its new clock.
         """
         if not self._started:
-            raise WorkloadError("shard not started (call start_batch/start_serve)")
+            raise WorkloadError("shard not started (call start_batch/start_serve/start)")
         ready = self._ready
         gens = self._gens
         machine = self.machine
         workload = self.workload
-        workload.restore_run_state(self._run_state)
+        if workload is not None:
+            workload.restore_run_state(self._run_state)
         steps = 0
         while ready:
             if until_cycle is not None and ready[0][0] >= until_cycle:
@@ -149,7 +163,8 @@ class ShardMachine:
                 continue
             heapq.heappush(ready, (machine.core_time(tid), tid))
             steps += 1
-        self._run_state = workload.run_state()
+        if workload is not None:
+            self._run_state = workload.run_state()
         return steps
 
     def inject(self, request) -> None:

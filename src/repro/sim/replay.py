@@ -38,7 +38,6 @@ only the deterministic thread-local recycling of
 
 from __future__ import annotations
 
-import heapq
 from contextlib import contextmanager
 from typing import Optional
 
@@ -615,6 +614,11 @@ def run_compiled(trace: CompiledTrace, run, machine_hook=None, bind_out=None):
     same :class:`~repro.harness.runner.RunOutcome` as
     :func:`~repro.harness.runner.run_workload` with bit-identical stats.
 
+    The run is assembled by :func:`~repro.harness.runner.build_run` from
+    the trace's image and heap snapshot, and the per-thread replay
+    generators advance through a :class:`~repro.sched.shard.ShardMachine`
+    — the same builder and drive order as an interpreted run.
+
     Engine selection happens *after* ``machine_hook`` runs: attaching a
     tracer, log tap or fault monitor (psan does both via
     ``machine.tracer``) switches to the via-API engine, which preserves
@@ -625,10 +629,9 @@ def run_compiled(trace: CompiledTrace, run, machine_hook=None, bind_out=None):
     verifier uses it to translate a counterexample's symbolic addresses
     into the addresses the dynamic checker diagnosed.
     """
-    from ..harness.runner import RunOutcome, default_experiment_config
-    from ..txn.runtime import PersistentMemory
+    from ..harness.runner import RunOutcome, build_run
+    from ..sched.shard import ShardMachine
 
-    system = run.system or default_experiment_config()
     if run.threads != trace.threads:
         raise WorkloadError(
             f"trace was compiled for {trace.threads} threads, run wants {run.threads}"
@@ -638,20 +641,9 @@ def run_compiled(trace: CompiledTrace, run, machine_hook=None, bind_out=None):
             f"trace was compiled for {trace.txns_per_thread} txns/thread, "
             f"run wants {run.txns_per_thread}"
         )
-    if run.threads > system.num_cores:
-        raise WorkloadError(
-            f"{run.threads} threads need {run.threads} cores, "
-            f"config has {system.num_cores}"
-        )
-    if trace.derived_line_size != system.line_size:
-        trace.derive(system.line_size)
-
-    machine = Machine(system, run.policy)
-    if machine_hook is not None:
-        machine_hook(machine)
-    pm = PersistentMemory(machine)
-    machine.nvram.load_image_prefix(trace.image_prefix)
-    pm.heap.restore(trace.heap_state)
+    machine, pm, _ = build_run(None, run, trace, machine_hook)
+    if trace.derived_line_size != machine.config.line_size:
+        trace.derive(machine.config.line_size)
 
     bind: dict[int, int] = {} if bind_out is None else bind_out
     if (
@@ -668,18 +660,9 @@ def run_compiled(trace: CompiledTrace, run, machine_hook=None, bind_out=None):
             _fast_thread(machine, pm, trace.thread_cols[tid], tid, bind)
             for tid in range(run.threads)
         ]
-
-    # Identical scheduling to run_workload: min-heap on core clock,
-    # tie-break on thread id.
-    ready = [(machine.core_time(tid), tid) for tid in range(run.threads)]
-    heapq.heapify(ready)
-    while ready:
-        _, tid = heapq.heappop(ready)
-        try:
-            next(generators[tid])
-        except StopIteration:
-            continue
-        heapq.heappush(ready, (machine.core_time(tid), tid))
+    shard = ShardMachine(machine, pm, None, run.threads)
+    shard.start(generators)
+    shard.drain()
 
     stats = machine.finalize()
     return RunOutcome(run.policy, run.threads, stats, machine, pm)

@@ -1,6 +1,7 @@
 """Shared helper for the adaptive-logging tests: a closed-loop run with
-one (or several) mid-run design switches, built the same way the switch
-fault campaign builds its runs."""
+one (or several) mid-run design switches at commit counts, calling
+``Machine.switch_design`` directly.  (The switch campaign and serve
+switch at cycle horizons through ``ShardMachine.switch_design``.)"""
 
 from __future__ import annotations
 

@@ -3,16 +3,18 @@
 The sweep compiles each trace-compilable (benchmark, threads) pair once
 and replays it per design cell; the compiled trace is memoised
 in-process and persisted to disk, so a warm sweep skips workload
-preparation entirely.  ``REPRO_TRACE=0`` switches the engine off and
-must reproduce identical results through the interpreter.
+preparation entirely.  Replayed cells must equal interpreted runs of
+the same cells.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.harness.cache import TraceCache, shared_trace_cache, trace_enabled
+from repro.harness.cache import TraceCache, shared_trace_cache
+from repro.harness.runner import RunConfig, prepare_workload, run_workload
 from repro.harness.sweep import run_micro_sweep
+from repro.workloads import make_microbenchmark
 
 MATRIX = dict(benchmarks=("hash",), threads=(1, 2), txns_per_thread=10)
 
@@ -26,17 +28,26 @@ def _snapshot(result):
 
 def test_traced_sweep_matches_interpreted(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_TRACE", "0")
-    interpreted = _snapshot(run_micro_sweep(**MATRIX))
-    monkeypatch.setenv("REPRO_TRACE", "1")
-    traced = _snapshot(run_micro_sweep(**MATRIX))
-    assert interpreted == traced
+    result = run_micro_sweep(**MATRIX)
+    traced = _snapshot(result)
+    prepared = prepare_workload(make_microbenchmark("hash", seed=42))
+    interpreted = {}
+    for cell in result.cells:
+        run = RunConfig(
+            policy=cell.policy,
+            threads=cell.threads,
+            txns_per_thread=MATRIX["txns_per_thread"],
+        )
+        outcome = run_workload(prepared.workload, run, prepared=prepared)
+        outcome.machine.nvram.recycle()
+        interpreted[(cell.benchmark, cell.threads, cell.policy.value)] = (
+            dataclasses.asdict(outcome.stats)
+        )
+    assert traced == interpreted
 
 
 def test_warm_sweep_hits_trace_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_TRACE", raising=False)
-    assert trace_enabled()
     cache = shared_trace_cache()
     cold_misses = cache.misses
     # seed=9 keeps this matrix distinct from other tests sharing the

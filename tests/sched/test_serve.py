@@ -121,12 +121,13 @@ class TestGuards:
     ):
         """Replica compaction folds redo content into the checkpoint, so
         an undo-only design must be refused up front, not mid-run."""
-        from repro.sched import serve
+        from repro.harness import runner
 
         def no_machine(*_args, **_kwargs):
             raise AssertionError("a machine was built")
 
-        monkeypatch.setattr(serve, "Machine", no_machine)
+        # Serve builds its machines through the run builder.
+        monkeypatch.setattr(runner, "Machine", no_machine)
         with pytest.raises(ConfigError, match="redo"):
             run_serve(_config(policy=design, replicas=1))
         _config(policy=design).validate()  # no replicas: fine

@@ -6,14 +6,15 @@ import pytest
 
 from repro.core.design import DESIGNS
 from repro.errors import WorkloadError
+from repro.faults.campaign import campaign_workload, default_campaign_system
 from repro.harness.runner import (
     RunConfig,
+    batch_shard,
+    build_run,
     prepare_workload,
     run_workload_monolithic,
 )
 from repro.sched.shard import ShardMachine
-from repro.sim.machine import Machine
-from repro.txn.runtime import PersistentMemory
 from repro.workloads.whisper import make_whisper_kernel
 from tests.conftest import tiny_system
 
@@ -30,13 +31,8 @@ def prepared_redis():
 
 
 def _shard_for(prepared, threads=2):
-    machine = Machine(prepared.system, FWB)
-    pm = PersistentMemory(machine)
-    prepared.restore_into(machine)
-    pm.heap.restore(prepared.heap_state)
-    workload = prepared.workload
-    workload.attach(pm)
-    workload.reset_run_state()
+    run = RunConfig(policy=FWB, threads=threads, system=prepared.system)
+    machine, pm, workload = build_run(prepared.workload, run, prepared)
     return ShardMachine(machine, pm, workload, threads=threads)
 
 
@@ -123,3 +119,38 @@ def test_double_start_rejected(prepared_redis):
     with pytest.raises(WorkloadError):
         shard.start_serve()
     shard.machine.nvram.recycle()
+
+
+def test_switch_reprices_drive_order_to_the_barrier():
+    """After a horizon step and ``switch_design`` every core sits at the
+    barrier, so thread 0 advances next even where thread 1 lagged before
+    the barrier — the order serve, the switch campaign and the
+    ``adapt-switch`` suite all run."""
+    workload = campaign_workload("hash", 7)
+    body = workload.thread_body
+    advanced = []
+
+    def logged(api, tid, txns):
+        for _ in body(api, tid, txns):
+            advanced.append(tid)
+            yield
+
+    workload.thread_body = logged
+    prepared = prepare_workload(workload, default_campaign_system())
+    run = RunConfig(
+        policy="hw+undo+redo+nowb", threads=2, txns_per_thread=24,
+        system=prepared.system,
+    )
+    shard = batch_shard(workload, run, prepared)
+    machine = shard.machine
+    horizon = 0.0
+    while not machine.core_time(1) < machine.core_time(0):
+        horizon += 50.0
+        shard.step(horizon)
+        assert not shard.done
+    barrier = shard.switch_design(DESIGNS.resolve("hw+undo+redo+clwb"))
+    assert [machine.core_time(tid) for tid in range(2)] == [barrier, barrier]
+    taken = len(advanced)
+    shard.drain()
+    assert advanced[taken] == 0
+    machine.nvram.recycle()
