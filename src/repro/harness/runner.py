@@ -92,10 +92,6 @@ class PreparedWorkload:
         """The full initial NVRAM image (reconstructed; test/debug use)."""
         return self.image_prefix + bytes(self.image_size - len(self.image_prefix))
 
-    def restore_into(self, machine: Machine) -> None:
-        """Copy the prepared image into ``machine``'s (zeroed) NVRAM."""
-        machine.nvram.load_image_prefix(self.image_prefix)
-
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["image_prefix"] = zlib.compress(self.image_prefix, 1)

@@ -17,10 +17,13 @@ Two hot-path design points keep large sweeps fast:
   high-address one (the log region sits at the top) — and re-zeroes only
   those windows on recycle, which is far cheaper than a full-image memset
   when the footprint is a fraction of the device.
-* Bounds checks on ``read``/``write``/``peek``/``poke`` are inlined
-  (rather than calling :func:`~repro.utils.check_range`): workload setup
-  issues millions of functional writes and the extra call frame dominated
-  the setup profile.
+* Workload set-up does not come through here word by word: its accessor
+  (:class:`~repro.workloads.base.SetupAccessor`) reads and writes aligned
+  words through a ``memoryview(image).cast("Q")`` view of the image, and
+  :meth:`poke` carries only byte strings and whole-slice fills.  Writes
+  through the view bypass :meth:`poke`, so the accessor first claims the
+  range it writes with :meth:`claim_written`, which keeps every set-up
+  byte inside the dirty extent.
 """
 
 from __future__ import annotations
@@ -199,6 +202,17 @@ class NVRAM:
         self.image[: len(data)] = data
         if len(data) > self._lo_hwm:  # address 0 lies in the low window
             self._lo_hwm = len(data)
+
+    def claim_written(self, end: int) -> int:
+        """Widen the low dirty window to cover ``[0, end)``; returns its end.
+
+        For writers that bypass :meth:`poke`: they claim a range here
+        before writing into the image directly.
+        """
+        end = min(end, self._size)
+        if end > self._lo_hwm:
+            self._lo_hwm = end
+        return self._lo_hwm
 
     def written_extent(self) -> tuple[int, int]:
         """The dirty-extent windows as ``(lo_end, hi_start)``.

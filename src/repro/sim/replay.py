@@ -120,7 +120,8 @@ class RecordingAccessor:
     """Accessor that records one thread's operation stream.
 
     Implements the same protocol as :class:`~repro.txn.runtime.ThreadAPI`
-    (``read``/``write``/``compute``/``alloc``/``free``/``transaction``)
+    (``read``/``write``/``read_word``/``write_word``/``compute``/``alloc``/
+    ``free``/``transaction``)
     but charges no time — it appends column entries and serves reads from
     the functional memory.  Thread-local allocation recycling mirrors
     ``ThreadAPI`` exactly (LIFO per aligned size, frees quarantined until
@@ -163,6 +164,12 @@ class RecordingAccessor:
             col.piece_sym.append(1 if symbolic else 0)
             col.piece_val.append(value)
             memory.write(piece_addr, piece)
+
+    def read_word(self, addr: int) -> int:
+        return int.from_bytes(self.read(addr, 8), "little")
+
+    def write_word(self, addr: int, value: int) -> None:
+        self.write(addr, value.to_bytes(8, "little"))
 
     def compute(self, count: int) -> None:
         if count > 0:

@@ -321,6 +321,14 @@ class ThreadAPI:
             else:
                 self._sw_undo_write(piece_addr, piece)
 
+    def read_word(self, addr: int) -> int:
+        """Read one little-endian word as an unsigned int."""
+        return int.from_bytes(self.read(addr, 8), "little")
+
+    def write_word(self, addr: int, value: int) -> None:
+        """Write one unsigned int as a little-endian word."""
+        self.write(addr, value.to_bytes(8, "little"))
+
     def compute(self, count: int) -> None:
         """Execute ``count`` non-memory instructions."""
         if count > 0:

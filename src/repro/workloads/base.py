@@ -6,15 +6,19 @@ through per-thread generators (:meth:`Workload.thread_body`), which the
 harness interleaves across cores in core-clock order.
 
 Structure code is written once against the *accessor* protocol —
-``read(addr, size)``, ``write(addr, data)``, ``compute(n)`` and
-``transaction()`` — and works both in the untimed setup phase and in the
-timed run phase (where the accessor is a
-:class:`~repro.txn.runtime.ThreadAPI`).
+``read_word(addr)``/``write_word(addr, value)`` for one little-endian
+8-byte word, ``read(addr, size)``/``write(addr, data)`` for byte
+strings, ``compute(n)``, ``alloc``/``free`` and ``transaction()`` — and
+works in the untimed set-up phase (:class:`SetupAccessor`, through a word
+view of the device), in the timed run phase (a
+:class:`~repro.txn.runtime.ThreadAPI`) and while a trace is recorded
+(:class:`~repro.sim.replay.RecordingAccessor`).
 """
 
 from __future__ import annotations
 
 import abc
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
@@ -22,25 +26,54 @@ from typing import Iterator
 from ..errors import AddressError, WorkloadError
 from ..txn.runtime import PersistentMemory, ThreadAPI
 
+#: Granule of the NVRAM dirty extent a set-up word write claims when it
+#: first lands past the extent (see :class:`SetupAccessor`).
+CLAIM_BYTES = 4096
+
 
 class SetupAccessor:
     """Untimed accessor used while building initial workload state.
 
-    Setup issues millions of functional accesses for paper-scale
-    footprints, so ``read``/``write`` go straight to the NVRAM device
-    (bound at construction) instead of through the
-    :class:`PersistentMemory` facade — one call frame fewer each.
-    ``read`` is a closure over the device image returning a (mutable,
-    caller-owned) ``bytearray`` slice: setup readers only decode or
-    compare the result, and skipping the immutable-``bytes`` wrap of
-    :meth:`~repro.sim.nvram.NVRAM.peek` halves the per-read copy cost.
+    Set-up issues millions of functional accesses for paper-scale
+    footprints, almost all of them single 8-byte words (node fields,
+    pointers, counters), so the accessor works on the NVRAM device
+    directly (bound at construction) instead of through the
+    :class:`PersistentMemory` facade:
+
+    * ``read_word``/``write_word`` index a ``memoryview(image).cast("Q")``
+      word view of the little-endian image: an aligned word costs one
+      index, with no slice, no ``int.from_bytes``/``to_bytes`` and no
+      :meth:`~repro.sim.nvram.NVRAM.poke` frame.  Unaligned and
+      out-of-range addresses take the byte path, which sees the same
+      bytes and raises the same :class:`AddressError`.
+    * A word write goes straight into the view only below the device's
+      low dirty extent.  The first write past it takes the byte path and
+      claims the rest of its :data:`CLAIM_BYTES` granule
+      (:meth:`~repro.sim.nvram.NVRAM.claim_written`), so every byte
+      set-up writes stays inside the extent that ``recycle`` re-zeroes
+      and :func:`~repro.harness.runner.prepare_workload` captures.
+    * ``read`` returns a (mutable, caller-owned) ``bytearray`` slice —
+      set-up readers only decode or compare it — and ``write`` is
+      ``poke``, which carries byte strings and whole-slice fills.
     """
 
     def __init__(self, pm: PersistentMemory) -> None:
+        if sys.byteorder != "little":
+            raise WorkloadError(
+                "set-up needs a little-endian host: the NVRAM image is "
+                "little-endian and its word view uses native byte order"
+            )
         self._pm = pm
         nvram = pm.machine.nvram
         image = nvram.image
         size = len(image)
+        words = memoryview(image).cast("Q")
+        poke = nvram.poke
+        claim = nvram.claim_written
+        # An aligned word at ``addr < x - 7`` ends at or before ``x``: the
+        # device end for reads, the low dirty extent for writes.
+        read_limit = size - 7
+        write_limit = nvram.written_extent()[0] - 7
 
         def read(addr: int, length: int) -> bytearray:
             end = addr + length
@@ -51,8 +84,23 @@ class SetupAccessor:
                 )
             return image[addr:end]
 
+        def read_word(addr: int) -> int:
+            if addr & 7 or addr < 0 or addr >= read_limit:
+                return int.from_bytes(read(addr, 8), "little")
+            return words[addr >> 3]
+
+        def write_word(addr: int, value: int) -> None:
+            nonlocal write_limit
+            if addr & 7 or addr < 0 or addr >= write_limit:
+                poke(addr, value.to_bytes(8, "little"))
+                write_limit = claim((addr | (CLAIM_BYTES - 1)) + 1) - 7
+                return
+            words[addr >> 3] = value
+
         self.read = read
-        self.write = nvram.poke
+        self.write = poke
+        self.read_word = read_word
+        self.write_word = write_word
 
     def compute(self, count: int) -> None:
         """No-op during setup."""
@@ -205,19 +253,6 @@ class Workload(abc.ABC):
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
-    # ``int.to_bytes``/``int.from_bytes`` are used directly (rather than
-    # the utils helpers) because structure traversal calls these millions
-    # of times per sweep and the extra call frame is measurable.
-    @staticmethod
-    def read_word(acc, addr: int) -> int:
-        """Read one little-endian word as an unsigned int."""
-        return int.from_bytes(acc.read(addr, 8), "little")
-
-    @staticmethod
-    def write_word(acc, addr: int, value: int) -> None:
-        """Write one unsigned int as a little-endian word."""
-        acc.write(addr, int(value).to_bytes(8, "little"))
-
     def make_value(self, rng, tag: int) -> bytes:
         """Build an element payload (int word or multi-line string)."""
         if self.value_kind == "int":

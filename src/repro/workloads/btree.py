@@ -67,31 +67,31 @@ class BTreeWorkload(Workload):
         return self._roots_base + part * 8
 
     def _is_leaf(self, acc, node: int) -> bool:
-        return self.read_word(acc, node + _IS_LEAF) == 1
+        return acc.read_word(node + _IS_LEAF) == 1
 
     def _nkeys(self, acc, node: int) -> int:
-        return self.read_word(acc, node + _NKEYS)
+        return acc.read_word(node + _NKEYS)
 
     def _set_nkeys(self, acc, node: int, n: int) -> None:
-        self.write_word(acc, node + _NKEYS, n)
+        acc.write_word(node + _NKEYS, n)
 
     def _key(self, acc, node: int, i: int) -> int:
-        return self.read_word(acc, node + _KEYS + 8 * i)
+        return acc.read_word(node + _KEYS + 8 * i)
 
     def _set_key(self, acc, node: int, i: int, key: int) -> None:
-        self.write_word(acc, node + _KEYS + 8 * i, key)
+        acc.write_word(node + _KEYS + 8 * i, key)
 
     def _ptr(self, acc, node: int, i: int) -> int:
-        return self.read_word(acc, node + _PTRS + 8 * i)
+        return acc.read_word(node + _PTRS + 8 * i)
 
     def _set_ptr(self, acc, node: int, i: int, ptr: int) -> None:
-        self.write_word(acc, node + _PTRS + 8 * i, ptr)
+        acc.write_word(node + _PTRS + 8 * i, ptr)
 
     def _new_node(self, acc, is_leaf: bool) -> int:
         node = acc.alloc(NODE_SIZE)
-        self.write_word(acc, node + _IS_LEAF, 1 if is_leaf else 0)
+        acc.write_word(node + _IS_LEAF, 1 if is_leaf else 0)
         self._set_nkeys(acc, node, 0)
-        self.write_word(acc, node + _NEXT, 0)
+        acc.write_word(node + _NEXT, 0)
         return node
 
     # ------------------------------------------------------------------
@@ -102,7 +102,7 @@ class BTreeWorkload(Workload):
         self._roots_base = pm.heap.alloc(MAX_PARTITIONS * 8)
         for part in range(MAX_PARTITIONS):
             root = self._new_node(acc, is_leaf=True)
-            self.write_word(acc, self._root_addr(part), root)
+            acc.write_word(self._root_addr(part), root)
         self._resident = [set() for _ in range(MAX_PARTITIONS)]
         rng = thread_rng(self.seed, 0xB7EE)
         for part in range(MAX_PARTITIONS):
@@ -137,7 +137,7 @@ class BTreeWorkload(Workload):
         ``path`` is a list of (node, child_index) from the root down.
         """
         path = []
-        node = self.read_word(acc, self._root_addr(part))
+        node = acc.read_word(self._root_addr(part))
         while not self._is_leaf(acc, node):
             n = self._nkeys(acc, node)
             i = 0
@@ -202,8 +202,8 @@ class BTreeWorkload(Workload):
             self._set_ptr(acc, new, i - half, self._ptr(acc, leaf, i))
         self._set_nkeys(acc, new, n - half)
         self._set_nkeys(acc, leaf, half)
-        self.write_word(acc, new + _NEXT, self.read_word(acc, leaf + _NEXT))
-        self.write_word(acc, leaf + _NEXT, new)
+        acc.write_word(new + _NEXT, acc.read_word(leaf + _NEXT))
+        acc.write_word(leaf + _NEXT, new)
         separator = self._key(acc, new, 0)
         self._insert_into_parent(acc, part, leaf, separator, new, path)
 
@@ -216,7 +216,7 @@ class BTreeWorkload(Workload):
             self._set_key(acc, root, 0, separator)
             self._set_ptr(acc, root, 0, left)
             self._set_ptr(acc, root, 1, right)
-            self.write_word(acc, self._root_addr(part), root)
+            acc.write_word(self._root_addr(part), root)
             return
         parent, index = path[-1]
         n = self._nkeys(acc, parent)
@@ -253,7 +253,7 @@ class BTreeWorkload(Workload):
             return False
         acc.free(self._ptr(acc, leaf, pos), self.value_size)
         self._remove_at(acc, leaf, pos, leaf_node=True)
-        root = self.read_word(acc, self._root_addr(part))
+        root = acc.read_word(self._root_addr(part))
         if leaf != root and self._nkeys(acc, leaf) < MIN_KEYS:
             self._rebalance(acc, part, leaf, path)
         return True
@@ -293,11 +293,11 @@ class BTreeWorkload(Workload):
         else:
             right = self._ptr(acc, parent, index + 1)
             self._merge(acc, parent, index, node, right, leaf_node)
-        root = self.read_word(acc, self._root_addr(part))
+        root = acc.read_word(self._root_addr(part))
         if parent == root:
             if self._nkeys(acc, parent) == 0:
                 new_root = self._ptr(acc, parent, 0)
-                self.write_word(acc, self._root_addr(part), new_root)
+                acc.write_word(self._root_addr(part), new_root)
                 acc.free(parent, NODE_SIZE)
         elif self._nkeys(acc, parent) < MIN_KEYS:
             self._rebalance(acc, part, parent, path[:-1])
@@ -355,7 +355,7 @@ class BTreeWorkload(Workload):
                 self._set_key(acc, left, ln + i, self._key(acc, right, i))
                 self._set_ptr(acc, left, ln + i, self._ptr(acc, right, i))
             self._set_nkeys(acc, left, ln + rn)
-            self.write_word(acc, left + _NEXT, self.read_word(acc, right + _NEXT))
+            acc.write_word(left + _NEXT, acc.read_word(right + _NEXT))
         else:
             self._set_key(acc, left, ln, self._key(acc, parent, sep_index))
             for i in range(rn):
@@ -371,14 +371,14 @@ class BTreeWorkload(Workload):
     # ------------------------------------------------------------------
     def all_keys(self, acc, part: int) -> list:
         """All keys in order, walking the leaf chain."""
-        node = self.read_word(acc, self._root_addr(part))
+        node = acc.read_word(self._root_addr(part))
         while not self._is_leaf(acc, node):
             node = self._ptr(acc, node, 0)
         keys = []
         while node != 0:
             for i in range(self._nkeys(acc, node)):
                 keys.append(self._key(acc, node, i))
-            node = self.read_word(acc, node + _NEXT)
+            node = acc.read_word(node + _NEXT)
         return keys
 
     def check_invariants(self, acc, part: int) -> None:
@@ -386,7 +386,7 @@ class BTreeWorkload(Workload):
         keys = self.all_keys(acc, part)
         assert keys == sorted(keys), "leaf chain out of order"
         assert len(keys) == len(set(keys)), "duplicate keys"
-        root = self.read_word(acc, self._root_addr(part))
+        root = acc.read_word(self._root_addr(part))
         self._check_node_bounds(acc, root, is_root=True)
 
     def _check_node_bounds(self, acc, node: int, is_root: bool) -> None:

@@ -102,40 +102,38 @@ class HashTableWorkload(Workload):
         )
         return self._buckets_base + index * 8
 
-    # read_word/write_word are inlined in _insert (the setup loop calls
-    # it hundreds of thousands of times); same bytes, fewer frames.
     def _insert(self, acc, part: int, key: int, value: bytes) -> None:
         bucket = self._bucket_addr(part, key)
-        head = int.from_bytes(acc.read(bucket, 8), "little")
+        head = acc.read_word(bucket)
         node = acc.alloc(self.node_size)
-        acc.write(node, key.to_bytes(8, "little"))
-        acc.write(node + 8, head.to_bytes(8, "little"))
+        acc.write_word(node, key)
+        acc.write_word(node + 8, head)
         acc.write(node + 16, value)
-        acc.write(bucket, node.to_bytes(8, "little"))
+        acc.write_word(bucket, node)
 
     def _remove(self, acc, part: int, key: int) -> None:
         bucket = self._bucket_addr(part, key)
         prev = 0
-        node = self.read_word(acc, bucket)
+        node = acc.read_word(bucket)
         while node != 0:
-            node_key = self.read_word(acc, node)
+            node_key = acc.read_word(node)
             acc.compute(COMPARE_COMPUTE)
             if node_key == key:
-                nxt = self.read_word(acc, node + 8)
+                nxt = acc.read_word(node + 8)
                 if prev == 0:
-                    self.write_word(acc, bucket, nxt)
+                    acc.write_word(bucket, nxt)
                 else:
-                    self.write_word(acc, prev + 8, nxt)
+                    acc.write_word(prev + 8, nxt)
                 acc.free(node, self.node_size)
                 return
             prev = node
-            node = self.read_word(acc, node + 8)
+            node = acc.read_word(node + 8)
 
     def lookup(self, acc, part: int, key: int) -> bytes:
         """Return the value stored for ``key`` or b'' (for tests)."""
-        node = self.read_word(acc, self._bucket_addr(part, key))
+        node = acc.read_word(self._bucket_addr(part, key))
         while node != 0:
-            if self.read_word(acc, node) == key:
+            if acc.read_word(node) == key:
                 return acc.read(node + 16, self.value_size)
-            node = self.read_word(acc, node + 8)
+            node = acc.read_word(node + 8)
         return b""

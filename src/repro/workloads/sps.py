@@ -56,19 +56,15 @@ class SPSWorkload(Workload):
         """Allocate the vector and fill it with distinct tags."""
         acc = SetupAccessor(pm)
         total = MAX_PARTITIONS * self.entries_per_partition
-        entry_size = self.entry_size
-        self._base = pm.heap.alloc(total * entry_size)
+        self._base = pm.heap.alloc(total * self.entry_size)
         rng = thread_rng(self.seed, 0x5B5)
-        # The fill is strictly sequential, so the address is advanced by
-        # a running counter instead of a million entry_addr() calls
-        # (same addresses, ~2 fewer frames per entry).
-        write = acc.write
-        make_value = self.make_value
-        addr = self._base
-        for _part in range(MAX_PARTITIONS):
-            for index in range(self.entries_per_partition):
-                write(addr, make_value(rng, index))
-                addr += entry_size
+        # Every partition holds the same tags: build one partition's
+        # entries once and write it as one slice per partition.
+        partition = bytearray()
+        for index in range(self.entries_per_partition):
+            partition += self.make_value(rng, index)
+        for part in range(MAX_PARTITIONS):
+            acc.write(self.entry_addr(part, 0), partition)
 
     def thread_body(self, api: ThreadAPI, tid: int, num_txns: int) -> Iterator[None]:
         """One swap transaction per iteration."""

@@ -52,7 +52,7 @@ class CTreeKernel(Workload):
         acc = SetupAccessor(pm)
         self._roots_base = pm.heap.alloc(MAX_PARTITIONS * 8)
         for part in range(MAX_PARTITIONS):
-            self.write_word(acc, self._root_addr(part), 0)
+            acc.write_word(self._root_addr(part), 0)
         self._resident = [set() for _ in range(MAX_PARTITIONS)]
         rng = thread_rng(self.seed, 0xC7EE)
         for part in range(MAX_PARTITIONS):
@@ -83,77 +83,77 @@ class CTreeKernel(Workload):
         """Insert ``key``; returns False if present."""
         parent = 0
         side = _LEFT
-        node = self.read_word(acc, self._root_addr(part))
+        node = acc.read_word(self._root_addr(part))
         while node != 0:
             acc.compute(DESCEND_COMPUTE)
-            node_key = self.read_word(acc, node + _KEY)
+            node_key = acc.read_word(node + _KEY)
             if node_key == key:
                 return False
             parent = node
             side = _LEFT if key < node_key else _RIGHT
-            node = self.read_word(acc, node + side)
+            node = acc.read_word(node + side)
         fresh = acc.alloc(NODE_SIZE)
-        self.write_word(acc, fresh + _KEY, key)
-        self.write_word(acc, fresh + _LEFT, 0)
-        self.write_word(acc, fresh + _RIGHT, 0)
-        self.write_word(acc, fresh + _VALUE, value)
+        acc.write_word(fresh + _KEY, key)
+        acc.write_word(fresh + _LEFT, 0)
+        acc.write_word(fresh + _RIGHT, 0)
+        acc.write_word(fresh + _VALUE, value)
         if parent == 0:
-            self.write_word(acc, self._root_addr(part), fresh)
+            acc.write_word(self._root_addr(part), fresh)
         else:
-            self.write_word(acc, parent + side, fresh)
+            acc.write_word(parent + side, fresh)
         return True
 
     def remove(self, acc, part: int, key: int) -> bool:
         """Remove ``key``; returns False if absent."""
         parent = 0
         side = _LEFT
-        node = self.read_word(acc, self._root_addr(part))
+        node = acc.read_word(self._root_addr(part))
         while node != 0:
             acc.compute(DESCEND_COMPUTE)
-            node_key = self.read_word(acc, node + _KEY)
+            node_key = acc.read_word(node + _KEY)
             if node_key == key:
                 break
             parent = node
             side = _LEFT if key < node_key else _RIGHT
-            node = self.read_word(acc, node + side)
+            node = acc.read_word(node + side)
         if node == 0:
             return False
-        left = self.read_word(acc, node + _LEFT)
-        right = self.read_word(acc, node + _RIGHT)
+        left = acc.read_word(node + _LEFT)
+        right = acc.read_word(node + _RIGHT)
         if left != 0 and right != 0:
             # Two children: splice in the successor's key/value, then
             # unlink the successor (which has no left child).
             succ_parent = node
             succ = right
             while True:
-                succ_left = self.read_word(acc, succ + _LEFT)
+                succ_left = acc.read_word(succ + _LEFT)
                 if succ_left == 0:
                     break
                 succ_parent = succ
                 succ = succ_left
-            self.write_word(acc, node + _KEY, self.read_word(acc, succ + _KEY))
-            self.write_word(acc, node + _VALUE, self.read_word(acc, succ + _VALUE))
-            replacement = self.read_word(acc, succ + _RIGHT)
+            acc.write_word(node + _KEY, acc.read_word(succ + _KEY))
+            acc.write_word(node + _VALUE, acc.read_word(succ + _VALUE))
+            replacement = acc.read_word(succ + _RIGHT)
             if succ_parent == node:
-                self.write_word(acc, succ_parent + _RIGHT, replacement)
+                acc.write_word(succ_parent + _RIGHT, replacement)
             else:
-                self.write_word(acc, succ_parent + _LEFT, replacement)
+                acc.write_word(succ_parent + _LEFT, replacement)
             acc.free(succ, NODE_SIZE)
             return True
         replacement = left if left != 0 else right
         if parent == 0:
-            self.write_word(acc, self._root_addr(part), replacement)
+            acc.write_word(self._root_addr(part), replacement)
         else:
-            self.write_word(acc, parent + side, replacement)
+            acc.write_word(parent + side, replacement)
         acc.free(node, NODE_SIZE)
         return True
 
     def contains(self, acc, part: int, key: int) -> bool:
         """Membership test (for tests)."""
-        node = self.read_word(acc, self._root_addr(part))
+        node = acc.read_word(self._root_addr(part))
         while node != 0:
-            node_key = self.read_word(acc, node + _KEY)
+            node_key = acc.read_word(node + _KEY)
             if node_key == key:
                 return True
-            node = self.read_word(acc, node + (_LEFT if key < node_key else _RIGHT))
+            node = acc.read_word(node + (_LEFT if key < node_key else _RIGHT))
         return False

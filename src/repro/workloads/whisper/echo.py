@@ -32,8 +32,8 @@ class EchoKernel(Workload):
     ) -> None:
         super().__init__(seed, value_kind)
         self.keys_per_partition = keys_per_partition
-        self._queue = AppendLog(self, entries=1024, entry_size=RECORD_SIZE)
-        self._index = ProbingTable(self, capacity=keys_per_partition * 2, value_size=8)
+        self._queue = AppendLog(entries=1024, entry_size=RECORD_SIZE)
+        self._index = ProbingTable(capacity=keys_per_partition * 2, value_size=8)
 
     def setup(self, pm: PersistentMemory) -> None:
         """Allocate queue and index; seed every key."""

@@ -36,8 +36,8 @@ class EximKernel(Workload):
     ) -> None:
         super().__init__(seed, value_kind)
         self.spool_slots = spool_slots
-        self._index = ProbingTable(self, capacity=spool_slots * 2, value_size=16)
-        self._bodies = AppendLog(self, entries=spool_slots * 8, entry_size=CHUNK)
+        self._index = ProbingTable(capacity=spool_slots * 2, value_size=16)
+        self._bodies = AppendLog(entries=spool_slots * 8, entry_size=CHUNK)
         self._stats_base = 0  # per-partition delivered counter
 
     def setup(self, pm: PersistentMemory) -> None:
@@ -48,7 +48,7 @@ class EximKernel(Workload):
         self._bodies.allocate(pm.heap)
         self._stats_base = pm.heap.alloc(MAX_PARTITIONS * 8)
         for part in range(MAX_PARTITIONS):
-            self.write_word(acc, self._stats_base + part * 8, 0)
+            acc.write_word(self._stats_base + part * 8, 0)
 
     def reset_run_state(self) -> None:
         """Rewind the append-log cursors (volatile per-run state)."""
@@ -76,8 +76,8 @@ class EximKernel(Workload):
                     message = live.popleft()
                     self._index.remove(api, part, message)
                     delivered_addr = self._stats_base + part * 8
-                    delivered = self.read_word(api, delivered_addr)
-                    self.write_word(api, delivered_addr, delivered + 1)
+                    delivered = api.read_word(delivered_addr)
+                    api.write_word(delivered_addr, delivered + 1)
                 else:
                     message = next_id
                     next_id += 1
@@ -92,7 +92,7 @@ class EximKernel(Workload):
 
     def delivered_count(self, acc, part: int) -> int:
         """Persisted delivery counter (for tests)."""
-        return self.read_word(acc, self._stats_base + part * 8)
+        return acc.read_word(self._stats_base + part * 8)
 
     @property
     def index(self) -> ProbingTable:

@@ -30,7 +30,7 @@ class HashmapKernel(Workload):
         super().__init__(seed, value_kind)
         self.keys_per_partition = keys_per_partition
         self._table = ProbingTable(
-            self, capacity=keys_per_partition * 2, value_size=self.value_size
+            capacity=keys_per_partition * 2, value_size=self.value_size
         )
         self._resident: list[set[int]] = []
 

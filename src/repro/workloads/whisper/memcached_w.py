@@ -32,9 +32,9 @@ class MemcachedKernel(Workload):
         super().__init__(seed, value_kind)
         self.keys_per_partition = keys_per_partition
         self._table = ProbingTable(
-            self, capacity=keys_per_partition * 2, value_size=self.value_size
+            capacity=keys_per_partition * 2, value_size=self.value_size
         )
-        self._lru = LRUList(self, nodes=keys_per_partition)
+        self._lru = LRUList(nodes=keys_per_partition)
 
     def setup(self, pm: PersistentMemory) -> None:
         """Fill the cache and initialise the LRU chains."""

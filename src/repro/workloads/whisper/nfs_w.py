@@ -41,8 +41,8 @@ class NFSKernel(Workload):
     ) -> None:
         super().__init__(seed, value_kind)
         self.files_per_partition = files_per_partition
-        self._directory = ProbingTable(self, capacity=files_per_partition * 4, value_size=8)
-        self._blocks = AppendLog(self, entries=files_per_partition * 4, entry_size=BLOCK_CHUNK)
+        self._directory = ProbingTable(capacity=files_per_partition * 4, value_size=8)
+        self._blocks = AppendLog(entries=files_per_partition * 4, entry_size=BLOCK_CHUNK)
         self._inodes_base = 0
 
     def _inode_addr(self, part: int, inode: int) -> int:
@@ -64,8 +64,8 @@ class NFSKernel(Workload):
                 inode = handle - 1
                 self._directory.put(acc, part, handle, inode.to_bytes(8, "little"))
                 addr = self._inode_addr(part, inode)
-                self.write_word(acc, addr + _SIZE, rng.randrange(1 << 20))
-                self.write_word(acc, addr + _MODE, 0o644)
+                acc.write_word(addr + _SIZE, rng.randrange(1 << 20))
+                acc.write_word(addr + _MODE, 0o644)
 
     def reset_run_state(self) -> None:
         """Rewind the append-log cursors and inode rotors (volatile
@@ -105,12 +105,12 @@ class NFSKernel(Workload):
                 if op < 0.45:
                     self._write_block(api, part, addr, handle, txn, clock)
                 elif op < 0.70:
-                    self.write_word(api, addr + _MODE, 0o600 + (txn & 0o177))
-                    self.write_word(api, addr + _MTIME, clock)
+                    api.write_word(addr + _MODE, 0o600 + (txn & 0o177))
+                    api.write_word(addr + _MTIME, clock)
                 elif op < 0.90:
-                    self.read_word(api, addr + _SIZE)
-                    self.read_word(api, addr + _MODE)
-                    self.write_word(api, addr + _ATIME, clock)
+                    api.read_word(addr + _SIZE)
+                    api.read_word(addr + _MODE)
+                    api.write_word(addr + _ATIME, clock)
                 else:
                     fresh = next_inode
                     next_inode += 1
@@ -120,9 +120,9 @@ class NFSKernel(Workload):
                             api, part, new_handle, fresh.to_bytes(8, "little")
                         )
                         fresh_addr = self._inode_addr(part, fresh)
-                        self.write_word(api, fresh_addr + _SIZE, 0)
-                        self.write_word(api, fresh_addr + _MODE, 0o644)
-                        self.write_word(api, fresh_addr + _MTIME, clock)
+                        api.write_word(fresh_addr + _SIZE, 0)
+                        api.write_word(fresh_addr + _MODE, 0o644)
+                        api.write_word(fresh_addr + _MTIME, clock)
             yield
 
     def _write_block(self, api, part: int, inode_addr: int, handle: int,
@@ -130,13 +130,13 @@ class NFSKernel(Workload):
         chunk = (handle.to_bytes(8, "little") + (txn & 0xFFFFFFFF).to_bytes(8, "little"))
         chunk += bytes(BLOCK_CHUNK - len(chunk))
         self._blocks.append(api, part, chunk)
-        size = self.read_word(api, inode_addr + _SIZE)
-        blocks = self.read_word(api, inode_addr + _BLOCKS)
-        self.write_word(api, inode_addr + _SIZE, size + BLOCK_CHUNK)
-        self.write_word(api, inode_addr + _BLOCKS, blocks + 1)
-        self.write_word(api, inode_addr + _MTIME, clock)
+        size = api.read_word(inode_addr + _SIZE)
+        blocks = api.read_word(inode_addr + _BLOCKS)
+        api.write_word(inode_addr + _SIZE, size + BLOCK_CHUNK)
+        api.write_word(inode_addr + _BLOCKS, blocks + 1)
+        api.write_word(inode_addr + _MTIME, clock)
 
     def inode_state(self, acc, part: int, inode: int) -> tuple:
         """(size, blocks) for tests."""
         addr = self._inode_addr(part, inode)
-        return self.read_word(acc, addr + _SIZE), self.read_word(acc, addr + _BLOCKS)
+        return acc.read_word(addr + _SIZE), acc.read_word(addr + _BLOCKS)

@@ -32,9 +32,9 @@ class RedisKernel(Workload):
     ) -> None:
         super().__init__(seed, value_kind)
         self.keys_per_partition = keys_per_partition
-        self._aof = AppendLog(self, entries=2048, entry_size=AOF_RECORD)
+        self._aof = AppendLog(entries=2048, entry_size=AOF_RECORD)
         self._dict = ProbingTable(
-            self, capacity=keys_per_partition * 2, value_size=self.value_size
+            capacity=keys_per_partition * 2, value_size=self.value_size
         )
 
     def setup(self, pm: PersistentMemory) -> None:

@@ -37,8 +37,8 @@ class TPCCKernel(Workload):
     ) -> None:
         super().__init__(seed, value_kind)
         self.items_per_partition = items_per_partition
-        self._orders = AppendLog(self, entries=1024, entry_size=ORDER_RECORD)
-        self._lines = AppendLog(self, entries=8192, entry_size=ORDER_LINE_RECORD)
+        self._orders = AppendLog(entries=1024, entry_size=ORDER_RECORD)
+        self._lines = AppendLog(entries=8192, entry_size=ORDER_LINE_RECORD)
         self._stock_base = 0
 
     def _stock_addr(self, part: int, item: int) -> int:
@@ -52,11 +52,8 @@ class TPCCKernel(Workload):
         self._lines.allocate(pm.heap)
         total = MAX_PARTITIONS * self.items_per_partition
         self._stock_base = pm.heap.alloc(total * STOCK_RECORD)
-        for part in range(MAX_PARTITIONS):
-            for item in range(self.items_per_partition):
-                addr = self._stock_addr(part, item)
-                self.write_word(acc, addr, 100)
-                self.write_word(acc, addr + 8, 0)
+        stock = (100).to_bytes(8, "little") + bytes(STOCK_RECORD - 8)
+        acc.write(self._stock_base, stock * total)
 
     def reset_run_state(self) -> None:
         """Rewind the append-log cursors (volatile per-run state)."""
@@ -97,14 +94,14 @@ class TPCCKernel(Workload):
                     )
                     self._lines.append(api, part, line)
                     stock = self._stock_addr(part, item)
-                    quantity = self.read_word(api, stock)
-                    ytd = self.read_word(api, stock + 8)
+                    quantity = api.read_word(stock)
+                    ytd = api.read_word(stock + 8)
                     new_quantity = quantity - 1 if quantity > 10 else quantity + 91
-                    self.write_word(api, stock, new_quantity)
-                    self.write_word(api, stock + 8, ytd + 1)
+                    api.write_word(stock, new_quantity)
+                    api.write_word(stock + 8, ytd + 1)
             yield
 
     def stock_state(self, acc, part: int, item: int) -> tuple:
         """(quantity, ytd) for tests."""
         addr = self._stock_addr(part, item)
-        return self.read_word(acc, addr), self.read_word(acc, addr + 8)
+        return acc.read_word(addr), acc.read_word(addr + 8)

@@ -35,7 +35,7 @@ class VacationKernel(Workload):
         super().__init__(seed, value_kind)
         self.records_per_table = records_per_table
         self._tables_base = 0
-        self._reservations = AppendLog(self, entries=2048, entry_size=RESERVATION_RECORD)
+        self._reservations = AppendLog(entries=2048, entry_size=RESERVATION_RECORD)
 
     def _record_addr(self, part: int, table: int, record: int) -> int:
         index = (part * TABLES + table) * self.records_per_table + record
@@ -52,8 +52,8 @@ class VacationKernel(Workload):
             for table in range(TABLES):
                 for record in range(self.records_per_table):
                     addr = self._record_addr(part, table, record)
-                    self.write_word(acc, addr, rng.randrange(50, 500))
-                    self.write_word(acc, addr + 8, rng.randrange(1, 100))
+                    acc.write_word(addr, rng.randrange(50, 500))
+                    acc.write_word(addr + 8, rng.randrange(1, 100))
 
     def reset_run_state(self) -> None:
         """Rewind the append-log cursors (volatile per-run state)."""
@@ -83,8 +83,8 @@ class VacationKernel(Workload):
                     for record in picks[table]:
                         api.compute(CHOICE_COMPUTE)
                         addr = self._record_addr(part, table, record)
-                        price = self.read_word(api, addr)
-                        available = self.read_word(api, addr + 8)
+                        price = api.read_word(addr)
+                        available = api.read_word(addr + 8)
                         if available > 0 and price < best_price:
                             best_record, best_price = record, price
                     chosen.append(best_record)
@@ -92,8 +92,8 @@ class VacationKernel(Workload):
                     if record < 0:
                         continue
                     addr = self._record_addr(part, table, record)
-                    available = self.read_word(api, addr + 8)
-                    self.write_word(api, addr + 8, max(0, available - 1))
+                    available = api.read_word(addr + 8)
+                    api.write_word(addr + 8, max(0, available - 1))
                 reservation = (
                     txn.to_bytes(8, "little")
                     + b"".join(

@@ -34,7 +34,7 @@ class YCSBKernel(Workload):
         super().__init__(seed, value_kind)
         self.keys_per_partition = keys_per_partition
         self._table = ProbingTable(
-            self, capacity=keys_per_partition * 2, value_size=self.value_size
+            capacity=keys_per_partition * 2, value_size=self.value_size
         )
 
     def setup(self, pm: PersistentMemory) -> None:

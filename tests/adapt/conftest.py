@@ -36,7 +36,7 @@ def run_with_switches(
     if machine_hook is not None:
         machine_hook(machine)
     pm = PersistentMemory(machine)
-    prepared.restore_into(machine)
+    machine.nvram.load_image_prefix(prepared.image_prefix)
     pm.heap.restore(prepared.heap_state)
     prepared.workload.attach(pm)
     apis = [pm.api(core_id=tid, tid=tid) for tid in range(threads)]

@@ -1,11 +1,19 @@
 """Tests for the workload base (accessors) and RNG helpers."""
 
+import sys
+
 import pytest
 
-from repro import Policy
-from repro.workloads.base import SetupAccessor, Workload
+from repro import Machine, Policy
+from repro.errors import AddressError, WorkloadError
+from repro.harness.runner import RunConfig, build_run
+from repro.sim.ctrace import K_READ, CompiledThread
+from repro.sim.nvram import NVRAM
+from repro.sim.replay import RecordingAccessor, _RecordingMemory
+from repro.workloads.base import SetupAccessor
 from repro.workloads.rng import ZipfGenerator, thread_rng
-from tests.conftest import make_pm
+from repro.workloads.whisper import make_whisper_kernel
+from tests.conftest import make_pm, tiny_system
 
 
 class TestSetupAccessor:
@@ -51,8 +59,63 @@ class TestWorkloadBase:
     def test_word_helpers(self):
         pm = make_pm(Policy.NON_PERS)
         acc = SetupAccessor(pm)
-        Workload.write_word(acc, 0x2000, 0xDEADBEEF)
-        assert Workload.read_word(acc, 0x2000) == 0xDEADBEEF
+        acc.write_word(0x2000, 0xDEADBEEF)
+        assert acc.read_word(0x2000) == 0xDEADBEEF
+        assert acc.read(0x2000, 8) == (0xDEADBEEF).to_bytes(8, "little")
+        # Unaligned words take the byte path and see the same bytes.
+        acc.write_word(0x2013, 0x1122334455667788)
+        assert acc.read_word(0x2013) == 0x1122334455667788
+        for addr in (0x2010, 0x2013, 0x2018):
+            assert acc.read_word(addr) == int.from_bytes(acc.read(addr, 8), "little")
+        size = pm.machine.config.nvram.size_bytes
+        acc.write_word(size - 8, 7)
+        assert acc.read_word(size - 8) == 7
+        for addr in (-8, -1, size - 4, size):
+            with pytest.raises(AddressError):
+                acc.read_word(addr)
+            with pytest.raises(AddressError):
+                acc.write_word(addr, 1)
+
+    def test_word_writes_stay_inside_the_dirty_extent(self):
+        pm = make_pm(Policy.NON_PERS)
+        acc = SetupAccessor(pm)
+        for addr in (0x2000, 0x2008, 0x5010, 0x30001):
+            acc.write_word(addr, 0xFF)
+            assert pm.machine.nvram.written_extent()[0] >= addr + 8
+
+    def test_setup_leaves_a_clean_buffer_after_recycle(self, monkeypatch):
+        # Isolate the image pool so the next machine gets this buffer.
+        monkeypatch.setattr(NVRAM, "_image_pool", {})
+        workload = make_whisper_kernel("ctree", keys_per_partition=64)
+        run = RunConfig(Policy.FWB, threads=1, system=tiny_system())
+        machine, _pm, _ = build_run(workload, run)
+        image = machine.nvram.image
+        zero = bytes(len(image))
+        assert image != zero
+        machine.nvram.recycle()
+        fresh = Machine(tiny_system(), Policy.FWB).nvram.image
+        assert fresh is image
+        assert fresh == zero
+
+    def test_word_view_needs_a_little_endian_host(self, monkeypatch):
+        pm = make_pm(Policy.NON_PERS)
+        monkeypatch.setattr(sys, "byteorder", "big")
+        with pytest.raises(WorkloadError, match="little-endian"):
+            SetupAccessor(pm)
+
+    def test_timed_accessors_read_words_through_read(self):
+        pm = make_pm(Policy.FWB)
+        SetupAccessor(pm).write_word(0x2000, 0xABCD)
+        api = pm.api(0)
+        assert api.read_word(0x2000) == 0xABCD
+        with api.transaction():
+            api.write_word(0x2008, 0x1234)
+        assert api.read(0x2008, 8) == (0x1234).to_bytes(8, "little")
+        column = CompiledThread()
+        memory = _RecordingMemory(pm.machine.nvram.peek(0, 0x2010))
+        recorder = RecordingAccessor(memory, column)
+        assert recorder.read_word(0x2000) == 0xABCD
+        assert (list(column.kinds), list(column.a), list(column.b)) == ([K_READ], [0x2000], [8])
 
 
 class TestThreadRng:

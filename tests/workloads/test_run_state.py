@@ -100,7 +100,7 @@ def test_stateless_kernels_reject_foreign_checkpoints():
 def _shard_for(prepared, threads):
     machine = Machine(prepared.system, FWB)
     pm = PersistentMemory(machine)
-    prepared.restore_into(machine)
+    machine.nvram.load_image_prefix(prepared.image_prefix)
     pm.heap.restore(prepared.heap_state)
     workload = prepared.workload
     workload.attach(pm)
