@@ -16,8 +16,8 @@ Not figures from the paper, but quantifications of its design arguments:
 from dataclasses import replace
 
 from repro import Machine, PersistentMemory
+from repro.core.design import FWB, REDO_CLWB, UNDO_CLWB
 from repro.core.fwb import required_scan_interval
-from repro.core.policy import Policy
 from repro.harness.report import format_table
 from repro.harness.runner import (
     RunConfig,
@@ -49,7 +49,7 @@ def test_bench_ablation_fwb_interval(benchmark):
             )
             stats = run_workload(
                 workload,
-                RunConfig(policy=Policy.FWB, threads=1, txns_per_thread=400, system=cfg),
+                RunConfig(policy=FWB, threads=1, txns_per_thread=400, system=cfg),
                 prepared=prepared,
             ).stats
             rows[factor] = stats
@@ -100,7 +100,7 @@ def test_bench_ablation_distributed_log(benchmark):
             )
             results[rings] = run_workload(
                 workload,
-                RunConfig(policy=Policy.FWB, threads=8, txns_per_thread=150, system=cfg),
+                RunConfig(policy=FWB, threads=8, txns_per_thread=150, system=cfg),
                 prepared=prepared,
             ).stats
         return results
@@ -151,7 +151,7 @@ def test_bench_ablation_adr_persist_domain(benchmark):
             cfg = base.scaled(nvram=replace(base.nvram, adr_persist_domain=adr))
             prepared = prepare_workload(workload, cfg)
             stats = {}
-            for policy in (Policy.UNDO_CLWB, Policy.REDO_CLWB, Policy.FWB):
+            for policy in (UNDO_CLWB, REDO_CLWB, FWB):
                 stats[policy] = run_workload(
                     workload,
                     RunConfig(
@@ -168,16 +168,16 @@ def test_bench_ablation_adr_persist_domain(benchmark):
     gains = {}
     for adr, stats in results.items():
         best_sw = max(
-            stats[Policy.REDO_CLWB].throughput, stats[Policy.UNDO_CLWB].throughput
+            stats[REDO_CLWB].throughput, stats[UNDO_CLWB].throughput
         )
-        gains[adr] = stats[Policy.FWB].throughput / best_sw
+        gains[adr] = stats[FWB].throughput / best_sw
         rows.append(
             [
                 "ADR" if adr else "no ADR (paper model)",
-                stats[Policy.FWB].throughput,
+                stats[FWB].throughput,
                 best_sw,
                 gains[adr],
-                stats[Policy.UNDO_CLWB].fence_stall_cycles,
+                stats[UNDO_CLWB].fence_stall_cycles,
             ]
         )
     print(
@@ -201,7 +201,7 @@ def test_bench_ablation_log_grow(benchmark):
         cfg = base.scaled(
             logging=replace(base.logging, log_entries=256, enable_log_grow=True)
         )
-        machine = Machine(cfg, Policy.FWB)
+        machine = Machine(cfg, FWB)
         pm = PersistentMemory(machine)
         api = pm.api(0)
         slots = [pm.heap.alloc(8) for _ in range(600)]

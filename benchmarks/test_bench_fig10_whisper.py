@@ -7,7 +7,7 @@ software design, stays within reach of non-pers, and the write-intensive
 kernels (tpcc, ycsb) gain the most memory energy.
 """
 
-from repro.core.policy import Policy
+from repro.core.design import FWB, REDO_CLWB, UNDO_CLWB
 from repro.harness.experiments import figure10_whisper
 
 
@@ -21,14 +21,14 @@ def test_bench_fig10_whisper(benchmark):
     kernels = sorted({kernel for kernel, _ in result.data})
     gains = {}
     for kernel in kernels:
-        fwb = result.data[(kernel, Policy.FWB)]
+        fwb = result.data[(kernel, FWB)]
         best_sw_throughput = max(
-            result.data[(kernel, Policy.REDO_CLWB)]["throughput"],
-            result.data[(kernel, Policy.UNDO_CLWB)]["throughput"],
+            result.data[(kernel, REDO_CLWB)]["throughput"],
+            result.data[(kernel, UNDO_CLWB)]["throughput"],
         )
         gains[kernel] = fwb["throughput"] / best_sw_throughput
         assert fwb["throughput"] > best_sw_throughput, kernel
-        assert fwb["memory_energy"] >= result.data[(kernel, Policy.UNDO_CLWB)][
+        assert fwb["memory_energy"] >= result.data[(kernel, UNDO_CLWB)][
             "memory_energy"
         ], kernel
     top = max(gains, key=gains.get)

@@ -6,7 +6,7 @@ threads under all eight designs.  Shape targets (paper): fwb gains
 logging loses up to ~59% against non-pers; SSCA2 shows the smallest gain.
 """
 
-from repro.core.policy import Policy
+from repro.core.design import FWB, HWL, NON_PERS, REDO_CLWB, UNDO_CLWB
 from repro.harness.experiments import figure6_throughput, summarize_fwb_gain
 
 from .conftest import SWEEP_THREADS, get_micro_sweep
@@ -25,11 +25,11 @@ def test_bench_fig6_throughput(benchmark):
 
     # Shape assertions (who wins, roughly by how much).
     for (bench, threads), cell in result.data.items():
-        assert cell[Policy.NON_PERS] >= cell[Policy.FWB] * 0.95, (bench, threads)
-        assert cell[Policy.FWB] > max(
-            cell[Policy.REDO_CLWB], cell[Policy.UNDO_CLWB]
+        assert cell[NON_PERS] >= cell[FWB] * 0.95, (bench, threads)
+        assert cell[FWB] > max(
+            cell[REDO_CLWB], cell[UNDO_CLWB]
         ), (bench, threads)
-        assert cell[Policy.HWL] > min(
-            cell[Policy.REDO_CLWB], cell[Policy.UNDO_CLWB]
+        assert cell[HWL] > min(
+            cell[REDO_CLWB], cell[UNDO_CLWB]
         ), (bench, threads)
     assert 1.2 < summarize_fwb_gain(sweep, 1) < 3.0

@@ -5,7 +5,7 @@ non-pers (undo more than redo); fwb stays within ~1.3x; hardware logging
 IPC beats software logging.
 """
 
-from repro.core.policy import Policy
+from repro.core.design import FWB, NON_PERS, UNDO_CLWB
 from repro.harness.experiments import figure7_ipc_instructions
 
 from .conftest import get_micro_sweep
@@ -24,9 +24,9 @@ def test_bench_fig7_ipc_instructions(benchmark):
     worst_fwb = 0.0
     fwb_ratios = []
     for (bench, threads), cell in instr.items():
-        non_pers = cell[Policy.NON_PERS]
-        sw_ratio = cell[Policy.UNDO_CLWB] / non_pers
-        fwb_ratio = cell[Policy.FWB] / non_pers
+        non_pers = cell[NON_PERS]
+        sw_ratio = cell[UNDO_CLWB] / non_pers
+        fwb_ratio = cell[FWB] / non_pers
         worst_sw = max(worst_sw, sw_ratio)
         worst_fwb = max(worst_fwb, fwb_ratio)
         fwb_ratios.append(fwb_ratio)

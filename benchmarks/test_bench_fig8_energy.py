@@ -5,7 +5,7 @@ energy versus non-pers; fwb's forced-write-back-free execution keeps its
 energy at or below every persistence-guaranteeing software design.
 """
 
-from repro.core.policy import Policy
+from repro.core.design import FWB, REDO_CLWB, UNDO_CLWB
 from repro.harness.experiments import figure8_energy
 
 from .conftest import get_micro_sweep
@@ -19,8 +19,8 @@ def test_bench_fig8_energy(benchmark):
     for (bench, threads), cell in result.data.items():
         # Reduction is "higher is better": fwb at least matches the
         # software clwb designs everywhere.
-        assert cell[Policy.FWB] >= cell[Policy.REDO_CLWB], (bench, threads)
-        assert cell[Policy.FWB] >= cell[Policy.UNDO_CLWB], (bench, threads)
+        assert cell[FWB] >= cell[REDO_CLWB], (bench, threads)
+        assert cell[FWB] >= cell[UNDO_CLWB], (bench, threads)
         benchmark.extra_info[f"{bench}-{threads}t_fwb_vs_undo_clwb"] = round(
-            cell[Policy.FWB] / cell[Policy.UNDO_CLWB], 3
+            cell[FWB] / cell[UNDO_CLWB], 3
         )

@@ -6,7 +6,7 @@ forced-write-back software designs — caches keep coalescing writes
 writes").
 """
 
-from repro.core.policy import Policy
+from repro.core.design import FWB, REDO_CLWB, UNDO_CLWB
 from repro.harness.experiments import figure9_write_traffic
 
 from .conftest import get_micro_sweep
@@ -21,10 +21,10 @@ def test_bench_fig9_write_traffic(benchmark):
     print(result.rendered)
     reductions = []
     for (bench, threads), cell in result.data.items():
-        ratio = cell[Policy.FWB] / cell[Policy.UNDO_CLWB]
+        ratio = cell[FWB] / cell[UNDO_CLWB]
         reductions.append(ratio)
-        assert cell[Policy.FWB] >= cell[Policy.UNDO_CLWB], (bench, threads)
-        assert cell[Policy.FWB] >= cell[Policy.REDO_CLWB], (bench, threads)
+        assert cell[FWB] >= cell[UNDO_CLWB], (bench, threads)
+        assert cell[FWB] >= cell[REDO_CLWB], (bench, threads)
     print(f"fwb writes less than undo-clwb by {min(reductions):.2f}x - "
           f"{max(reductions):.2f}x across the sweep")
     benchmark.extra_info["min_write_reduction_vs_undo_clwb"] = round(min(reductions), 3)

@@ -9,7 +9,7 @@ transaction, so the logging designs separate further — and the headline
 shapes must continue to hold.
 """
 
-from repro.core.policy import Policy
+from repro.core.design import FWB, REDO_CLWB, UNDO_CLWB
 from repro.harness.experiments import figure6_throughput, summarize_fwb_gain
 from repro.harness.sweep import run_micro_sweep
 
@@ -39,8 +39,8 @@ def test_bench_string_variants(benchmark):
 
     # Shape checks hold for string elements too.
     for (bench, threads), cell in result.data.items():
-        assert cell[Policy.FWB] > max(
-            cell[Policy.REDO_CLWB], cell[Policy.UNDO_CLWB]
+        assert cell[FWB] > max(
+            cell[REDO_CLWB], cell[UNDO_CLWB]
         ), (bench, threads)
     gain = summarize_fwb_gain(string_sweep, 1)
     print(f"fwb gain over best software-clwb (string elements): {gain:.2f}x")
@@ -50,8 +50,8 @@ def test_bench_string_variants(benchmark):
     # Strings log more words per transaction than ints (multi-line
     # elements), for every benchmark.
     for bench in STRING_BENCHMARKS:
-        string_stats = string_sweep.stats(bench, 1, Policy.FWB)
-        int_stats = int_sweep.stats(bench, 1, Policy.FWB)
+        string_stats = string_sweep.stats(bench, 1, FWB)
+        int_stats = int_sweep.stats(bench, 1, FWB)
         string_rate = string_stats.log_records / string_stats.transactions_committed
         int_rate = int_stats.log_records / int_stats.transactions_committed
         print(f"{bench}: {int_rate:.1f} records/txn (int) vs "

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import random
 
-from repro import Machine, PersistentMemory, Policy, RecoveryManager, SystemConfig
+from repro import Machine, PersistentMemory, RecoveryManager, SystemConfig
+from repro.core.design import FWB, HWL, REDO_CLWB, UNDO_CLWB, UNSAFE_BASE, DesignSpec
 from repro.sim.config import LoggingConfig, NVDimmConfig
 
 
-def trial(policy: Policy, seed: int) -> int:
+def trial(policy: DesignSpec, seed: int) -> int:
     """One run + crash + recovery; returns number of corrupted slots."""
     rng = random.Random(seed)
     config = SystemConfig(
@@ -56,8 +57,8 @@ def main() -> None:
     trials = 40
     print(f"{trials} random-crash trials per design "
           "(128-entry log, wraps many times per run)\n")
-    for policy in (Policy.FWB, Policy.HWL, Policy.UNDO_CLWB, Policy.REDO_CLWB,
-                   Policy.UNSAFE_BASE):
+    for policy in (FWB, HWL, UNDO_CLWB, REDO_CLWB,
+                   UNSAFE_BASE):
         failures = sum(1 for seed in range(trials) if trial(policy, seed) > 0)
         verdict = "consistent" if failures == 0 else f"{failures} CORRUPTED runs"
         guarantee = "guaranteed" if policy.persistence_guaranteed else "no guarantee"

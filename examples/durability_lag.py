@@ -12,12 +12,13 @@ Run:  python examples/durability_lag.py
 
 from __future__ import annotations
 
-from repro import Machine, PersistentMemory, Policy, SystemConfig
+from repro import Machine, PersistentMemory, SystemConfig
+from repro.core.design import FWB, HWL, REDO_CLWB, UNDO_CLWB, DesignSpec
 from repro.sim.config import LoggingConfig, NVDimmConfig
 from repro.sim.trace import Tracer
 
 
-def run(policy: Policy):
+def run(policy: DesignSpec):
     config = SystemConfig(
         num_cores=1,
         nvram=NVDimmConfig(size_bytes=8 * 1024 * 1024),
@@ -44,7 +45,7 @@ def main() -> None:
     )
     print(header)
     print("-" * len(header))
-    for policy in (Policy.FWB, Policy.HWL, Policy.UNDO_CLWB, Policy.REDO_CLWB):
+    for policy in (FWB, HWL, UNDO_CLWB, REDO_CLWB):
         stats, lags = run(policy)
         avg = sum(lags) / len(lags) if lags else 0.0
         peak = max(lags) if lags else 0.0

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.core.policy import Policy
+from repro.core.design import CANONICAL_DESIGNS, FWB, REDO_CLWB, UNDO_CLWB, UNSAFE_BASE
 from repro.harness.runner import RunConfig, prepare_workload, run_workload
 from repro.workloads import make_microbenchmark
 
@@ -27,7 +27,7 @@ def main() -> None:
     prepared = prepare_workload(workload)
 
     rows = {}
-    for policy in Policy:
+    for policy in CANONICAL_DESIGNS:
         outcome = run_workload(
             workload,
             RunConfig(policy=policy, threads=threads, txns_per_thread=300),
@@ -35,7 +35,7 @@ def main() -> None:
         )
         rows[policy] = outcome.stats
 
-    base = rows[Policy.UNSAFE_BASE]
+    base = rows[UNSAFE_BASE]
     header = (
         f"{'design':12s} {'throughput':>11s} {'vs unsafe':>9s} {'IPC':>6s} "
         f"{'instrs':>8s} {'NVRAM wr KB':>11s} {'energy uJ':>10s} {'fences':>8s}"
@@ -53,11 +53,11 @@ def main() -> None:
         )
 
     best_sw = max(
-        rows[Policy.REDO_CLWB].throughput, rows[Policy.UNDO_CLWB].throughput
+        rows[REDO_CLWB].throughput, rows[UNDO_CLWB].throughput
     )
     print(
         f"\nfwb over best software-clwb: "
-        f"{rows[Policy.FWB].throughput / best_sw:.2f}x "
+        f"{rows[FWB].throughput / best_sw:.2f}x "
         "(paper: 1.86x at 1 thread, 1.75x at 8)"
     )
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import random
 
-from repro import Machine, PersistentMemory, Policy, RecoveryManager, SystemConfig
+from repro import Machine, PersistentMemory, RecoveryManager, SystemConfig
+from repro.core.design import FWB
 from repro.sim.config import LoggingConfig, NVDimmConfig
 
 
@@ -24,7 +25,7 @@ def main() -> None:
         nvram=NVDimmConfig(size_bytes=8 * 1024 * 1024),
         logging=LoggingConfig(log_entries=1024),
     )
-    machine = Machine(config, Policy.FWB)
+    machine = Machine(config, FWB)
     pm = PersistentMemory(machine)
     api = pm.api(core_id=0)
 

@@ -10,7 +10,7 @@ Run:  python examples/whisper_tour.py
 
 from __future__ import annotations
 
-from repro.core.policy import Policy
+from repro.core.design import FWB, NON_PERS, REDO_CLWB, UNDO_CLWB
 from repro.harness.runner import RunConfig, prepare_workload, run_workload
 from repro.workloads.whisper import WHISPER_KERNELS, make_whisper_kernel
 
@@ -26,23 +26,23 @@ def main() -> None:
         kernel = make_whisper_kernel(name)
         prepared = prepare_workload(kernel)
         stats = {}
-        for policy in (Policy.NON_PERS, Policy.REDO_CLWB, Policy.UNDO_CLWB, Policy.FWB):
+        for policy in (NON_PERS, REDO_CLWB, UNDO_CLWB, FWB):
             outcome = run_workload(
                 kernel,
                 RunConfig(policy=policy, threads=1, txns_per_thread=120),
                 prepared=prepared,
             )
             stats[policy] = outcome.stats
-        fwb = stats[Policy.FWB]
+        fwb = stats[FWB]
         best_sw = max(
-            stats[Policy.REDO_CLWB], stats[Policy.UNDO_CLWB],
+            stats[REDO_CLWB], stats[UNDO_CLWB],
             key=lambda s: s.throughput,
         )
         records_per_txn = fwb.log_records / max(1, fwb.transactions_committed)
         print(
             f"{name:10s} {records_per_txn:11.1f} {fwb.throughput:9.1f} "
             f"{fwb.throughput / best_sw.throughput:9.2f}x "
-            f"{fwb.throughput / stats[Policy.NON_PERS].throughput:10.2f}x "
+            f"{fwb.throughput / stats[NON_PERS].throughput:10.2f}x "
             f"{best_sw.memory_dynamic_energy_pj / fwb.memory_dynamic_energy_pj:11.2f}x"
         )
     print("\nSkewed, update-heavy kernels (ycsb, echo, redis) gain the most "

@@ -16,8 +16,7 @@ Public API quickstart::
 The designs are compositions of orthogonal mechanisms
 (:class:`~repro.core.design.DesignSpec`): ``DESIGNS.resolve`` accepts
 the paper's eight names (``fwb``, ``hwl``, …) or custom mechanism
-strings like ``"hw+undo+clwb"``.  The legacy :class:`Policy` enum
-remains as a deprecated alias.
+strings like ``"hw+undo+clwb"``.
 
 Subpackages:
 
@@ -31,17 +30,15 @@ Subpackages:
 """
 
 from .core.design import CANONICAL_DESIGNS, DESIGNS, DesignSpec, parse_design, resolve_design
-from .core.policy import Policy
 from .core.recovery import RecoveryManager, RecoveryReport
 from .sim.config import SystemConfig
 from .sim.machine import Machine
 from .sim.stats import MachineStats
 from .txn.runtime import PersistentMemory, ThreadAPI
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
-    "Policy",
     "DesignSpec",
     "DESIGNS",
     "CANONICAL_DESIGNS",

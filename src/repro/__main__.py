@@ -370,7 +370,6 @@ def _cmd_dist(args) -> int:
         batch_records=args.batch_records,
         window_batches=args.window,
     )
-    config.validate()
     result = run_dist_campaign(
         benchmarks=tuple(args.benchmarks.split(",")),
         policies=tuple(
@@ -654,7 +653,6 @@ def _load_policy_table(args):
 
 
 def _cmd_serve(args) -> int:
-    from .errors import ConfigError
     from .sched.loop import AdmissionConfig
     from .sched.serve import ServeConfig, run_serve
     from .sched.traffic import TrafficConfig
@@ -683,11 +681,7 @@ def _cmd_serve(args) -> int:
         policy_table=table,
         adapt_window_txns=args.adapt_window,
     )
-    try:
-        config.validate()
-    except ConfigError as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
+    config.validate()
     report = run_serve(config)
     print(report.render())
     if args.markdown:
@@ -1306,9 +1300,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Entry point."""
+    """Entry point.
+
+    A :class:`~repro.errors.ConfigError` is input the command rejects: it
+    prints one ``<command>: <reason>`` line on stderr and exits 2, apart
+    from a failed run's 1.
+    """
+    from .errors import ConfigError
+
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        sub = getattr(args, f"{args.command}_command", None)
+        print(f"{args.command}{' ' + sub if sub else ''}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ from ..faults.campaign import (
     _campaign_shard,
     _count_mismatches,
     campaign_workload,
+    check_campaign_size,
     default_campaign_system,
 )
 from ..faults.crashpoints import CrashPoint, EventKind, FaultMonitor
@@ -110,7 +111,8 @@ class SwitchCampaignResult:
 
     @property
     def passed(self) -> bool:
-        return all(report.consistent for report in self.reports)
+        ran = self.total_points > 0
+        return ran and all(report.consistent for report in self.reports)
 
     @property
     def total_points(self) -> int:
@@ -226,8 +228,12 @@ def run_switch_campaign(
     system: Optional[SystemConfig] = None,
     progress=None,
 ) -> SwitchCampaignResult:
-    """Crash every transition at its barrier (both sides) and after it."""
+    """Crash every transition at its barrier (both sides) and after it.
+
+    A campaign with no work raises :class:`~repro.errors.ConfigError`.
+    """
     system = system or default_campaign_system()
+    check_campaign_size(system, threads, txns_per_thread)
     if transitions is None:
         transitions = default_switch_transitions()
     transitions = [

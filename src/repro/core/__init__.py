@@ -13,7 +13,6 @@
 * :mod:`~repro.core.design` — the composable mechanism space
   (:class:`~repro.core.design.DesignSpec`) and the registry of the
   paper's eight canonical designs;
-* :mod:`~repro.core.policy` — the legacy enum alias over the registry;
 * :mod:`~repro.core.recovery` — post-crash log replay.
 """
 
@@ -33,7 +32,6 @@ from .lifetime import log_region_lifetime_days, wear_report
 from .logrecord import LogRecord, RecordKind
 from .multilog import LogRouter, recover_all, split_log_region
 from .nvlog import CircularLog
-from .policy import Policy
 from .recovery import RecoveryManager, RecoveryReport
 
 __all__ = [
@@ -47,7 +45,6 @@ __all__ = [
     "recover_all",
     "log_region_lifetime_days",
     "wear_report",
-    "Policy",
     "DesignSpec",
     "DESIGNS",
     "CANONICAL_DESIGNS",

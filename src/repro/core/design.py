@@ -109,7 +109,7 @@ class DesignSpec:
     # ------------------------------------------------------------------
     @property
     def value(self) -> str:
-        """Display name (legacy ``Policy.value`` alias)."""
+        """Display name (the same string as :attr:`name`)."""
         return self.name
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
@@ -486,18 +486,13 @@ def canonical_order(designs: Iterable[DesignSpec], strict_names: bool = False) -
 def resolve_design(obj) -> DesignSpec:
     """Normalize anything design-shaped into a :class:`DesignSpec`.
 
-    Accepts a :class:`DesignSpec` (returned as-is), a string (registered
-    name or mechanism string), or a legacy
-    :class:`~repro.core.policy.Policy` member (anything exposing a
-    ``design`` attribute holding a spec).
+    Accepts a :class:`DesignSpec` (returned as-is) or a string (registered
+    name or mechanism string).
     """
     if isinstance(obj, DesignSpec):
         return obj
     if isinstance(obj, str):
         return DESIGNS.resolve(obj)
-    design = getattr(obj, "design", None)
-    if isinstance(design, DesignSpec):
-        return design
     raise TypeError(f"cannot resolve {obj!r} into a DesignSpec")
 
 

@@ -9,11 +9,10 @@ Software logging runs as *instructions*: per logged word an undo scheme
 loads the old value and stores a log record; a redo scheme stores the new
 value to the log before the in-place store may proceed.  This module only
 builds and places the records; the transaction runtime
-(:mod:`repro.txn.runtime`) emits the corresponding micro-ops — explicit
-:class:`~repro.sim.microops.Load`, :class:`~repro.sim.microops.LogStore`,
-:class:`~repro.sim.microops.CLWB` and :class:`~repro.sim.microops.Fence`
-instructions — so that the pipeline and memory-traffic overheads the paper
-measures appear naturally.
+(:mod:`repro.txn.runtime`) issues the corresponding core ops — an
+explicit load, the uncacheable log store, ``clwb`` and ``sfence`` (the
+``Core.exec_*`` methods) — so that the pipeline and memory-traffic
+overheads the paper measures appear naturally.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from ..core.design import HWL, DesignSpec
-from ..faults.campaign import campaign_workload, default_campaign_system
+from ..faults.campaign import campaign_workload, check_campaign_size, default_campaign_system
 from ..harness.runner import RunConfig, prepare_workload, run_workload
 from ..sanitizer.replication import check_replication
 from .config import DistConfig
@@ -89,7 +89,8 @@ class DistCampaignResult:
     @property
     def passed(self) -> bool:
         probe_ok = self.probe_tripped is not False
-        return probe_ok and all(report.passed for report in self.reports)
+        ran = any(report.points for report in self.reports)
+        return ran and probe_ok and all(report.passed for report in self.reports)
 
     def render(self) -> str:
         width = max(
@@ -424,10 +425,15 @@ def run_dist_campaign(
     probe: bool = True,
     verbose_sink=None,
 ) -> DistCampaignResult:
-    """The full distributed campaign over the microbenchmark grid."""
+    """The full distributed campaign over the microbenchmark grid.
+
+    A campaign with no work or no point budget raises
+    :class:`~repro.errors.ConfigError`.
+    """
     if config is None:
         config = DistConfig()
     config.validate()
+    check_campaign_size(default_campaign_system(), threads, txns_per_thread, points_budget)
     if policies is None:
         policies = (HWL,)  # the paper's design
     result = DistCampaignResult(config=config)

@@ -47,7 +47,7 @@ from ..core.design import (
 )
 from ..core.nvlog import CircularLog
 from ..core.recovery import RecoveryManager
-from ..errors import RecoveryInterrupted, SimulatedCrash, WorkloadError
+from ..errors import ConfigError, RecoveryInterrupted, SimulatedCrash, WorkloadError
 from ..harness.runner import PreparedWorkload, RunConfig, batch_shard, prepare_workload
 from ..sim.config import (
     CacheConfig,
@@ -106,6 +106,24 @@ def default_campaign_system(log_entries: int = 128) -> SystemConfig:
 def campaign_workload(name: str, seed: int) -> Workload:
     """A small-footprint instance of microbenchmark ``name``."""
     return make_microbenchmark(name, seed=seed, **_SMALL_WORKLOADS.get(name, {}))
+
+
+def check_campaign_size(
+    system: SystemConfig, threads: int, txns_per_thread: int, points: int = 1
+) -> None:
+    """Raise :class:`ConfigError` unless a campaign of ``threads`` x
+    ``txns_per_thread`` has work to crash, cores to run it on and a
+    budget of ``points``."""
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+    if threads > system.num_cores:
+        raise ConfigError(
+            f"{threads} threads need {threads} cores, config has {system.num_cores}"
+        )
+    if txns_per_thread < 1:
+        raise ConfigError(f"txns per thread must be >= 1, got {txns_per_thread}")
+    if points < 1:
+        raise ConfigError(f"points must be >= 1, got {points}")
 
 
 @dataclass(frozen=True)
@@ -197,8 +215,8 @@ class CampaignResult:
 
     @property
     def passed(self) -> bool:
-        """True when no *guaranteed* policy shows a violation."""
-        return all(
+        """True when points ran and no *guaranteed* policy shows a violation."""
+        return self.total_points > 0 and all(
             report.consistent for report in self.reports if report.guaranteed
         )
 
@@ -638,12 +656,10 @@ def run_fault_campaign(
     ``points`` is the per-policy budget; the actual count can differ by a
     few when the configuration lacks some event streams.  ``progress``
     (e.g. ``print``) receives one line per policy as results land.
+    A campaign with no work or no budget raises :class:`ConfigError`.
     """
     system = system or default_campaign_system()
-    if threads > system.num_cores:
-        raise WorkloadError(
-            f"{threads} threads need {threads} cores, config has {system.num_cores}"
-        )
+    check_campaign_size(system, threads, txns_per_thread, points)
     wl = campaign_workload(workload, seed)
     prepared = prepare_workload(wl, system)
     result = CampaignResult(

@@ -140,8 +140,8 @@ class SweepCache:
     ) -> str:
         """Content hash of everything that determines a cell's stats.
 
-        ``policy`` is anything design-shaped (spec, legacy enum member,
-        or string); the hash covers its mechanism fields, never its
+        ``policy`` is a :class:`~repro.core.design.DesignSpec` or a
+        design string; the hash covers its mechanism fields, never its
         display name.
         """
         material = {

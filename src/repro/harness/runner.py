@@ -48,9 +48,8 @@ def default_experiment_config(**overrides) -> SystemConfig:
 class RunConfig:
     """Parameters of one simulated run.
 
-    ``policy`` accepts anything design-shaped (a
-    :class:`~repro.core.design.DesignSpec`, a legacy ``Policy`` member,
-    or a name / mechanism string) and normalizes to the spec.
+    ``policy`` accepts a :class:`~repro.core.design.DesignSpec` or a
+    name / mechanism string and normalizes to the spec.
     """
 
     policy: DesignSpec

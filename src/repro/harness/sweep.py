@@ -30,8 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Optional
 
-from ..core.design import DesignSpec, canonical_order, resolve_design
-from ..core.policy import MICROBENCH_POLICIES
+from ..core.design import CANONICAL_DESIGNS, DesignSpec, canonical_order, resolve_design
 from ..sim.config import SystemConfig
 from ..sim.stats import MachineStats
 from ..workloads import make_microbenchmark
@@ -44,10 +43,9 @@ from .runner import default_experiment_config, prepare_workload
 class SweepCell:
     """One point in the sweep matrix.
 
-    ``policy`` accepts anything design-shaped — a
-    :class:`~repro.core.design.DesignSpec`, a legacy ``Policy`` member,
-    or a name / mechanism string — and normalizes to the spec, so cells
-    built from either representation compare and hash identically.
+    ``policy`` accepts a :class:`~repro.core.design.DesignSpec` or a
+    name / mechanism string and normalizes to the spec, so cells built
+    from either representation compare and hash identically.
     """
 
     benchmark: str
@@ -104,7 +102,7 @@ class SweepResult:
 def run_micro_sweep(
     benchmarks: Iterable[str] = ("hash", "rbtree", "sps", "btree", "ssca2"),
     threads: Iterable[int] = (1,),
-    policies: Iterable = MICROBENCH_POLICIES,
+    policies: Iterable = CANONICAL_DESIGNS,
     txns_per_thread: int = 200,
     system: Optional[SystemConfig] = None,
     seed: int = 42,

@@ -16,16 +16,6 @@ from .config import (
     SystemConfig,
 )
 from .machine import Machine
-from .microops import (
-    CLWB,
-    Compute,
-    Fence,
-    Load,
-    LogStore,
-    Store,
-    TxBegin,
-    TxCommit,
-)
 from .stats import MachineStats
 
 __all__ = [
@@ -38,12 +28,4 @@ __all__ = [
     "SystemConfig",
     "Machine",
     "MachineStats",
-    "Load",
-    "Store",
-    "Compute",
-    "TxBegin",
-    "TxCommit",
-    "CLWB",
-    "Fence",
-    "LogStore",
 ]

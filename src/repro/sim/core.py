@@ -1,6 +1,6 @@
 """Core execution model.
 
-Each core executes micro-ops in program order, charging a calibrated
+Each core executes its ops in program order, charging a calibrated
 latency per op.  The model is not cycle-accurate out-of-order; instead,
 ``*_exposed`` factors in :class:`~repro.sim.config.CoreConfig` express the
 fraction of a miss latency the instruction window cannot hide.  This is
@@ -13,22 +13,21 @@ Per-core state relevant to persistence:
   has posted via clwb or the WCB; ``sfence`` waits for it;
 * a private write-combining buffer for uncacheable software log stores.
 
-Every op exists in two forms: a scalar ``exec_*`` method taking plain
-arguments (the single source of the timing/stat formulas, also called
-directly by the trace-replay engine in :mod:`repro.sim.replay`) and a
-thin ``_exec_*`` wrapper unpacking the corresponding
-:class:`~repro.sim.microops.MicroOp` for the interpreted path.
+Each op is one scalar ``exec_*`` method taking plain arguments: the
+single source of its timing and stat formulas.  The transaction runtime
+(:mod:`repro.txn.runtime`) and the trace-replay engine
+(:mod:`repro.sim.replay`) both run them through
+:meth:`~repro.sim.machine.Machine.issue`, which adds the per-op
+housekeeping around each call.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..errors import SimulationError
 from .config import CoreConfig
 from .energy import EnergyModel
 from .hierarchy import CacheHierarchy
-from .microops import CLWB, Compute, Fence, Load, LogStore, MicroOp, Store, TxBegin, TxCommit
 from .stats import MachineStats
 from .wcb import WriteCombiningBuffer
 
@@ -58,28 +57,8 @@ class Core:
         self.pending_completion = 0.0
         self.tracer = None
         """Optional tracer (set by the machine's ``tracer`` property);
-        emits one ``store`` event per retired cacheable store."""
-
-    # ------------------------------------------------------------------
-    def execute(self, op: MicroOp) -> Optional[object]:
-        """Execute one micro-op; returns load data or commit time if any."""
-        if isinstance(op, Compute):
-            return self.exec_compute(op.count)
-        if isinstance(op, Load):
-            return self.exec_load(op.addr, op.size)
-        if isinstance(op, Store):
-            return self.exec_store(op.addr, op.data, op.persistent, op.txid, op.tid)
-        if isinstance(op, LogStore):
-            return self.exec_logstore(op.addr, op.payload)
-        if isinstance(op, CLWB):
-            return self.exec_clwb(op.addr)
-        if isinstance(op, Fence):
-            return self.exec_fence()
-        if isinstance(op, TxBegin):
-            return self.exec_tx_begin(op.txid, op.tid, op.overhead_instrs)
-        if isinstance(op, TxCommit):
-            return self.exec_tx_commit(op.txid, op.tid, op.overhead_instrs)
-        raise SimulationError(f"unknown micro-op {op!r}")
+        emits one ``store`` event per retired cacheable store and one
+        ``tx_begin``/``tx_commit`` event per transaction boundary."""
 
     # ------------------------------------------------------------------
     def _retire(self, count: int) -> None:
@@ -92,24 +71,14 @@ class Core:
         self._retire(count)
         self.time += count * self._config.cpi_alu
 
-    def exec_load(self, addr: int, size: int) -> bytes:
-        """Cacheable read; returns the loaded bytes."""
-        result = self._hierarchy.load(self.core_id, addr, size, self.time)
-        self._retire(1)
-        if result.level == "l1":
-            charge = self._config.load_issue_cycles + 1.0
-        else:
-            extra = result.latency - self._hierarchy.l1_latency
-            charge = self._config.load_issue_cycles + self._config.load_miss_exposed * extra
-        self.time += charge
-        return result.data
+    def exec_load(self, addr: int, line_addr: int) -> bytearray:
+        """Cacheable read of the line at ``line_addr`` holding ``addr``.
 
-    def exec_load_fast(self, addr: int, line_addr: int) -> None:
-        """Timing/stat-identical :meth:`exec_load` that skips materialising
-        the loaded bytes (trace replay never consumes them).  ``line_addr``
-        is the precomputed line base (the replay engine decodes it once
-        per trace, not once per access)."""
-        latency, l1_hit = self._hierarchy.load_fast(
+        Returns the cached line's data itself, not a copy: a caller that
+        wants the loaded bytes slices them out at once, and trace replay,
+        which never consumes them, pays nothing for them.
+        """
+        latency, l1_hit, data = self._hierarchy.load(
             self.core_id, addr, self.time, line_addr
         )
         self._retire(1)
@@ -120,6 +89,7 @@ class Core:
             self.time += (
                 self._config.load_issue_cycles + self._config.load_miss_exposed * extra
             )
+        return data
 
     def exec_store(
         self, addr: int, data: bytes, persistent: bool = False, txid: int = 0, tid: int = 0
@@ -201,6 +171,8 @@ class Core:
             self.time += overhead_instrs * self._config.cpi_alu
         if self._hwl is not None:
             self._hwl.on_tx_begin(txid, tid, self.time)
+        if self.tracer is not None:
+            self.tracer.emit(self.time, "tx_begin", self.core_id, txid=txid, tid=tid)
 
     def exec_tx_commit(self, txid: int, tid: int, overhead_instrs: int) -> Optional[float]:
         """Transaction commit; returns the HWL durability time, if any."""
@@ -208,6 +180,16 @@ class Core:
         if overhead_instrs:
             self._retire(overhead_instrs)
             self.time += overhead_instrs * self._config.cpi_alu
+        durable = None
         if self._hwl is not None:
-            return self._hwl.on_tx_commit(txid, tid, self.time)
-        return None
+            durable = self._hwl.on_tx_commit(txid, tid, self.time)
+        if self.tracer is not None:
+            self.tracer.emit(
+                self.time,
+                "tx_commit",
+                self.core_id,
+                txid=txid,
+                tid=tid,
+                durable=float(durable) if isinstance(durable, float) else None,
+            )
+        return durable

@@ -32,15 +32,6 @@ from .stats import MachineStats
 
 
 @dataclass(frozen=True)
-class LoadResult:
-    """Outcome of a load: latency, servicing level, and the data."""
-
-    latency: float
-    level: str
-    data: bytes
-
-
-@dataclass(frozen=True)
 class StoreResult:
     """Outcome of a store: latency, level, and the overwritten bytes.
 
@@ -219,41 +210,16 @@ class CacheHierarchy:
     # ------------------------------------------------------------------
     # Public access paths
     # ------------------------------------------------------------------
-    def load(self, core_id: int, addr: int, size: int, now: float) -> LoadResult:
-        """Cacheable read of ``size`` bytes (must not cross a line)."""
-        line_addr = line_address(addr, self._line_size)
-        self._check_single_line(addr, size, line_addr)
-        tax = self._take_tax()
-        self._energy.cache_access("l1")
-        l1 = self.l1s[core_id]
-        line = l1.lookup(addr)
-        if line is not None:
-            self._stats.l1_hits += 1
-            l1.touch(line, now)
-            off = addr - line_addr
-            return LoadResult(self.l1_latency + tax, "l1", bytes(line.data[off:off + size]))
-        self._stats.l1_misses += 1
-        extra = self._pull_remote_dirty(core_id, line_addr, now, invalidate=False)
-        llc_extra, llc_line = self._fetch_llc(line_addr, now)
-        # Sentinel compare: _fetch_llc returns exactly llc_latency on a
-        # hit (never a derived float), so equality is intentional.
-        level = "llc" if llc_extra == self.llc_latency else "mem"  # lint: allow(float-eq)
-        filled = self._fill_l1(core_id, line_addr, llc_line.data, now, 0.0)
-        off = addr - line_addr
-        latency = self.l1_latency + llc_extra + extra + tax
-        return LoadResult(latency, level, bytes(filled.data[off:off + size]))
-
-    def load_fast(
+    def load(
         self, core_id: int, addr: int, now: float, line_addr: int
-    ) -> tuple[float, bool]:
-        """Stat/timing-identical :meth:`load` without materialising data.
+    ) -> tuple[float, bool, bytearray]:
+        """Cacheable read of ``addr``, whose line base is ``line_addr``.
 
-        The trace-replay engine (:mod:`repro.sim.replay`) never consumes
-        load results, so this path skips the ``bytes`` slice and the
-        :class:`LoadResult` construction; ``line_addr`` is precomputed by
-        the caller (once per compiled trace, not once per access).
-        Returns ``(latency, l1_hit)``.  Every counter, energy charge and
-        functional state transition matches :meth:`load` exactly.
+        Returns ``(latency, l1_hit, data)``, where ``data`` is the cached
+        line's own buffer: the caller slices out the bytes it wants, and
+        trace replay, which wants none, copies nothing.  ``line_addr`` is
+        passed in because replay decodes it once per trace, not once per
+        access.
         """
         tax = self._take_tax()
         self._energy.cache_access("l1")
@@ -262,12 +228,12 @@ class CacheHierarchy:
         if line is not None:
             self._stats.l1_hits += 1
             l1.touch(line, now)
-            return self.l1_latency + tax, True
+            return self.l1_latency + tax, True, line.data
         self._stats.l1_misses += 1
         extra = self._pull_remote_dirty(core_id, line_addr, now, invalidate=False)
         llc_extra, llc_line = self._fetch_llc(line_addr, now)
-        self._fill_l1(core_id, line_addr, llc_line.data, now, 0.0)
-        return self.l1_latency + llc_extra + extra + tax, False
+        filled = self._fill_l1(core_id, line_addr, llc_line.data, now, 0.0)
+        return self.l1_latency + llc_extra + extra + tax, False, filled.data
 
     def store_prepare(self, core_id: int, addr: int, size: int, now: float) -> StoreResult:
         """Write-allocate phase of a store: bring the line to L1 and read
@@ -294,7 +260,8 @@ class CacheHierarchy:
             self._stats.l1_misses += 1
             extra = self._pull_remote_dirty(core_id, line_addr, now, invalidate=True)
             llc_extra, llc_line = self._fetch_llc(line_addr, now)
-            # Sentinel compare, as in load() above.
+            # Sentinel compare: _fetch_llc returns exactly llc_latency on
+            # a hit (never a derived float), so equality is intentional.
             level = "llc" if llc_extra == self.llc_latency else "mem"  # lint: allow(float-eq)
             line = self._fill_l1(core_id, line_addr, llc_line.data, now, 0.0)
             latency = self.l1_latency + llc_extra + extra + tax

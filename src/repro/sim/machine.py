@@ -33,7 +33,6 @@ from .core import Core
 from .energy import EnergyModel
 from .hierarchy import CacheHierarchy
 from .memctrl import MemoryController
-from .microops import MicroOp
 from .nvram import NVRAM
 from .stats import MachineStats
 from .wcb import WriteCombiningBuffer
@@ -172,7 +171,7 @@ class Machine:
         self._log_tap = None
         self.fault_monitor = None
         """Optional :class:`~repro.faults.crashpoints.FaultMonitor`
-        observing every retired micro-op (and, via the stats counters,
+        observing every issued op (and, via the stats counters,
         log-buffer drains, FWB scans, and log-wrap forces).  It may raise
         :class:`~repro.errors.SimulatedCrash` to request an
         event-indexed crash; None (the default) costs one attribute
@@ -245,53 +244,35 @@ class Machine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def execute(self, core_id: int, op: MicroOp) -> Optional[object]:
-        """Execute one micro-op on ``core_id``; returns op-specific data."""
+    def issue(self, core: Core, op, *args):
+        """Run one op on ``core`` with the per-op housekeeping around it.
+
+        ``op`` is one of ``core``'s bound ``exec_*`` methods and ``args``
+        its arguments; the op's own result is returned.  Around the call
+        the machine refuses to run after a crash, lets the FWB scanner
+        catch up to the core clock, reports a ``log_wrap_force`` event
+        when the op forced write-backs to protect the log, tells the
+        fault monitor, and retires settled memory-controller state every
+        ``_RETIRE_PERIOD`` ops.
+        """
         if self.crashed:
             raise SimulationError("machine has crashed; no further execution")
-        core = self.cores[core_id]
-        if self._tracer is None:
-            if self.fwb is not None:
-                self.fwb.maybe_scan(core.time)
-            result = core.execute(op)
-        else:
-            result = self._execute_traced(core, op)
+        tracer = self._tracer
+        if tracer is not None:
+            forces_before = self.stats.log_wrap_forced_writebacks
+        if self.fwb is not None:
+            self.fwb.maybe_scan(core.time)
+        result = op(*args)
+        if tracer is not None:
+            forces = self.stats.log_wrap_forced_writebacks - forces_before
+            if forces:
+                tracer.emit(core.time, "log_wrap_force", core.core_id, count=forces)
         if self.fault_monitor is not None:
             self.fault_monitor.after_op(core.time, self.stats)
         self._ops_since_retire += 1
         if self._ops_since_retire >= _RETIRE_PERIOD:
             self._ops_since_retire = 0
             self.memctrl.retire(min(c.time for c in self.cores))
-        return result
-
-    def _execute_traced(self, core: Core, op: MicroOp):
-        from .microops import TxBegin, TxCommit
-
-        forces_before = self.stats.log_wrap_forced_writebacks
-        if self.fwb is not None:
-            self.fwb.maybe_scan(core.time)
-        result = core.execute(op)
-        if isinstance(op, TxBegin):
-            self._tracer.emit(
-                core.time, "tx_begin", core.core_id, txid=op.txid, tid=op.tid
-            )
-        elif isinstance(op, TxCommit):
-            durable = float(result) if isinstance(result, float) else None
-            self._tracer.emit(
-                core.time,
-                "tx_commit",
-                core.core_id,
-                txid=op.txid,
-                tid=op.tid,
-                durable=durable,
-            )
-        if self.stats.log_wrap_forced_writebacks > forces_before:
-            self._tracer.emit(
-                core.time,
-                "log_wrap_force",
-                core.core_id,
-                count=self.stats.log_wrap_forced_writebacks - forces_before,
-            )
         return result
 
     def core_time(self, core_id: int) -> float:

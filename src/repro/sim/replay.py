@@ -2,7 +2,7 @@
 
 The interpreted path (:func:`repro.harness.runner.run_workload`) re-walks
 every workload data structure — hashing keys, chasing pointers, consulting
-RNGs — once per sweep cell, even though the resulting micro-op stream is
+RNGs — once per sweep cell, even though the resulting op stream is
 identical for every cell that differs only in
 :class:`~repro.core.design.DesignSpec`.  This module splits that work:
 
@@ -16,13 +16,15 @@ identical for every cell that differs only in
 Replay has two engines, selected automatically:
 
 * ``via-API`` — drives a real :class:`~repro.txn.runtime.ThreadAPI` call
-  for call, reproducing the exact micro-op *and* tracer/psan event
-  streams.  Used whenever a tracer or fault monitor is attached.
-* ``fast`` — calls the scalar ``Core.exec_*`` methods directly with
-  per-design dispatch resolved once per cell (no ``MicroOp`` objects, no
-  ``isinstance`` chains, no golden-model bookkeeping).  Used when nothing
-  subscribes to events; the stats stay bit-identical because every
-  timing/stat formula lives in the scalar methods both paths share.
+  for call, reproducing the exact op *and* tracer/psan event streams.
+  Used whenever a tracer, log tap or fault monitor is attached.
+* ``fast`` — issues the scalar ``Core.exec_*`` methods itself, with
+  per-design dispatch resolved once per cell (no golden-model
+  bookkeeping, no loaded bytes sliced out).  Used when nothing
+  subscribes to events.  Both engines run every op through
+  :meth:`~repro.sim.machine.Machine.issue`, and every timing/stat
+  formula lives in the scalar methods they share, so the stats stay
+  bit-identical.
 
 Validity of sequential recording: every trace-compilable workload
 partitions its data per thread (``tid % MAX_PARTITIONS``), derives its
@@ -39,7 +41,6 @@ only the deterministic thread-local recycling of
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Optional
 
 from ..core.design import CommitProtocol
 from ..errors import TransactionError, WorkloadError
@@ -59,7 +60,7 @@ from .ctrace import (
     CompiledTrace,
     sym_token,
 )
-from .machine import _RETIRE_PERIOD, Machine
+from .machine import Machine
 
 _ZEROS = tuple(bytes(n) for n in range(9))
 
@@ -273,12 +274,12 @@ def compile_trace(prepared, threads: int, txns_per_thread: int) -> CompiledTrace
 
 
 # ----------------------------------------------------------------------
-# Replay: via-API engine (exact micro-op and event streams)
+# Replay: via-API engine (exact op and event streams)
 # ----------------------------------------------------------------------
 def _api_thread(api, col: CompiledThread, bind: dict):
     """Generator replaying one thread through a real :class:`ThreadAPI`.
 
-    Produces the identical micro-op sequence to the original run: a
+    Produces the identical op sequence to the original run: a
     recorded multi-word write replays as one ``api.write`` per piece,
     which is equivalent because ``split_words`` returns a piece unchanged
     (pieces never cross word boundaries and 8-alignment is preserved by
@@ -343,20 +344,16 @@ def _fast_thread(machine: Machine, pm, col: CompiledThread, tid: int, bind: dict
 
     Transcribes the :class:`~repro.txn.runtime.ThreadAPI` lowering branch
     for branch with the design predicates resolved once up front, and
-    replicates :meth:`Machine.execute`'s per-op housekeeping (FWB scan
-    before, retire cadence after) around every micro-op equivalent.
+    issues every op through :meth:`Machine.issue`, as ``ThreadAPI`` does.
     Skips only work with no stats/timing effect: golden-model staging,
     tracer guards (no tracer is attached on this path), the read-only
-    ``physical_txid`` lookups, and load-data materialisation (software
-    undo records carry zero old-values — :class:`LogRecord` encoding is
+    ``physical_txid`` lookups, and slicing loaded bytes (software undo
+    records carry zero old-values — :class:`LogRecord` encoding is
     content-independent, fixed ``entry_size`` bytes).
     """
     spec = machine.policy
     core = machine.cores[tid]
-    cores = machine.cores
-    memctrl = machine.memctrl
     hierarchy = machine.hierarchy
-    fwb = machine.fwb
     swlog = machine.swlog
     heap = pm.heap
     logging_cfg = machine.config.logging
@@ -382,20 +379,15 @@ def _fast_thread(machine: Machine, pm, col: CompiledThread, tid: int, bind: dict
     )
     protects = spec.protects_log_wrap
 
-    scan = fwb.maybe_scan if fwb is not None else None
+    issue = machine.issue
     exec_compute = core.exec_compute
-    exec_load_fast = core.exec_load_fast
+    exec_load = core.exec_load
     exec_store = core.exec_store
+    exec_logstore = core.exec_logstore
     exec_clwb = core.exec_clwb
     exec_fence = core.exec_fence
     exec_tx_begin = core.exec_tx_begin
     exec_tx_commit = core.exec_tx_commit
-
-    def tick() -> None:
-        machine._ops_since_retire += 1
-        if machine._ops_since_retire >= _RETIRE_PERIOD:
-            machine._ops_since_retire = 0
-            memctrl.retire(min(c.time for c in cores))
 
     def emit_log(placed) -> None:
         displaced = placed.displaced_line
@@ -403,10 +395,7 @@ def _fast_thread(machine: Machine, pm, col: CompiledThread, tid: int, bind: dict
             completion = machine.force_line_durable(displaced, core.time)
             if completion > core.time:
                 core.time = completion
-        if scan is not None:
-            scan(core.time)
-        core.exec_logstore(placed.addr, placed.payload)
-        tick()
+        issue(core, exec_logstore, placed.addr, placed.payload)
 
     kinds = col.kinds
     av = col.a
@@ -429,30 +418,17 @@ def _fast_thread(machine: Machine, pm, col: CompiledThread, tid: int, bind: dict
         if kind == K_READ:
             line = read_line[i]
             if line >= 0:
-                if scan is not None:
-                    scan(core.time)
-                exec_load_fast(av[i], line)
-                tick()
+                issue(core, exec_load, av[i], line)
                 continue
             addr = av[i]
             if addr >= SYM_BASE:
                 addr = bind[(addr - SYM_BASE) >> 24] + (addr & SYM_OFF_MASK)
             end = addr + bv[i]
-            line = addr & line_mask
-            if (end - 1) & line_mask == line:
-                if scan is not None:
-                    scan(core.time)
-                exec_load_fast(addr, line)
-                tick()
-            else:
-                cursor = addr
-                while cursor < end:
-                    line = cursor & line_mask
-                    if scan is not None:
-                        scan(core.time)
-                    exec_load_fast(cursor, line)
-                    tick()
-                    cursor = min(end, line + line_size)
+            cursor = addr
+            while cursor < end:
+                line = cursor & line_mask
+                issue(core, exec_load, cursor, line)
+                cursor = line + line_size
         elif kind == K_WRITE:
             start = av[i]
             for j in range(start, start + bv[i]):
@@ -471,117 +447,60 @@ def _fast_thread(machine: Machine, pm, col: CompiledThread, tid: int, bind: dict
                 if clwb_commit:
                     write_lines.add(piece_addr & line_mask)
                 if mode == _MODE_HW:
-                    if scan is not None:
-                        scan(core.time)
-                    exec_store(piece_addr, data, True, txid, tid)
-                    tick()
+                    issue(core, exec_store, piece_addr, data, True, txid, tid)
                 elif mode == _MODE_SW_UNDO:
-                    if scan is not None:
-                        scan(core.time)
-                    exec_load_fast(piece_addr, piece_addr & line_mask)
-                    tick()
+                    issue(core, exec_load, piece_addr, piece_addr & line_mask)
                     if softlog_per_record:
-                        if scan is not None:
-                            scan(core.time)
-                        exec_compute(softlog_per_record)
-                        tick()
+                        issue(core, exec_compute, softlog_per_record)
                     emit_log(
                         swlog.data(txid, tid, piece_addr, _ZEROS[len(data)], data)
                     )
-                    if scan is not None:
-                        scan(core.time)
-                    exec_store(piece_addr, data)
-                    tick()
+                    issue(core, exec_store, piece_addr, data)
                 elif mode == _MODE_SW_REDO:
                     if softlog_per_record:
-                        if scan is not None:
-                            scan(core.time)
-                        exec_compute(softlog_per_record)
-                        tick()
+                        issue(core, exec_compute, softlog_per_record)
                     emit_log(swlog.data(txid, tid, piece_addr, b"", data))
                     overlay[piece_addr] = data
                 else:
-                    if scan is not None:
-                        scan(core.time)
-                    exec_store(piece_addr, data)
-                    tick()
+                    issue(core, exec_store, piece_addr, data)
         elif kind == K_COMPUTE:
-            if scan is not None:
-                scan(core.time)
-            exec_compute(av[i])
-            tick()
+            issue(core, exec_compute, av[i])
         elif kind == K_TX_BEGIN:
             txid = pm.next_txid()
             in_txn = True
             write_lines.clear()
             overlay.clear()
-            if scan is not None:
-                scan(core.time)
-            exec_tx_begin(txid, tid, begin_overhead)
-            tick()
+            issue(core, exec_tx_begin, txid, tid, begin_overhead)
             if mode in (_MODE_SW_UNDO, _MODE_SW_REDO):
                 emit_log(swlog.begin(txid, tid))
         elif kind == K_TX_COMMIT:
             if mode == _MODE_HW:
-                if scan is not None:
-                    scan(core.time)
-                exec_tx_commit(txid, tid, commit_overhead)
-                tick()
+                issue(core, exec_tx_commit, txid, tid, commit_overhead)
                 if clwb_commit:
                     for line in sorted(write_lines):
-                        if scan is not None:
-                            scan(core.time)
-                        exec_clwb(line)
-                        tick()
+                        issue(core, exec_clwb, line)
             elif mode == _MODE_PLAIN:
-                if scan is not None:
-                    scan(core.time)
-                exec_tx_commit(txid, tid, 0)
-                tick()
+                issue(core, exec_tx_commit, txid, tid, 0)
             elif sw_instant:
                 emit_log(swlog.commit(txid, tid))
-                if scan is not None:
-                    scan(core.time)
-                exec_tx_commit(txid, tid, commit_overhead)
-                tick()
+                issue(core, exec_tx_commit, txid, tid, commit_overhead)
             elif mode == _MODE_SW_UNDO:
                 if clwb_commit:
                     for line in sorted(write_lines):
-                        if scan is not None:
-                            scan(core.time)
-                        exec_clwb(line)
-                        tick()
-                if scan is not None:
-                    scan(core.time)
-                exec_fence()
-                tick()
+                        issue(core, exec_clwb, line)
+                issue(core, exec_fence)
                 emit_log(swlog.commit(txid, tid))
-                if scan is not None:
-                    scan(core.time)
-                exec_tx_commit(txid, tid, commit_overhead)
-                tick()
+                issue(core, exec_tx_commit, txid, tid, commit_overhead)
                 core.wcb.flush(core.time)
             else:  # software redo, fenced
                 emit_log(swlog.commit(txid, tid))
-                if scan is not None:
-                    scan(core.time)
-                exec_fence()
-                tick()
-                if scan is not None:
-                    scan(core.time)
-                exec_tx_commit(txid, tid, commit_overhead)
-                tick()
+                issue(core, exec_fence)
+                issue(core, exec_tx_commit, txid, tid, commit_overhead)
                 for addr, piece in overlay.items():
-                    if scan is not None:
-                        scan(core.time)
-                    exec_store(addr, piece)
-                    tick()
+                    issue(core, exec_store, addr, piece)
                 if clwb_commit:
                     for line in sorted(write_lines):
-                        if scan is not None:
-                            scan(core.time)
-                        exec_clwb(line)
-                        tick()
+                        issue(core, exec_clwb, line)
             in_txn = False
             write_lines.clear()
             overlay.clear()

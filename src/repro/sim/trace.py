@@ -11,7 +11,7 @@ the event stream the persistency-ordering sanitizer
 
 .. code-block:: python
 
-    machine = Machine(config, Policy.FWB)
+    machine = Machine(config, DESIGNS.resolve("fwb"))
     machine.tracer = Tracer()
     ...
     print(machine.tracer.summary())

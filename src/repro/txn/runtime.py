@@ -43,7 +43,6 @@ from ..core.logrecord import RecordKind
 from ..core.nvlog import PlacedRecord
 from ..errors import TransactionError
 from ..sim.machine import Machine
-from ..sim.microops import CLWB, Compute, Fence, Load, LogStore, Store, TxBegin, TxCommit
 from ..utils import line_address, split_words
 from .heap import PersistentHeap
 
@@ -104,6 +103,7 @@ class ThreadAPI:
     def __init__(self, pm: "PersistentMemory", core_id: int, tid: int) -> None:
         self._pm = pm
         self._machine = pm.machine
+        self._core = pm.machine.cores[core_id]
         self._policy = pm.machine.policy
         self.core_id = core_id
         self.tid = tid
@@ -198,12 +198,10 @@ class ThreadAPI:
             overhead = logging.hw_instrs_tx_begin
         else:
             overhead = 0
-        self._machine.execute(
-            self.core_id, TxBegin(txid=txid, tid=self.tid, overhead_instrs=overhead)
-        )
+        core = self._core
+        self._machine.issue(core, core.exec_tx_begin, txid, self.tid, overhead)
         if policy.uses_sw_logging:
-            placed = self._machine.swlog.begin(txid, self.tid)
-            self._emit_log(placed, "begin")
+            self._emit_log(self._machine.swlog.begin(txid, self.tid))
         return txid
 
     def tag_requests(self, requests: list) -> None:
@@ -281,14 +279,11 @@ class ThreadAPI:
         line_size = self._machine.config.line_size
         out = bytearray()
         cursor = addr
-        remaining = size
-        while remaining > 0:
-            line_end = line_address(cursor, line_size) + line_size
-            take = min(remaining, line_end - cursor)
-            data = self._machine.execute(self.core_id, Load(cursor, take))
-            out += data
+        end = addr + size
+        while cursor < end:
+            take = min(end, line_address(cursor, line_size) + line_size) - cursor
+            out += self._load(cursor, take)
             cursor += take
-            remaining -= take
         if self._overlay:
             self._patch_overlay(addr, out)
         return bytes(out)
@@ -298,23 +293,16 @@ class ThreadAPI:
         if not self.in_transaction:
             raise TransactionError("persistent writes require a transaction")
         policy = self._policy
+        machine = self._machine
+        core = self._core
         for piece_addr, piece in split_words(addr, data):
             self._writes[piece_addr] = piece
-            self._write_lines.add(
-                line_address(piece_addr, self._machine.config.line_size)
-            )
+            self._write_lines.add(line_address(piece_addr, machine.config.line_size))
             if not (policy.uses_hw_logging or policy.uses_sw_logging):
-                self._machine.execute(self.core_id, Store(piece_addr, piece))
+                machine.issue(core, core.exec_store, piece_addr, piece)
             elif policy.uses_hw_logging:
-                self._machine.execute(
-                    self.core_id,
-                    Store(
-                        piece_addr,
-                        piece,
-                        persistent=True,
-                        txid=self._txid,
-                        tid=self.tid,
-                    ),
+                machine.issue(
+                    core, core.exec_store, piece_addr, piece, True, self._txid, self.tid
                 )
             elif policy.defers_in_place_stores:
                 self._sw_redo_write(piece_addr, piece)
@@ -332,60 +320,71 @@ class ThreadAPI:
     def compute(self, count: int) -> None:
         """Execute ``count`` non-memory instructions."""
         if count > 0:
-            self._machine.execute(self.core_id, Compute(count))
+            core = self._core
+            self._machine.issue(core, core.exec_compute, count)
 
     # ------------------------------------------------------------------
     # Per-design lowering
     # ------------------------------------------------------------------
+    def _load(self, addr: int, size: int) -> bytes:
+        """Issue one cacheable load of ``size`` bytes within one line."""
+        core = self._core
+        line = line_address(addr, self._machine.config.line_size)
+        data = self._machine.issue(core, core.exec_load, addr, line)
+        offset = addr - line
+        return bytes(data[offset:offset + size])
+
+    def _clwb_write_set(self) -> None:
+        """Post a clwb for every line the transaction wrote, in address order."""
+        machine = self._machine
+        core = self._core
+        for line in sorted(self._write_lines):
+            machine.issue(core, core.exec_clwb, line)
+
     def _sw_undo_write(self, addr: int, piece: bytes) -> None:
         """Software undo logging: load old value, log it, then store."""
-        logging = self._machine.config.logging
-        old = self._machine.execute(self.core_id, Load(addr, len(piece)))
-        self.compute(logging.softlog_instrs_per_record)
-        placed = self._machine.swlog.data(self._txid, self.tid, addr, old, piece)
-        self._emit_log(placed, "data")
-        self._machine.execute(self.core_id, Store(addr, piece))
+        machine = self._machine
+        core = self._core
+        old = self._load(addr, len(piece))
+        self.compute(machine.config.logging.softlog_instrs_per_record)
+        self._emit_log(machine.swlog.data(self._txid, self.tid, addr, old, piece))
+        machine.issue(core, core.exec_store, addr, piece)
 
     def _sw_redo_write(self, addr: int, piece: bytes) -> None:
         """Software redo logging: log the new value; defer the store."""
-        logging = self._machine.config.logging
-        self.compute(logging.softlog_instrs_per_record)
-        placed = self._machine.swlog.data(self._txid, self.tid, addr, b"", piece)
-        self._emit_log(placed, "data")
+        machine = self._machine
+        self.compute(machine.config.logging.softlog_instrs_per_record)
+        self._emit_log(machine.swlog.data(self._txid, self.tid, addr, b"", piece))
         self._overlay[addr] = piece
 
     def _commit_for_policy(self, policy: DesignSpec, txid: int) -> float:
-        logging = self._machine.config.logging
-        core = self.core_id
+        machine = self._machine
+        logging = machine.config.logging
+        core = self._core
+        tx_commit = core.exec_tx_commit
         if policy.uses_hw_logging:
-            # The commit record is appended inside the TxCommit micro-op;
-            # from the moment it executes the transaction's fate belongs
-            # to the log, so stage it as in-doubt first.
+            # The commit record is appended inside exec_tx_commit; from
+            # the moment it executes the transaction's fate belongs to
+            # the log, so stage it as in-doubt first.
             self._pm.golden.stage(
                 self.tid,
-                self._machine.registers.physical_txid(txid),
+                machine.registers.physical_txid(txid),
                 self._writes,
             )
-            durable = self._machine.execute(
-                core,
-                TxCommit(
-                    txid=txid,
-                    tid=self.tid,
-                    overhead_instrs=logging.hw_instrs_tx_commit,
-                ),
+            durable = machine.issue(
+                core, tx_commit, txid, self.tid, logging.hw_instrs_tx_commit
             )
             if policy.uses_clwb_at_commit:
                 # hwl still forces write-backs with clwb, but delayed past
                 # the commit point and unfenced (Figure 1(c): "clwb can be
                 # delayed") — the write-backs are posted, not waited on.
-                for line in sorted(self._write_lines):
-                    self._machine.execute(core, CLWB(line))
+                self._clwb_write_set()
             if policy.commit is CommitProtocol.INSTANT:
                 return self.now  # optimistic; durability not awaited
             return float(durable) if durable is not None else self.now
 
         if not policy.uses_sw_logging:
-            self._machine.execute(core, TxCommit(txid=txid, tid=self.tid))
+            machine.issue(core, tx_commit, txid, self.tid, 0)
             return self.now
 
         # Software logging designs.
@@ -393,13 +392,8 @@ class ThreadAPI:
         if policy.commit is CommitProtocol.INSTANT:
             # unsafe-base: append the commit record and report commit at
             # the core clock without ever fencing — no guarantee.
-            physical = self._machine.registers.physical_txid(txid)
-            placed = self._machine.swlog.commit(txid, self.tid)
-            self._pm.golden.stage(self.tid, physical, self._writes)
-            self._emit_log(placed, "commit")
-            self._machine.execute(
-                core, TxCommit(txid=txid, tid=self.tid, overhead_instrs=overhead)
-            )
+            self._sw_commit_record(txid)
+            machine.issue(core, tx_commit, txid, self.tid, overhead)
             return self.now  # optimistic; no durability guarantee
 
         if not policy.logs_redo:
@@ -407,48 +401,44 @@ class ThreadAPI:
             # hook already guarantees the undo records reach NVRAM
             # first), fence, then write the commit record.
             if policy.uses_clwb_at_commit:
-                for line in sorted(self._write_lines):
-                    self._machine.execute(core, CLWB(line))
-            self._machine.execute(core, Fence())
-            physical = self._machine.registers.physical_txid(txid)
-            placed = self._machine.swlog.commit(txid, self.tid)
-            self._pm.golden.stage(self.tid, physical, self._writes)
-            self._emit_log(placed, "commit")
-            self._machine.execute(
-                core, TxCommit(txid=txid, tid=self.tid, overhead_instrs=overhead)
-            )
+                self._clwb_write_set()
+            machine.issue(core, core.exec_fence)
+            self._sw_commit_record(txid)
+            machine.issue(core, tx_commit, txid, self.tid, overhead)
             # The commit record drains with the WCB; its completion is the
             # real commit point (no extra fence needed for correctness —
             # an un-drained commit record just rolls the transaction back).
             # Report that completion exactly: a crash between it and the
             # core observing it still recovers the transaction.
-            return self._machine.cores[core].wcb.flush(self.now)
+            return core.wcb.flush(self.now)
 
         # Redo protocol (redo-clwb): full redo log (incl. commit record)
         # durable is the commit point; only then do the in-place stores
         # start.  The post-transaction clwbs are posted, not fenced — the
         # redo log already guarantees recoverability of the in-place data.
-        physical = self._machine.registers.physical_txid(txid)
-        placed = self._machine.swlog.commit(txid, self.tid)
-        self._pm.golden.stage(self.tid, physical, self._writes)
-        self._emit_log(placed, "commit")
-        self._machine.execute(core, Fence())
+        self._sw_commit_record(txid)
+        machine.issue(core, core.exec_fence)
         # The commit point is the instant the commit record became
         # durable (recovery redoes any fully-logged transaction whose
         # commit record survived), not the later fence retirement.
-        durable = self._machine.cores[core].wcb.last_completion
-        self._machine.execute(
-            core, TxCommit(txid=txid, tid=self.tid, overhead_instrs=overhead)
-        )
+        durable = core.wcb.last_completion
+        machine.issue(core, tx_commit, txid, self.tid, overhead)
         for addr, piece in self._overlay.items():
-            self._machine.execute(core, Store(addr, piece))
+            machine.issue(core, core.exec_store, addr, piece)
         if policy.uses_clwb_at_commit:
-            for line in sorted(self._write_lines):
-                self._machine.execute(core, CLWB(line))
+            self._clwb_write_set()
         return durable
 
+    def _sw_commit_record(self, txid: int) -> None:
+        """Place the software commit record, stage the transaction as in
+        doubt, and issue the record's log store."""
+        physical = self._machine.registers.physical_txid(txid)
+        placed = self._machine.swlog.commit(txid, self.tid)
+        self._pm.golden.stage(self.tid, physical, self._writes)
+        self._emit_log(placed)
+
     # ------------------------------------------------------------------
-    def _emit_log(self, placed: PlacedRecord, kind: str) -> None:
+    def _emit_log(self, placed: PlacedRecord) -> None:
         """Issue the uncacheable store for a placed software log record."""
         machine = self._machine
         displaced_dirty = False
@@ -467,7 +457,7 @@ class ThreadAPI:
                 # the only durable copy of that line's committed value),
                 # so the log store stalls until the force completes —
                 # the same ordering HWL._append enforces in hardware.
-                core = machine.cores[self.core_id]
+                core = self._core
                 if completion > core.time:
                     core.time = completion
         record = placed.record
@@ -497,9 +487,8 @@ class ThreadAPI:
             # Software records resolve their durability later, at the
             # NVRAM write that covers their entry.
             tap.on_log_place(record, placed.addr, placed.payload, self.now, None)
-        machine.execute(
-            self.core_id, LogStore(placed.addr, placed.payload, kind)
-        )
+        core = self._core
+        machine.issue(core, core.exec_logstore, placed.addr, placed.payload)
 
     def _patch_overlay(self, addr: int, out: bytearray) -> None:
         """Apply the redo write-set overlay to a read result."""

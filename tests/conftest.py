@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Machine, PersistentMemory, Policy, SystemConfig
+from repro import Machine, PersistentMemory, SystemConfig
+from repro.core.design import FWB, DesignSpec
 from repro.sim.config import (
     CacheConfig,
     CoreConfig,
@@ -37,7 +38,7 @@ def system() -> SystemConfig:
 @pytest.fixture
 def machine(system) -> Machine:
     """Tiny machine under the full fwb design."""
-    return Machine(system, Policy.FWB)
+    return Machine(system, FWB)
 
 
 @pytest.fixture
@@ -46,7 +47,7 @@ def pm(machine) -> PersistentMemory:
     return PersistentMemory(machine)
 
 
-def make_pm(policy: Policy, **overrides) -> PersistentMemory:
+def make_pm(policy: DesignSpec, **overrides) -> PersistentMemory:
     """Fresh machine + facade under ``policy`` (helper for parametrised tests)."""
     return PersistentMemory(Machine(tiny_system(**overrides), policy))
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import Policy, SystemConfig
+from repro import SystemConfig
+from repro.core.design import FWB, REDO_CLWB, UNDO_CLWB, UNSAFE_BASE
 from repro.harness.experiments import (
     figure6_throughput,
     figure7_ipc_instructions,
@@ -38,25 +39,25 @@ class TestFigureExtracts:
     def test_figure6_normalized_to_unsafe(self, sweep):
         result = figure6_throughput(sweep)
         cell = result.data[("hash", 1)]
-        assert cell[Policy.UNSAFE_BASE] == pytest.approx(1.0)
+        assert cell[UNSAFE_BASE] == pytest.approx(1.0)
         assert "unsafe-base" in result.rendered
 
     def test_figure7_has_both_metrics(self, sweep):
         result = figure7_ipc_instructions(sweep)
         assert set(result.data) == {"ipc", "instructions"}
         instr = result.data["instructions"][("hash", 1)]
-        assert instr[Policy.FWB] < instr[Policy.UNDO_CLWB]
+        assert instr[FWB] < instr[UNDO_CLWB]
 
     def test_figure8_energy_ratios(self, sweep):
         result = figure8_energy(sweep)
         cell = result.data[("hash", 1)]
-        assert cell[Policy.UNSAFE_BASE] == pytest.approx(1.0)
-        assert cell[Policy.FWB] >= cell[Policy.UNDO_CLWB]
+        assert cell[UNSAFE_BASE] == pytest.approx(1.0)
+        assert cell[FWB] >= cell[UNDO_CLWB]
 
     def test_figure9_traffic_ratios(self, sweep):
         result = figure9_write_traffic(sweep)
         cell = result.data[("hash", 1)]
-        assert cell[Policy.FWB] >= cell[Policy.REDO_CLWB]
+        assert cell[FWB] >= cell[REDO_CLWB]
 
     def test_summarize_gain_positive(self, sweep):
         assert summarize_fwb_gain(sweep, 1) > 1.0
@@ -66,13 +67,13 @@ class TestFigure10:
     def test_runs_one_kernel(self):
         result = figure10_whisper(
             kernels=("ycsb",),
-            policies=(Policy.UNSAFE_BASE, Policy.FWB),
+            policies=(UNSAFE_BASE, FWB),
             txns_per_thread=20,
             system=tiny_system(num_cores=2),
         )
-        cell = result.data[("ycsb", Policy.FWB)]
+        cell = result.data[("ycsb", FWB)]
         assert set(cell) == {"ipc", "memory_energy", "throughput", "nvram_writes"}
-        assert result.data[("ycsb", Policy.UNSAFE_BASE)]["ipc"] == pytest.approx(1.0)
+        assert result.data[("ycsb", UNSAFE_BASE)]["ipc"] == pytest.approx(1.0)
 
 
 class TestFigure11:

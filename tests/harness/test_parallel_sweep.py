@@ -3,7 +3,7 @@ the self-healing retry/fallback machinery."""
 
 import pickle
 
-from repro import Policy
+from repro.core.design import FWB, HWL, NON_PERS, UNDO_CLWB
 from repro.harness.parallel import ENV_FAULT_DIR, SweepHealth
 from repro.harness.runner import (
     RunConfig,
@@ -14,7 +14,7 @@ from repro.harness.sweep import run_micro_sweep
 from repro.workloads.hashtable import HashTableWorkload
 from tests.conftest import tiny_system
 
-POLICIES = (Policy.NON_PERS, Policy.UNDO_CLWB, Policy.FWB)
+POLICIES = (NON_PERS, UNDO_CLWB, FWB)
 
 
 def small_workload(seed=1):
@@ -67,7 +67,7 @@ class TestPreparedShipping:
         prepared = prepare_workload(small_workload(), tiny_system())
         clone = pickle.loads(pickle.dumps(prepared))
         run = RunConfig(
-            policy=Policy.FWB, threads=2, txns_per_thread=15, system=tiny_system()
+            policy=FWB, threads=2, txns_per_thread=15, system=tiny_system()
         )
         # The clone is a different object with the same identity key —
         # exactly what a worker process sees.
@@ -82,7 +82,7 @@ class TestPreparedShipping:
         outcome = run_workload(
             small_workload(),
             RunConfig(
-                policy=Policy.HWL, threads=1, txns_per_thread=10, system=tiny_system()
+                policy=HWL, threads=1, txns_per_thread=10, system=tiny_system()
             ),
             prepared=prepared,
         )

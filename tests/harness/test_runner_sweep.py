@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Policy
+from repro.core.design import FWB, NON_PERS
 from repro.errors import WorkloadError
 from repro.harness.runner import (
     RunConfig,
@@ -25,7 +25,7 @@ class TestRunner:
     def test_run_produces_stats(self):
         outcome = run_workload(
             small_workload(),
-            RunConfig(policy=Policy.FWB, threads=1, txns_per_thread=20, system=tiny_system()),
+            RunConfig(policy=FWB, threads=1, txns_per_thread=20, system=tiny_system()),
         )
         assert outcome.stats.transactions_committed == 20
         assert outcome.throughput > 0
@@ -34,7 +34,7 @@ class TestRunner:
     def test_multithreaded_commits_all(self):
         outcome = run_workload(
             small_workload(),
-            RunConfig(policy=Policy.FWB, threads=2, txns_per_thread=15, system=tiny_system()),
+            RunConfig(policy=FWB, threads=2, txns_per_thread=15, system=tiny_system()),
         )
         assert outcome.stats.transactions_committed == 30
 
@@ -42,14 +42,14 @@ class TestRunner:
         with pytest.raises(WorkloadError):
             run_workload(
                 small_workload(),
-                RunConfig(policy=Policy.FWB, threads=3, system=tiny_system()),
+                RunConfig(policy=FWB, threads=3, system=tiny_system()),
             )
 
     def test_deterministic(self):
         def run():
             return run_workload(
                 small_workload(),
-                RunConfig(policy=Policy.FWB, threads=2, txns_per_thread=15, system=tiny_system()),
+                RunConfig(policy=FWB, threads=2, txns_per_thread=15, system=tiny_system()),
             ).stats
 
         first, second = run(), run()
@@ -62,7 +62,7 @@ class TestPrepared:
     def test_prepared_runs_match_fresh_runs(self):
         workload = small_workload()
         prepared = prepare_workload(workload, tiny_system())
-        run = RunConfig(policy=Policy.FWB, threads=1, txns_per_thread=20, system=tiny_system())
+        run = RunConfig(policy=FWB, threads=1, txns_per_thread=20, system=tiny_system())
         first = run_workload(workload, run, prepared=prepared).stats
         second = run_workload(workload, run, prepared=prepared).stats
         assert first.cycles == second.cycles
@@ -72,7 +72,7 @@ class TestPrepared:
         with pytest.raises(WorkloadError):
             run_workload(
                 small_workload(seed=9),
-                RunConfig(policy=Policy.FWB, system=tiny_system()),
+                RunConfig(policy=FWB, system=tiny_system()),
                 prepared=prepared,
             )
 
@@ -85,7 +85,7 @@ class TestSweep:
         sweep = run_micro_sweep(
             benchmarks=("hash",),
             threads=(1, 2),
-            policies=(Policy.NON_PERS, Policy.FWB),
+            policies=(NON_PERS, FWB),
             txns_per_thread=10,
             system=tiny_system(),
             workload_factory=lambda name: small_workload(),
@@ -93,6 +93,6 @@ class TestSweep:
         assert len(sweep.cells) == 4
         assert sweep.benchmarks() == ["hash"]
         assert sweep.thread_counts() == [1, 2]
-        assert sweep.policies() == [Policy.NON_PERS, Policy.FWB]
-        stats = sweep.stats("hash", 1, Policy.FWB)
+        assert sweep.policies() == [NON_PERS, FWB]
+        stats = sweep.stats("hash", 1, FWB)
         assert stats.transactions_committed == 10

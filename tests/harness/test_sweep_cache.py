@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro import Policy
+from repro.core.design import FWB, NON_PERS
 from repro.harness.cache import (
     SweepCache,
     cache_enabled,
@@ -18,7 +18,7 @@ from repro.sim.stats import MachineStats
 from repro.workloads.hashtable import HashTableWorkload
 from tests.conftest import tiny_system
 
-POLICIES = (Policy.NON_PERS, Policy.FWB)
+POLICIES = (NON_PERS, FWB)
 
 
 def small_workload(seed=1, **overrides):
@@ -83,7 +83,7 @@ class TestSweepCacheKeys:
     def base_key(self, **overrides):
         params = dict(
             system=self.system,
-            policy=Policy.FWB,
+            policy=FWB,
             workload=small_workload(),
             threads=1,
             txns_per_thread=20,
@@ -102,7 +102,7 @@ class TestSweepCacheKeys:
 
     def test_key_covers_every_input(self):
         base = self.base_key()
-        assert self.base_key(policy=Policy.NON_PERS) != base
+        assert self.base_key(policy=NON_PERS) != base
         assert self.base_key(threads=2) != base
         assert self.base_key(txns_per_thread=21) != base
         assert self.base_key(workload=small_workload(seed=2)) != base
@@ -132,7 +132,7 @@ class TestSweepCacheKeys:
     def test_salt_bump_invalidates(self):
         other = SweepCache("unused", salt="sweep-v2-different")
         assert other.key(
-            self.system, Policy.FWB, small_workload(), 1, 20
+            self.system, FWB, small_workload(), 1, 20
         ) != self.base_key()
 
 
@@ -254,17 +254,17 @@ class TestSweepWithCache:
         cache = SweepCache(tmp_path)
         run_micro_sweep(**sweep_kwargs(policies=("hw+undo+redo+fwb",)), cache=cache)
         cache.hits = cache.misses = 0
-        run_micro_sweep(**sweep_kwargs(policies=(Policy.FWB,)), cache=cache)
+        run_micro_sweep(**sweep_kwargs(policies=(FWB,)), cache=cache)
         assert (cache.hits, cache.misses) == (1, 0)
 
 
 class TestSweepResultMerge:
     def test_merge_combines_and_other_wins(self):
-        first = run_micro_sweep(**sweep_kwargs(policies=(Policy.NON_PERS,)))
-        second = run_micro_sweep(**sweep_kwargs(policies=(Policy.FWB,)))
+        first = run_micro_sweep(**sweep_kwargs(policies=(NON_PERS,)))
+        second = run_micro_sweep(**sweep_kwargs(policies=(FWB,)))
         merged = first.merge(second)
         assert len(merged.cells) == 2
-        assert merged.policies() == [Policy.NON_PERS, Policy.FWB]
+        assert merged.policies() == [NON_PERS, FWB]
         # Overlap: other's cells replace self's.
         cell = next(iter(second.cells))
         fake = dataclasses.replace(second.cells[cell], instructions=1)

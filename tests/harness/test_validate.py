@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Policy
+from repro.core.design import FWB, UNDO_CLWB
 from repro.harness.sweep import run_micro_sweep
 from repro.harness.validate import Check, ValidationReport, validate
 from repro.workloads.hashtable import HashTableWorkload
@@ -60,8 +60,8 @@ class TestValidate:
         from repro.harness.sweep import SweepCell
 
         broken = type(sweep)(cells=dict(sweep.cells))
-        fwb_cell = SweepCell("hash", 1, Policy.FWB)
-        unsafe_cell = SweepCell("hash", 1, Policy.UNDO_CLWB)
+        fwb_cell = SweepCell("hash", 1, FWB)
+        unsafe_cell = SweepCell("hash", 1, UNDO_CLWB)
         # Make fwb look slower than software-clwb.
         broken.cells[fwb_cell] = broken.cells[unsafe_cell]
         report = validate(sweep=broken)

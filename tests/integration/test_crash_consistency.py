@@ -11,12 +11,13 @@ import random
 
 import pytest
 
-from repro import Machine, PersistentMemory, Policy, RecoveryManager
+from repro import Machine, PersistentMemory, RecoveryManager
+from repro.core.design import FWB, HWL, REDO_CLWB, UNDO_CLWB, UNSAFE_BASE
 from repro.sim.config import LoggingConfig
 from repro.workloads.hashtable import HashTableWorkload
 from tests.conftest import tiny_system, word
 
-GUARANTEED = [Policy.FWB, Policy.HWL, Policy.UNDO_CLWB, Policy.REDO_CLWB]
+GUARANTEED = [FWB, HWL, UNDO_CLWB, REDO_CLWB]
 
 
 def run_crash_trial(policy, seed, crash_fraction, threads=1, log_entries=128):
@@ -63,7 +64,7 @@ def test_workload_crash_consistency(policy, fraction):
     assert run_crash_trial(policy, seed=7, crash_fraction=fraction) == []
 
 
-@pytest.mark.parametrize("policy", [Policy.FWB, Policy.HWL], ids=lambda p: p.value)
+@pytest.mark.parametrize("policy", [FWB, HWL], ids=lambda p: p.value)
 def test_multithreaded_crash_consistency(policy):
     assert run_crash_trial(policy, seed=11, crash_fraction=0.6, threads=2) == []
 
@@ -83,7 +84,7 @@ def test_unsafe_base_violates_consistency_somewhere():
     for seed in range(6):
         rng = random.Random(seed)
         mismatches = run_crash_trial(
-            Policy.UNSAFE_BASE, seed=seed, crash_fraction=0.3 + 0.1 * rng.random()
+            UNSAFE_BASE, seed=seed, crash_fraction=0.3 + 0.1 * rng.random()
         )
         violations += bool(mismatches)
     assert violations > 0
@@ -93,7 +94,7 @@ def test_recovered_image_is_reusable():
     """After recovery the log is reset and a new machine can keep going
     from the recovered image."""
     system = tiny_system()
-    machine = Machine(system, Policy.FWB)
+    machine = Machine(system, FWB)
     pm = PersistentMemory(machine)
     api = pm.api(0)
     addr = pm.heap.alloc(8)
@@ -105,7 +106,7 @@ def test_recovered_image_is_reusable():
     RecoveryManager(machine.nvram, machine.log).recover()
     image = bytes(machine.nvram.image)
 
-    restarted = Machine(system, Policy.FWB)
+    restarted = Machine(system, FWB)
     restarted.nvram.image[:] = image
     pm2 = PersistentMemory(restarted)
     api2 = pm2.api(0)

@@ -1,7 +1,7 @@
 """Golden-fixture equivalence: the mechanism refactor is bit-identical.
 
 ``tests/data/design_equivalence_golden.json`` was captured *before* the
-Policy enum was decomposed into DesignSpec mechanisms, by running the
+eight-member design enum was decomposed into DesignSpec mechanisms, by running the
 standard micro sweep (5 benchmarks x 8 designs x {1, 2} threads at
 txns_per_thread=40, seed=42) and hashing each cell's canonical
 MachineStats JSON.  These tests re-run the same sweep through the

@@ -12,7 +12,8 @@ import dataclasses
 
 import pytest
 
-from repro import Machine, PersistentMemory, Policy, RecoveryManager
+from repro import Machine, PersistentMemory, RecoveryManager
+from repro.core.design import FWB, HWL, REDO_CLWB, UNDO_CLWB, UNSAFE_BASE
 from repro.errors import SimulatedCrash
 from repro.faults import (
     FAULT_GHOST,
@@ -25,7 +26,7 @@ from repro.faults import (
 )
 from repro.faults.campaign import campaign_workload, default_campaign_system
 
-GUARANTEED = [Policy.FWB, Policy.HWL, Policy.UNDO_CLWB, Policy.REDO_CLWB]
+GUARANTEED = [FWB, HWL, UNDO_CLWB, REDO_CLWB]
 
 # Small budgets keep every campaign here well under a second.
 POINTS = 16
@@ -63,7 +64,7 @@ def test_guaranteed_policy_survives_all_points(policy):
 def test_torn_faults_are_applied_and_skipped():
     # Across the torn-fault points of a guaranteed design, at least one
     # injected tear must land on the log and be rejected by the scan.
-    result = small_campaign((Policy.FWB,), points=24)
+    result = small_campaign((FWB,), points=24)
     (report,) = result.reports
     torn_points = [p for p in report.points if p.point.fault == FAULT_TORN]
     assert torn_points
@@ -73,7 +74,7 @@ def test_torn_faults_are_applied_and_skipped():
 
 
 def test_ghost_records_are_rejected():
-    result = small_campaign((Policy.FWB,))
+    result = small_campaign((FWB,))
     (report,) = result.reports
     ghost_points = [p for p in report.points if p.point.fault == FAULT_GHOST]
     assert ghost_points
@@ -82,7 +83,7 @@ def test_ghost_records_are_rejected():
 
 
 def test_mid_recovery_points_converge():
-    result = small_campaign((Policy.UNDO_CLWB,))
+    result = small_campaign((UNDO_CLWB,))
     (report,) = result.reports
     recovery_points = [
         p for p in report.points if p.point.kind is EventKind.RECOVERY
@@ -92,7 +93,7 @@ def test_mid_recovery_points_converge():
 
 
 def test_unsafe_base_demonstrably_fails():
-    result = small_campaign((Policy.UNSAFE_BASE,))
+    result = small_campaign((UNSAFE_BASE,))
     (report,) = result.reports
     assert not report.consistent
     assert len(report.violations) >= 1
@@ -103,8 +104,8 @@ def test_unsafe_base_demonstrably_fails():
 
 
 def test_campaign_is_deterministic():
-    first = small_campaign((Policy.FWB,))
-    second = small_campaign((Policy.FWB,))
+    first = small_campaign((FWB,))
+    second = small_campaign((FWB,))
     flatten = lambda result: [
         dataclasses.astuple(point) for point in result.reports[0].points
     ]

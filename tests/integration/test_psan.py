@@ -12,7 +12,15 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.core.policy import Policy
+from repro.core.design import (
+    FWB,
+    HWL,
+    HW_RLOG,
+    HW_ULOG,
+    REDO_CLWB,
+    UNDO_CLWB,
+    UNSAFE_BASE,
+)
 from repro.harness.sweep import run_micro_sweep
 from repro.sanitizer.checker import (
     PersistOrderChecker,
@@ -31,21 +39,21 @@ def psan(policy, benchmark="hash", threads=1, **kw):
 
 
 class TestGuaranteedDesignsClean:
-    @pytest.mark.parametrize("policy", [Policy.HWL, Policy.FWB])
+    @pytest.mark.parametrize("policy", [HWL, FWB], ids=lambda p: p.name)
     @pytest.mark.parametrize("threads", [1, 2])
     def test_hardware_designs_clean(self, policy, threads):
         report = psan(policy, threads=threads)
         assert report.clean, report.render()
         assert report.txns_checked == TXNS * threads
 
-    @pytest.mark.parametrize("policy", [Policy.UNDO_CLWB, Policy.REDO_CLWB])
+    @pytest.mark.parametrize("policy", [UNDO_CLWB, REDO_CLWB], ids=lambda p: p.name)
     def test_software_baselines_clean(self, policy):
         report = psan(policy)
         assert report.clean, report.render()
 
     @pytest.mark.parametrize("bench", ["rbtree", "sps"])
     def test_other_microbenchmarks_clean_under_hwl(self, bench):
-        report = psan(Policy.HWL, benchmark=bench)
+        report = psan(HWL, benchmark=bench)
         assert report.clean, report.render()
 
 
@@ -53,22 +61,22 @@ class TestBrokenDesignsTrip:
     def test_unsafe_base_trips_commit_durability(self):
         # No clwb ordering at all: commits are reported durable while the
         # records sit in volatile buffers.
-        report = psan(Policy.UNSAFE_BASE)
+        report = psan(UNSAFE_BASE)
         assert not report.clean
         assert "commit-durability" in report.rules_fired()
 
     def test_hw_rlog_trips_undo_missing(self):
         # Redo-only hardware logging steals dirty lines it cannot undo.
-        report = psan(Policy.HW_RLOG)
+        report = psan(HW_RLOG)
         assert report.rules_fired() == {"undo-missing"}
 
     def test_hw_ulog_trips_redo_missing(self):
         # Undo-only hardware logging commits without forcing data back.
-        report = psan(Policy.HW_ULOG)
+        report = psan(HW_ULOG)
         assert report.rules_fired() == {"redo-missing"}
 
     def test_diagnostics_carry_provenance(self):
-        report = psan(Policy.HW_RLOG)
+        report = psan(HW_RLOG)
         diag = report.diagnostics[0]
         assert diag.provenance  # the event chain that led here
         assert diag.addr is not None
@@ -78,7 +86,7 @@ class TestBrokenDesignsTrip:
 class TestOfflineTraces:
     def test_saved_trace_rechecks_identically(self, tmp_path):
         path = str(tmp_path / "hwl.jsonl")
-        live = psan(Policy.HWL, trace_path=path)
+        live = psan(HWL, trace_path=path)
         replayed = PersistOrderChecker.check_events(
             Tracer.from_jsonl(path).events()
         )
@@ -88,7 +96,7 @@ class TestOfflineTraces:
 
     def test_saved_violating_trace_rechecks_identically(self, tmp_path):
         path = str(tmp_path / "rlog.jsonl")
-        live = psan(Policy.HW_RLOG, trace_path=path)
+        live = psan(HW_RLOG, trace_path=path)
         replayed = PersistOrderChecker.check_events(
             Tracer.from_jsonl(path).events()
         )
@@ -102,7 +110,7 @@ class TestSweepIntegration:
         run_micro_sweep(
             benchmarks=("hash",),
             threads=(1, 2),
-            policies=(Policy.HWL, Policy.FWB),
+            policies=(HWL, FWB),
             txns_per_thread=TXNS,
             psan_report=sweep,
         )
@@ -117,7 +125,7 @@ class TestSweepIntegration:
         run_micro_sweep(
             benchmarks=("hash",),
             threads=(1,),
-            policies=(Policy.HWL, Policy.HW_RLOG),
+            policies=(HWL, HW_RLOG),
             txns_per_thread=TXNS,
             psan_report=sweep,
         )
@@ -130,7 +138,7 @@ class TestSweepIntegration:
     def test_sweep_psan_parallel_matches_serial(self):
         serial, parallel = PsanSweepReport(), PsanSweepReport()
         kw = dict(
-            benchmarks=("hash",), threads=(1,), policies=(Policy.HWL,),
+            benchmarks=("hash",), threads=(1,), policies=(HWL,),
             txns_per_thread=TXNS,
         )
         run_micro_sweep(psan_report=serial, **kw)

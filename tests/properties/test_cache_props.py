@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from repro.sim.cache import SetAssociativeCache
 from repro.sim.config import CacheConfig
-from repro import Machine, Policy
-from repro.sim.microops import Load, Store
+from repro import Machine
+from repro.core.design import NON_PERS
 from tests.conftest import tiny_system
 
 LINE = 64
@@ -70,26 +70,30 @@ class TestHierarchyFunctionalEquivalence:
     def test_hierarchy_matches_flat_memory(self, trace):
         """Loads through the hierarchy always return what a flat memory
         model would, regardless of evictions and write-backs."""
-        machine = Machine(tiny_system(), Policy.NON_PERS)
+        machine = Machine(tiny_system(), NON_PERS)
+        core = machine.cores[0]
         model = {}
         for addr, value, is_store in trace:
             if is_store:
                 data = bytes([value] * 8)
-                machine.execute(0, Store(addr, data))
+                machine.issue(core, core.exec_store, addr, data)
                 model[addr] = data
             else:
-                seen = machine.execute(0, Load(addr, 8))
-                assert seen == model.get(addr, bytes(8))
+                line = addr & ~63
+                seen = machine.issue(core, core.exec_load, addr, line)
+                offset = addr - line
+                assert bytes(seen[offset:offset + 8]) == model.get(addr, bytes(8))
 
     @given(trace=accesses)
     @settings(max_examples=20, deadline=None)
     def test_flush_all_makes_nvram_match_model(self, trace):
-        machine = Machine(tiny_system(), Policy.NON_PERS)
+        machine = Machine(tiny_system(), NON_PERS)
+        core = machine.cores[0]
         model = {}
         for addr, value, is_store in trace:
             if is_store:
                 data = bytes([value] * 8)
-                machine.execute(0, Store(addr, data))
+                machine.issue(core, core.exec_store, addr, data)
                 model[addr] = data
         machine.hierarchy.flush_all(machine.core_time(0))
         for addr, data in model.items():

@@ -9,7 +9,8 @@ test caught a real coherence bug during development).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Machine, PersistentMemory, Policy
+from repro import Machine, PersistentMemory
+from repro.core.design import CANONICAL_DESIGNS, FWB, NON_PERS
 from tests.conftest import tiny_system, word
 
 operations = st.lists(
@@ -44,23 +45,11 @@ def run_policy(policy, txns):
 @settings(max_examples=20, deadline=None)
 @given(txns=txn_lists)
 def test_all_policies_functionally_equivalent(txns):
-    reference = run_policy(Policy.NON_PERS, txns)
-    for policy in Policy:
-        if policy is Policy.NON_PERS:
+    reference = run_policy(NON_PERS, txns)
+    for policy in CANONICAL_DESIGNS:
+        if policy is NON_PERS:
             continue
         assert run_policy(policy, txns) == reference, policy.value
-
-
-@settings(max_examples=10, deadline=None)
-@given(txns=txn_lists)
-def test_canonical_specs_reproduce_legacy_policies(txns):
-    """Every canonical DesignSpec drives the machine exactly like the
-    legacy Policy member it replaced — same observations, same image."""
-    from repro.core.design import DESIGNS
-
-    for policy in Policy:
-        spec = DESIGNS.get(policy.value)
-        assert run_policy(spec, txns) == run_policy(policy, txns), policy.value
 
 
 @settings(max_examples=10, deadline=None)
@@ -70,7 +59,7 @@ def test_custom_specs_functionally_equivalent(txns):
     mechanisms change timing and durability, never program semantics."""
     from repro.core.design import parse_design
 
-    reference = run_policy(Policy.NON_PERS, txns)
+    reference = run_policy(NON_PERS, txns)
     for text in ("hw+undo+clwb", "sw+redo+fwb", "sw+undo+redo+clwb", "hw+redo+fwb"):
         assert run_policy(parse_design(text), txns) == reference, text
 
@@ -81,7 +70,7 @@ def test_grow_and_distributed_match_centralized(txns):
     from repro.sim.config import LoggingConfig
 
     def run_with(logging):
-        machine = Machine(tiny_system(logging=logging), Policy.FWB)
+        machine = Machine(tiny_system(logging=logging), FWB)
         pm = PersistentMemory(machine)
         api = pm.api(0)
         slots = [pm.heap.alloc(8) for _ in range(12)]

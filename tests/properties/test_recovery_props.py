@@ -9,11 +9,12 @@ transaction is fully absent (atomicity).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Machine, PersistentMemory, Policy, RecoveryManager
+from repro import Machine, PersistentMemory, RecoveryManager
+from repro.core.design import FWB, HWL, REDO_CLWB, UNDO_CLWB
 from repro.sim.config import LoggingConfig
 from tests.conftest import tiny_system, word
 
-GUARANTEED = [Policy.FWB, Policy.HWL, Policy.UNDO_CLWB, Policy.REDO_CLWB]
+GUARANTEED = [FWB, HWL, UNDO_CLWB, REDO_CLWB]
 
 transactions = st.lists(
     st.lists(
@@ -70,25 +71,25 @@ def run_and_crash(
 @settings(max_examples=25, deadline=None)
 @given(txns=transactions, crash_fraction=st.floats(0.0, 1.0))
 def test_fwb_crash_consistency(txns, crash_fraction):
-    run_and_crash(Policy.FWB, txns, crash_fraction)
+    run_and_crash(FWB, txns, crash_fraction)
 
 
 @settings(max_examples=25, deadline=None)
 @given(txns=transactions, crash_fraction=st.floats(0.0, 1.0))
 def test_hwl_crash_consistency(txns, crash_fraction):
-    run_and_crash(Policy.HWL, txns, crash_fraction)
+    run_and_crash(HWL, txns, crash_fraction)
 
 
 @settings(max_examples=20, deadline=None)
 @given(txns=transactions, crash_fraction=st.floats(0.0, 1.0))
 def test_undo_clwb_crash_consistency(txns, crash_fraction):
-    run_and_crash(Policy.UNDO_CLWB, txns, crash_fraction)
+    run_and_crash(UNDO_CLWB, txns, crash_fraction)
 
 
 @settings(max_examples=20, deadline=None)
 @given(txns=transactions, crash_fraction=st.floats(0.0, 1.0))
 def test_redo_clwb_crash_consistency(txns, crash_fraction):
-    run_and_crash(Policy.REDO_CLWB, txns, crash_fraction)
+    run_and_crash(REDO_CLWB, txns, crash_fraction)
 
 
 @settings(max_examples=15, deadline=None)
@@ -96,7 +97,7 @@ def test_redo_clwb_crash_consistency(txns, crash_fraction):
 def test_fwb_crash_consistency_with_tiny_wrapping_log(txns, crash_fraction):
     """Same guarantee with a 16-entry log that wraps constantly, forcing
     the wrap-protection path."""
-    run_and_crash(Policy.FWB, txns, crash_fraction, log_entries=16)
+    run_and_crash(FWB, txns, crash_fraction, log_entries=16)
 
 
 @settings(max_examples=15, deadline=None)
@@ -105,7 +106,7 @@ def test_fwb_crash_consistency_with_log_grow(txns, crash_fraction):
     """Same guarantee with log_grow() enabled on a tiny log, so active
     transactions trigger region growth."""
     run_and_crash(
-        Policy.FWB,
+        FWB,
         txns,
         crash_fraction,
         log_entries=16,
@@ -118,7 +119,7 @@ def test_fwb_crash_consistency_with_log_grow(txns, crash_fraction):
 def test_fwb_crash_consistency_with_distributed_logs(txns, crash_fraction):
     """Same guarantee over per-thread distributed rings."""
     run_and_crash(
-        Policy.FWB,
+        FWB,
         txns,
         crash_fraction,
         log_entries=128,
@@ -130,7 +131,7 @@ def test_fwb_crash_consistency_with_distributed_logs(txns, crash_fraction):
 @given(
     txns=transactions,
     crash_fraction=st.floats(0.0, 1.0),
-    policy=st.sampled_from([Policy.FWB, Policy.UNDO_CLWB]),
+    policy=st.sampled_from([FWB, UNDO_CLWB]),
 )
 def test_crash_consistency_under_adr(txns, crash_fraction, policy):
     """With an ADR persist domain, durability moves to controller

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Policy
+from repro.core.design import NON_PERS
 from repro.workloads.base import SetupAccessor
 from repro.workloads.btree import BTreeWorkload
 from repro.workloads.hashtable import HashTableWorkload
@@ -15,7 +15,7 @@ key_ops = st.lists(st.integers(0, 47), min_size=1, max_size=120)
 
 
 def fresh(workload_cls, **kwargs):
-    pm = make_pm(Policy.NON_PERS)
+    pm = make_pm(NON_PERS)
     workload = workload_cls(seed=1, **kwargs)
     workload.setup(pm)
     return pm, workload, SetupAccessor(pm)

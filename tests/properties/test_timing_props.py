@@ -8,8 +8,8 @@ from repro.sim.energy import EnergyModel
 from repro.sim.memctrl import MemoryController
 from repro.sim.nvram import NVRAM
 from repro.sim.stats import MachineStats
-from repro import Machine, Policy
-from repro.sim.microops import CLWB, Compute, Fence, Load, Store
+from repro import Machine
+from repro.core.design import FWB
 from tests.conftest import tiny_system
 
 
@@ -101,21 +101,22 @@ class TestCoreClockInvariants:
     @given(trace=core_ops)
     @settings(max_examples=40, deadline=None)
     def test_core_clock_never_decreases(self, trace):
-        machine = Machine(tiny_system(), Policy.FWB)
-        machine.execute(0, Compute(1))
+        machine = Machine(tiny_system(), FWB)
+        core = machine.cores[0]
+        machine.issue(core, core.exec_compute, 1)
         last = machine.core_time(0)
         for slot, kind in trace:
             addr = 0x2000 + slot * 64
             if kind == "load":
-                machine.execute(0, Load(addr, 8))
+                machine.issue(core, core.exec_load, addr, addr)
             elif kind == "store":
-                machine.execute(0, Store(addr, bytes(8)))
+                machine.issue(core, core.exec_store, addr, bytes(8))
             elif kind == "clwb":
-                machine.execute(0, CLWB(addr))
+                machine.issue(core, core.exec_clwb, addr)
             elif kind == "fence":
-                machine.execute(0, Fence())
+                machine.issue(core, core.exec_fence)
             else:
-                machine.execute(0, Compute(3))
+                machine.issue(core, core.exec_compute, 3)
             now = machine.core_time(0)
             assert now >= last
             last = now

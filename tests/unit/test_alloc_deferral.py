@@ -7,13 +7,13 @@ committed write back.  (This policy exists because the race was actually
 observed; see EXPERIMENTS.md.)
 """
 
-from repro import Policy
 from tests.conftest import make_pm
+from repro.core.design import FWB
 
 
 class TestDeferredFree:
     def test_free_inside_txn_not_reusable_until_commit(self):
-        pm = make_pm(Policy.FWB)
+        pm = make_pm(FWB)
         api = pm.api(0)
         addr = api.alloc(32)
         api.tx_begin()
@@ -26,14 +26,14 @@ class TestDeferredFree:
         assert api.alloc(32) == addr
 
     def test_free_outside_txn_recycles_immediately(self):
-        pm = make_pm(Policy.FWB)
+        pm = make_pm(FWB)
         api = pm.api(0)
         addr = api.alloc(32)
         api.free(addr, 32)
         assert api.alloc(32) == addr
 
     def test_recycling_is_thread_local(self):
-        pm = make_pm(Policy.FWB)
+        pm = make_pm(FWB)
         api0 = pm.api(0, 0)
         api1 = pm.api(1, 1)
         addr = api0.alloc(32)
@@ -43,14 +43,14 @@ class TestDeferredFree:
         assert api0.alloc(32) == addr
 
     def test_sizes_are_classed(self):
-        pm = make_pm(Policy.FWB)
+        pm = make_pm(FWB)
         api = pm.api(0)
         addr = api.alloc(32)
         api.free(addr, 32)
         assert api.alloc(64) != addr
 
     def test_alignment_matches_heap(self):
-        pm = make_pm(Policy.FWB)
+        pm = make_pm(FWB)
         api = pm.api(0)
         small = api.alloc(3)
         api.free(small, 3)
@@ -58,7 +58,7 @@ class TestDeferredFree:
         assert api.alloc(8) == small
 
     def test_multiple_frees_accumulate(self):
-        pm = make_pm(Policy.FWB)
+        pm = make_pm(FWB)
         api = pm.api(0)
         addrs = [api.alloc(16) for _ in range(3)]
         api.tx_begin()

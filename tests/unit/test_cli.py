@@ -150,3 +150,44 @@ class TestCommands:
         assert "campaign PASSED" in out
         assert "fwb" in out
         assert "violation(s)" in out  # the --verbose per-policy line
+
+
+REJECTED = [
+    ["faults", "--txns", "0"],
+    ["faults", "--txns", "-3"],
+    ["faults", "--threads", "0"],
+    ["faults", "--threads", "3"],
+    ["faults", "--points", "0"],
+    ["adapt", "faults", "--txns", "0"],
+    ["adapt", "faults", "--threads", "3"],
+    ["dist", "--replicas", "0"],
+    ["dist", "--threads", "3"],
+    ["dist", "--txns", "0"],
+    ["dist", "--points", "0"],
+]
+
+
+class TestRejectedCampaignInput:
+    """Bad campaign input is a usage error (exit 2), not a failed campaign
+    (exit 1) and never a pass over zero points."""
+
+    @pytest.mark.parametrize(
+        "argv", REJECTED, ids=lambda argv: "_".join(a.lstrip("-") for a in argv)
+    )
+    def test_one_line_and_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        command = " ".join(argv[:2]) if argv[0] == "adapt" else argv[0]
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"{command}: ")
+
+    def test_campaigns_over_no_points_do_not_pass(self):
+        from repro.adapt.faults import SwitchCampaignResult
+        from repro.dist import DistConfig
+        from repro.dist.campaign import DistCampaignResult
+        from repro.faults.campaign import CampaignResult
+
+        assert not CampaignResult("hash", 1, 1, 7).passed
+        assert not SwitchCampaignResult("hash", 1, 1, 7).passed
+        assert not DistCampaignResult(DistConfig()).passed

@@ -24,7 +24,6 @@ from repro.core.design import (
     parse_design,
     resolve_design,
 )
-from repro.core.policy import Policy
 
 
 class TestSpecValidation:
@@ -153,7 +152,7 @@ class TestRegistry:
         assert list(DESIGNS) == list(CANONICAL_DESIGNS)
 
 
-# The legacy predicate truth table, straight from the Policy era.  Each
+# The paper designs' predicate truth table.  Each
 # row: (design, hw, sw, undo, redo, clwb, fwb, defers, guaranteed).
 LEGACY_TABLE = [
     (NON_PERS, 0, 0, 0, 0, 0, 0, 0, 0),
@@ -201,28 +200,7 @@ class TestDerivedPredicates:
         assert not parse_design("hw+undo+redo+fwb+instant").persistence_guaranteed
 
 
-class TestPolicyInterop:
-    def test_policy_equals_its_spec(self):
-        assert Policy.FWB == FWB
-        assert FWB == Policy.FWB
-        assert Policy.HWL != FWB
-
-    def test_policy_hash_matches_spec(self):
-        assert hash(Policy.FWB) == hash(FWB)
-
-    def test_dict_keyed_by_spec_probeable_with_policy(self):
-        table = {spec: spec.name for spec in CANONICAL_DESIGNS}
-        assert table[Policy.HWL] == "hwl"
-        table2 = {policy: policy.value for policy in Policy}
-        assert table2[HW_ULOG] == "hw-ulog"
-
-    def test_tuple_keys_interoperate(self):
-        data = {("hash", FWB): 1}
-        assert data[("hash", Policy.FWB)] == 1
-
-    def test_resolve_design_accepts_policy(self):
-        assert resolve_design(Policy.REDO_CLWB) is REDO_CLWB
-
+class TestResolveDesign:
     def test_resolve_design_accepts_spec_and_string(self):
         assert resolve_design(HWL) is HWL
         assert resolve_design("hwl") is HWL

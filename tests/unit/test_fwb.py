@@ -3,14 +3,15 @@
 import pytest
 
 from repro.core.fwb import ForceWriteBack, required_scan_frequency, required_scan_interval
-from repro import Machine, Policy, SystemConfig
+from repro import Machine, SystemConfig
+from repro.core.design import FWB
 from repro.sim.config import LoggingConfig
 from tests.conftest import tiny_system
 
 
 @pytest.fixture
 def machine():
-    return Machine(tiny_system(), Policy.FWB)
+    return Machine(tiny_system(), FWB)
 
 
 class TestScanFrequency:
@@ -75,7 +76,7 @@ class TestStateMachine:
         assert machine.nvram.peek(0x2000, 8) == b"P" * 8
 
     def test_clean_lines_ignored(self, machine):
-        machine.hierarchy.load(0, 0x2000, 8, 0.0)
+        machine.hierarchy.load(0, 0x2000, 0.0, 0x2000)
         machine.fwb.scan(0.0)
         line = machine.hierarchy.l1s[0].lookup(0x2000)
         assert not line.fwb

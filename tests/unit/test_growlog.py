@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import Machine, PersistentMemory, Policy, RecoveryManager
+from repro import Machine, PersistentMemory, RecoveryManager
+from repro.core.design import FWB
 from repro.core.growlog import (
     DIRECTORY_BYTES,
     MAX_REGIONS,
@@ -95,7 +96,7 @@ class TestMachineIntegration:
     def _machine(self):
         return Machine(
             tiny_system(logging=LoggingConfig(log_entries=16, enable_log_grow=True)),
-            Policy.FWB,
+            FWB,
         )
 
     def test_oversized_transaction_commits_and_recovers(self):
@@ -132,7 +133,7 @@ class TestMachineIntegration:
         assert machine.nvram.peek(addr, 8) == word(99)
 
     def test_heap_shrinks_for_arena(self):
-        plain = Machine(tiny_system(logging=LoggingConfig(log_entries=16)), Policy.FWB)
+        plain = Machine(tiny_system(logging=LoggingConfig(log_entries=16)), FWB)
         grower = self._machine()
         assert grower.heap_limit < plain.heap_limit
 
@@ -143,7 +144,7 @@ class TestMachineIntegration:
                     log_entries=16, enable_log_grow=True, log_grow_reserve_regions=1
                 )
             ),
-            Policy.FWB,
+            FWB,
         )
         machine._alloc_grow_region(16 * 64)
         with pytest.raises(SimulationError):

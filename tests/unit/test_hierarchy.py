@@ -25,41 +25,48 @@ def make_hierarchy(num_cores=2):
     return CacheHierarchy(config, mc, energy, stats), nvram, stats
 
 
+def load(h, core_id, addr, size, now):
+    """``(latency, l1_hit, bytes)`` of a load of ``size`` bytes at ``addr``."""
+    line = addr & ~63
+    latency, l1_hit, data = h.load(core_id, addr, now, line)
+    return latency, l1_hit, bytes(data[addr - line:addr - line + size])
+
+
 class TestLoadPath:
     def test_cold_load_comes_from_memory(self):
         h, nvram, stats = make_hierarchy()
         nvram.poke(100, b"\xAB")
-        result = h.load(0, 100, 1, 0.0)
-        assert result.data == b"\xAB"
-        assert result.level == "mem"
+        _, l1_hit, data = load(h, 0, 100, 1, 0.0)
+        assert data == b"\xAB"
+        assert not l1_hit
         assert stats.l1_misses == 1
         assert stats.llc_misses == 1
 
     def test_second_load_hits_l1(self):
         h, _, stats = make_hierarchy()
-        h.load(0, 100, 1, 0.0)
-        result = h.load(0, 100, 1, 1.0)
-        assert result.level == "l1"
+        load(h, 0, 100, 1, 0.0)
+        _, l1_hit, _ = load(h, 0, 100, 1, 1.0)
+        assert l1_hit
         assert stats.l1_hits == 1
 
     def test_other_core_hits_llc(self):
         h, _, stats = make_hierarchy()
-        h.load(0, 100, 1, 0.0)
-        result = h.load(1, 100, 1, 1.0)
-        assert result.level == "llc"
+        load(h, 0, 100, 1, 0.0)
+        _, l1_hit, _ = load(h, 1, 100, 1, 1.0)
+        assert not l1_hit
         assert stats.llc_hits == 1
 
     def test_latency_ordering(self):
         h, _, _ = make_hierarchy()
-        mem = h.load(0, 0, 8, 0.0).latency
-        l1 = h.load(0, 0, 8, 1.0).latency
-        llc = h.load(1, 0, 8, 2.0).latency
+        mem = load(h, 0, 0, 8, 0.0)[0]
+        l1 = load(h, 0, 0, 8, 1.0)[0]
+        llc = load(h, 1, 0, 8, 2.0)[0]
         assert l1 < llc < mem
 
     def test_cross_line_access_rejected(self):
         h, _, _ = make_hierarchy()
         with pytest.raises(SimulationError):
-            h.load(0, 60, 8, 0.0)
+            h.store_prepare(0, 60, 8, 0.0)
 
 
 class TestStorePath:
@@ -88,7 +95,7 @@ class TestStorePath:
 
     def test_write_invalidates_remote_copy(self):
         h, _, stats = make_hierarchy()
-        h.load(1, 64, 8, 0.0)  # core 1 caches the line
+        load(h, 1, 64, 8, 0.0)  # core 1 caches the line
         h.store(0, 64, b"XX", 1.0)
         assert h.l1s[1].lookup(64) is None
         assert stats.coherence_invalidations >= 1
@@ -96,8 +103,7 @@ class TestStorePath:
     def test_read_pulls_remote_dirty_data(self):
         h, _, _ = make_hierarchy()
         h.store(0, 64, b"DIRTY!", 0.0)
-        result = h.load(1, 64, 6, 1.0)
-        assert result.data == b"DIRTY!"
+        assert load(h, 1, 64, 6, 1.0)[2] == b"DIRTY!"
 
 
 class TestEvictionAndInclusion:
@@ -105,8 +111,8 @@ class TestEvictionAndInclusion:
         h, _, _ = make_hierarchy()
         # L1 has 4 sets x 2 ways; same-set lines are 256B apart.
         h.store(0, 0, b"ZZ", 0.0)
-        h.load(0, 256, 1, 1.0)
-        h.load(0, 512, 1, 2.0)  # evicts line 0 from L1
+        load(h, 0, 256, 1, 1.0)
+        load(h, 0, 512, 1, 2.0)  # evicts line 0 from L1
         assert h.l1s[0].lookup(0) is None
         llc_line = h.llc.lookup(0)
         assert llc_line.dirty
@@ -117,7 +123,7 @@ class TestEvictionAndInclusion:
         h.store(0, 0, b"PERSIST!", 0.0)
         # LLC: 8 sets x 4 ways; same LLC set lines are 512B apart.
         for i in range(1, 9):
-            h.load(0, i * 512, 1, float(i))
+            load(h, 0, i * 512, 1, float(i))
         assert stats.writebacks >= 1
         assert nvram.peek(0, 8) == b"PERSIST!"
 
@@ -125,7 +131,7 @@ class TestEvictionAndInclusion:
         h, _, _ = make_hierarchy()
         h.store(0, 0, b"X", 0.0)
         for i in range(1, 9):
-            h.load(1, i * 512, 1, float(i))
+            load(h, 1, i * 512, 1, float(i))
         # Inclusion: once the LLC dropped line 0, no L1 may hold it.
         if h.llc.lookup(0) is None:
             assert h.l1s[0].lookup(0) is None
@@ -141,7 +147,7 @@ class TestCLWB:
 
     def test_clwb_clean_line_is_noop(self):
         h, _, _ = make_hierarchy()
-        h.load(0, 64, 8, 0.0)
+        load(h, 0, 64, 8, 0.0)
         assert h.clwb(0, 64, 1.0) is None
 
     def test_clwb_keeps_line_cached_clean(self):
@@ -164,13 +170,13 @@ class TestCLWB:
 class TestScanTax:
     def test_debt_paid_one_cycle_at_a_time(self):
         h, _, stats = make_hierarchy()
-        h.load(0, 0, 8, 0.0)
-        base = h.load(0, 0, 8, 1.0).latency
+        load(h, 0, 0, 8, 0.0)
+        base = load(h, 0, 0, 8, 1.0)[0]
         h.add_scan_debt(2.0)
-        taxed = h.load(0, 0, 8, 2.0).latency
+        taxed = load(h, 0, 0, 8, 2.0)[0]
         assert taxed == base + 1.0
         assert stats.fwb_tax_cycles == 1.0
-        h.load(0, 0, 8, 3.0)
+        load(h, 0, 0, 8, 3.0)
         assert h.scan_debt == 0.0
 
 

@@ -4,11 +4,12 @@ import pytest
 
 from repro.core.logrecord import LogRecord, RecordKind
 from repro.core.recovery import RecoveryManager
-from repro import Machine, Policy
+from repro import Machine
+from repro.core.design import FWB, HW_RLOG, HW_ULOG
 from tests.conftest import tiny_system
 
 
-def make_machine(policy=Policy.FWB, **overrides):
+def make_machine(policy=FWB, **overrides):
     return Machine(tiny_system(**overrides), policy)
 
 
@@ -76,7 +77,7 @@ class TestRecordContents:
         assert data.addr == 0x2000
 
     def test_hw_ulog_records_undo_only(self):
-        m = make_machine(Policy.HW_ULOG)
+        m = make_machine(HW_ULOG)
         m.hwl.on_tx_begin(1, 0, 0.0)
         m.hwl.on_store(0, 1, 0, 0x2000, b"OLDOLD!!", b"NEWNEW!!", 0x2000, 0.0)
         m.hwl.on_tx_commit(1, 0, 1.0)
@@ -84,7 +85,7 @@ class TestRecordContents:
         assert data.has_undo and not data.has_redo
 
     def test_hw_rlog_records_redo_only(self):
-        m = make_machine(Policy.HW_RLOG)
+        m = make_machine(HW_RLOG)
         m.hwl.on_tx_begin(1, 0, 0.0)
         m.hwl.on_store(0, 1, 0, 0x2000, b"OLDOLD!!", b"NEWNEW!!", 0x2000, 0.0)
         m.hwl.on_tx_commit(1, 0, 1.0)
@@ -128,7 +129,7 @@ class TestWrapProtection:
 
     def test_unsafe_hw_logging_skips_protection(self):
         m = make_machine(
-            Policy.HW_ULOG, logging=tiny_system().logging.__class__(log_entries=8)
+            HW_ULOG, logging=tiny_system().logging.__class__(log_entries=8)
         )
         m.hierarchy.store(0, 0x2000, b"D" * 8, 0.0)
         m.hwl.on_tx_begin(1, 0, 0.0)

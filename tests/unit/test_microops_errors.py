@@ -1,4 +1,4 @@
-"""Tests for the micro-op IR, error hierarchy, and torn-entry handling."""
+"""Tests for the error hierarchy and torn-entry handling."""
 
 import pytest
 
@@ -12,17 +12,6 @@ from repro.errors import (
     SimulationError,
     TransactionError,
     WorkloadError,
-)
-from repro.sim.microops import (
-    CLWB,
-    Compute,
-    Fence,
-    Load,
-    LogStore,
-    MicroOp,
-    Store,
-    TxBegin,
-    TxCommit,
 )
 
 
@@ -43,40 +32,6 @@ class TestErrorHierarchy:
         assert issubclass(exc, ReproError)
         with pytest.raises(ReproError):
             raise exc("boom")
-
-
-class TestMicroOps:
-    def test_all_are_microops(self):
-        ops = [
-            Compute(1),
-            Load(0, 8),
-            Store(0, b"x"),
-            LogStore(0, b"x"),
-            CLWB(0),
-            Fence(),
-            TxBegin(txid=1),
-            TxCommit(txid=1),
-        ]
-        for op in ops:
-            assert isinstance(op, MicroOp)
-
-    def test_frozen(self):
-        op = Load(0x100, 8)
-        with pytest.raises(AttributeError):
-            op.addr = 0x200
-
-    def test_store_defaults(self):
-        op = Store(0x100, b"data")
-        assert not op.persistent
-        assert op.txid == 0 and op.tid == 0
-
-    def test_tx_commit_defaults(self):
-        op = TxCommit(txid=5)
-        assert not op.wait_for_durability
-        assert op.writeback_lines == ()
-
-    def test_load_default_word(self):
-        assert Load(0).size == 8
 
 
 class TestTornEntries:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import Machine, PersistentMemory, Policy
+from repro import Machine, PersistentMemory
+from repro.core.design import FWB
 from repro.core.multilog import LogRouter, recover_all, split_log_region
 from repro.core.logbuffer import LogBuffer
 from repro.errors import LogError
@@ -53,7 +54,7 @@ class TestMachineIntegration:
     def _machine(self, rings=2):
         return Machine(
             tiny_system(logging=LoggingConfig(log_entries=128, distributed_logs=rings)),
-            Policy.FWB,
+            FWB,
         )
 
     def test_machine_builds_rings_and_buffers(self):

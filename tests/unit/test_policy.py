@@ -1,13 +1,24 @@
-"""Unit tests for repro.core.policy."""
+"""Unit tests for the paper's eight designs as the registry serves them."""
 
 import pytest
 
-from repro.core.policy import MICROBENCH_POLICIES, Policy
+from repro.core.design import (
+    CANONICAL_DESIGNS,
+    DESIGNS,
+    FWB,
+    HW_RLOG,
+    HW_ULOG,
+    HWL,
+    NON_PERS,
+    REDO_CLWB,
+    UNDO_CLWB,
+    UNSAFE_BASE,
+)
 
 
 class TestNames:
     def test_paper_names(self):
-        assert {p.value for p in Policy} == {
+        assert {p.value for p in CANONICAL_DESIGNS} == {
             "non-pers",
             "unsafe-base",
             "redo-clwb",
@@ -19,98 +30,63 @@ class TestNames:
         }
 
     def test_from_name(self):
-        assert Policy.from_name("fwb") is Policy.FWB
+        assert DESIGNS.get("fwb") is FWB
 
     def test_from_name_covers_every_member(self):
-        for policy in Policy:
-            assert Policy.from_name(policy.value) is policy
+        for policy in CANONICAL_DESIGNS:
+            assert DESIGNS.get(policy.value) is policy
 
     def test_from_name_unknown(self):
         with pytest.raises(ValueError):
-            Policy.from_name("nope")
+            DESIGNS.get("nope")
 
     def test_from_name_unknown_suggests(self):
         with pytest.raises(ValueError, match="did you mean.*undo-clwb"):
-            Policy.from_name("undo-clbw")
+            DESIGNS.get("undo-clbw")
 
     def test_paper_order(self):
-        assert MICROBENCH_POLICIES[0] is Policy.NON_PERS
-        assert MICROBENCH_POLICIES[-1] is Policy.FWB
+        assert CANONICAL_DESIGNS[0] is NON_PERS
+        assert CANONICAL_DESIGNS[-1] is FWB
 
 
 class TestStructure:
     def test_hw_vs_sw_partition(self):
-        for policy in Policy:
+        for policy in CANONICAL_DESIGNS:
             assert not (policy.uses_hw_logging and policy.uses_sw_logging)
 
     def test_non_pers_logs_nothing(self):
-        assert not Policy.NON_PERS.logs_undo
-        assert not Policy.NON_PERS.logs_redo
+        assert not NON_PERS.logs_undo
+        assert not NON_PERS.logs_redo
 
     def test_hwl_and_fwb_log_both_sides(self):
-        for policy in (Policy.HWL, Policy.FWB):
+        for policy in (HWL, FWB):
             assert policy.logs_undo and policy.logs_redo
 
     def test_single_side_hw(self):
-        assert Policy.HW_RLOG.logs_redo and not Policy.HW_RLOG.logs_undo
-        assert Policy.HW_ULOG.logs_undo and not Policy.HW_ULOG.logs_redo
+        assert HW_RLOG.logs_redo and not HW_RLOG.logs_undo
+        assert HW_ULOG.logs_undo and not HW_ULOG.logs_redo
 
     def test_clwb_users(self):
-        assert {p for p in Policy if p.uses_clwb_at_commit} == {
-            Policy.REDO_CLWB,
-            Policy.UNDO_CLWB,
-            Policy.HWL,
+        assert {p for p in CANONICAL_DESIGNS if p.uses_clwb_at_commit} == {
+            REDO_CLWB,
+            UNDO_CLWB,
+            HWL,
         }
 
     def test_only_fwb_uses_fwb(self):
-        assert [p for p in Policy if p.uses_fwb] == [Policy.FWB]
+        assert [p for p in CANONICAL_DESIGNS if p.uses_fwb] == [FWB]
 
     def test_persistence_guarantees(self):
-        guaranteed = {p for p in Policy if p.persistence_guaranteed}
-        assert guaranteed == {
-            Policy.REDO_CLWB,
-            Policy.UNDO_CLWB,
-            Policy.HWL,
-            Policy.FWB,
-        }
+        guaranteed = {p for p in CANONICAL_DESIGNS if p.persistence_guaranteed}
+        assert guaranteed == {REDO_CLWB, UNDO_CLWB, HWL, FWB}
 
     def test_unsafe_designs_not_guaranteed(self):
-        for policy in (Policy.UNSAFE_BASE, Policy.HW_RLOG, Policy.HW_ULOG):
+        for policy in (UNSAFE_BASE, HW_RLOG, HW_ULOG):
             assert not policy.persistence_guaranteed
 
     def test_only_redo_defers_stores(self):
-        assert [p for p in Policy if p.defers_in_place_stores] == [Policy.REDO_CLWB]
+        assert [p for p in CANONICAL_DESIGNS if p.defers_in_place_stores] == [REDO_CLWB]
 
     def test_wrap_protection_matches_guarantee(self):
-        for policy in Policy:
+        for policy in CANONICAL_DESIGNS:
             assert policy.protects_log_wrap == policy.persistence_guaranteed
-
-
-class TestDesignAlias:
-    """Policy is a thin alias over the design registry."""
-
-    def test_design_attribute_is_registered_spec(self):
-        from repro.core.design import DESIGNS
-
-        for policy in Policy:
-            assert policy.design is DESIGNS.get(policy.value)
-
-    def test_predicates_delegate_to_design(self):
-        for policy in Policy:
-            spec = policy.design
-            assert policy.uses_hw_logging == spec.uses_hw_logging
-            assert policy.uses_sw_logging == spec.uses_sw_logging
-            assert policy.logs_undo == spec.logs_undo
-            assert policy.logs_redo == spec.logs_redo
-            assert policy.uses_clwb_at_commit == spec.uses_clwb_at_commit
-            assert policy.uses_fwb == spec.uses_fwb
-            assert policy.defers_in_place_stores == spec.defers_in_place_stores
-            assert policy.persistence_guaranteed == spec.persistence_guaranteed
-            assert policy.protects_log_wrap == spec.protects_log_wrap
-
-    def test_policy_identity_still_works(self):
-        # Enum identity semantics survive the custom __eq__/__hash__.
-        assert Policy.FWB is Policy("fwb")
-        assert Policy.FWB == Policy.FWB
-        assert Policy.FWB != Policy.HWL
-        assert len({Policy.FWB, Policy.FWB.design}) == 1

@@ -2,16 +2,24 @@
 
 import pytest
 
-from repro import Policy
+from repro.core.design import (
+    CANONICAL_DESIGNS,
+    FWB,
+    HWL,
+    NON_PERS,
+    REDO_CLWB,
+    UNDO_CLWB,
+    UNSAFE_BASE,
+)
 from repro.errors import TransactionError
 from tests.conftest import make_pm, word
 
-GUARANTEED = [Policy.REDO_CLWB, Policy.UNDO_CLWB, Policy.HWL, Policy.FWB]
+GUARANTEED = [REDO_CLWB, UNDO_CLWB, HWL, FWB]
 
 
 class TestLifecycle:
     def test_begin_commit(self):
-        pm = make_pm(Policy.FWB)
+        pm = make_pm(FWB)
         api = pm.api(0)
         txid = api.tx_begin()
         assert api.in_transaction
@@ -21,34 +29,34 @@ class TestLifecycle:
         assert durable >= 0
 
     def test_nested_begin_rejected(self):
-        api = make_pm(Policy.FWB).api(0)
+        api = make_pm(FWB).api(0)
         api.tx_begin()
         with pytest.raises(TransactionError):
             api.tx_begin()
 
     def test_commit_without_begin_rejected(self):
         with pytest.raises(TransactionError):
-            make_pm(Policy.FWB).api(0).tx_commit()
+            make_pm(FWB).api(0).tx_commit()
 
     def test_write_outside_transaction_rejected(self):
-        api = make_pm(Policy.FWB).api(0)
+        api = make_pm(FWB).api(0)
         with pytest.raises(TransactionError):
             api.write(0x2000, word(1))
 
     def test_context_manager(self):
-        api = make_pm(Policy.FWB).api(0)
+        api = make_pm(FWB).api(0)
         with api.transaction():
             api.write(0x2000, word(7))
         assert not api.in_transaction
 
     def test_context_manager_propagates_errors(self):
-        api = make_pm(Policy.FWB).api(0)
+        api = make_pm(FWB).api(0)
         with pytest.raises(RuntimeError):
             with api.transaction():
                 raise RuntimeError("boom")
 
     def test_txids_unique(self):
-        pm = make_pm(Policy.FWB)
+        pm = make_pm(FWB)
         api = pm.api(0)
         ids = set()
         for _ in range(10):
@@ -58,7 +66,7 @@ class TestLifecycle:
         assert len(ids) == 10
 
 
-@pytest.mark.parametrize("policy", list(Policy), ids=lambda p: p.value)
+@pytest.mark.parametrize("policy", CANONICAL_DESIGNS, ids=lambda p: p.value)
 class TestReadYourWrites:
     def test_read_after_write_in_txn(self, policy):
         api = make_pm(policy).api(0)
@@ -90,7 +98,7 @@ class TestReadYourWrites:
 
 class TestRedoOverlay:
     def test_overlay_patches_partial_read(self):
-        api = make_pm(Policy.REDO_CLWB).api(0)
+        api = make_pm(REDO_CLWB).api(0)
         pm_word = word(0xAABBCCDD)
         api.tx_begin()
         api.write(0x2000, pm_word)
@@ -100,7 +108,7 @@ class TestRedoOverlay:
         api.tx_commit()
 
     def test_in_place_store_deferred_until_commit(self):
-        pm = make_pm(Policy.REDO_CLWB)
+        pm = make_pm(REDO_CLWB)
         api = pm.api(0)
         api.tx_begin()
         api.write(0x2000, word(5))
@@ -112,7 +120,7 @@ class TestRedoOverlay:
 
 class TestGoldenModel:
     def test_commit_recorded(self):
-        pm = make_pm(Policy.FWB)
+        pm = make_pm(FWB)
         api = pm.api(0)
         with api.transaction():
             api.write(0x2000, word(1))
@@ -122,7 +130,7 @@ class TestGoldenModel:
         assert durable > 0
 
     def test_expected_at_orders_by_durability(self):
-        pm = make_pm(Policy.FWB)
+        pm = make_pm(FWB)
         pm.golden.record(10.0, {0x2000: word(1)})
         pm.golden.record(20.0, {0x2000: word(2)})
         assert pm.golden.expected_at(15.0)[0x2000] == word(1)
@@ -130,7 +138,7 @@ class TestGoldenModel:
         assert pm.golden.expected_at(5.0) == {}
 
     def test_touched_addresses(self):
-        pm = make_pm(Policy.FWB)
+        pm = make_pm(FWB)
         pm.golden.record(1.0, {0x2000: word(1), 0x2008: word(2)})
         assert pm.golden.touched_addresses() == {0x2000, 0x2008}
 
@@ -177,14 +185,14 @@ class TestInstructionAccounting:
                 api.write(0x2000, bytes(32))
             return pm.machine.cores[0].instret
 
-        non_pers = instructions(Policy.NON_PERS)
-        sw = instructions(Policy.UNSAFE_BASE)
-        hw = instructions(Policy.FWB)
+        non_pers = instructions(NON_PERS)
+        sw = instructions(UNSAFE_BASE)
+        hw = instructions(FWB)
         assert sw > 1.8 * non_pers
         assert non_pers < hw < 1.5 * non_pers
 
     def test_setup_accessors(self):
-        pm = make_pm(Policy.FWB)
+        pm = make_pm(FWB)
         pm.setup_write(0x3000, b"seed")
         assert pm.setup_read(0x3000, 4) == b"seed"
         assert pm.machine.stats.instructions == 0

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import Machine, PersistentMemory, Policy
+from repro import Machine, PersistentMemory
+from repro.core.design import FWB
 from repro.sim.config import LoggingConfig
 from repro.sim.trace import TraceEvent, Tracer
 from tests.conftest import tiny_system, word
@@ -91,7 +92,7 @@ class TestMachineIntegration:
     def _run(self, logging=None):
         machine = Machine(
             tiny_system(logging=logging or LoggingConfig(log_entries=128)),
-            Policy.FWB,
+            FWB,
         )
         machine.tracer = Tracer()
         pm = PersistentMemory(machine)
@@ -131,5 +132,5 @@ class TestMachineIntegration:
         assert "commit durability lag" in summary
 
     def test_untraced_machine_records_nothing(self):
-        machine = Machine(tiny_system(), Policy.FWB)
+        machine = Machine(tiny_system(), FWB)
         assert machine.tracer is None  # default: zero overhead

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from repro import Machine, Policy
+from repro import Machine
+from repro.core.design import FWB, NON_PERS
 from repro.errors import AddressError, WorkloadError
 from repro.harness.runner import RunConfig, build_run
 from repro.sim.ctrace import K_READ, CompiledThread
@@ -18,25 +19,25 @@ from tests.conftest import make_pm, tiny_system
 
 class TestSetupAccessor:
     def test_read_write_roundtrip(self):
-        pm = make_pm(Policy.NON_PERS)
+        pm = make_pm(NON_PERS)
         acc = SetupAccessor(pm)
         acc.write(0x2000, b"setup!")
         assert acc.read(0x2000, 6) == b"setup!"
         assert pm.machine.stats.instructions == 0  # untimed
 
     def test_compute_is_noop(self):
-        pm = make_pm(Policy.NON_PERS)
+        pm = make_pm(NON_PERS)
         SetupAccessor(pm).compute(1000)
         assert pm.machine.stats.instructions == 0
 
     def test_transaction_context_is_noop(self):
-        pm = make_pm(Policy.NON_PERS)
+        pm = make_pm(NON_PERS)
         acc = SetupAccessor(pm)
         with acc.transaction() as inner:
             assert inner is acc
 
     def test_alloc_free(self):
-        pm = make_pm(Policy.NON_PERS)
+        pm = make_pm(NON_PERS)
         acc = SetupAccessor(pm)
         addr = acc.alloc(32)
         acc.free(addr, 32)
@@ -57,7 +58,7 @@ class TestWorkloadBase:
         assert HashTableWorkload(value_kind="string").value_size == 96
 
     def test_word_helpers(self):
-        pm = make_pm(Policy.NON_PERS)
+        pm = make_pm(NON_PERS)
         acc = SetupAccessor(pm)
         acc.write_word(0x2000, 0xDEADBEEF)
         assert acc.read_word(0x2000) == 0xDEADBEEF
@@ -77,7 +78,7 @@ class TestWorkloadBase:
                 acc.write_word(addr, 1)
 
     def test_word_writes_stay_inside_the_dirty_extent(self):
-        pm = make_pm(Policy.NON_PERS)
+        pm = make_pm(NON_PERS)
         acc = SetupAccessor(pm)
         for addr in (0x2000, 0x2008, 0x5010, 0x30001):
             acc.write_word(addr, 0xFF)
@@ -87,24 +88,24 @@ class TestWorkloadBase:
         # Isolate the image pool so the next machine gets this buffer.
         monkeypatch.setattr(NVRAM, "_image_pool", {})
         workload = make_whisper_kernel("ctree", keys_per_partition=64)
-        run = RunConfig(Policy.FWB, threads=1, system=tiny_system())
+        run = RunConfig(FWB, threads=1, system=tiny_system())
         machine, _pm, _ = build_run(workload, run)
         image = machine.nvram.image
         zero = bytes(len(image))
         assert image != zero
         machine.nvram.recycle()
-        fresh = Machine(tiny_system(), Policy.FWB).nvram.image
+        fresh = Machine(tiny_system(), FWB).nvram.image
         assert fresh is image
         assert fresh == zero
 
     def test_word_view_needs_a_little_endian_host(self, monkeypatch):
-        pm = make_pm(Policy.NON_PERS)
+        pm = make_pm(NON_PERS)
         monkeypatch.setattr(sys, "byteorder", "big")
         with pytest.raises(WorkloadError, match="little-endian"):
             SetupAccessor(pm)
 
     def test_timed_accessors_read_words_through_read(self):
-        pm = make_pm(Policy.FWB)
+        pm = make_pm(FWB)
         SetupAccessor(pm).write_word(0x2000, 0xABCD)
         api = pm.api(0)
         assert api.read_word(0x2000) == 0xABCD

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro import Policy
+from repro.core.design import NON_PERS
 from repro.workloads.base import SetupAccessor
 from repro.workloads.btree import BTreeWorkload
 from tests.conftest import make_pm
@@ -12,7 +12,7 @@ from tests.conftest import make_pm
 
 @pytest.fixture
 def env():
-    pm = make_pm(Policy.NON_PERS)
+    pm = make_pm(NON_PERS)
     workload = BTreeWorkload(seed=7, keys_per_partition=128)
     workload.setup(pm)
     return pm, workload, SetupAccessor(pm)

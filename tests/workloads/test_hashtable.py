@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Policy
+from repro.core.design import NON_PERS
 from repro.workloads.base import SetupAccessor
 from repro.workloads.hashtable import HashTableWorkload
 from tests.conftest import make_pm
@@ -10,7 +10,7 @@ from tests.conftest import make_pm
 
 @pytest.fixture
 def env():
-    pm = make_pm(Policy.NON_PERS)
+    pm = make_pm(NON_PERS)
     workload = HashTableWorkload(
         seed=3, buckets_per_partition=8, keys_per_partition=64
     )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Policy
+from repro.core.design import FWB
 from repro.workloads.base import SetupAccessor
 from repro.workloads.whisper.exim_w import EximKernel
 from repro.workloads.whisper.nfs_w import NFSKernel
@@ -12,7 +12,7 @@ from tests.conftest import make_pm
 class TestNFS:
     @pytest.fixture
     def env(self):
-        pm = make_pm(Policy.FWB)
+        pm = make_pm(FWB)
         kernel = NFSKernel(seed=5, files_per_partition=32)
         kernel.setup(pm)
         return pm, kernel
@@ -54,7 +54,7 @@ class TestNFS:
 class TestExim:
     @pytest.fixture
     def env(self):
-        pm = make_pm(Policy.FWB)
+        pm = make_pm(FWB)
         kernel = EximKernel(seed=5, spool_slots=64)
         kernel.setup(pm)
         return pm, kernel

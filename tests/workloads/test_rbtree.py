@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro import Policy
+from repro.core.design import NON_PERS
 from repro.workloads.base import SetupAccessor
 from repro.workloads.rbtree import RBTreeWorkload
 from tests.conftest import make_pm
@@ -12,7 +12,7 @@ from tests.conftest import make_pm
 
 @pytest.fixture
 def env():
-    pm = make_pm(Policy.NON_PERS)
+    pm = make_pm(NON_PERS)
     workload = RBTreeWorkload(seed=5, keys_per_partition=64)
     workload.setup(pm)
     return pm, workload, SetupAccessor(pm)

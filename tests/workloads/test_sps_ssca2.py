@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Policy
+from repro.core.design import NON_PERS
 from repro.workloads.base import SetupAccessor
 from repro.workloads.sps import SPSWorkload
 from repro.workloads.ssca2 import SSCA2Workload
@@ -11,7 +11,7 @@ from tests.conftest import make_pm
 
 @pytest.fixture
 def sps_env():
-    pm = make_pm(Policy.NON_PERS)
+    pm = make_pm(NON_PERS)
     workload = SPSWorkload(seed=11, entries_per_partition=64)
     workload.setup(pm)
     return pm, workload, SetupAccessor(pm)
@@ -62,7 +62,7 @@ class TestSPS:
 
 @pytest.fixture
 def graph_env():
-    pm = make_pm(Policy.NON_PERS)
+    pm = make_pm(NON_PERS)
     workload = SSCA2Workload(
         seed=13, vertices_per_partition=32, initial_edges_per_vertex=2
     )

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro import Policy
+from repro.core.design import FWB, NON_PERS
 from repro.workloads.base import SetupAccessor
 from repro.workloads.whisper import WHISPER_KERNELS, make_whisper_kernel
 from repro.workloads.whisper.base import AppendLog, LRUList, ProbingTable
@@ -42,7 +42,7 @@ class TestAllKernelsRun:
             "vacation": dict(records_per_table=64),
             "ycsb": dict(keys_per_partition=64),
         }
-        pm = make_pm(Policy.FWB)
+        pm = make_pm(FWB)
         kernel = make_whisper_kernel(name, seed=2, **small[name])
         kernel.setup(pm)
         api = pm.api(0)
@@ -134,7 +134,7 @@ class TestTraceCompilableContract:
 class TestProbingTable:
     @pytest.fixture
     def table_env(self):
-        pm = make_pm(Policy.NON_PERS)
+        pm = make_pm(NON_PERS)
         kernel = make_whisper_kernel("ycsb", keys_per_partition=16)
         kernel.setup(pm)
         return kernel.table, SetupAccessor(pm)
@@ -173,7 +173,7 @@ class TestProbingTable:
 class TestLRUList:
     @pytest.fixture
     def lru_env(self):
-        pm = make_pm(Policy.NON_PERS)
+        pm = make_pm(NON_PERS)
         kernel = MemcachedKernel(seed=2, keys_per_partition=8)
         kernel.setup(pm)
         return kernel.lru, SetupAccessor(pm)
@@ -202,7 +202,7 @@ class TestLRUList:
 
 class TestTPCC:
     def test_stock_conserves_units(self):
-        pm = make_pm(Policy.NON_PERS)
+        pm = make_pm(NON_PERS)
         kernel = TPCCKernel(seed=2, items_per_partition=32)
         kernel.setup(pm)
         acc = SetupAccessor(pm)
@@ -221,7 +221,7 @@ class TestTPCC:
         (the contrast Figure 10 builds on)."""
 
         def log_records(name, **kw):
-            pm = make_pm(Policy.FWB)
+            pm = make_pm(FWB)
             kernel = make_whisper_kernel(name, seed=2, **kw)
             kernel.setup(pm)
             api = pm.api(0)
@@ -236,7 +236,7 @@ class TestTPCC:
 
 class TestCTree:
     def test_matches_set_model(self):
-        pm = make_pm(Policy.NON_PERS)
+        pm = make_pm(NON_PERS)
         kernel = CTreeKernel(seed=2, keys_per_partition=32)
         kernel.setup(pm)
         acc = SetupAccessor(pm)
