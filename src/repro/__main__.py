@@ -372,9 +372,7 @@ def _cmd_dist(args) -> int:
     )
     result = run_dist_campaign(
         benchmarks=tuple(args.benchmarks.split(",")),
-        policies=tuple(
-            DESIGNS.resolve(name.strip()) for name in args.policy.split(",")
-        ),
+        policies=tuple(name.strip() for name in args.policy.split(",")),
         config=config,
         threads=args.threads,
         txns_per_thread=args.txns,

@@ -44,8 +44,8 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from ..errors import LogError
 
@@ -164,9 +164,8 @@ def is_reset_marker(raw: bytes) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class LogRecord:
-    """One decoded log record."""
+class _RecordFields(NamedTuple):
+    """The fields of :class:`LogRecord`, in order."""
 
     kind: RecordKind
     txid: int
@@ -176,17 +175,43 @@ class LogRecord:
     redo: bytes = b""
     torn: int = 0
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.txid < (1 << 16):
-            raise LogError(f"txid {self.txid} does not fit in 16 bits")
-        if not 0 <= self.tid < (1 << 8):
-            raise LogError(f"tid {self.tid} does not fit in 8 bits")
-        if not 0 <= self.addr < (1 << 48):
-            raise LogError(f"addr {self.addr:#x} does not fit in 48 bits")
-        if len(self.undo) > 8 or len(self.redo) > 8:
+
+class LogRecord(_RecordFields):
+    """One decoded log record.
+
+    An immutable tuple of its seven fields, built once per persistent
+    store and per decoded entry.  The constructor checks that every
+    field fits the binary layout; :meth:`_replace` and unpickling go
+    through it too.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        kind: RecordKind,
+        txid: int,
+        tid: int,
+        addr: int = 0,
+        undo: bytes = b"",
+        redo: bytes = b"",
+        torn: int = 0,
+    ) -> "LogRecord":
+        if not 0 <= txid < (1 << 16):
+            raise LogError(f"txid {txid} does not fit in 16 bits")
+        if not 0 <= tid < (1 << 8):
+            raise LogError(f"tid {tid} does not fit in 8 bits")
+        if not 0 <= addr < (1 << 48):
+            raise LogError(f"addr {addr:#x} does not fit in 48 bits")
+        if len(undo) > 8 or len(redo) > 8:
             raise LogError("undo/redo values must be at most one word")
-        if self.torn not in (0, 1):
+        if torn not in (0, 1):
             raise LogError("torn bit must be 0 or 1")
+        return tuple.__new__(cls, (kind, txid, tid, addr, undo, redo, torn))
+
+    @classmethod
+    def _make(cls, iterable) -> "LogRecord":
+        return cls(*iterable)
 
     @property
     def has_undo(self) -> bool:

@@ -23,7 +23,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from ..core.design import HWL, DesignSpec
-from ..faults.campaign import campaign_workload, check_campaign_size, default_campaign_system
+from ..faults.campaign import (
+    campaign_design,
+    campaign_workload,
+    check_campaign_size,
+    default_campaign_system,
+)
 from ..harness.runner import RunConfig, prepare_workload, run_workload
 from ..sanitizer.replication import check_replication
 from .config import DistConfig
@@ -427,8 +432,9 @@ def run_dist_campaign(
 ) -> DistCampaignResult:
     """The full distributed campaign over the microbenchmark grid.
 
-    A campaign with no work or no point budget raises
-    :class:`~repro.errors.ConfigError`.
+    A campaign with no work or no point budget, or an unknown benchmark
+    or design name, raises :class:`~repro.errors.ConfigError` before any
+    run.
     """
     if config is None:
         config = DistConfig()
@@ -436,10 +442,11 @@ def run_dist_campaign(
     check_campaign_size(default_campaign_system(), threads, txns_per_thread, points_budget)
     if policies is None:
         policies = (HWL,)  # the paper's design
+    workloads = [(benchmark, campaign_workload(benchmark, seed)) for benchmark in benchmarks]
+    policies = tuple(campaign_design(policy) for policy in policies)
     result = DistCampaignResult(config=config)
     probe_tripped: Optional[bool] = None
-    for benchmark in benchmarks:
-        workload = campaign_workload(benchmark, seed)
+    for benchmark, workload in workloads:
         prepared = prepare_workload(workload, default_campaign_system())
         for policy in policies:
             stream, golden, outcome = traced_primary_run(

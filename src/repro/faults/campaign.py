@@ -104,8 +104,21 @@ def default_campaign_system(log_entries: int = 128) -> SystemConfig:
 
 
 def campaign_workload(name: str, seed: int) -> Workload:
-    """A small-footprint instance of microbenchmark ``name``."""
-    return make_microbenchmark(name, seed=seed, **_SMALL_WORKLOADS.get(name, {}))
+    """A small-footprint instance of microbenchmark ``name``; an unknown
+    name is a :class:`ConfigError`."""
+    try:
+        return make_microbenchmark(name, seed=seed, **_SMALL_WORKLOADS.get(name, {}))
+    except KeyError as exc:
+        raise ConfigError(exc.args[0]) from None
+
+
+def campaign_design(design) -> DesignSpec:
+    """:func:`resolve_design` for campaign input: an unknown design name
+    is a :class:`ConfigError` (its "did you mean" text kept)."""
+    try:
+        return resolve_design(design)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def check_campaign_size(
@@ -488,11 +501,13 @@ def _run_execution_point(
             fault_applied = True
     machine.nvram.injector = None  # recovery sees the damaged image as-is
     report = RecoveryManager(machine.nvram, machine.log).recover()
+    mismatches = _count_mismatches(machine.nvram, pm, crash_time)
+    machine.nvram.recycle()  # verified: the next point reuses the buffer
     return PointResult(
         point=point,
         crash_time=crash_time,
         triggered=crash is not None,
-        mismatches=_count_mismatches(machine.nvram, pm, crash_time),
+        mismatches=mismatches,
         torn_records_skipped=report.torn_records_skipped,
         checksum_failures=report.checksum_failures,
         fault_applied=fault_applied,
@@ -537,22 +552,25 @@ def _build_recovery_scenario(
     machine, pm, crash = _fresh_run(prepared, policy, threads, txns_per_thread, monitor)
     crash_time = machine.crash_at_point(crash) if crash is not None else machine.crash()
     image = bytes(machine.nvram.image)
+    machine.nvram.recycle()
     log = machine.log
     geometry = (log.base, log.num_entries, log.entry_size)
 
     # Counting pass doubles as the convergence reference.
     reference = NVRAM(prepared.system.nvram, track_crash_state=False)
-    reference.image[: len(image)] = image
+    reference.load_image_prefix(image)
     counter = FaultMonitor()
     reference_report = RecoveryManager(reference, CircularLog(*geometry)).recover(
         crash_injector=counter
     )
+    reference_image = bytes(reference.image)
+    reference.recycle()
     return _RecoveryScenario(
         image=image,
         crash_time=crash_time,
         golden_pm=pm,
         log_geometry=geometry,
-        reference_image=bytes(reference.image),
+        reference_image=reference_image,
         reference_report=reference_report,
         steps=counter.counts[EventKind.RECOVERY],
     )
@@ -565,7 +583,7 @@ def _run_recovery_point(
 ) -> PointResult:
     """Interrupt recovery after the point's write; re-recover; verify."""
     nvram = NVRAM(system.nvram, track_crash_state=False)
-    nvram.image[: len(scenario.image)] = scenario.image
+    nvram.load_image_prefix(scenario.image)
     interrupted = False
     try:
         scenario.cold_manager(nvram).recover(
@@ -578,6 +596,8 @@ def _run_recovery_point(
 
     pm = scenario.golden_pm
     wrong = _count_mismatches(nvram, pm, scenario.crash_time)
+    converged = nvram.image == scenario.reference_image
+    nvram.recycle()
     return PointResult(
         point=point,
         crash_time=scenario.crash_time,
@@ -587,7 +607,7 @@ def _run_recovery_point(
         checksum_failures=report.checksum_failures,
         fault_applied=interrupted,
         recovery_interrupted=interrupted,
-        converged=bytes(nvram.image) == scenario.reference_image,
+        converged=converged,
     )
 
 
@@ -633,7 +653,7 @@ def resolve_policies(spec: str) -> Tuple[DesignSpec, ...]:
         token = token.strip()
         if not token:
             continue
-        design = resolve_design(token)
+        design = campaign_design(token)
         if design not in policies:
             policies.append(design)
     if not policies:
@@ -656,10 +676,12 @@ def run_fault_campaign(
     ``points`` is the per-policy budget; the actual count can differ by a
     few when the configuration lacks some event streams.  ``progress``
     (e.g. ``print``) receives one line per policy as results land.
-    A campaign with no work or no budget raises :class:`ConfigError`.
+    A campaign with no work or no budget, or an unknown workload or
+    design name, raises :class:`ConfigError` before any run.
     """
     system = system or default_campaign_system()
     check_campaign_size(system, threads, txns_per_thread, points)
+    policies = [campaign_design(policy) for policy in policies]
     wl = campaign_workload(workload, seed)
     prepared = prepare_workload(wl, system)
     result = CampaignResult(
@@ -669,7 +691,6 @@ def run_fault_campaign(
         seed=seed,
     )
     for policy in policies:
-        policy = resolve_design(policy)
         # 1. Profile the event streams of this design's run.
         profile = FaultMonitor()
         machine, _pm, _ = _fresh_run(

@@ -48,6 +48,8 @@ class EventKind(str, enum.Enum):
         return self.value
 
 
+_RETIRE = EventKind.RETIRE
+
 #: Execution-side kinds (observable via Machine.execute); RECOVERY is
 #: counted by the RecoveryManager instead.
 EXECUTION_KINDS = (
@@ -106,7 +108,19 @@ class FaultMonitor:
         if self.deadline is not None and not self.fired and now >= self.deadline:
             self.fired = True
             raise SimulatedCrash("deadline", 0, now)
-        self._bump(EventKind.RETIRE, 1, now)
+        # The retire bump of _bump, for the one-occurrence case.
+        counts = self.counts
+        retired = counts[_RETIRE]
+        counts[_RETIRE] = retired + 1
+        trigger = self.trigger
+        if (
+            trigger is not None
+            and trigger.index == retired
+            and trigger.kind is _RETIRE
+            and not self.fired
+        ):
+            self.fired = True
+            raise SimulatedCrash(_RETIRE.value, retired, now)
         delta = stats.log_records - self._prev_log_records
         if delta:
             self._prev_log_records = stats.log_records

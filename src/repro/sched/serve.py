@@ -125,7 +125,11 @@ def run_serve(config: ServeConfig, machine_hook=None) -> ServeReport:
 
     ``machine_hook(shard_id, machine)``, when given, is called on every
     freshly built shard machine before execution — the attachment point
-    for tracers and psan in serve mode.
+    for tracers and psan in serve mode.  Every shard machine's and
+    replica's NVRAM image is recycled once the report is built, so a
+    caller that wants an image must read it before then (a replicator's
+    :meth:`~repro.sched.replicate.ShardReplicator.release` is the last
+    point).
     """
     config.validate()
     workload = make_whisper_kernel(config.workload, seed=config.seed)
@@ -190,9 +194,17 @@ def run_serve(config: ServeConfig, machine_hook=None) -> ServeReport:
     schedule = open_loop_schedule(config.traffic, config.shards)
     scheduler.run_open_loop(schedule)
 
-    return _build_report(
+    report = _build_report(
         config, shards, scheduler, schedule, replicators, controller
     )
+    # The report holds everything read from the devices: the shard and
+    # replica NVRAM buffers go back to the pool for the next scenario
+    # instead of being freed and allocated again.
+    for shard in shards:
+        shard.machine.nvram.recycle()
+    for replicator in replicators:
+        replicator.release()
+    return report
 
 
 def _build_report(

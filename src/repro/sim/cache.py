@@ -16,8 +16,7 @@ line's dirty words are durable; a write-back may not reach NVRAM earlier
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from ..errors import SimulationError
 from ..utils import line_address
@@ -38,8 +37,7 @@ class CacheLine:
         self.log_release = 0.0
 
 
-@dataclass(frozen=True)
-class EvictedLine:
+class EvictedLine(NamedTuple):
     """A line pushed out of a cache (victim or invalidation)."""
 
     addr: int
@@ -64,29 +62,33 @@ class SetAssociativeCache:
     removal + reinsertion moves a line to the back — exactly the order a
     list with ``append``/``remove`` (the previous representation)
     maintains, keeping eviction behaviour bit-identical.
+
+    The probe is shared: :attr:`sets` is keyed by :attr:`set_key` of an
+    address, a bound builtin (``addr & set bits``) that costs no Python
+    frame, so the hierarchy's hit paths probe ``sets`` in their own
+    frame with the same key this class uses.  ``sets`` is cleared in
+    place, never rebound, so a caller may keep a reference to it.
     """
 
     def __init__(self, config: CacheConfig, name: str) -> None:
         config.validate()
         self.config = config
         self.name = name
-        self._sets: dict[int, dict[int, CacheLine]] = {}
-        self._num_sets = config.num_sets
+        self.sets: dict[int, dict[int, CacheLine]] = {}
+        # Sets and lines are powers of two (validated), so the set bits
+        # of an address sit just above its line offset.
+        self.set_key = ((config.num_sets - 1) * config.line_size).__and__
         self._line_size = config.line_size
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def _set_index(self, line_addr: int) -> int:
-        return (line_addr // self._line_size) % self._num_sets
-
     def lookup(self, addr: int) -> Optional[CacheLine]:
         """Return the line containing ``addr`` or None (no LRU update)."""
-        line_addr = addr & ~(self._line_size - 1)
-        bucket = self._sets.get(self._set_index(line_addr))
+        bucket = self.sets.get(self.set_key(addr))
         if bucket is None:
             return None
-        return bucket.get(line_addr)
+        return bucket.get(addr & ~(self._line_size - 1))
 
     def touch(self, line: CacheLine, now: float) -> None:
         """Mark ``line`` most-recently-used at ``now``."""
@@ -110,10 +112,10 @@ class SetAssociativeCache:
             raise SimulationError(
                 f"{self.name}: insert of {len(data)} bytes, line is {self._line_size}"
             )
-        index = self._set_index(line_addr)
-        bucket = self._sets.get(index)
+        key = self.set_key(line_addr)
+        bucket = self.sets.get(key)
         if bucket is None:
-            bucket = self._sets[index] = {}
+            bucket = self.sets[key] = {}
         elif line_addr in bucket:
             raise SimulationError(f"{self.name}: duplicate insert {line_addr:#x}")
         victim: Optional[EvictedLine] = None
@@ -138,7 +140,7 @@ class SetAssociativeCache:
     def invalidate(self, addr: int) -> Optional[EvictedLine]:
         """Remove the line containing ``addr``; return its final state."""
         line_addr = line_address(addr, self._line_size)
-        bucket = self._sets.get(self._set_index(line_addr))
+        bucket = self.sets.get(self.set_key(line_addr))
         if not bucket:
             return None
         line = bucket.pop(line_addr, None)
@@ -148,20 +150,21 @@ class SetAssociativeCache:
 
     def drop_all(self) -> None:
         """Discard every line (power loss)."""
-        self._sets.clear()
+        self.sets.clear()
 
     # ------------------------------------------------------------------
     # Iteration (FWB scanning, tests)
     # ------------------------------------------------------------------
     def iter_lines(self) -> Iterator[CacheLine]:
-        """Iterate all valid lines (order unspecified)."""
-        for bucket in self._sets.values():
+        """Iterate all valid lines, set by set in set-creation order and
+        each set in insertion order (FWB scans write back in this order)."""
+        for bucket in self.sets.values():
             yield from bucket.values()
 
     @property
     def occupancy(self) -> int:
         """Number of valid lines currently cached."""
-        return sum(len(bucket) for bucket in self._sets.values())
+        return sum(len(bucket) for bucket in self.sets.values())
 
     def dirty_count(self) -> int:
         """Number of dirty lines (test/FWB visibility)."""

@@ -50,8 +50,11 @@ class Core:
         self._hierarchy = hierarchy
         self.wcb = wcb
         self._stats = stats
-        self._energy = energy
         self._hwl = hwl
+        self._instruction_pj = energy.instruction_pj
+        self._l1_latency = hierarchy.l1_latency
+        self._cpi_alu = config.cpi_alu
+        self._load_hit_cycles = config.load_issue_cycles + 1.0
         self.time = 0.0
         self.instret = 0
         self.pending_completion = 0.0
@@ -61,15 +64,17 @@ class Core:
         ``tx_begin``/``tx_commit`` event per transaction boundary."""
 
     # ------------------------------------------------------------------
-    def _retire(self, count: int) -> None:
-        self.instret += count
-        self._stats.instructions += count
-        self._energy.instructions(count)
+    # Every op retires its instructions in its own frame: ``instret``,
+    # ``stats.instructions`` and the core energy (``instruction_pj``
+    # per instruction, as :meth:`EnergyModel.instructions` charges it).
 
     def exec_compute(self, count: int) -> None:
         """``count`` ALU/branch instructions."""
-        self._retire(count)
-        self.time += count * self._config.cpi_alu
+        self.instret += count
+        stats = self._stats
+        stats.instructions += count
+        stats.energy_core_pj += self._instruction_pj * count
+        self.time += count * self._cpi_alu
 
     def exec_load(self, addr: int, line_addr: int) -> bytearray:
         """Cacheable read of the line at ``line_addr`` holding ``addr``.
@@ -81,11 +86,14 @@ class Core:
         latency, l1_hit, data = self._hierarchy.load(
             self.core_id, addr, self.time, line_addr
         )
-        self._retire(1)
+        self.instret += 1
+        stats = self._stats
+        stats.instructions += 1
+        stats.energy_core_pj += self._instruction_pj
         if l1_hit:
-            self.time += self._config.load_issue_cycles + 1.0
+            self.time += self._load_hit_cycles
         else:
-            extra = latency - self._hierarchy.l1_latency
+            extra = latency - self._l1_latency
             self.time += (
                 self._config.load_issue_cycles + self._config.load_miss_exposed * extra
             )
@@ -99,11 +107,16 @@ class Core:
         # first; for persistent stores the HWL engine logs undo+redo
         # before the new value becomes visible to write-backs (so a
         # log-wrap force in between can never leak an unlogged value).
-        result = self._hierarchy.store_prepare(self.core_id, addr, len(data), self.time)
-        self._retire(1)
+        latency, level, old_data, line_addr = self._hierarchy.store_prepare(
+            self.core_id, addr, len(data), self.time
+        )
+        self.instret += 1
+        stats = self._stats
+        stats.instructions += 1
+        stats.energy_core_pj += self._instruction_pj
         charge = self._config.store_issue_cycles
-        if result.level != "l1":
-            extra = result.latency - self._hierarchy.l1_latency
+        if level != "l1":
+            extra = latency - self._l1_latency
             charge += self._config.store_miss_exposed * extra
         self.time += charge
         release = 0.0
@@ -113,9 +126,9 @@ class Core:
                 txid,
                 tid,
                 addr,
-                result.old_data,
+                old_data,
                 data,
-                result.line_addr,
+                line_addr,
                 self.time,
             )
             self.time += stall
@@ -130,24 +143,30 @@ class Core:
                 persistent=persistent,
                 txid=txid if persistent else None,
                 tid=tid if persistent else None,
-                line=result.line_addr,
-                old=result.old_data.hex(),
+                line=line_addr,
+                old=old_data.hex(),
                 new=data.hex(),
                 release=release,
             )
 
     def exec_logstore(self, addr: int, payload: bytes) -> None:
         """Uncacheable software log-record store through the WCB."""
-        self._retire(1)
+        self.instret += 1
+        stats = self._stats
+        stats.instructions += 1
+        stats.energy_core_pj += self._instruction_pj
         self.time += self._config.uncached_store_issue_cycles
         stall = self.wcb.push(addr, payload, self.time)
         self.time += stall
-        self._stats.log_records += 1
-        self._stats.log_bytes += len(payload)
+        stats.log_records += 1
+        stats.log_bytes += len(payload)
 
     def exec_clwb(self, addr: int) -> None:
         """Force write-back of the line containing ``addr``."""
-        self._retire(1)
+        self.instret += 1
+        stats = self._stats
+        stats.instructions += 1
+        stats.energy_core_pj += self._instruction_pj
         self.time += self._config.clwb_issue_cycles
         completion = self._hierarchy.clwb(self.core_id, addr, self.time)
         if completion is not None:
@@ -155,20 +174,26 @@ class Core:
 
     def exec_fence(self) -> None:
         """Wait for this core's posted writes to become durable (sfence)."""
-        self._retire(1)
+        self.instret += 1
+        stats = self._stats
+        stats.instructions += 1
+        stats.energy_core_pj += self._instruction_pj
         self.time += self._config.fence_issue_cycles
         self.wcb.flush(self.time)
         self.pending_completion = max(self.pending_completion, self.wcb.last_completion)
         if self.pending_completion > self.time:
-            self._stats.fence_stall_cycles += self.pending_completion - self.time
+            stats.fence_stall_cycles += self.pending_completion - self.time
             self.time = self.pending_completion
 
     def exec_tx_begin(self, txid: int, tid: int, overhead_instrs: int) -> None:
         """Transaction begin (sets the txid special register)."""
-        self._stats.transactions_started += 1
+        stats = self._stats
+        stats.transactions_started += 1
         if overhead_instrs:
-            self._retire(overhead_instrs)
-            self.time += overhead_instrs * self._config.cpi_alu
+            self.instret += overhead_instrs
+            stats.instructions += overhead_instrs
+            stats.energy_core_pj += self._instruction_pj * overhead_instrs
+            self.time += overhead_instrs * self._cpi_alu
         if self._hwl is not None:
             self._hwl.on_tx_begin(txid, tid, self.time)
         if self.tracer is not None:
@@ -176,10 +201,13 @@ class Core:
 
     def exec_tx_commit(self, txid: int, tid: int, overhead_instrs: int) -> Optional[float]:
         """Transaction commit; returns the HWL durability time, if any."""
-        self._stats.transactions_committed += 1
+        stats = self._stats
+        stats.transactions_committed += 1
         if overhead_instrs:
-            self._retire(overhead_instrs)
-            self.time += overhead_instrs * self._config.cpi_alu
+            self.instret += overhead_instrs
+            stats.instructions += overhead_instrs
+            stats.energy_core_pj += self._instruction_pj * overhead_instrs
+            self.time += overhead_instrs * self._cpi_alu
         durable = None
         if self._hwl is not None:
             durable = self._hwl.on_tx_commit(txid, tid, self.time)

@@ -11,6 +11,12 @@ exactly the quantities those relative results depend on:
   cost); reads pay the array-read energy only on a row-buffer conflict.
 * Cache access energy per L1/LLC access.
 * Core energy per retired instruction.
+
+The per-access and per-instruction coefficients are public attributes:
+the cache hierarchy's hit paths and the cores' retirement add them to
+the :class:`MachineStats` totals in their own frames, the same float
+additions in the same order as :meth:`cache_access` and
+:meth:`instructions`.
 """
 
 from __future__ import annotations
@@ -25,6 +31,9 @@ class EnergyModel:
     def __init__(self, config: EnergyConfig, stats: MachineStats) -> None:
         self._config = config
         self._stats = stats
+        self.l1_access_pj = config.l1_access_pj
+        self.llc_access_pj = config.llc_access_pj
+        self.instruction_pj = config.instruction_pj
 
     def nvram_read(self, size_bytes: int, row_hit: bool) -> None:
         """Charge a NVRAM read of ``size_bytes`` (row hit or conflict)."""
@@ -44,10 +53,10 @@ class EnergyModel:
     def cache_access(self, level: str) -> None:
         """Charge one access to ``level`` ("l1" or "llc")."""
         if level == "l1":
-            self._stats.energy_cache_pj += self._config.l1_access_pj
+            self._stats.energy_cache_pj += self.l1_access_pj
         else:
-            self._stats.energy_cache_pj += self._config.llc_access_pj
+            self._stats.energy_cache_pj += self.llc_access_pj
 
     def instructions(self, count: int) -> None:
         """Charge ``count`` retired instructions of core energy."""
-        self._stats.energy_core_pj += self._config.instruction_pj * count
+        self._stats.energy_core_pj += self.instruction_pj * count

@@ -19,8 +19,7 @@ The hierarchy is functional (lines carry data) and timed.  It implements:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from ..errors import SimulationError
 from ..utils import line_address
@@ -31,8 +30,7 @@ from .memctrl import MemoryController
 from .stats import MachineStats
 
 
-@dataclass(frozen=True)
-class StoreResult:
+class StoreResult(NamedTuple):
     """Outcome of a store: latency, level, and the overwritten bytes.
 
     ``old_data`` is the undo value HWL captures from the write-allocated
@@ -57,17 +55,26 @@ class CacheHierarchy:
     ) -> None:
         self.config = config
         self._memctrl = memctrl
-        self._energy = energy
         self._stats = stats
         self.l1s = [
             SetAssociativeCache(config.l1, f"L1-{i}") for i in range(config.num_cores)
         ]
         self.llc = SetAssociativeCache(config.llc, "LLC")
+        # The caches' sets and set keys, probed by the hit paths below
+        # in their own frames (sets are cleared, never replaced; every
+        # L1 has config.l1's geometry, so they share one set key).
+        self._l1_sets = [l1.sets for l1 in self.l1s]
+        self._l1_set_key = self.l1s[0].set_key
+        self._llc_sets = self.llc.sets
+        self._llc_set_key = self.llc.set_key
+        self._l1_access_pj = energy.l1_access_pj
+        self._llc_access_pj = energy.llc_access_pj
         self._directory: dict[int, set[int]] = {}
         ghz = config.core.clock_ghz
         self.l1_latency = config.l1.latency_cycles(ghz)
         self.llc_latency = config.llc.latency_cycles(ghz)
         self._line_size = config.line_size
+        self._line_mask = ~(config.line_size - 1)
         self.scan_debt = 0.0
         self.writeback_release_hook: Optional[Callable[[int, float], float]] = None
         """Optional ordering hook consulted before any data write-back.
@@ -85,8 +92,8 @@ class CacheHierarchy:
         self.scan_debt += cycles
 
     def _take_tax(self) -> float:
-        if self.scan_debt <= 0.0:
-            return 0.0
+        """Pay one cycle of scan debt; accesses call it only while there
+        is debt (``scan_debt > 0``), so the no-debt case costs no call."""
         tax = min(1.0, self.scan_debt)
         self.scan_debt -= tax
         self._stats.fwb_tax_cycles += tax
@@ -136,13 +143,15 @@ class CacheHierarchy:
 
     def _fetch_llc(self, line_addr: int, now: float) -> tuple[float, CacheLine]:
         """Ensure ``line_addr`` is resident in the LLC; return (extra_latency, line)."""
-        self._energy.cache_access("llc")
-        line = self.llc.lookup(line_addr)
+        stats = self._stats
+        stats.energy_cache_pj += self._llc_access_pj
+        bucket = self._llc_sets.get(self._llc_set_key(line_addr))
+        line = bucket.get(line_addr) if bucket else None
         if line is not None:
-            self._stats.llc_hits += 1
-            self.llc.touch(line, now)
+            stats.llc_hits += 1
+            line.last_use = now
             return self.llc_latency, line
-        self._stats.llc_misses += 1
+        stats.llc_misses += 1
         issue = now + self.l1_latency + self.llc_latency
         finish, data = self._memctrl.read(line_addr, self._line_size, issue)
         line, victim = self.llc.fill(line_addr, data, now)
@@ -221,15 +230,16 @@ class CacheHierarchy:
         passed in because replay decodes it once per trace, not once per
         access.
         """
-        tax = self._take_tax()
-        self._energy.cache_access("l1")
-        l1 = self.l1s[core_id]
-        line = l1.lookup(addr)
+        tax = self._take_tax() if self.scan_debt > 0.0 else 0.0
+        stats = self._stats
+        stats.energy_cache_pj += self._l1_access_pj
+        bucket = self._l1_sets[core_id].get(self._l1_set_key(line_addr))
+        line = bucket.get(line_addr) if bucket else None
         if line is not None:
-            self._stats.l1_hits += 1
-            l1.touch(line, now)
+            stats.l1_hits += 1
+            line.last_use = now
             return self.l1_latency + tax, True, line.data
-        self._stats.l1_misses += 1
+        stats.l1_misses += 1
         extra = self._pull_remote_dirty(core_id, line_addr, now, invalidate=False)
         llc_extra, llc_line = self._fetch_llc(line_addr, now)
         filled = self._fill_l1(core_id, line_addr, llc_line.data, now, 0.0)
@@ -242,22 +252,31 @@ class CacheHierarchy:
         :meth:`store_finish` (possibly after logging), guaranteeing that a
         write-back racing in between cannot leak an unlogged new value.
         """
-        line_addr = line_address(addr, self._line_size)
-        self._check_single_line(addr, size, line_addr)
-        tax = self._take_tax()
-        self._energy.cache_access("l1")
-        l1 = self.l1s[core_id]
-        line = l1.lookup(addr)
+        line_addr = addr & self._line_mask
+        if addr + size > line_addr + self._line_size:
+            raise SimulationError(
+                f"access {addr:#x}+{size} crosses a {self._line_size}B line"
+            )
+        tax = self._take_tax() if self.scan_debt > 0.0 else 0.0
+        stats = self._stats
+        stats.energy_cache_pj += self._l1_access_pj
+        bucket = self._l1_sets[core_id].get(self._l1_set_key(line_addr))
+        line = bucket.get(line_addr) if bucket else None
         if line is not None:
             level = "l1"
             latency = self.l1_latency + tax
-            self._stats.l1_hits += 1
-            l1.touch(line, now)
+            stats.l1_hits += 1
+            line.last_use = now
             # Upgrade: a store to a *shared* line must still invalidate the
-            # other cores' copies before writing.
-            latency += self._pull_remote_dirty(core_id, line_addr, now, invalidate=True)
+            # other cores' copies before writing (no other owner: nothing
+            # to pull, and the call would add 0.0).
+            owners = self._directory.get(line_addr)
+            if owners is not None and (len(owners) > 1 or core_id not in owners):
+                latency += self._pull_remote_dirty(
+                    core_id, line_addr, now, invalidate=True
+                )
         else:
-            self._stats.l1_misses += 1
+            stats.l1_misses += 1
             extra = self._pull_remote_dirty(core_id, line_addr, now, invalidate=True)
             llc_extra, llc_line = self._fetch_llc(line_addr, now)
             # Sentinel compare: _fetch_llc returns exactly llc_latency on
@@ -277,14 +296,16 @@ class CacheHierarchy:
         ``release`` forbids write-back before the covering log record is
         durable (the HWL ordering guarantee).
         """
-        line_addr = line_address(addr, self._line_size)
-        line = self.l1s[core_id].lookup(addr)
+        line_addr = addr & self._line_mask
+        bucket = self._l1_sets[core_id].get(self._l1_set_key(line_addr))
+        line = bucket.get(line_addr) if bucket else None
         if line is None:  # pragma: no cover - prepare just installed it
             raise SimulationError(f"store_finish without prepared line {addr:#x}")
         off = addr - line_addr
         line.data[off:off + len(data)] = data
         line.dirty = True
-        line.log_release = max(line.log_release, release)
+        if release > line.log_release:
+            line.log_release = release
 
     def store(self, core_id: int, addr: int, data: bytes, now: float) -> StoreResult:
         """Cacheable write (write-allocate); returns the overwritten bytes."""
@@ -387,10 +408,3 @@ class CacheHierarchy:
         line.fwb = False
         line.log_release = 0.0
         return completion
-
-    # ------------------------------------------------------------------
-    def _check_single_line(self, addr: int, size: int, line_addr: int) -> None:
-        if addr + size > line_addr + self._line_size:
-            raise SimulationError(
-                f"access {addr:#x}+{size} crosses a {self._line_size}B line"
-            )

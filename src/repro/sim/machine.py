@@ -16,7 +16,7 @@ FWB scanner when the spec's write-back discipline is ``fwb``.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from ..core.fwb import ForceWriteBack
 from ..core.growlog import DIRECTORY_BYTES, GrowableCircularLog, RegionDirectory
@@ -39,6 +39,25 @@ from .wcb import WriteCombiningBuffer
 
 HEAP_BASE = 4096
 _RETIRE_PERIOD = 4096  # ops between housekeeping passes
+
+
+def _wcb_drain(wcbs: list) -> Callable[[int, float], float]:
+    """A write-back release hook that drains every buffer in ``wcbs``
+    and returns the last record completion.
+
+    The hook holds the buffers, not the machine: a bound method of the
+    machine stored on its hierarchy would close a reference cycle, and
+    every software-logging machine (and its NVRAM image) would then wait
+    for the cyclic garbage collector.
+    """
+
+    def drain(_line_addr: int, now: float) -> float:
+        release = 0.0
+        for wcb in wcbs:
+            release = max(release, wcb.flush(now))
+        return release
+
+    return drain
 
 
 class Machine:
@@ -161,10 +180,11 @@ class Machine:
             )
             for core_id in range(config.num_cores)
         ]
+        self._drain_wcbs = _wcb_drain([core.wcb for core in self.cores])
         if policy.uses_sw_logging and policy.persistence_guaranteed:
             # Software log records must not be overtaken by their data
             # lines; flush the WCBs before any data write-back.
-            self.hierarchy.writeback_release_hook = self._flush_wcbs
+            self.hierarchy.writeback_release_hook = self._drain_wcbs
         self.crashed = False
         self._ops_since_retire = 0
         self._tracer = None
@@ -293,13 +313,6 @@ class Machine:
             core.time = cycle
         return core.time
 
-    def _flush_wcbs(self, _line_addr: int, now: float) -> float:
-        """Drain every core's WCB; returns the last record completion."""
-        release = 0.0
-        for core in self.cores:
-            release = max(release, core.wcb.flush(now))
-        return release
-
     def force_line_durable(self, line_addr: int, now: float) -> float:
         """Force a dirty line to NVRAM (software log-wrap protection).
 
@@ -356,7 +369,7 @@ class Machine:
 
         # (1) Drain the write-combining buffers: pre-switch log records
         # must be on NVRAM before their data lines can be stolen.
-        barrier = max(now, self._flush_wcbs(0, now))
+        barrier = max(now, self._drain_wcbs(0, now))
         # (2) Let the volatile log FIFOs settle on the NVRAM bus.
         for buffer in self.log_buffers:
             barrier = max(barrier, buffer.last_completion)
@@ -421,7 +434,7 @@ class Machine:
         else:
             self.fwb = None
         self.hierarchy.writeback_release_hook = (
-            self._flush_wcbs
+            self._drain_wcbs
             if new.uses_sw_logging and new.persistence_guaranteed
             else None
         )

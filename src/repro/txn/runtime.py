@@ -43,8 +43,13 @@ from ..core.logrecord import RecordKind
 from ..core.nvlog import PlacedRecord
 from ..errors import TransactionError
 from ..sim.machine import Machine
-from ..utils import line_address, split_words
+from ..utils import split_words
 from .heap import PersistentHeap
+
+# How ``ThreadAPI.write`` lowers one word piece, by design: a plain
+# store, a hardware-logged persistent store, a software redo record with
+# the store deferred, or a software undo record before the store.
+_PLAIN_STORE, _HW_LOGGED_STORE, _SW_REDO_STORE, _SW_UNDO_STORE = range(4)
 
 
 class GoldenModel:
@@ -104,7 +109,9 @@ class ThreadAPI:
         self._pm = pm
         self._machine = pm.machine
         self._core = pm.machine.cores[core_id]
-        self._policy = pm.machine.policy
+        self._line_size = pm.machine.config.line_size
+        self._line_mask = ~(self._line_size - 1)
+        self._adopt(pm.machine.policy)
         self.core_id = core_id
         self.tid = tid
         self._txid: Optional[int] = None
@@ -124,8 +131,8 @@ class ThreadAPI:
     def refresh_policy(self) -> None:
         """Re-read the machine's active design after a safe switch.
 
-        The policy is cached at construction because every ``write`` and
-        ``tx_commit`` consults it; a mid-run design switch
+        The policy and its lowering are cached at construction because
+        every ``write`` and ``tx_commit`` consults them; a mid-run design switch
         (:meth:`repro.sim.machine.Machine.switch_design`) must call this
         on every live API, outside any transaction, or the thread keeps
         lowering stores for the pre-switch mechanisms.
@@ -135,7 +142,25 @@ class ThreadAPI:
                 "cannot refresh the design policy mid-transaction "
                 f"(tid={self.tid}, txid={self._txid})"
             )
-        self._policy = self._pm.machine.policy
+        self._adopt(self._pm.machine.policy)
+
+    def _adopt(self, policy: DesignSpec) -> None:
+        """Cache ``policy`` and the parts of its lowering read per op."""
+        self._policy = policy
+        logging = self._machine.config.logging
+        self._sw_logging = policy.uses_sw_logging
+        self._protects_log_wrap = policy.protects_log_wrap
+        if policy.uses_hw_logging:
+            self._store_lowering = _HW_LOGGED_STORE
+            self._begin_overhead = logging.hw_instrs_tx_begin
+        elif not policy.uses_sw_logging:
+            self._store_lowering = _PLAIN_STORE
+            self._begin_overhead = 0
+        else:
+            self._store_lowering = (
+                _SW_REDO_STORE if policy.defers_in_place_stores else _SW_UNDO_STORE
+            )
+            self._begin_overhead = logging.softlog_instrs_tx_begin
 
     @property
     def now(self) -> float:
@@ -183,24 +208,18 @@ class ThreadAPI:
     # ------------------------------------------------------------------
     def tx_begin(self) -> int:
         """Start a transaction; returns the user transaction ID."""
-        if self.in_transaction:
+        if self._txid is not None:
             raise TransactionError("nested transactions are not supported")
-        policy = self._policy
         txid = self._pm.next_txid()
         self._txid = txid
         self._writes = {}
         self._write_lines = set()
         self._overlay = {}
-        logging = self._machine.config.logging
-        if policy.uses_sw_logging:
-            overhead = logging.softlog_instrs_tx_begin
-        elif policy.uses_hw_logging:
-            overhead = logging.hw_instrs_tx_begin
-        else:
-            overhead = 0
         core = self._core
-        self._machine.issue(core, core.exec_tx_begin, txid, self.tid, overhead)
-        if policy.uses_sw_logging:
+        self._machine.issue(
+            core, core.exec_tx_begin, txid, self.tid, self._begin_overhead
+        )
+        if self._sw_logging:
             self._emit_log(self._machine.swlog.begin(txid, self.tid))
         return txid
 
@@ -276,12 +295,21 @@ class ThreadAPI:
     # ------------------------------------------------------------------
     def read(self, addr: int, size: int) -> bytes:
         """Transactional (or plain) read of ``size`` bytes."""
-        line_size = self._machine.config.line_size
+        if size == 8 and not addr & 7 and not self._overlay:
+            # One aligned word: a single load, the same one the loop
+            # below would issue.
+            line = addr & self._line_mask
+            core = self._core
+            data = self._machine.issue(core, core.exec_load, addr, line)
+            offset = addr - line
+            return bytes(data[offset:offset + 8])
+        line_size = self._line_size
+        line_mask = self._line_mask
         out = bytearray()
         cursor = addr
         end = addr + size
         while cursor < end:
-            take = min(end, line_address(cursor, line_size) + line_size) - cursor
+            take = min(end, (cursor & line_mask) + line_size) - cursor
             out += self._load(cursor, take)
             cursor += take
         if self._overlay:
@@ -290,21 +318,29 @@ class ThreadAPI:
 
     def write(self, addr: int, data: bytes) -> None:
         """Persistent write, lowered according to the machine's policy."""
-        if not self.in_transaction:
+        txid = self._txid
+        if txid is None:
             raise TransactionError("persistent writes require a transaction")
-        policy = self._policy
+        if len(data) == 8 and not addr & 7:
+            # One aligned word: the one piece split_words would cut,
+            # copied the same way (a bytes object is kept as is).
+            pieces = ((addr, data if type(data) is bytes else bytes(data[0:8])),)
+        else:
+            pieces = split_words(addr, data)
         machine = self._machine
         core = self._core
-        for piece_addr, piece in split_words(addr, data):
+        lowering = self._store_lowering
+        line_mask = self._line_mask
+        for piece_addr, piece in pieces:
             self._writes[piece_addr] = piece
-            self._write_lines.add(line_address(piece_addr, machine.config.line_size))
-            if not (policy.uses_hw_logging or policy.uses_sw_logging):
-                machine.issue(core, core.exec_store, piece_addr, piece)
-            elif policy.uses_hw_logging:
+            self._write_lines.add(piece_addr & line_mask)
+            if lowering == _HW_LOGGED_STORE:
                 machine.issue(
-                    core, core.exec_store, piece_addr, piece, True, self._txid, self.tid
+                    core, core.exec_store, piece_addr, piece, True, txid, self.tid
                 )
-            elif policy.defers_in_place_stores:
+            elif lowering == _PLAIN_STORE:
+                machine.issue(core, core.exec_store, piece_addr, piece)
+            elif lowering == _SW_REDO_STORE:
                 self._sw_redo_write(piece_addr, piece)
             else:
                 self._sw_undo_write(piece_addr, piece)
@@ -329,7 +365,7 @@ class ThreadAPI:
     def _load(self, addr: int, size: int) -> bytes:
         """Issue one cacheable load of ``size`` bytes within one line."""
         core = self._core
-        line = line_address(addr, self._machine.config.line_size)
+        line = addr & self._line_mask
         data = self._machine.issue(core, core.exec_load, addr, line)
         offset = addr - line
         return bytes(data[offset:offset + size])
@@ -447,7 +483,7 @@ class ThreadAPI:
             placed.displaced_line
         ):
             displaced_dirty = True
-            if self._policy.protects_log_wrap:
+            if self._protects_log_wrap:
                 completion = machine.force_line_durable(
                     placed.displaced_line, self.now
                 )

@@ -9,6 +9,8 @@ reproducible bit-for-bit.
 """
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -24,7 +26,9 @@ from repro.faults import (
     FaultMonitor,
     run_fault_campaign,
 )
-from repro.faults.campaign import campaign_workload, default_campaign_system
+from repro.faults.campaign import _fresh_run, campaign_workload, default_campaign_system
+from repro.harness.runner import prepare_workload
+from repro.sim.nvram import NVRAM
 
 GUARANTEED = [FWB, HWL, UNDO_CLWB, REDO_CLWB]
 
@@ -148,3 +152,57 @@ def test_double_recovery_is_idempotent(policy):
     assert second.window_entries == 0
     # Sanity: the first pass actually had work to do on this crashy run.
     assert crash is None or first.records_scanned >= 0
+
+
+def test_software_design_machines_die_without_the_cyclic_collector():
+    """No reference cycle runs through a software-logging machine: its
+    write-back ordering hook holds the write-combining buffers, not the
+    machine, so dropping a finished or crashed run frees the machine
+    (and its NVRAM image) at once."""
+    prepared = prepare_workload(campaign_workload("btree", 7), default_campaign_system())
+    gc.collect()
+    gc.disable()
+    try:
+        machine, pm, crash = _fresh_run(prepared, UNDO_CLWB, 1, 20, None)
+        assert crash is None
+        finished = weakref.ref(machine)
+        del machine, pm
+        assert finished() is None
+
+        monitor = FaultMonitor(CrashPoint(EventKind.RETIRE, 300))
+        machine, pm, crash = _fresh_run(prepared, REDO_CLWB, 1, 20, monitor)
+        assert crash is not None
+        machine.crash_at_point(crash)
+        crashed = weakref.ref(machine)
+        del machine, pm, crash, monitor
+        assert crashed() is None
+    finally:
+        gc.enable()
+
+
+def test_campaign_points_reuse_a_few_device_buffers_and_leave_them_zeroed(
+    monkeypatch,
+):
+    """Every point returns its NVRAM buffer to the pool once verified, so
+    the default campaign's machines share a handful of images instead of
+    allocating one per point, and what the pool keeps is all zero."""
+    monkeypatch.setattr(NVRAM, "_image_pool", {})
+    limit = NVRAM._IMAGE_POOL_LIMIT
+    images = {}  # id -> buffer; holding the buffers keeps their ids unique
+    machines = []
+    original = Machine.__init__
+
+    def init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        machines.append(None)
+        if len(images) <= limit:
+            images.setdefault(id(self.nvram.image), self.nvram.image)
+
+    monkeypatch.setattr(Machine, "__init__", init)
+    result = run_fault_campaign(workload="hash")
+    assert result.passed
+    assert len(machines) > 4 * limit
+    assert len(images) <= limit
+    pooled = [buffer for buffers in NVRAM._image_pool.values() for buffer in buffers]
+    assert pooled
+    assert all(buffer.count(0) == len(buffer) for buffer in pooled)

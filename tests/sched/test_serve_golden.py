@@ -60,12 +60,15 @@ CASES = _cases()
 
 def run_case(config: ServeConfig) -> dict:
     """Serve ``config``; return its digest and every replica image hash."""
-    built = []
+    images = []
 
     class Recording(replicate.ShardReplicator):
-        def __init__(self, *args, **kwargs) -> None:
-            super().__init__(*args, **kwargs)
-            built.append(self)
+        def release(self) -> None:
+            # run_serve releases each shard's replicator, in shard order,
+            # once its report is built: the images' last readable state.
+            for node in self.nodes:
+                images.append(hashlib.sha256(node.image_bytes()).hexdigest())
+            super().release()
 
     original = serve.ShardReplicator
     serve.ShardReplicator = Recording
@@ -73,11 +76,6 @@ def run_case(config: ServeConfig) -> dict:
         report = serve.run_serve(config)
     finally:
         serve.ShardReplicator = original
-    images = []
-    for replicator in built:
-        for node in replicator.nodes:
-            images.append(hashlib.sha256(node.image_bytes()).hexdigest())
-        replicator.release()
     return {"digest": report.digest(), "replica_images": images}
 
 

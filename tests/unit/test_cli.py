@@ -164,6 +164,9 @@ REJECTED = [
     ["dist", "--threads", "3"],
     ["dist", "--txns", "0"],
     ["dist", "--points", "0"],
+    ["faults", "--policy", "nope"],
+    ["dist", "--benchmarks", "nope"],
+    ["adapt", "faults", "--workload", "nope"],
 ]
 
 
@@ -181,6 +184,21 @@ class TestRejectedCampaignInput:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith(f"{command}: ")
+
+    @pytest.mark.parametrize(
+        "argv, hint",
+        [
+            (["faults", "--policy", "nope"], "did you mean"),
+            (["dist", "--policy", "nope"], "did you mean"),
+            (["dist", "--benchmarks", "hash,nope"], "choose from"),
+            (["adapt", "faults", "--workload", "nope"], "choose from"),
+        ],
+        ids=["faults-policy", "dist-policy", "dist-benchmarks", "adapt-workload"],
+    )
+    def test_unknown_names_keep_their_hint(self, argv, hint, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "'nope'" in err and hint in err
 
     def test_campaigns_over_no_points_do_not_pass(self):
         from repro.adapt.faults import SwitchCampaignResult

@@ -1,6 +1,7 @@
 """Unit tests for repro.core.logrecord."""
 
-import dataclasses
+import pickle
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -239,7 +240,7 @@ class TestPackedLayoutMatchesReference:
     @settings(max_examples=400, deadline=None)
     @given(record=records, entry_size=entry_sizes, torn=st.sampled_from([None, 0, 1]))
     def test_encode_matches_byte_for_byte(self, record, entry_size, torn):
-        stamped = record if torn is None else dataclasses.replace(record, torn=torn)
+        stamped = record if torn is None else record._replace(torn=torn)
         assert record.encode(entry_size, torn) == reference_encode(stamped, entry_size)
 
     @settings(max_examples=400, deadline=None)
@@ -297,6 +298,93 @@ class TestPackedLayoutMatchesReference:
             parity = 1 - (index // ring.num_entries) % 2
             placed = ring.place(record)
             assert placed.payload == reference_encode(
-                dataclasses.replace(record, torn=parity), ring.entry_size
+                record._replace(torn=parity), ring.entry_size
             ), index
             assert placed.record is record
+
+
+@dataclass(frozen=True)
+class ReferenceRecord:
+    """``LogRecord`` as the frozen dataclass it used to be."""
+
+    kind: RecordKind
+    txid: int
+    tid: int
+    addr: int = 0
+    undo: bytes = b""
+    redo: bytes = b""
+    torn: int = 0
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.txid < (1 << 16):
+            raise LogError(f"txid {self.txid} does not fit in 16 bits")
+        if not 0 <= self.tid < (1 << 8):
+            raise LogError(f"tid {self.tid} does not fit in 8 bits")
+        if not 0 <= self.addr < (1 << 48):
+            raise LogError(f"addr {self.addr:#x} does not fit in 48 bits")
+        if len(self.undo) > 8 or len(self.redo) > 8:
+            raise LogError("undo/redo values must be at most one word")
+        if self.torn not in (0, 1):
+            raise LogError("torn bit must be 0 or 1")
+
+
+def around(limit: int):
+    """Integers at and just past ``[0, limit)``'s ends, or anywhere near."""
+    edges = st.sampled_from([-1, 0, 1, limit - 1, limit, limit + 1])
+    return st.one_of(edges, st.integers(-2 * limit, 2 * limit))
+
+
+any_fields = st.fixed_dictionaries(
+    {
+        "kind": st.sampled_from(list(RecordKind)),
+        "txid": around(1 << 16),
+        "tid": around(1 << 8),
+        "addr": around(1 << 48),
+        "undo": st.binary(max_size=10),
+        "redo": st.binary(max_size=10),
+        "torn": st.sampled_from([-1, 0, 1, 2, False, True]),
+    }
+)
+
+
+def build(cls, fields):
+    """``(record, None)``, or ``(None, message)`` when the fields are refused."""
+    try:
+        return cls(**fields), None
+    except LogError as exc:
+        return None, str(exc)
+
+
+class TestTupleRecordMatchesTheDataclass:
+    @settings(max_examples=400, deadline=None)
+    @given(fields=any_fields)
+    def test_constructor_accepts_and_rejects_the_same_inputs(self, fields):
+        record, error = build(LogRecord, fields)
+        reference, reference_error = build(ReferenceRecord, fields)
+        assert error == reference_error
+        assert (record is None) == (reference is None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(fields=any_fields)
+    def test_replace_validates_like_the_constructor(self, fields):
+        base = LogRecord(RecordKind.COMMIT, 1, 0)
+        try:
+            replaced, error = base._replace(**fields), None
+        except LogError as exc:
+            replaced, error = None, str(exc)
+        assert (replaced, error) == build(LogRecord, fields)
+
+    @settings(max_examples=300, deadline=None)
+    @given(first=records, second=records)
+    def test_equality_hash_repr_and_pickle(self, first, second):
+        ref_first, ref_second = (
+            ReferenceRecord(*record) for record in (first, second)
+        )
+        assert (first == second) == (ref_first == ref_second)
+        assert (first != second) == (ref_first != ref_second)
+        assert hash(first) == hash(ref_first)
+        assert type(first).__name__ == "LogRecord"
+        assert repr(first).partition("(")[2] == repr(ref_first).partition("(")[2]
+        for record in (first, second):
+            copy = pickle.loads(pickle.dumps(record))
+            assert copy == record and type(copy) is LogRecord
