@@ -48,7 +48,7 @@ class FaultInjectionError(ReproError):
 class SimulatedCrash(ReproError):
     """A fault campaign's crash point fired during execution.
 
-    Raised out of :meth:`~repro.sim.machine.Machine.execute` by an
+    Raised out of :meth:`~repro.sim.machine.Machine.issue` by an
     installed :class:`~repro.faults.crashpoints.FaultMonitor` the moment
     its trigger event occurs.  The driver catches it and calls
     :meth:`~repro.sim.machine.Machine.crash` with :attr:`at_time`.

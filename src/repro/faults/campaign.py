@@ -47,7 +47,7 @@ from ..core.design import (
 )
 from ..core.nvlog import CircularLog
 from ..core.recovery import RecoveryManager
-from ..errors import ConfigError, RecoveryInterrupted, SimulatedCrash, WorkloadError
+from ..errors import ConfigError, RecoveryInterrupted, SimulatedCrash
 from ..harness.runner import PreparedWorkload, RunConfig, batch_shard, prepare_workload
 from ..sim.config import (
     CacheConfig,
@@ -640,7 +640,8 @@ def resolve_policies(spec: str) -> Tuple[DesignSpec, ...]:
     instant-commit variants of the guaranteed grid (see
     :func:`instant_variants`); otherwise a comma-separated list of
     design names (e.g. ``"fwb"``) and/or custom mechanism strings
-    (``"hw+undo+clwb"``, ``"hw+undo+redo+fwb+instant"``).
+    (``"hw+undo+clwb"``, ``"hw+undo+redo+fwb+instant"``).  A spec that
+    names no designs is a :class:`ConfigError`.
     """
     if spec == "guaranteed":
         return GUARANTEED_POLICIES
@@ -657,7 +658,7 @@ def resolve_policies(spec: str) -> Tuple[DesignSpec, ...]:
         if design not in policies:
             policies.append(design)
     if not policies:
-        raise WorkloadError(f"design spec {spec!r} names no designs")
+        raise ConfigError(f"design spec {spec!r} names no designs")
     return tuple(policies)
 
 

@@ -50,7 +50,7 @@ class EventKind(str, enum.Enum):
 
 _RETIRE = EventKind.RETIRE
 
-#: Execution-side kinds (observable via Machine.execute); RECOVERY is
+#: Execution-side kinds (observable via Machine.issue); RECOVERY is
 #: counted by the RecoveryManager instead.
 EXECUTION_KINDS = (
     EventKind.RETIRE,
@@ -101,7 +101,7 @@ class FaultMonitor:
         self._prev_wrap_forces = 0
 
     # ------------------------------------------------------------------
-    # Execution-side events (called by Machine.execute)
+    # Execution-side events (called by Machine.issue)
     # ------------------------------------------------------------------
     def after_op(self, now: float, stats: "MachineStats") -> None:
         """Observe one retired micro-op and any events it generated."""

@@ -115,7 +115,7 @@ class ShardMachine:
 
         :meth:`start_batch` and :meth:`start_serve` build theirs on the
         shard's thread APIs.  Compiled replay passes its own replay
-        generators, whose APIs (if any) :meth:`switch_design` does not
+        generators, whose thread APIs :meth:`switch_design` does not
         refresh: such a shard is drained, never switched.
         """
         if self._started:

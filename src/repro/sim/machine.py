@@ -60,6 +60,26 @@ def _wcb_drain(wcbs: list) -> Callable[[int, float], float]:
     return drain
 
 
+def _grow_arena(floor: int, top: int) -> Callable[[int], int]:
+    """A log-region allocator carving regions downward from ``top``,
+    never below ``floor``.
+
+    Like :func:`_wcb_drain`, it keeps its own cursor rather than the
+    machine's: a bound method of the machine stored on its log would
+    close a reference cycle.
+    """
+    cursor = top
+
+    def allocate(size_bytes: int) -> int:
+        nonlocal cursor
+        if cursor - size_bytes < floor:
+            raise SimulationError("log growth arena exhausted")
+        cursor -= size_bytes
+        return cursor
+
+    return allocate
+
+
 class Machine:
     """A complete simulated system under one persistence policy."""
 
@@ -87,16 +107,12 @@ class Machine:
         self.log_base = config.nvram.size_bytes - log_bytes
         heap_limit = self.log_base
         self.log_directory_addr: Optional[int] = None
-        self._grow_cursor = 0
-        self._grow_floor = 0
         if logging.enable_log_grow:
             # Reserve the directory block and a growth arena below the
             # primary log region.
             self.log_directory_addr = self.log_base - DIRECTORY_BYTES
             arena_bytes = logging.log_grow_reserve_regions * log_bytes
-            self._grow_floor = self.log_directory_addr - arena_bytes
-            self._grow_cursor = self.log_directory_addr
-            heap_limit = self._grow_floor
+            heap_limit = self.log_directory_addr - arena_bytes
         if heap_limit <= HEAP_BASE:
             raise SimulationError("log region leaves no room for the heap")
         self._heap_limit = heap_limit
@@ -107,7 +123,7 @@ class Machine:
                 logging.log_entries,
                 logging.log_entry_size,
                 config.line_size,
-                region_allocator=self._alloc_grow_region,
+                region_allocator=_grow_arena(heap_limit, self.log_directory_addr),
                 activity_token=self.registers.activity_token,
                 directory=RegionDirectory(self.nvram, self.log_directory_addr),
             )
@@ -253,13 +269,6 @@ class Machine:
     def heap_limit(self) -> int:
         """One past the last usable heap address."""
         return self._heap_limit
-
-    def _alloc_grow_region(self, size_bytes: int) -> int:
-        """Carve a fresh log region out of the reserved growth arena."""
-        if self._grow_cursor - size_bytes < self._grow_floor:
-            raise SimulationError("log growth arena exhausted")
-        self._grow_cursor -= size_bytes
-        return self._grow_cursor
 
     # ------------------------------------------------------------------
     # Execution

@@ -13,18 +13,14 @@ identical for every cell that differs only in
   **bit-identical** :class:`~repro.sim.stats.MachineStats` to the
   interpreted run.
 
-Replay has two engines, selected automatically:
-
-* ``via-API`` — drives a real :class:`~repro.txn.runtime.ThreadAPI` call
-  for call, reproducing the exact op *and* tracer/psan event streams.
-  Used whenever a tracer, log tap or fault monitor is attached.
-* ``fast`` — issues the scalar ``Core.exec_*`` methods itself, with
-  per-design dispatch resolved once per cell (no golden-model
-  bookkeeping, no loaded bytes sliced out).  Used when nothing
-  subscribes to events.  Both engines run every op through
-  :meth:`~repro.sim.machine.Machine.issue`, and every timing/stat
-  formula lives in the scalar methods they share, so the stats stay
-  bit-identical.
+Replay drives the transaction runtime's own lowering: each thread's
+transactions and write pieces go through the private steps of a real
+:class:`~repro.txn.runtime.ThreadAPI` (``_begin``, ``_store``,
+``_commit``), so replay and interpretation share one per-design
+lowering, one event stream (tracer, log tap, fault monitor) and one
+golden model, and leave the same NVRAM image.  Reads are issued
+straight from the trace's derived ``read_line`` column, as the same
+per-line loads ``ThreadAPI.read`` issues.
 
 Validity of sequential recording: every trace-compilable workload
 partitions its data per thread (``tid % MAX_PARTITIONS``), derives its
@@ -42,7 +38,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from ..core.design import CommitProtocol
 from ..errors import TransactionError, WorkloadError
 from ..utils import align_up, split_words
 from .ctrace import (
@@ -61,14 +56,6 @@ from .ctrace import (
     sym_token,
 )
 from .machine import Machine
-
-_ZEROS = tuple(bytes(n) for n in range(9))
-
-# Per-design write/commit lowering, resolved once per replayed cell.
-_MODE_PLAIN = 0
-_MODE_HW = 1
-_MODE_SW_UNDO = 2
-_MODE_SW_REDO = 3
 
 
 # ----------------------------------------------------------------------
@@ -274,128 +261,33 @@ def compile_trace(prepared, threads: int, txns_per_thread: int) -> CompiledTrace
 
 
 # ----------------------------------------------------------------------
-# Replay: via-API engine (exact op and event streams)
+# Replay
 # ----------------------------------------------------------------------
-def _api_thread(api, col: CompiledThread, bind: dict):
-    """Generator replaying one thread through a real :class:`ThreadAPI`.
+def _replay_thread(machine: Machine, api, col: CompiledThread, bind: dict):
+    """Generator replaying one thread's columns through ``api``.
 
-    Produces the identical op sequence to the original run: a
-    recorded multi-word write replays as one ``api.write`` per piece,
-    which is equivalent because ``split_words`` returns a piece unchanged
-    (pieces never cross word boundaries and 8-alignment is preserved by
-    relocation).
+    Transactions and write pieces go through ``api``'s lowering steps
+    and allocation through its ``alloc``/``free``.  The public guards are
+    skipped: recording already enforced them (:class:`RecordingAccessor`
+    raises the same ``TransactionError`` checks).
+    A recorded multi-word write replays piece by piece, which is what
+    ``ThreadAPI.write`` does: ``split_words`` returns a piece unchanged
+    (pieces never cross a word and relocation keeps 8-byte alignment).
+    A read issues the per-line loads ``ThreadAPI.read`` issues; its
+    slicing and overlay patch cost no simulated time and replay needs
+    no loaded bytes.
     """
-    kinds = col.kinds
-    av = col.a
-    bv = col.b
-    pa_col = col.piece_addr
-    pl_col = col.piece_len
-    ps_col = col.piece_sym
-    pv_col = col.piece_val
-    for i in range(len(kinds)):
-        kind = kinds[i]
-        if kind == K_READ:
-            addr = av[i]
-            if addr >= SYM_BASE:
-                addr = bind[(addr - SYM_BASE) >> 24] + (addr & SYM_OFF_MASK)
-            api.read(addr, bv[i])
-        elif kind == K_WRITE:
-            start = av[i]
-            for j in range(start, start + bv[i]):
-                piece_addr = pa_col[j]
-                if piece_addr >= SYM_BASE:
-                    piece_addr = bind[(piece_addr - SYM_BASE) >> 24] + (
-                        piece_addr & SYM_OFF_MASK
-                    )
-                value = pv_col[j]
-                if ps_col[j]:
-                    value = bind[(value - SYM_BASE) >> 24] + (value & SYM_OFF_MASK)
-                    data = value.to_bytes(8, "little")
-                else:
-                    data = value.to_bytes(pl_col[j], "little")
-                api.write(piece_addr, data)
-        elif kind == K_COMPUTE:
-            api.compute(av[i])
-        elif kind == K_TX_BEGIN:
-            api.tx_begin()
-        elif kind == K_TX_COMMIT:
-            api.tx_commit()
-        elif kind == K_ALLOC:
-            result = api.alloc(av[i])
-            token = bv[i]
-            if token >= SYM_BASE:
-                block_id = (token - SYM_BASE) >> 24
-                if block_id not in bind:
-                    bind[block_id] = result
-        elif kind == K_FREE:
-            addr = av[i]
-            if addr >= SYM_BASE:
-                addr = bind[(addr - SYM_BASE) >> 24] + (addr & SYM_OFF_MASK)
-            api.free(addr, bv[i])
-        else:  # K_YIELD
-            yield
-
-
-# ----------------------------------------------------------------------
-# Replay: fast engine (scalar core calls, per-design dispatch)
-# ----------------------------------------------------------------------
-def _fast_thread(machine: Machine, pm, col: CompiledThread, tid: int, bind: dict):
-    """Generator replaying one thread against the scalar core methods.
-
-    Transcribes the :class:`~repro.txn.runtime.ThreadAPI` lowering branch
-    for branch with the design predicates resolved once up front, and
-    issues every op through :meth:`Machine.issue`, as ``ThreadAPI`` does.
-    Skips only work with no stats/timing effect: golden-model staging,
-    tracer guards (no tracer is attached on this path), the read-only
-    ``physical_txid`` lookups, and slicing loaded bytes (software undo
-    records carry zero old-values — :class:`LogRecord` encoding is
-    content-independent, fixed ``entry_size`` bytes).
-    """
-    spec = machine.policy
-    core = machine.cores[tid]
-    hierarchy = machine.hierarchy
-    swlog = machine.swlog
-    heap = pm.heap
-    logging_cfg = machine.config.logging
+    core = machine.cores[api.core_id]
+    issue = machine.issue
+    exec_load = core.exec_load
+    exec_compute = core.exec_compute
+    begin = api._begin
+    store = api._store
+    commit = api._commit
+    alloc = api.alloc
+    free = api.free
     line_size = machine.config.line_size
     line_mask = ~(line_size - 1)
-
-    if spec.uses_hw_logging:
-        mode = _MODE_HW
-        begin_overhead = logging_cfg.hw_instrs_tx_begin
-        commit_overhead = logging_cfg.hw_instrs_tx_commit
-    elif spec.uses_sw_logging:
-        mode = _MODE_SW_REDO if spec.defers_in_place_stores else _MODE_SW_UNDO
-        begin_overhead = logging_cfg.softlog_instrs_tx_begin
-        commit_overhead = logging_cfg.softlog_instrs_tx_commit
-    else:
-        mode = _MODE_PLAIN
-        begin_overhead = 0
-        commit_overhead = 0
-    softlog_per_record = logging_cfg.softlog_instrs_per_record
-    clwb_commit = spec.uses_clwb_at_commit
-    sw_instant = mode in (_MODE_SW_UNDO, _MODE_SW_REDO) and (
-        spec.commit is CommitProtocol.INSTANT
-    )
-    protects = spec.protects_log_wrap
-
-    issue = machine.issue
-    exec_compute = core.exec_compute
-    exec_load = core.exec_load
-    exec_store = core.exec_store
-    exec_logstore = core.exec_logstore
-    exec_clwb = core.exec_clwb
-    exec_fence = core.exec_fence
-    exec_tx_begin = core.exec_tx_begin
-    exec_tx_commit = core.exec_tx_commit
-
-    def emit_log(placed) -> None:
-        displaced = placed.displaced_line
-        if displaced is not None and protects and hierarchy.is_line_dirty(displaced):
-            completion = machine.force_line_durable(displaced, core.time)
-            if completion > core.time:
-                core.time = completion
-        issue(core, exec_logstore, placed.addr, placed.payload)
 
     kinds = col.kinds
     av = col.a
@@ -405,13 +297,6 @@ def _fast_thread(machine: Machine, pm, col: CompiledThread, tid: int, bind: dict
     ps_col = col.piece_sym
     pv_col = col.piece_val
     piece_data = col.piece_data
-
-    txid = 0
-    in_txn = False
-    write_lines: set[int] = set()
-    overlay: dict[int, bytes] = {}
-    local_free: dict[int, list[int]] = {}
-    pending_frees: list[tuple[int, int]] = []
 
     for i in range(len(kinds)):
         kind = kinds[i]
@@ -444,76 +329,15 @@ def _fast_thread(machine: Machine, pm, col: CompiledThread, tid: int, bind: dict
                     ).to_bytes(8, "little")
                 else:
                     data = piece_data[j]
-                if clwb_commit:
-                    write_lines.add(piece_addr & line_mask)
-                if mode == _MODE_HW:
-                    issue(core, exec_store, piece_addr, data, True, txid, tid)
-                elif mode == _MODE_SW_UNDO:
-                    issue(core, exec_load, piece_addr, piece_addr & line_mask)
-                    if softlog_per_record:
-                        issue(core, exec_compute, softlog_per_record)
-                    emit_log(
-                        swlog.data(txid, tid, piece_addr, _ZEROS[len(data)], data)
-                    )
-                    issue(core, exec_store, piece_addr, data)
-                elif mode == _MODE_SW_REDO:
-                    if softlog_per_record:
-                        issue(core, exec_compute, softlog_per_record)
-                    emit_log(swlog.data(txid, tid, piece_addr, b"", data))
-                    overlay[piece_addr] = data
-                else:
-                    issue(core, exec_store, piece_addr, data)
+                store(piece_addr, data)
         elif kind == K_COMPUTE:
             issue(core, exec_compute, av[i])
         elif kind == K_TX_BEGIN:
-            txid = pm.next_txid()
-            in_txn = True
-            write_lines.clear()
-            overlay.clear()
-            issue(core, exec_tx_begin, txid, tid, begin_overhead)
-            if mode in (_MODE_SW_UNDO, _MODE_SW_REDO):
-                emit_log(swlog.begin(txid, tid))
+            begin()
         elif kind == K_TX_COMMIT:
-            if mode == _MODE_HW:
-                issue(core, exec_tx_commit, txid, tid, commit_overhead)
-                if clwb_commit:
-                    for line in sorted(write_lines):
-                        issue(core, exec_clwb, line)
-            elif mode == _MODE_PLAIN:
-                issue(core, exec_tx_commit, txid, tid, 0)
-            elif sw_instant:
-                emit_log(swlog.commit(txid, tid))
-                issue(core, exec_tx_commit, txid, tid, commit_overhead)
-            elif mode == _MODE_SW_UNDO:
-                if clwb_commit:
-                    for line in sorted(write_lines):
-                        issue(core, exec_clwb, line)
-                issue(core, exec_fence)
-                emit_log(swlog.commit(txid, tid))
-                issue(core, exec_tx_commit, txid, tid, commit_overhead)
-                core.wcb.flush(core.time)
-            else:  # software redo, fenced
-                emit_log(swlog.commit(txid, tid))
-                issue(core, exec_fence)
-                issue(core, exec_tx_commit, txid, tid, commit_overhead)
-                for addr, piece in overlay.items():
-                    issue(core, exec_store, addr, piece)
-                if clwb_commit:
-                    for line in sorted(write_lines):
-                        issue(core, exec_clwb, line)
-            in_txn = False
-            write_lines.clear()
-            overlay.clear()
-            for addr, size in pending_frees:
-                local_free.setdefault(size, []).append(addr)
-            pending_frees.clear()
+            commit()
         elif kind == K_ALLOC:
-            size = (av[i] + 7) & ~7
-            bucket = local_free.get(size)
-            if bucket:
-                result = bucket.pop()
-            else:
-                result = heap.alloc(size)
+            result = alloc(av[i])
             token = bv[i]
             if token >= SYM_BASE:
                 block_id = (token - SYM_BASE) >> 24
@@ -523,11 +347,7 @@ def _fast_thread(machine: Machine, pm, col: CompiledThread, tid: int, bind: dict
             addr = av[i]
             if addr >= SYM_BASE:
                 addr = bind[(addr - SYM_BASE) >> 24] + (addr & SYM_OFF_MASK)
-            size = (bv[i] + 7) & ~7
-            if in_txn:
-                pending_frees.append((addr, size))
-            else:
-                local_free.setdefault(size, []).append(addr)
+            free(addr, bv[i])
         else:  # K_YIELD
             yield
 
@@ -544,11 +364,6 @@ def run_compiled(trace: CompiledTrace, run, machine_hook=None, bind_out=None):
     the trace's image and heap snapshot, and the per-thread replay
     generators advance through a :class:`~repro.sched.shard.ShardMachine`
     — the same builder and drive order as an interpreted run.
-
-    Engine selection happens *after* ``machine_hook`` runs: attaching a
-    tracer, log tap or fault monitor (psan does both via
-    ``machine.tracer``) switches to the via-API engine, which preserves
-    the exact event stream; otherwise the trace-free fast engine runs.
 
     ``bind_out`` (a dict, filled in place) receives the symbolic
     block-id -> real-address binding the replay establishes; the static
@@ -572,20 +387,12 @@ def run_compiled(trace: CompiledTrace, run, machine_hook=None, bind_out=None):
         trace.derive(machine.config.line_size)
 
     bind: dict[int, int] = {} if bind_out is None else bind_out
-    if (
-        machine.tracer is not None
-        or machine.log_tap is not None
-        or machine.fault_monitor is not None
-    ):
-        generators = [
-            _api_thread(pm.api(core_id=tid, tid=tid), trace.thread_cols[tid], bind)
-            for tid in range(run.threads)
-        ]
-    else:
-        generators = [
-            _fast_thread(machine, pm, trace.thread_cols[tid], tid, bind)
-            for tid in range(run.threads)
-        ]
+    generators = [
+        _replay_thread(
+            machine, pm.api(core_id=tid, tid=tid), trace.thread_cols[tid], bind
+        )
+        for tid in range(run.threads)
+    ]
     shard = ShardMachine(machine, pm, None, run.threads)
     shard.start(generators)
     shard.drain()

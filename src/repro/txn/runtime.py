@@ -32,6 +32,12 @@
 commit/content/write-back mechanisms and returns the transaction's
 durability time, which the :class:`GoldenModel` records for
 crash-consistency verification.
+
+Each public method is a guard (the :class:`~repro.errors.TransactionError`
+checks, and ``split_words`` for ``write``) over one private lowering
+step: ``_begin``, ``_store`` (one word piece) and ``_commit``.  Those
+steps are the only per-design lowering in the simulator; compiled
+replay (:mod:`repro.sim.replay`) drives them directly.
 """
 
 from __future__ import annotations
@@ -43,10 +49,10 @@ from ..core.logrecord import RecordKind
 from ..core.nvlog import PlacedRecord
 from ..errors import TransactionError
 from ..sim.machine import Machine
-from ..utils import split_words
+from ..utils import align_up, split_words
 from .heap import PersistentHeap
 
-# How ``ThreadAPI.write`` lowers one word piece, by design: a plain
+# How ``ThreadAPI._store`` lowers one word piece, by design: a plain
 # store, a hardware-logged persistent store, a software redo record with
 # the store deferred, or a software undo record before the store.
 _PLAIN_STORE, _HW_LOGGED_STORE, _SW_REDO_STORE, _SW_UNDO_STORE = range(4)
@@ -65,8 +71,13 @@ class GoldenModel:
         self.staged: dict[int, tuple[int, dict[int, bytes]]] = {}
 
     def record(self, durable_time: float, writes: dict[int, bytes]) -> None:
-        """Record one committed transaction."""
-        self.commits.append((durable_time, dict(writes)))
+        """Record one committed transaction.
+
+        ``writes`` is kept, not copied: the caller must not change it
+        afterwards (``ThreadAPI`` hands over a fresh dict per
+        transaction).
+        """
+        self.commits.append((durable_time, writes))
 
     def stage(self, tid: int, physical_txid: int, writes: dict[int, bytes]) -> None:
         """Mark ``tid``'s current transaction *in doubt*.
@@ -77,9 +88,10 @@ class GoldenModel:
         from the program's point of view — recovery decides, by whether
         the commit record survived.  Crash verifiers consult
         :attr:`staged` together with the recovery report's committed
-        transaction IDs to accept either outcome.
+        transaction IDs to accept either outcome.  ``writes`` is kept as
+        given, as in :meth:`record`.
         """
-        self.staged[tid] = (physical_txid, dict(writes))
+        self.staged[tid] = (physical_txid, writes)
 
     def finalize(self, tid: int) -> None:
         """The commit sequence completed; the transaction is no longer in
@@ -150,6 +162,8 @@ class ThreadAPI:
         logging = self._machine.config.logging
         self._sw_logging = policy.uses_sw_logging
         self._protects_log_wrap = policy.protects_log_wrap
+        self._clwb_at_commit = policy.uses_clwb_at_commit
+        self._instrs_per_record = logging.softlog_instrs_per_record
         if policy.uses_hw_logging:
             self._store_lowering = _HW_LOGGED_STORE
             self._begin_overhead = logging.hw_instrs_tx_begin
@@ -185,8 +199,6 @@ class ThreadAPI:
     def alloc(self, size: int) -> int:
         """Allocate persistent memory, preferring this thread's recycled
         blocks."""
-        from ..utils import align_up
-
         size = align_up(size, 8)
         bucket = self._local_free.get(size)
         if bucket:
@@ -195,10 +207,8 @@ class ThreadAPI:
 
     def free(self, addr: int, size: int) -> None:
         """Release a block; deferred to commit when inside a transaction."""
-        from ..utils import align_up
-
         size = align_up(size, 8)
-        if self.in_transaction:
+        if self._txid is not None:
             self._pending_frees.append((addr, size))
         else:
             self._local_free.setdefault(size, []).append(addr)
@@ -210,18 +220,7 @@ class ThreadAPI:
         """Start a transaction; returns the user transaction ID."""
         if self._txid is not None:
             raise TransactionError("nested transactions are not supported")
-        txid = self._pm.next_txid()
-        self._txid = txid
-        self._writes = {}
-        self._write_lines = set()
-        self._overlay = {}
-        core = self._core
-        self._machine.issue(
-            core, core.exec_tx_begin, txid, self.tid, self._begin_overhead
-        )
-        if self._sw_logging:
-            self._emit_log(self._machine.swlog.begin(txid, self.tid))
-        return txid
+        return self._begin()
 
     def tag_requests(self, requests: list) -> None:
         """Attribute the *next* transaction to a batch of client requests.
@@ -241,11 +240,126 @@ class ThreadAPI:
         For designs without a persistence guarantee the returned time is
         the (optimistic) core clock at commit.
         """
-        if not self.in_transaction:
+        if self._txid is None:
             raise TransactionError("tx_commit outside a transaction")
-        policy = self._policy
+        return self._commit()
+
+    def transaction(self) -> "_TxContext":
+        """Context manager: ``with api.transaction(): ...``."""
+        return _TxContext(self)
+
+    # ------------------------------------------------------------------
+    # Data access
+    # ------------------------------------------------------------------
+    def read(self, addr: int, size: int) -> bytes:
+        """Transactional (or plain) read of ``size`` bytes."""
+        if size == 8 and not addr & 7 and not self._overlay:
+            # One aligned word: a single load, the same one the loop
+            # below would issue.
+            line = addr & self._line_mask
+            core = self._core
+            data = self._machine.issue(core, core.exec_load, addr, line)
+            offset = addr - line
+            return bytes(data[offset:offset + 8])
+        line_size = self._line_size
+        line_mask = self._line_mask
+        out = bytearray()
+        cursor = addr
+        end = addr + size
+        while cursor < end:
+            take = min(end, (cursor & line_mask) + line_size) - cursor
+            out += self._load(cursor, take)
+            cursor += take
+        if self._overlay:
+            self._patch_overlay(addr, out)
+        return bytes(out)
+
+    def write(self, addr: int, data: bytes) -> None:
+        """Persistent write, lowered according to the machine's policy."""
+        if self._txid is None:
+            raise TransactionError("persistent writes require a transaction")
+        if len(data) == 8 and not addr & 7:
+            # One aligned word: the one piece split_words would cut,
+            # copied the same way (a bytes object is kept as is).
+            self._store(addr, data if type(data) is bytes else bytes(data[0:8]))
+            return
+        for piece_addr, piece in split_words(addr, data):
+            self._store(piece_addr, piece)
+
+    def read_word(self, addr: int) -> int:
+        """Read one little-endian word as an unsigned int."""
+        return int.from_bytes(self.read(addr, 8), "little")
+
+    def write_word(self, addr: int, value: int) -> None:
+        """Write one unsigned int as a little-endian word."""
+        self.write(addr, value.to_bytes(8, "little"))
+
+    def compute(self, count: int) -> None:
+        """Execute ``count`` non-memory instructions."""
+        if count > 0:
+            core = self._core
+            self._machine.issue(core, core.exec_compute, count)
+
+    # ------------------------------------------------------------------
+    # Per-design lowering.  ``_begin``, ``_store`` and ``_commit`` run
+    # under the public guards above; compiled replay
+    # (:mod:`repro.sim.replay`) calls them directly.
+    # ------------------------------------------------------------------
+    def _begin(self) -> int:
+        """Lower ``tx_begin``: the begin op, then (software logging) the
+        begin record.  The write set, write-set lines and overlay are
+        already empty: ``_commit`` leaves them so."""
+        txid = self._pm.next_txid()
+        self._txid = txid
+        core = self._core
+        self._machine.issue(
+            core, core.exec_tx_begin, txid, self.tid, self._begin_overhead
+        )
+        if self._sw_logging:
+            self._emit_log(self._machine.swlog.begin(txid, self.tid))
+        return txid
+
+    def _store(self, addr: int, piece: bytes) -> None:
+        """Lower one word piece of a transactional write."""
+        self._writes[addr] = piece
+        if self._clwb_at_commit:
+            self._write_lines.add(addr & self._line_mask)
+        machine = self._machine
+        core = self._core
+        lowering = self._store_lowering
+        if lowering == _HW_LOGGED_STORE:
+            machine.issue(
+                core, core.exec_store, addr, piece, True, self._txid, self.tid
+            )
+        elif lowering == _PLAIN_STORE:
+            machine.issue(core, core.exec_store, addr, piece)
+        elif lowering == _SW_REDO_STORE:
+            self._sw_redo_write(addr, piece)
+        else:
+            self._sw_undo_write(addr, piece)
+
+    def _sw_undo_write(self, addr: int, piece: bytes) -> None:
+        """Software undo logging: load old value, log it, then store."""
+        machine = self._machine
+        core = self._core
+        old = self._load(addr, len(piece))
+        self.compute(self._instrs_per_record)
+        self._emit_log(machine.swlog.data(self._txid, self.tid, addr, old, piece))
+        machine.issue(core, core.exec_store, addr, piece)
+
+    def _sw_redo_write(self, addr: int, piece: bytes) -> None:
+        """Software redo logging: log the new value; defer the store."""
+        machine = self._machine
+        self.compute(self._instrs_per_record)
+        self._emit_log(machine.swlog.data(self._txid, self.tid, addr, b"", piece))
+        self._overlay[addr] = piece
+
+    def _commit(self) -> float:
+        """Lower ``tx_commit``: the design's commit protocol, then the
+        commit report (tracer, log tap, golden model, tagged requests)
+        and the release of the transaction's deferred frees."""
         txid = self._txid
-        durable = self._commit_for_policy(policy, txid)
+        durable = self._commit_for_policy(self._policy, txid)
         tracer = self._machine.tracer
         if tracer is not None:
             tracer.emit(
@@ -286,113 +400,6 @@ class ThreadAPI:
         self._pending_frees = []
         return durable
 
-    def transaction(self) -> "_TxContext":
-        """Context manager: ``with api.transaction(): ...``."""
-        return _TxContext(self)
-
-    # ------------------------------------------------------------------
-    # Data access
-    # ------------------------------------------------------------------
-    def read(self, addr: int, size: int) -> bytes:
-        """Transactional (or plain) read of ``size`` bytes."""
-        if size == 8 and not addr & 7 and not self._overlay:
-            # One aligned word: a single load, the same one the loop
-            # below would issue.
-            line = addr & self._line_mask
-            core = self._core
-            data = self._machine.issue(core, core.exec_load, addr, line)
-            offset = addr - line
-            return bytes(data[offset:offset + 8])
-        line_size = self._line_size
-        line_mask = self._line_mask
-        out = bytearray()
-        cursor = addr
-        end = addr + size
-        while cursor < end:
-            take = min(end, (cursor & line_mask) + line_size) - cursor
-            out += self._load(cursor, take)
-            cursor += take
-        if self._overlay:
-            self._patch_overlay(addr, out)
-        return bytes(out)
-
-    def write(self, addr: int, data: bytes) -> None:
-        """Persistent write, lowered according to the machine's policy."""
-        txid = self._txid
-        if txid is None:
-            raise TransactionError("persistent writes require a transaction")
-        if len(data) == 8 and not addr & 7:
-            # One aligned word: the one piece split_words would cut,
-            # copied the same way (a bytes object is kept as is).
-            pieces = ((addr, data if type(data) is bytes else bytes(data[0:8])),)
-        else:
-            pieces = split_words(addr, data)
-        machine = self._machine
-        core = self._core
-        lowering = self._store_lowering
-        line_mask = self._line_mask
-        for piece_addr, piece in pieces:
-            self._writes[piece_addr] = piece
-            self._write_lines.add(piece_addr & line_mask)
-            if lowering == _HW_LOGGED_STORE:
-                machine.issue(
-                    core, core.exec_store, piece_addr, piece, True, txid, self.tid
-                )
-            elif lowering == _PLAIN_STORE:
-                machine.issue(core, core.exec_store, piece_addr, piece)
-            elif lowering == _SW_REDO_STORE:
-                self._sw_redo_write(piece_addr, piece)
-            else:
-                self._sw_undo_write(piece_addr, piece)
-
-    def read_word(self, addr: int) -> int:
-        """Read one little-endian word as an unsigned int."""
-        return int.from_bytes(self.read(addr, 8), "little")
-
-    def write_word(self, addr: int, value: int) -> None:
-        """Write one unsigned int as a little-endian word."""
-        self.write(addr, value.to_bytes(8, "little"))
-
-    def compute(self, count: int) -> None:
-        """Execute ``count`` non-memory instructions."""
-        if count > 0:
-            core = self._core
-            self._machine.issue(core, core.exec_compute, count)
-
-    # ------------------------------------------------------------------
-    # Per-design lowering
-    # ------------------------------------------------------------------
-    def _load(self, addr: int, size: int) -> bytes:
-        """Issue one cacheable load of ``size`` bytes within one line."""
-        core = self._core
-        line = addr & self._line_mask
-        data = self._machine.issue(core, core.exec_load, addr, line)
-        offset = addr - line
-        return bytes(data[offset:offset + size])
-
-    def _clwb_write_set(self) -> None:
-        """Post a clwb for every line the transaction wrote, in address order."""
-        machine = self._machine
-        core = self._core
-        for line in sorted(self._write_lines):
-            machine.issue(core, core.exec_clwb, line)
-
-    def _sw_undo_write(self, addr: int, piece: bytes) -> None:
-        """Software undo logging: load old value, log it, then store."""
-        machine = self._machine
-        core = self._core
-        old = self._load(addr, len(piece))
-        self.compute(machine.config.logging.softlog_instrs_per_record)
-        self._emit_log(machine.swlog.data(self._txid, self.tid, addr, old, piece))
-        machine.issue(core, core.exec_store, addr, piece)
-
-    def _sw_redo_write(self, addr: int, piece: bytes) -> None:
-        """Software redo logging: log the new value; defer the store."""
-        machine = self._machine
-        self.compute(machine.config.logging.softlog_instrs_per_record)
-        self._emit_log(machine.swlog.data(self._txid, self.tid, addr, b"", piece))
-        self._overlay[addr] = piece
-
     def _commit_for_policy(self, policy: DesignSpec, txid: int) -> float:
         machine = self._machine
         logging = machine.config.logging
@@ -410,7 +417,7 @@ class ThreadAPI:
             durable = machine.issue(
                 core, tx_commit, txid, self.tid, logging.hw_instrs_tx_commit
             )
-            if policy.uses_clwb_at_commit:
+            if self._clwb_at_commit:
                 # hwl still forces write-backs with clwb, but delayed past
                 # the commit point and unfenced (Figure 1(c): "clwb can be
                 # delayed") — the write-backs are posted, not waited on.
@@ -436,7 +443,7 @@ class ThreadAPI:
             # Undo protocol (undo-clwb): force the data (the write-back
             # hook already guarantees the undo records reach NVRAM
             # first), fence, then write the commit record.
-            if policy.uses_clwb_at_commit:
+            if self._clwb_at_commit:
                 self._clwb_write_set()
             machine.issue(core, core.exec_fence)
             self._sw_commit_record(txid)
@@ -461,9 +468,24 @@ class ThreadAPI:
         machine.issue(core, tx_commit, txid, self.tid, overhead)
         for addr, piece in self._overlay.items():
             machine.issue(core, core.exec_store, addr, piece)
-        if policy.uses_clwb_at_commit:
+        if self._clwb_at_commit:
             self._clwb_write_set()
         return durable
+
+    def _load(self, addr: int, size: int) -> bytes:
+        """Issue one cacheable load of ``size`` bytes within one line."""
+        core = self._core
+        line = addr & self._line_mask
+        data = self._machine.issue(core, core.exec_load, addr, line)
+        offset = addr - line
+        return bytes(data[offset:offset + size])
+
+    def _clwb_write_set(self) -> None:
+        """Post a clwb for every line the transaction wrote, in address order."""
+        machine = self._machine
+        core = self._core
+        for line in sorted(self._write_lines):
+            machine.issue(core, core.exec_clwb, line)
 
     def _sw_commit_record(self, txid: int) -> None:
         """Place the software commit record, stage the transaction as in

@@ -10,7 +10,9 @@ stores and frees in seeded-random order, swept across all eight
 canonical designs at 1, 2 and 4 threads.
 
 Any divergence — a missed stall, a dropped log record, a mis-relocated
-allocation — shows up as a differing :class:`MachineStats` field.
+allocation — shows up as a differing :class:`MachineStats` field; a
+log record with the wrong contents, as a differing NVRAM image; a
+commit the golden model missed, as differing golden commits.
 """
 
 import dataclasses
@@ -128,7 +130,13 @@ class TestReplayEquivalence:
                     workload, config, prepared=prepared
                 )
                 replayed = run_compiled(trace, config)
+                cell = f"seed={seed} threads={threads} design={design.value}"
                 assert _stats_dict(interpreted) == _stats_dict(replayed), (
-                    f"stats drift: seed={seed} threads={threads} "
-                    f"design={design.value}"
+                    f"stats drift: {cell}"
+                )
+                assert (
+                    interpreted.machine.nvram.image == replayed.machine.nvram.image
+                ), f"NVRAM image drift: {cell}"
+                assert interpreted.pm.golden.commits == replayed.pm.golden.commits, (
+                    f"golden model drift: {cell}"
                 )

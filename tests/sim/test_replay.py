@@ -1,6 +1,6 @@
 """Execution-engine guarantees beyond raw stats equivalence.
 
-* the via-API replay engine reproduces the **full tracer event stream**
+* replay reproduces the **full tracer event stream**
   of an interpreted run (time, kind, core, detail — not just counters),
   so every tracer consumer (psan included) sees identical input;
 * the persistency-ordering sanitizer reaches the same verdicts (and the

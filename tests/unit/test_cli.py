@@ -165,6 +165,7 @@ REJECTED = [
     ["dist", "--txns", "0"],
     ["dist", "--points", "0"],
     ["faults", "--policy", "nope"],
+    ["faults", "--policy", ""],
     ["dist", "--benchmarks", "nope"],
     ["adapt", "faults", "--workload", "nope"],
 ]

@@ -210,10 +210,10 @@ class TestResolvePolicies:
         assert not designs[1].persistence_guaranteed
 
     def test_empty_spec_is_an_error(self):
-        from repro.errors import WorkloadError
+        from repro.errors import ConfigError
         from repro.faults import resolve_policies
 
-        with pytest.raises(WorkloadError, match="names no designs"):
+        with pytest.raises(ConfigError, match="names no designs"):
             resolve_policies(" , ,")
 
 

@@ -1,5 +1,8 @@
 """Unit tests for repro.core.growlog (log_grow(), Section IV-A)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import Machine, PersistentMemory, RecoveryManager
@@ -146,9 +149,38 @@ class TestMachineIntegration:
             ),
             FWB,
         )
-        machine._alloc_grow_region(16 * 64)
-        with pytest.raises(SimulationError):
-            machine._alloc_grow_region(16 * 64)
+        pm = PersistentMemory(machine)
+        api = pm.api(0)
+        slots = [pm.heap.alloc(8) for _ in range(40)]
+        api.tx_begin()
+        # The records fill the 16-entry primary ring, then the one
+        # reserved region; the second growth finds the arena empty.
+        with pytest.raises(SimulationError, match="arena exhausted"):
+            for i, addr in enumerate(slots):
+                api.write(addr, word(i + 1))
+        assert machine.log.grow_count == 1
+
+    def test_machine_dies_with_its_last_reference(self):
+        """The log's region allocator must not hold the machine: a cycle
+        would leave the machine and its NVRAM image to the cyclic
+        collector."""
+        gc.collect()
+        gc.disable()
+        try:
+            machine = self._machine()
+            pm = PersistentMemory(machine)
+            api = pm.api(0)
+            slots = [pm.heap.alloc(8) for _ in range(40)]
+            api.tx_begin()
+            for i, addr in enumerate(slots):
+                api.write(addr, word(i + 1))
+            api.tx_commit()
+            assert machine.log.grow_count >= 1
+            probe = weakref.ref(machine)
+            del machine, pm, api
+            assert probe() is None
+        finally:
+            gc.enable()
 
     def test_grow_incompatible_with_distributed(self):
         from repro.errors import ConfigError
