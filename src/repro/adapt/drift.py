@@ -26,9 +26,9 @@ from typing import Iterator, Optional, Tuple
 
 from ..core.design import DesignSpec, legal_switch_targets, resolve_design
 from ..errors import ConfigError
-from ..harness.runner import RunConfig, build_run, prepare_workload
+from ..harness.runner import RunConfig, build_run
 from ..sched.loop import AdmissionConfig, EventLoopScheduler
-from ..sched.serve import default_serve_config
+from ..sched.serve import default_serve_config, prepared_kernel
 from ..sched.shard import ShardMachine
 from ..sched.traffic import TrafficConfig, open_loop_schedule
 from ..sim.config import LoggingConfig, SystemConfig
@@ -270,7 +270,7 @@ def run_drift(
             "scenarios run through the open-loop serve layer"
         )
     system = config.system or drift_system(config.threads)
-    prepared = prepare_workload(workload, system)
+    prepared = prepared_kernel(workload, system)
 
     shards = []
     run = RunConfig(policy=config.policy, threads=config.threads, system=system)

@@ -88,6 +88,8 @@ def _checksum_tables() -> tuple:
 
 _CHECKSUM_TABLES = _checksum_tables()
 _CHECKSUM_BYTES = tuple(bytes((value,)) for value in range(256))
+_FLAGS_WEIGHT = _CHECKSUM_TABLES[HEADER_BYTES][1][0]
+"""Weight of the flags byte in a whole header's checksum."""
 
 
 def _checksum(buf: bytes) -> int:
@@ -104,16 +106,20 @@ def _checksum(buf: bytes) -> int:
 
 
 def stamp_torn(entry: bytes, torn: int) -> bytes:
-    """``entry`` (an encoded record) with its torn bit set to ``torn``.
+    """``entry`` (an encoded record, so at least :data:`HEADER_BYTES`
+    long) with its torn bit set to ``torn``.
 
-    The checksum covers the flags byte, so it is recomputed; an entry
-    that already carries ``torn`` is returned unchanged.
+    The checksum covers the flags byte.  It is linear mod 256, so
+    flipping bit 0 of the flags moves it by exactly the flags byte's
+    weight; the rest of the entry is not summed again.  An entry whose
+    checksum was wrong stays wrong.  An entry that already carries
+    ``torn`` is returned unchanged.
     """
     if (entry[0] & 1) == torn:
         return entry
     buf = bytearray(entry)
-    buf[0] = (buf[0] & 0xFE) | torn
-    buf[6] = _checksum(buf)
+    buf[0] ^= 1
+    buf[6] = (buf[6] + (_FLAGS_WEIGHT if torn else -_FLAGS_WEIGHT)) & 0xFF
     return bytes(buf)
 
 

@@ -13,6 +13,12 @@ record nor the data).  :meth:`place` reports the line address of the entry
 about to be overwritten so the caller (the HWL engine or the software
 logging layer) can force a write-back first — the "log full" path whose
 cost the FWB mechanism exists to avoid.
+
+A BEGIN or COMMIT marker carries no address or value: its entry is a
+function of its kind, physical transaction ID, thread ID, the pass
+parity and the entry size alone.  Each log encodes a distinct marker
+once per parity and reuses the bytes, so the marker table is bounded by
+that key space, not by the number of transactions.
 """
 
 from __future__ import annotations
@@ -60,6 +66,8 @@ class CircularLog:
         # Volatile shadow of what lives in each slot, for wrap protection.
         self._slot_lines: list[Optional[int]] = [None] * num_entries
         self._slot_kinds: list[Optional[RecordKind]] = [None] * num_entries
+        # Encoded markers by record, one table per pass parity.
+        self._markers: tuple = ({}, {})
 
     @property
     def size_bytes(self) -> int:
@@ -91,10 +99,15 @@ class CircularLog:
         slot = self.tail
         displaced_line = self._slot_lines[slot] if self.wrapped else None
         displaced_kind = self._slot_kinds[slot] if self.wrapped else None
-        payload = record.encode(self.entry_size, self.parity)
-        line = None
         if record.kind == RecordKind.DATA:
+            payload = record.encode(self.entry_size, self.parity)
             line = record.addr - (record.addr % self._line_size)
+        else:
+            markers = self._markers[self.parity]
+            payload = markers.get(record)
+            if payload is None:
+                payload = markers[record] = record.encode(self.entry_size, self.parity)
+            line = None
         self._slot_lines[slot] = line
         self._slot_kinds[slot] = record.kind
         self.tail += 1

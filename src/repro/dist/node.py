@@ -22,6 +22,14 @@ pass) and slides the surviving suffix down, advancing ``base_seq``.
 Compacted transactions are thereafter recovered from the checkpointed
 heap rather than replayed from the log — the classic
 checkpoint-plus-log contraction.
+
+Every record carries both its undo and its redo value, so a replica
+that was shipped a record already holds what the fold needs.  The node
+keeps, per occupied slot, the shipped record and the entry bytes it
+wrote there; compaction checks that the slot's NVRAM bytes still equal
+that entry and folds the kept record's redo value, without decoding the
+slot again.  The byte check refuses any damaged or overwritten slot,
+even one that would still decode.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from ..core.logrecord import LogRecord, RecordKind, stamp_torn
+from ..core.logrecord import LogRecord, stamp_torn
 from ..core.nvlog import CircularLog
 from ..core.recovery import RecoveryManager, RecoveryReport
 from ..errors import ConfigError
@@ -81,6 +89,9 @@ class ReplicaNode:
         self.appended = 0  # slots occupied, torn tail included
         self.base_seq = 0  # first sequence number still held in the ring
         self.torn_tail = False
+        # Per occupied slot, the shipped record and the whole entry
+        # written for it (slot == index).
+        self._kept: list = []
 
     # ------------------------------------------------------------------
     def append(self, rec) -> int:
@@ -136,6 +147,7 @@ class ReplicaNode:
         slot = self.appended
         entry = stamp_torn(rec.payload, 1)
         self.nvram.poke(self.ring.entry_addr(slot), entry[:keep])
+        self._kept.append((rec, entry))
         self.appended += 1
         return slot
 
@@ -186,6 +198,7 @@ class ReplicaNode:
         if rel < self.appended:
             cleared = (self.appended - rel) * self.ring.entry_size
             self.nvram.poke(self.ring.entry_addr(rel), bytes(cleared))
+            del self._kept[rel:]
             # A record re-shipped after the truncation lands back in its
             # own slot (slot == seq - base_seq).
             self.appended = rel
@@ -202,6 +215,11 @@ class ReplicaNode:
         seq - base_seq`` keeps holding, and ``base_seq`` advances by the
         number of records dropped (returned).
 
+        The fold reads the records kept at append, not the ring.  Every
+        dropped slot's NVRAM bytes must still equal the entry written
+        for it; otherwise nothing is folded and the first damaged slot
+        is named in the error.
+
         The caller is responsible for ``frontier`` not exceeding the
         cluster-committed frontier: compacting an uncommitted record
         would bake a possibly-aborting transaction into the checkpoint
@@ -215,30 +233,37 @@ class ReplicaNode:
                 f"replica {self.node_id}: cannot compact through a torn tail"
             )
         entry_size = self.ring.entry_size
-        for slot in range(drop):
-            addr = self.ring.entry_addr(slot)
-            record, status = LogRecord.classify(self.nvram.peek(addr, entry_size))
-            if status.name != "OK" or record is None:
-                raise ConfigError(
-                    f"replica {self.node_id}: cannot compact undecodable "
-                    f"slot {slot} (seq {self.base_seq + slot})"
-                )
-            if record.kind is RecordKind.DATA:
-                if not record.redo:
+        start = self.ring.entry_addr(0)
+        kept = self._kept[:drop]
+        written = b"".join([entry for _rec, entry in kept])
+        if self.nvram.peek(start, drop * entry_size) != written:
+            slot = next(
+                slot
+                for slot, (_rec, entry) in enumerate(kept)
+                if self.nvram.peek(start + slot * entry_size, entry_size) != entry
+            )
+            raise ConfigError(
+                f"replica {self.node_id}: cannot compact damaged "
+                f"slot {slot} (seq {self.base_seq + slot})"
+            )
+        for slot, (rec, _entry) in enumerate(kept):
+            if rec.kind == "DATA":
+                if not rec.redo:
                     raise ConfigError(
                         f"replica {self.node_id}: cannot compact an "
                         f"undo-only record (seq {self.base_seq + slot}): "
                         "no redo content to fold into the checkpoint"
                     )
-                self.nvram.poke(record.addr, record.redo)
+                self.nvram.poke(rec.addr, rec.redo)
             # BEGIN/COMMIT records are pure markers: nothing to fold.
         # Slide the surviving suffix down to slot 0 (slots are contiguous
         # in NVRAM), then clear the slots it vacated.
         keep = self.appended - drop
         if keep:
             suffix = self.nvram.peek(self.ring.entry_addr(drop), keep * entry_size)
-            self.nvram.poke(self.ring.entry_addr(0), suffix)
+            self.nvram.poke(start, suffix)
         self.nvram.poke(self.ring.entry_addr(keep), bytes(drop * entry_size))
+        del self._kept[:drop]
         self.base_seq += drop
         self.appended = keep
         return drop

@@ -22,7 +22,10 @@ occupancy crosses the headroom threshold, every replica folds the
 prefix below that frontier into its mirrored heap
 (:meth:`~repro.dist.node.ReplicaNode.compact_below`) and frees the
 slots.  Only closed transactions compact, so a crash mid-run still
-recovers exactly: checkpointed heap + remaining ring replay.
+recovers exactly: checkpointed heap + remaining ring replay.  Each
+replica folds the records it was shipped and kept, so no ring entry is
+decoded again on the way.  ``compact_headroom`` is checked by
+:meth:`~repro.sched.serve.ServeConfig.validate`, before any preparation.
 """
 
 from __future__ import annotations
@@ -47,8 +50,6 @@ class ShardReplicator:
     ) -> None:
         if replicas <= 0:
             raise ConfigError("replicas must be positive")
-        if not 0.0 < compact_headroom <= 1.0:
-            raise ConfigError("compact_headroom must be in (0, 1]")
         self.shard = shard
         self.collector = LogStreamCollector(shard.machine)
         self.nodes = [

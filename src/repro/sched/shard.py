@@ -19,8 +19,9 @@ scheduler can interleave many shards and inject work between steps:
 
 It is the package's only drive loop: batch runs, serve and drift
 shards, compiled replay (:func:`~repro.sim.replay.run_compiled`, via
-:meth:`start` with its replay generators) and the crash campaigns all
-advance through :meth:`step`.
+:meth:`start` with its replay generator) and the crash campaigns all
+advance through :meth:`step`.  Every thread generator drives the
+shard's own thread API, one per thread.
 
 Bit-identity: with ``until_cycle=None`` the step loop is structurally
 the monolithic loop — same heap contents, same tie-break, same
@@ -96,32 +97,27 @@ class ShardMachine:
     def start_batch(self, txns_per_thread: int) -> None:
         """Closed-loop mode: one classic ``thread_body`` generator per
         thread, exactly as the monolithic runner created them."""
-        self.start(
-            [
-                self.workload.thread_body(self._apis[tid], tid, txns_per_thread)
-                for tid in range(self.threads)
-            ]
-        )
+        workload = self.workload
+        self.start(lambda api, tid: workload.thread_body(api, tid, txns_per_thread))
 
     def start_serve(self) -> None:
         """Open-loop mode: every thread serves the shard's request queue."""
         self._serving = True
-        self.start(
-            [self._serve_body(self._apis[tid], tid) for tid in range(self.threads)]
-        )
+        self.start(self._serve_body)
 
-    def start(self, generators: list) -> None:
-        """Drive ``generators``, one per thread, in the shard's order.
+    def start(self, body) -> None:
+        """Drive ``body(api, tid)``, one generator per thread, in the
+        shard's order.
 
-        :meth:`start_batch` and :meth:`start_serve` build theirs on the
-        shard's thread APIs.  Compiled replay passes its own replay
-        generators, whose thread APIs :meth:`switch_design` does not
-        refresh: such a shard is drained, never switched.
+        ``api`` is the shard's own thread API for ``tid``, the one
+        :meth:`switch_design` refreshes.  :meth:`start_batch` and
+        :meth:`start_serve` pass the workload's thread body and the serve
+        driver; compiled replay passes its replay generator.
         """
         if self._started:
             raise WorkloadError("shard already started")
         self._started = True
-        self._gens = generators
+        self._gens = [body(api, tid) for tid, api in enumerate(self._apis)]
         # Min-heap on core clock; tie-break on thread id for determinism
         # (identical to the historical runner loop).
         self._ready = [

@@ -362,8 +362,9 @@ def run_compiled(trace: CompiledTrace, run, machine_hook=None, bind_out=None):
 
     The run is assembled by :func:`~repro.harness.runner.build_run` from
     the trace's image and heap snapshot, and the per-thread replay
-    generators advance through a :class:`~repro.sched.shard.ShardMachine`
-    — the same builder and drive order as an interpreted run.
+    generators drive the thread APIs of a
+    :class:`~repro.sched.shard.ShardMachine` — the same builder, APIs
+    and drive order as an interpreted run.
 
     ``bind_out`` (a dict, filled in place) receives the symbolic
     block-id -> real-address binding the replay establishes; the static
@@ -387,14 +388,9 @@ def run_compiled(trace: CompiledTrace, run, machine_hook=None, bind_out=None):
         trace.derive(machine.config.line_size)
 
     bind: dict[int, int] = {} if bind_out is None else bind_out
-    generators = [
-        _replay_thread(
-            machine, pm.api(core_id=tid, tid=tid), trace.thread_cols[tid], bind
-        )
-        for tid in range(run.threads)
-    ]
+    cols = trace.thread_cols
     shard = ShardMachine(machine, pm, None, run.threads)
-    shard.start(generators)
+    shard.start(lambda api, tid: _replay_thread(machine, api, cols[tid], bind))
     shard.drain()
 
     stats = machine.finalize()

@@ -165,3 +165,52 @@ def test_compact_below_base_is_a_noop(traced_hash):
         assert node.base_seq == 0 and node.appended == 4
     finally:
         node.release()
+
+
+def test_a_slot_overwritten_with_a_valid_entry_is_refused(traced_hash):
+    """Compaction folds the record the replica was shipped, so a slot
+    whose bytes changed since — even into another well-formed entry —
+    is refused, and nothing is folded."""
+    node, stream = _node(traced_hash)
+    records = stream.records
+    frontier = _committed_frontier(records)
+    data = next(rec for rec in records[:frontier] if rec.kind == "DATA")
+    forged = LogRecord(
+        RecordKind.DATA, data.txid, data.tid, data.addr,
+        undo=data.undo, redo=bytes(b ^ 0xFF for b in data.redo),
+    )
+    entry_size = node.ring.entry_size
+    try:
+        for rec in records:
+            node.append(rec)
+        slot_addr = node.ring.entry_addr(data.seq)
+        node.nvram.poke(slot_addr, forged.encode(entry_size, 1))
+        assert LogRecord.decode(node.nvram.peek(slot_addr, entry_size)) == forged._replace(torn=1)
+        heap = node.heap_image()
+        with pytest.raises(ConfigError, match=f"damaged slot {data.seq} "):
+            node.compact_below(frontier)
+        assert node.heap_image() == heap
+        assert node.base_seq == 0 and node.appended == len(records)
+    finally:
+        node.release()
+
+
+def test_truncation_drops_the_kept_records_past_the_frontier(traced_hash):
+    """A record re-shipped after a truncation is the one compaction
+    folds: the slot's bytes and its kept record agree again."""
+    full, stream = _node(traced_hash)
+    cut, _ = _node(traced_hash)
+    records = stream.records
+    frontier = _committed_frontier(records)
+    try:
+        for rec in records:
+            full.append(rec)
+            cut.append(rec)
+        cut.truncate_to(frontier // 2)
+        for rec in records[frontier // 2 :]:
+            cut.append(rec)
+        assert full.compact_below(frontier) == cut.compact_below(frontier) == frontier
+        assert full.image_bytes() == cut.image_bytes()
+    finally:
+        full.release()
+        cut.release()

@@ -4,10 +4,13 @@ import json
 
 import pytest
 
+import repro.sched.serve as serve
 from repro.errors import ConfigError
 from repro.sanitizer.checker import PersistOrderChecker
-from repro.sched.serve import ServeConfig, run_serve
+from repro.sched.serve import ServeConfig, default_serve_config, run_serve
 from repro.sched.traffic import TrafficConfig
+from repro.sim.config import LoggingConfig
+from repro.workloads.whisper import make_whisper_kernel
 
 
 def _config(**overrides):
@@ -46,6 +49,63 @@ class TestDeterminism:
             _config(traffic=TrafficConfig(requests=40, rate=0.004, seed=7))
         )
         assert first.digest() != second.digest()
+
+
+class TestPreparedKernelMemo:
+    """A kernel is prepared once per process for its workload and system."""
+
+    @pytest.fixture
+    def prepares(self, monkeypatch):
+        """Count ``prepare_workload`` calls made by serve, on an empty memo."""
+        calls = []
+        original = serve.prepare_workload
+
+        def counting(workload, system):
+            calls.append((workload.identity_key(), system))
+            return original(workload, system)
+
+        monkeypatch.setattr(serve, "prepare_workload", counting)
+        monkeypatch.setattr(serve, "_prepared", {})
+        return calls
+
+    def test_repeated_scenarios_prepare_once(self, prepares):
+        replicated = dict(replicas=1, ring_records=64)
+        first = run_serve(_config(**replicated))
+        second = run_serve(_config(**replicated))
+        assert len(prepares) == 1
+        assert first.replication["compactions"] > 0
+        assert first.digest() == second.digest()
+        assert first.to_dict() == second.to_dict()
+        run_serve(_config(seed=7))
+        assert len(prepares) == 2
+        small_log = default_serve_config(2, logging=LoggingConfig(log_entries=512))
+        run_serve(_config(system=small_log))
+        assert len(prepares) == 3
+        run_serve(_config())
+        assert len(prepares) == 3
+
+    def test_memo_keeps_the_most_recently_used_within_its_bound(self, monkeypatch):
+        monkeypatch.setattr(serve, "_prepared", {})
+        made = []
+
+        def fake_prepare(workload, system):
+            made.append(workload.seed)
+            return object()
+
+        monkeypatch.setattr(serve, "prepare_workload", fake_prepare)
+        system = default_serve_config(2)
+        bound = serve.PREPARED_MEMO_ENTRIES
+        kernels = [make_whisper_kernel("ycsb", seed=seed) for seed in range(bound + 3)]
+        first = serve.prepared_kernel(kernels[0], system)
+        for kernel in kernels[1:]:
+            serve.prepared_kernel(kernels[0], system)  # keep the first one hot
+            serve.prepared_kernel(kernel, system)
+            assert len(serve._prepared) <= bound
+        assert serve.prepared_kernel(kernels[0], system) is first
+        assert len(made) == len(kernels)
+        serve.prepared_kernel(kernels[1], system)  # evicted long ago
+        assert len(made) == len(kernels) + 1
+        assert len(serve._prepared) == bound
 
 
 class TestLatencyAttribution:

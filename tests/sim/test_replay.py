@@ -7,7 +7,9 @@
   same diagnostics) over the compiled path;
 * the numpy and stdlib derive paths compute identical columns;
 * the trace codec and pickling round-trip without changing replay
-  behaviour.
+  behaviour;
+* the replay generators drive the shard's own thread APIs: one per
+  thread, none built on the side.
 """
 
 import dataclasses
@@ -21,6 +23,7 @@ from repro.sanitizer.checker import PersistOrderChecker
 from repro.sim.ctrace import CompiledTrace, numpy_available
 from repro.sim.replay import compile_trace, run_compiled
 from repro.sim.trace import Tracer
+from repro.txn.runtime import ThreadAPI
 from repro.workloads.hashtable import HashTableWorkload
 from tests.conftest import tiny_system
 
@@ -141,3 +144,23 @@ class TestCodec:
         assert clone.heap_state == trace.heap_state
         for mine, theirs in zip(trace.thread_cols, clone.thread_cols):
             assert mine.column_blobs() == theirs.column_blobs()
+
+
+class TestThreadAPIs:
+    @pytest.mark.parametrize("design", [HWL, FWB, UNSAFE_BASE], ids=lambda d: d.name)
+    def test_replay_builds_one_api_per_thread(self, prepared, trace, design, monkeypatch):
+        config = _config(design, prepared.system)
+        interpreted = run_workload(prepared.workload, config, prepared=prepared)
+        built = []
+        original = ThreadAPI.__init__
+
+        def counting_init(api, *args, **kwargs):
+            original(api, *args, **kwargs)
+            built.append(api)
+
+        monkeypatch.setattr(ThreadAPI, "__init__", counting_init)
+        replayed = run_compiled(trace, config)
+        assert len(built) == THREADS
+        assert sorted(api.tid for api in built) == list(range(THREADS))
+        assert dataclasses.asdict(replayed.stats) == dataclasses.asdict(interpreted.stats)
+        assert replayed.machine.nvram.image == interpreted.machine.nvram.image

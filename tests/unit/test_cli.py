@@ -168,6 +168,9 @@ REJECTED = [
     ["faults", "--policy", ""],
     ["dist", "--benchmarks", "nope"],
     ["adapt", "faults", "--workload", "nope"],
+    ["serve", "--replicas", "-1"],
+    ["serve", "--replicas", "1", "--ring-records", "0"],
+    ["serve", "--replicas", "1", "--ring-records", "-5"],
 ]
 
 

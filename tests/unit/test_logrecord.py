@@ -236,6 +236,25 @@ records = st.builds(
 entry_sizes = st.sampled_from([32, 64])
 
 
+class TestStampTornIsExact:
+    """Re-stamping moves the checksum by the flags byte's weight alone."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(records, st.integers(0, 1), entry_sizes)
+    def test_restamp_equals_encoding_at_the_other_parity(self, record, parity, entry_size):
+        raw = record.encode(entry_size, parity)
+        assert stamp_torn(raw, 1 - parity) == record.encode(entry_size, 1 - parity)
+        assert stamp_torn(raw, parity) is raw
+
+    @settings(max_examples=200, deadline=None)
+    @given(records, st.integers(0, 1), st.integers(1, 255))
+    def test_a_wrong_checksum_stays_wrong(self, record, parity, skew):
+        raw = bytearray(record.encode(64, parity))
+        raw[6] = (raw[6] + skew) & 0xFF
+        restamped = stamp_torn(bytes(raw), 1 - parity)
+        assert LogRecord.classify(restamped)[1] is DecodeStatus.CHECKSUM
+
+
 class TestPackedLayoutMatchesReference:
     @settings(max_examples=400, deadline=None)
     @given(record=records, entry_size=entry_sizes, torn=st.sampled_from([None, 0, 1]))
