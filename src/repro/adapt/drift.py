@@ -259,6 +259,12 @@ def run_drift(
     Returns a JSON-ready report: total simulated cycles (the comparison
     metric), completion counts, deterministic cost counters, and — in
     adaptive mode — the controller's full decision log.
+
+    ``machine_hook(shard_id, machine)``, when given, is called on every
+    freshly built shard machine before execution.  Every shard machine's
+    NVRAM image is recycled once the report is built, as
+    :func:`~repro.sched.serve.run_serve` does, so a hook that wants an
+    image must read it before this function returns.
     """
     config.validate()
     if table is not None and table.start is not None:
@@ -339,6 +345,11 @@ def run_drift(
     }
     if controller is not None:
         report["adaptation"] = controller.summary()
+    # The report holds everything read from the devices: the shard
+    # buffers go back to the pool for the next run instead of being
+    # freed and allocated again.
+    for shard in shards:
+        shard.machine.nvram.recycle()
     return report
 
 

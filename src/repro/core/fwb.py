@@ -34,10 +34,21 @@ debt into the hierarchy; accesses pay it back one cycle at a time
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import chain
+
 from ..sim.config import SystemConfig
 from ..sim.hierarchy import CacheHierarchy
 from ..sim.stats import MachineStats
 from ..utils import ns_to_cycles
+
+
+def _all_lines(cache) -> list:
+    """Every valid line of ``cache`` in :meth:`~repro.sim.cache
+    .SetAssociativeCache.iter_lines` order (set by set, each set in
+    insertion order), taken as a list before any line steps: a forced
+    write-back may move lines between sets while the scan runs."""
+    return list(chain.from_iterable(map(dict.values, cache.sets.values())))
 
 
 def required_scan_interval(config: SystemConfig) -> float:
@@ -86,39 +97,41 @@ class ForceWriteBack:
             self.next_scan += self.interval
 
     def scan(self, now: float) -> None:
-        """One pass over every cache's tags (the FSM of Figure 5)."""
-        self._stats.fwb_scans += 1
-        writebacks_before = self._stats.fwb_writebacks
+        """One pass over every cache's tags (the FSM of Figure 5).
+
+        Each line steps through the state machine in place: a clean line
+        drops back to IDLE, a dirty IDLE line is FLAGged, a dirty FLAG
+        line is forced back (L1s into the LLC, the LLC to NVRAM).
+        """
+        stats = self._stats
+        hierarchy = self._hierarchy
+        stats.fwb_scans += 1
+        writebacks_before = stats.fwb_writebacks
+        caches = [
+            (l1, partial(hierarchy.fwb_writeback_l1, core_id))
+            for core_id, l1 in enumerate(hierarchy.l1s)
+        ]
+        caches.append((hierarchy.llc, hierarchy.fwb_writeback_llc))
         scanned = 0
-        for core_id, l1 in enumerate(self._hierarchy.l1s):
-            for line in list(l1.iter_lines()):
-                scanned += 1
-                self._step_line(line, at_llc=False, core_id=core_id, now=now)
-        for line in list(self._hierarchy.llc.iter_lines()):
-            scanned += 1
-            self._step_line(line, at_llc=True, core_id=-1, now=now)
-        self._stats.fwb_lines_scanned += scanned
-        self._hierarchy.add_scan_debt(scanned * self._cost_per_line)
+        for cache, writeback in caches:
+            lines = _all_lines(cache)
+            scanned += len(lines)
+            for line in lines:
+                if not line.dirty:
+                    if line.fwb:
+                        line.fwb = False  # dirty cleared elsewhere: back to IDLE
+                elif not line.fwb:
+                    line.fwb = True  # FLAG
+                else:
+                    writeback(line, now)
+                    stats.fwb_writebacks += 1
+        stats.fwb_lines_scanned += scanned
+        hierarchy.add_scan_debt(scanned * self._cost_per_line)
         if self.tracer is not None:
             self.tracer.emit(
                 now,
                 "fwb_scan",
                 -1,
                 lines=scanned,
-                writebacks=self._stats.fwb_writebacks - writebacks_before,
+                writebacks=stats.fwb_writebacks - writebacks_before,
             )
-
-    def _step_line(self, line, at_llc: bool, core_id: int, now: float) -> None:
-        if not line.dirty:
-            if line.fwb:
-                line.fwb = False  # dirty cleared elsewhere: back to IDLE
-            return
-        if not line.fwb:
-            line.fwb = True  # FLAG
-            return
-        # FWB state: force the write-back.
-        if at_llc:
-            self._hierarchy.fwb_writeback_llc(line, now)
-        else:
-            self._hierarchy.fwb_writeback_l1(core_id, line, now)
-        self._stats.fwb_writebacks += 1

@@ -34,6 +34,8 @@ from ..sim.stats import MachineStats
 from .logrecord import LogRecord, RecordKind
 from .registers import SpecialRegisters
 
+_DATA = RecordKind.DATA
+
 
 class HardwareLogging:
     """Generates undo/redo log records for persistent stores."""
@@ -97,12 +99,12 @@ class HardwareLogging:
             stall += header_stall
             now += header_stall
         record = LogRecord(
-            RecordKind.DATA,
+            _DATA,
             physical,
             tid,
             addr,
-            undo=old if self._record_undo else b"",
-            redo=new if self._record_redo else b"",
+            old if self._record_undo else b"",
+            new if self._record_redo else b"",
         )
         data_stall, release = self._append(record, tid, now)
         return stall + data_stall, release
@@ -123,7 +125,8 @@ class HardwareLogging:
 
     # ------------------------------------------------------------------
     def _append(self, record: LogRecord, tid: int, now: float) -> tuple[float, float]:
-        log = self._router.log_for(tid)
+        router = self._router
+        log = router.log_for(tid)
         entry_addr, payload, slot, displaced_line, _kind, _record = log.place(record)
         stall = 0.0
         displaced_dirty = False
@@ -137,7 +140,7 @@ class HardwareLogging:
                     force_completion = completion
                     stall = max(0.0, completion - now)
                     now += stall
-        push_stall, release = self._router.buffer_for(tid).push(entry_addr, payload, now)
+        push_stall, release = router.buffer_for(tid).push(entry_addr, payload, now)
         self._registers.set_log_pointers(log.head, log.tail)
         if self.tracer is not None:
             self.tracer.emit(

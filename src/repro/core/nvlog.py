@@ -42,6 +42,13 @@ class PlacedRecord(NamedTuple):
     its encoding, stamped with the pass parity)."""
 
 
+_placed = tuple.__new__
+"""Builds a :class:`PlacedRecord` from a tuple without the NamedTuple's
+Python-level ``__new__`` frame (:meth:`CircularLog.place` runs once per
+log record)."""
+_DATA = RecordKind.DATA
+
+
 class CircularLog:
     """Address and parity management for the circular log region."""
 
@@ -94,14 +101,21 @@ class CircularLog:
         Returns the placement plus the *displaced* line address (the data
         line whose log entry is being overwritten) when the ring has
         wrapped; the caller must ensure that line is durable before
-        writing the new entry.
+        writing the new entry.  ``record.kind`` is tested by identity, so
+        it must be a :class:`RecordKind` member (as every record the
+        package builds carries).
         """
         slot = self.tail
-        displaced_line = self._slot_lines[slot] if self.wrapped else None
-        displaced_kind = self._slot_kinds[slot] if self.wrapped else None
-        if record.kind == RecordKind.DATA:
+        if self.wrapped:
+            displaced_line = self._slot_lines[slot]
+            displaced_kind = self._slot_kinds[slot]
+        else:
+            displaced_line = displaced_kind = None
+        kind = record.kind
+        if kind is _DATA:
             payload = record.encode(self.entry_size, self.parity)
-            line = record.addr - (record.addr % self._line_size)
+            addr = record.addr
+            line = addr - (addr % self._line_size)
         else:
             markers = self._markers[self.parity]
             payload = markers.get(record)
@@ -109,20 +123,23 @@ class CircularLog:
                 payload = markers[record] = record.encode(self.entry_size, self.parity)
             line = None
         self._slot_lines[slot] = line
-        self._slot_kinds[slot] = record.kind
+        self._slot_kinds[slot] = kind
         self.tail += 1
         self.appended += 1
         if self.tail == self.num_entries:
             self.tail = 0
             self.parity ^= 1
             self.wrapped = True
-        return PlacedRecord(
-            self.base + slot * self.entry_size,
-            payload,
-            slot,
-            displaced_line,
-            displaced_kind,
-            record,
+        return _placed(
+            PlacedRecord,
+            (
+                self.base + slot * self.entry_size,
+                payload,
+                slot,
+                displaced_line,
+                displaced_kind,
+                record,
+            ),
         )
 
     # ------------------------------------------------------------------

@@ -30,12 +30,15 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Optional
 
 from ..core.logrecord import RecordKind
 from ..errors import ConfigError
 from ..sim.trace import TraceEvent
 from .config import DistConfig
+
+_DATA = RecordKind.DATA
 
 
 @dataclass
@@ -112,6 +115,12 @@ class LogStreamCollector:
     Construction installs the collector as ``machine.log_tap``;
     :meth:`finish` removes it.  The machine calls the three ``on_*``
     methods; nothing else feeds the stream.
+
+    Resolved records wait in a min-heap keyed ``(durable, placement
+    order)``: a hardware record enters it where it is placed, a software
+    record when :meth:`on_nvram_write` resolves it.  :meth:`harvest`
+    pops only the ripe prefix, so each record is ordered once, however
+    often the serve scheduler asks.
     """
 
     def __init__(self, machine) -> None:
@@ -122,10 +131,11 @@ class LogStreamCollector:
         # garbage collector instead of freeing it when the run is done.
         self._machine = weakref.ref(machine)
         self._entry_size = machine.log.entry_size
-        self._placed: list = []  # (place_order, ShippedRecord), unharvested
+        self._ready: list = []  # heap of (durable, place_order, ShippedRecord)
         self._place_count = 0
+        self._unresolved = 0  # software records placed, not yet durable
         self._next_seq = 0  # continues across incremental harvests
-        self._pending_by_entry: dict = {}  # entry addr -> unresolved sw record
+        self._pending_by_entry: dict = {}  # entry addr -> (place_order, sw record)
         self._reported: list = []
         machine.log_tap = self
 
@@ -139,22 +149,25 @@ class LogStreamCollector:
         durability time, or None for a software record still on its way
         to NVRAM."""
         kind = record.kind
+        order = self._place_count
+        self._place_count = order + 1
         rec = ShippedRecord(
-            seq=-1,
-            kind=kind.name,
-            txid=record.txid,
-            tid=record.tid,
-            addr=record.addr if kind is RecordKind.DATA else None,
-            undo=record.undo,
-            redo=record.redo,
-            place_time=now,
-            durable=-1.0 if release is None else release,
-            payload=payload,
+            -1,
+            kind.name,
+            record.txid,
+            record.tid,
+            record.addr if kind is _DATA else None,
+            record.undo,
+            record.redo,
+            now,
+            -1.0 if release is None else release,
+            payload,
         )
-        self._placed.append((self._place_count, rec))
-        self._place_count += 1
         if release is None:
-            self._pending_by_entry[entry_addr] = rec
+            self._pending_by_entry[entry_addr] = (order, rec)
+            self._unresolved += 1
+        else:
+            heappush(self._ready, (release, order, rec))
 
     def on_commit_reported(self, tid: int, durable: float, now: float) -> None:
         """The runtime reported a commit durable at ``durable``."""
@@ -171,23 +184,15 @@ class LogStreamCollector:
         entry = addr - (addr % entry_size)
         stop = addr + size
         while entry < stop:
-            rec = pending.pop(entry, None)
-            if rec is not None:
+            item = pending.pop(entry, None)
+            if item is not None:
+                order, rec = item
                 rec.durable = completion
+                heappush(self._ready, (completion, order, rec))
+                self._unresolved -= 1
             entry += entry_size
 
     # ------------------------------------------------------------------
-    def _number(self, placed: list) -> list:
-        """Sort ``(order, record)`` pairs into durability order (placement
-        order breaks ties) and assign the next sequence numbers."""
-        placed.sort(key=lambda item: (item[1].durable, item[0]))
-        records = []
-        for _order, rec in placed:
-            rec.seq = self._next_seq
-            self._next_seq += 1
-            records.append(rec)
-        return records
-
     def harvest(self, before: float) -> list:
         """Extract records durable strictly before ``before`` (mid-run).
 
@@ -195,40 +200,39 @@ class LogStreamCollector:
         machine has been stepped to cycle ``before``, any record still
         pending durability will resolve at or after ``before``, so the
         harvested prefix is final — its durability order can never be
-        perturbed by later execution.  Sequence numbers continue across
-        harvests (and into :meth:`finish`), giving the same global
-        durability order a single end-of-run collection would have
-        assigned.
+        perturbed by later execution.  Records come out in durability
+        order (placement order breaks ties), and sequence numbers
+        continue across harvests (and into :meth:`finish`), giving the
+        same global durability order a single end-of-run collection
+        would have assigned.
         """
-        ripe: list = []
-        rest: list = []
-        for item in self._placed:
-            durable = item[1].durable
-            if 0 <= durable < before:
-                ripe.append(item)
-            else:
-                rest.append(item)
-        self._placed = rest
-        return self._number(ripe)
+        ready = self._ready
+        records = []
+        seq = self._next_seq
+        while ready and ready[0][0] < before:
+            rec = heappop(ready)[2]
+            rec.seq = seq
+            seq += 1
+            records.append(rec)
+        self._next_seq = seq
+        return records
 
     def finish(self) -> LogStream:
         """Detach from the machine; return the durability-ordered stream.
 
         After incremental :meth:`harvest` calls, only the leftover
         records appear here, numbered continuing from the harvested
-        prefix.
+        prefix.  Software records that never became durable are counted
+        as ``undrained``.
         """
         machine = self._machine()
         if machine is not None and machine.log_tap is self:
             machine.log_tap = None
-        undrained = sum(1 for _order, rec in self._placed if rec.durable < 0)
-        durable = [item for item in self._placed if item[1].durable >= 0]
-        self._placed = []
         return LogStream(
-            records=self._number(durable),
+            records=self.harvest(float("inf")),
             entry_size=self._entry_size,
             reported=self._reported,
-            undrained=undrained,
+            undrained=self._unresolved,
         )
 
 

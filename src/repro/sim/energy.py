@@ -16,7 +16,9 @@ The per-access and per-instruction coefficients are public attributes:
 the cache hierarchy's hit paths and the cores' retirement add them to
 the :class:`MachineStats` totals in their own frames, the same float
 additions in the same order as :meth:`cache_access` and
-:meth:`instructions`.
+:meth:`instructions`.  The memory controller does the same with
+:meth:`nvram_write_pj`, the per-size write energy :meth:`nvram_write`
+charges.
 """
 
 from __future__ import annotations
@@ -45,10 +47,18 @@ class EnergyModel:
 
     def nvram_write(self, size_bytes: int, row_hit: bool) -> None:
         """Charge a NVRAM write; array-write energy always applies."""
+        self._stats.energy_nvram_pj += self.nvram_write_pj(size_bytes)
+
+    def nvram_write_pj(self, size_bytes: int) -> float:
+        """Energy of one NVRAM write of ``size_bytes`` (row hit or not).
+
+        The memory controller keeps this per write size and adds it to
+        :attr:`MachineStats.energy_nvram_pj` in its own frame.
+        """
         bits = size_bytes * 8
         pj = self._config.nvram_row_buffer_write_pj_per_bit * bits
         pj += self._config.nvram_array_write_pj_per_bit * bits
-        self._stats.energy_nvram_pj += pj
+        return pj
 
     def cache_access(self, level: str) -> None:
         """Charge one access to ``level`` ("l1" or "llc")."""

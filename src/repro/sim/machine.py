@@ -289,8 +289,9 @@ class Machine:
         tracer = self._tracer
         if tracer is not None:
             forces_before = self.stats.log_wrap_forced_writebacks
-        if self.fwb is not None:
-            self.fwb.maybe_scan(core.time)
+        fwb = self.fwb
+        if fwb is not None and core.time >= fwb.next_scan:
+            fwb.maybe_scan(core.time)
         result = op(*args)
         if tracer is not None:
             forces = self.stats.log_wrap_forced_writebacks - forces_before
@@ -522,13 +523,19 @@ class Machine:
         any NVRAM write that had not completed by the crash instant.
         Returns the crash time.  Only the NVRAM image survives; recover
         with :class:`repro.core.recovery.RecoveryManager`.
+
+        Raises :class:`SimulationError`, leaving the machine running,
+        when ``at_time`` lies before the NVRAM journal's retire horizon
+        (see :meth:`NVRAM.revert_after <repro.sim.nvram.NVRAM.revert_after>`).
         """
         crash_time = at_time
         if crash_time is None:
             crash_time = max((core.time for core in self.cores), default=0.0)
+        # Reverts first: a crash instant the journal can no longer
+        # revert is refused before anything (the trace included) sees it.
+        self.nvram.revert_after(crash_time)
         if self._tracer is not None:
             self._tracer.emit(crash_time, "crash")
-        self.nvram.revert_after(crash_time)
         self.hierarchy.drop_all()
         for core in self.cores:
             core.wcb.drop()

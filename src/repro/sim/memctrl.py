@@ -11,7 +11,7 @@ uncacheable software-log stores expensive in the paper).
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 from ..utils import ns_to_cycles
@@ -35,8 +35,31 @@ class WriteTicket(NamedTuple):
     accepted: float
 
 
+_ticket = tuple.__new__
+"""Builds a :class:`WriteTicket` from a tuple without the NamedTuple's
+Python-level ``__new__`` frame."""
+
+
 class MemoryController:
-    """Schedules reads and posted writes onto the NVRAM banks."""
+    """Schedules reads and posted writes onto the NVRAM banks.
+
+    Both paths share the device's bank and row-buffer state (its
+    ``bank_read_free``/``bank_write_free`` lists and per-bank open-row
+    LRU lists), so heavy write drains still cost reads their row hits.
+    Each access pays for the channel from issue time (DIMM-side buffers
+    decouple the transfer from bank service), then for its bank.
+    Reads are scheduled with priority: a read waits for earlier reads on
+    its bank and for at most one non-preemptible in-service write, while
+    posted writes drain behind both read and write occupancy — the
+    read-over-write policy of contemporary persistent-memory controllers
+    (e.g. FIRM).
+
+    A posted write is the persist path's hot loop (every HWL record and
+    every write-back takes it), so :meth:`write` runs in one frame: the
+    write-queue slot, bus and bank timing, the row-buffer touch, the
+    counters and the energy are all done in place, and :meth:`NVRAM.write
+    <repro.sim.nvram.NVRAM.write>` is its one call.
+    """
 
     def __init__(
         self,
@@ -59,60 +82,43 @@ class MemoryController:
         self._infinite_write_bw = nvram_config.infinite_write_bandwidth
         self._adr = nvram_config.adr_persist_domain
         self._bus_cycles = nvram_config.bus_cycles_per_transfer
+        self._write_queue_entries = config.write_queue_entries
+        # Bank and row geometry, copied out of the config once (the same
+        # mapping as NVRAM.bank_of / NVRAM.row_of).
+        self._interleave = nvram_config.interleave_bytes
+        self._num_banks = nvram_config.num_banks
+        self._row_stripe = nvram_config.row_bytes * nvram_config.num_banks
+        self._row_buffers = nvram_config.row_buffers_per_bank
+        # Write energy by size (it does not depend on the row-buffer
+        # outcome), filled on first use.
+        self._write_pj: dict[int, float] = {}
         self._bus_free = 0.0
         # Min-heap of completion times of writes occupying write-queue slots.
         self._write_slots: list[float] = []
-
-    # ------------------------------------------------------------------
-    # Bank timing
-    # ------------------------------------------------------------------
-    def _service(self, addr: int, now: float, is_write: bool) -> tuple[float, float, bool]:
-        """Occupy bus and bank for one access; return (start, finish, row_hit).
-
-        Reads are scheduled with priority: a read waits for earlier reads
-        on its bank and for at most one non-preemptible in-service write,
-        while posted writes drain behind both read and write occupancy —
-        the read-over-write policy of contemporary persistent-memory
-        controllers (e.g. FIRM).  Row-buffer state is shared, so heavy
-        write drains still cost reads their row hits.
-        """
-        nvram = self.nvram
-        bank = nvram.bank_of(addr)
-        row = nvram.row_of(addr)
-        # The channel is occupied per transfer from issue time (DIMM-side
-        # buffers decouple the transfer from bank service).
-        bus_start = max(self._bus_free, now + self._queue_latency)
-        self._bus_free = bus_start + self._bus_cycles
-        if is_write:
-            start = max(bus_start, nvram.bank_write_free[bank], nvram.bank_read_free[bank])
-        else:
-            write_block = min(nvram.bank_write_free[bank], now + self._row_hit)
-            start = max(bus_start, nvram.bank_read_free[bank], write_block)
-        row_hit = nvram.row_buffer_access(bank, row)
-        if row_hit:
-            service = self._row_hit
-        else:
-            service = self._write_conflict if is_write else self._read_conflict
-        finish = start + service
-        if is_write:
-            nvram.bank_write_free[bank] = finish
-        else:
-            nvram.bank_read_free[bank] = finish
-        if row_hit:
-            self._stats.nvram_row_hits += 1
-        else:
-            self._stats.nvram_row_conflicts += 1
-        return start, finish, row_hit
 
     # ------------------------------------------------------------------
     # Public interface
     # ------------------------------------------------------------------
     def read(self, addr: int, size: int, now: float) -> tuple[float, bytes]:
         """Blocking read; returns (finish_time, data)."""
-        _start, finish, row_hit = self._service(addr, now, is_write=False)
-        data = self.nvram.read(addr, size)
-        self._stats.nvram_reads += 1
-        self._stats.nvram_read_bytes += size
+        nvram = self.nvram
+        bank = (addr // self._interleave) % self._num_banks
+        bus_start = max(self._bus_free, now + self._queue_latency)
+        self._bus_free = bus_start + self._bus_cycles
+        write_block = min(nvram.bank_write_free[bank], now + self._row_hit)
+        start = max(bus_start, nvram.bank_read_free[bank], write_block)
+        stats = self._stats
+        row_hit = nvram.row_buffer_access(bank, addr // self._row_stripe)
+        if row_hit:
+            finish = start + self._row_hit
+            stats.nvram_row_hits += 1
+        else:
+            finish = start + self._read_conflict
+            stats.nvram_row_conflicts += 1
+        nvram.bank_read_free[bank] = finish
+        data = nvram.read(addr, size)
+        stats.nvram_reads += 1
+        stats.nvram_read_bytes += size
         self._energy.nvram_read(size, row_hit)
         return finish, data
 
@@ -127,33 +133,59 @@ class MemoryController:
         buffer and WCB, whose updates must enter the persistence domain in
         FIFO order even when banks complete out of order.
         """
-        size = len(data)
+        stats = self._stats
         stall = 0.0
         if self._infinite_write_bw:
-            durable = max(now + self._queue_latency + self._row_hit, min_completion)
             accepted = now + self._queue_latency
-            row_hit = True
+            durable = accepted + self._row_hit
         else:
             # Free slots whose writes have completed.
             slots = self._write_slots
             while slots and slots[0] <= now:
-                heapq.heappop(slots)
-            if len(slots) >= self.config.write_queue_entries:
-                freed_at = heapq.heappop(slots)
+                heappop(slots)
+            if len(slots) >= self._write_queue_entries:
+                freed_at = heappop(slots)
                 stall = max(0.0, freed_at - now)
                 now = max(now, freed_at)
-                self._stats.write_queue_stall_cycles += stall
-            accepted, service_finish, row_hit = self._service(addr, now, True)
-            heapq.heappush(slots, service_finish)
+                stats.write_queue_stall_cycles += stall
+            nvram = self.nvram
+            bank = (addr // self._interleave) % self._num_banks
+            row = addr // self._row_stripe
+            bus_start = max(self._bus_free, now + self._queue_latency)
+            self._bus_free = bus_start + self._bus_cycles
+            write_free = nvram.bank_write_free
+            accepted = max(bus_start, write_free[bank], nvram.bank_read_free[bank])
+            # The row-buffer touch (newest row last; see
+            # NVRAM.row_buffer_access).
+            rows = nvram.open_rows[bank]
+            if row in rows:
+                if rows[-1] != row:
+                    rows.remove(row)
+                    rows.append(row)
+                finish = accepted + self._row_hit
+                stats.nvram_row_hits += 1
+            else:
+                rows.append(row)
+                if len(rows) > self._row_buffers:
+                    del rows[0]
+                finish = accepted + self._write_conflict
+                stats.nvram_row_conflicts += 1
+            write_free[bank] = finish
+            heappush(slots, finish)
             # Durability: at bank-service completion in the paper's model,
             # or at controller acceptance under an ADR persist domain.
-            durable = accepted if self._adr else service_finish
-            durable = max(durable, min_completion)
+            durable = accepted if self._adr else finish
+        if min_completion > durable:
+            durable = min_completion
         self.nvram.write(addr, data, durable)
-        self._stats.nvram_writes += 1
-        self._stats.nvram_write_bytes += size
-        self._energy.nvram_write(size, row_hit)
-        return WriteTicket(durable, stall, accepted)
+        size = len(data)
+        stats.nvram_writes += 1
+        stats.nvram_write_bytes += size
+        pj = self._write_pj.get(size)
+        if pj is None:
+            pj = self._write_pj[size] = self._energy.nvram_write_pj(size)
+        stats.energy_nvram_pj += pj
+        return _ticket(WriteTicket, (durable, stall, accepted))
 
     def pending_write_completion(self) -> float:
         """Latest completion time among writes still holding queue slots."""
@@ -162,7 +194,7 @@ class MemoryController:
     def retire(self, now: float) -> None:
         """Release bookkeeping for activity durable at ``now``."""
         while self._write_slots and self._write_slots[0] <= now:
-            heapq.heappop(self._write_slots)
+            heappop(self._write_slots)
         self.nvram.retire_journal(now)
 
     @property

@@ -28,7 +28,7 @@ Two hot-path design points keep large sweeps fast:
 
 from __future__ import annotations
 
-from ..errors import AddressError
+from ..errors import AddressError, SimulationError
 from .config import NVDimmConfig
 
 
@@ -56,7 +56,8 @@ class NVRAM:
         self._hi_lwm = self._size
         self._track = track_crash_state
         # Geometry copied out of the config once: bank_of, row_of and
-        # row_buffer_access read it on every timed access.
+        # row_buffer_access read it (the memory controller keeps its
+        # own copy of the same mapping for its timed accesses).
         self._interleave = config.interleave_bytes
         self._num_banks = config.num_banks
         self._row_stripe = config.row_bytes * config.num_banks
@@ -65,12 +66,15 @@ class NVRAM:
         # has several row buffers per bank) and next-free times.  Reads
         # and writes are tracked separately: the memory controller
         # schedules reads with priority and drains posted writes in the
-        # gaps (see MemoryController._service).
+        # gaps (see MemoryController).
         self.open_rows: list[list[int]] = [[] for _ in range(config.num_banks)]
         self.bank_read_free: list[float] = [0.0] * config.num_banks
         self.bank_write_free: list[float] = [0.0] * config.num_banks
         # Undo journal: (completion_time, addr, old_bytes).
         self._journal: list[tuple[float, int, bytes]] = []
+        # Latest instant retire_journal dropped entries at: a crash
+        # before it could no longer revert what was dropped.
+        self._retired_to = 0.0
         self.total_read_bytes = 0
         self.total_write_bytes = 0
         self.injector = None
@@ -245,10 +249,17 @@ class NVRAM:
     # Crash support
     # ------------------------------------------------------------------
     def retire_journal(self, now: float) -> None:
-        """Drop journal entries already durable at ``now`` (bounds memory)."""
-        if not self._journal:
+        """Drop journal entries already durable at ``now`` (bounds memory).
+
+        Once an entry is dropped, ``now`` becomes the device's retire
+        horizon: :meth:`revert_after` refuses crash instants before it.
+        """
+        journal = self._journal
+        if not journal:
             return
-        keep = [entry for entry in self._journal if entry[0] > now]
+        keep = [entry for entry in journal if entry[0] > now]
+        if len(keep) < len(journal) and now > self._retired_to:
+            self._retired_to = now
         self._journal = keep
 
     def revert_after(self, crash_time: float) -> int:
@@ -264,9 +275,20 @@ class NVRAM:
         of fully reverting it (:meth:`~repro.faults.plan.FaultInjector
         .on_revert`): part of the new data persists, modelling a write
         that was partially transferred at the power cut.
+
+        Raises :class:`~repro.errors.SimulationError` when ``crash_time``
+        lies before the retire horizon (see :meth:`retire_journal`):
+        writes durable between the two instants are gone from the
+        journal, and keeping them would silently misstate the crash.
         """
         if not self._track:
             raise AddressError("crash tracking disabled for this NVRAM device")
+        if crash_time < self._retired_to:
+            raise SimulationError(
+                f"cannot crash at cycle {crash_time}: the undo journal was "
+                f"retired up to cycle {self._retired_to}, so writes durable "
+                "in between can no longer be reverted"
+            )
         injector = self.injector
         reverted = 0
         for completion, addr, old in reversed(self._journal):

@@ -8,6 +8,7 @@ import pytest
 
 from repro.adapt import DriftConfig, DriftPhase, compare_drift, run_drift
 from repro.adapt.drift import WRITEBACK_FAMILY
+from repro.sim.nvram import NVRAM
 
 
 @pytest.fixture(scope="module")
@@ -61,3 +62,35 @@ def test_drift_run_is_deterministic():
     first = run_drift(config)
     second = run_drift(config)
     assert first == second
+
+
+def test_drift_runs_reuse_pooled_device_buffers_and_leave_them_zeroed(monkeypatch):
+    """Each run returns its shard buffers to the pool once the report is
+    built, so successive runs share pooled images instead of allocating
+    fresh devices, and what the pool keeps is all zero."""
+    config = DriftConfig(
+        phases=(
+            DriftPhase(24, 0.9, 0.30, 0.65),
+            DriftPhase(24, 0.9, 0.65, 1.0),
+        ),
+        shards=2,
+    )
+    run_drift(config)  # prepares the kernel once per process
+    monkeypatch.setattr(NVRAM, "_image_pool", {})
+    runs = []
+
+    def hook(_shard_id, machine):
+        runs[-1].add(id(machine.nvram.image))
+
+    first_images = set()
+    runs.append(first_images)
+    first = run_drift(config, machine_hook=hook)
+    pooled = {id(buffer) for buffers in NVRAM._image_pool.values() for buffer in buffers}
+    assert len(first_images) == 2 and pooled == first_images
+    runs.append(set())
+    second = run_drift(config, machine_hook=hook)
+    assert runs[1] == first_images
+    assert second == first
+    pooled = [buffer for buffers in NVRAM._image_pool.values() for buffer in buffers]
+    assert len(pooled) == 2
+    assert all(buffer.count(0) == len(buffer) for buffer in pooled)

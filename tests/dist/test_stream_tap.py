@@ -9,11 +9,21 @@ software record (no release) becomes durable at the completion of the
 first NVRAM write into a log region that covers its entry.  Both streams
 must agree field for field — over every canonical design, one and two
 threads, two benchmarks, and a run cut short by a deadline crash.
+
+A second property pins incremental collection: harvesting at increasing
+horizons while the shard is stepped, then finishing, yields exactly the
+stream one end-of-run :meth:`~repro.dist.ship.LogStreamCollector.finish`
+does.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.design import CANONICAL_DESIGNS, DESIGNS
 from repro.core.logrecord import LogRecord
@@ -21,7 +31,7 @@ from repro.dist.ship import LogStreamCollector
 from repro.errors import ConfigError, SimulatedCrash
 from repro.faults.campaign import campaign_workload, default_campaign_system
 from repro.faults.crashpoints import FaultMonitor
-from repro.harness.runner import RunConfig, prepare_workload, run_workload
+from repro.harness.runner import RunConfig, batch_shard, prepare_workload, run_workload
 from repro.sim.trace import Tracer
 
 TXNS = 12
@@ -177,3 +187,81 @@ def test_one_tap_per_machine(traced_hash):
     holder["first"].finish()
     assert holder["machine"].log_tap is None
     outcome.machine.nvram.recycle()
+
+
+# ----------------------------------------------------------------------
+# Incremental harvests against one end-of-run collection
+# ----------------------------------------------------------------------
+def _two_ring_system():
+    system = default_campaign_system()
+    return dataclasses.replace(
+        system, logging=dataclasses.replace(system.logging, distributed_logs=2)
+    )
+
+
+_HARVEST_CASES = {
+    "hwl": ("hwl", default_campaign_system),
+    "fwb": ("fwb", default_campaign_system),
+    "redo-clwb": ("redo-clwb", default_campaign_system),
+    "hwl-2ring": ("hwl", _two_ring_system),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _harvest_case(case: str):
+    """``(prepared, design, stream fields, final cycle)`` of one
+    single-``finish()`` run of ``case``."""
+    design_name, system = _HARVEST_CASES[case]
+    prepared = prepare_workload(campaign_workload("hash", 5), system())
+    design = DESIGNS.resolve(design_name)
+    fields, shard = _harvested_run(prepared, design, ())
+    return prepared, design, fields, shard.machine.finalize().cycles
+
+
+def _stream_fields(records) -> list:
+    return [
+        (
+            rec.seq, rec.kind, rec.txid, rec.tid, rec.addr, rec.undo,
+            rec.redo, rec.place_time, rec.durable, rec.payload,
+        )
+        for rec in records
+    ]
+
+
+def _harvested_run(prepared, design, horizons):
+    """Step a 2-thread batch shard to each horizon, harvesting there as
+    the serve replicator does, then drain and :meth:`finish`."""
+    holder = {}
+
+    def hook(machine):
+        holder["collector"] = LogStreamCollector(machine)
+
+    run = RunConfig(policy=design, threads=2, txns_per_thread=TXNS, system=prepared.system)
+    shard = batch_shard(prepared.workload, run, prepared, hook)
+    collector = holder["collector"]
+    harvested = []
+    for horizon in horizons:
+        shard.step(horizon)
+        harvested += collector.harvest(horizon)
+    shard.step(None)
+    stream = collector.finish()
+    fields = (
+        _stream_fields(harvested + stream.records),
+        stream.reported,
+        stream.undrained,
+    )
+    shard.machine.nvram.recycle()
+    return fields, shard
+
+
+@pytest.mark.parametrize("case", sorted(_HARVEST_CASES))
+@settings(max_examples=12, deadline=None)
+@given(fractions=st.lists(st.floats(min_value=0.0, max_value=1.1), max_size=6))
+def test_incremental_harvests_equal_one_finish(case, fractions):
+    prepared, design, expected, cycles = _harvest_case(case)
+    horizons = sorted(fraction * cycles for fraction in fractions)
+    actual, _shard = _harvested_run(prepared, design, horizons)
+    assert actual == expected
+    records = expected[0]
+    assert [fields[0] for fields in records] == list(range(len(records)))
+    assert records

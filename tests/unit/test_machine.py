@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Machine
+from repro.sim.machine import _RETIRE_PERIOD
 from repro.core.design import FWB, HWL, NON_PERS, UNDO_CLWB, UNSAFE_BASE
 from repro.errors import SimulationError
 from tests.conftest import tiny_system
@@ -105,6 +106,23 @@ class TestCrash:
         ticket = m.memctrl.write(0x2000, b"DURABLE!", 0.0)
         m.crash(at_time=ticket.completion)
         assert m.nvram.peek(0x2000, 8) == b"DURABLE!"
+
+    def test_crash_before_the_retire_horizon_is_refused(self):
+        m = Machine(tiny_system(), NON_PERS)
+        # Both cores store to distinct lines, so LLC evictions post
+        # write-backs; past _RETIRE_PERIOD ops the machine retires the
+        # journal up to the slower core's clock.
+        for op in range(_RETIRE_PERIOD + 64):
+            core = m.cores[op % 2]
+            addr = m.heap_base + (op % 2048) * 64
+            m.issue(core, core.exec_store, addr, op.to_bytes(8, "little"))
+        horizon = min(core.time for core in m.cores)
+        assert m.nvram.journal_length < m.stats.nvram_writes
+        with pytest.raises(SimulationError, match="retired up to cycle"):
+            m.crash(at_time=horizon / 2)
+        assert not m.crashed
+        assert m.crash() == max(core.time for core in m.cores)
+        assert m.crashed
 
     def test_no_execution_after_crash(self):
         m = Machine(tiny_system(), NON_PERS)

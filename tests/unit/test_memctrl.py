@@ -1,13 +1,19 @@
 """Unit tests for repro.sim.memctrl."""
 
+import dataclasses
+import heapq
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.config import MemCtrlConfig, NVDimmConfig
 from repro.sim.energy import EnergyModel
 from repro.sim.config import EnergyConfig
-from repro.sim.memctrl import MemoryController
+from repro.sim.memctrl import MemoryController, WriteTicket
 from repro.sim.nvram import NVRAM
 from repro.sim.stats import MachineStats
+from repro.utils import ns_to_cycles
 
 
 def make_mc(**nvram_overrides):
@@ -130,3 +136,172 @@ class TestRetire:
         assert mc.write_queue_occupancy == 1
         mc.retire(ticket.completion + 1)
         assert mc.write_queue_occupancy == 0
+
+
+# ----------------------------------------------------------------------
+# The one-frame write against the pre-change write path
+# ----------------------------------------------------------------------
+
+
+class ReferenceController:
+    """The controller as it was before writes ran in one frame.
+
+    A posted write occupies bus and bank through ``_service``'s write
+    branch, then applies through ``NVRAM.write`` and charges
+    ``EnergyModel.nvram_write``; a read takes ``_service``'s read branch.
+    Kept here as the reference the one-frame path must match bit for bit.
+    """
+
+    def __init__(self, config, nvram_config, nvram, energy, stats, clock_ghz):
+        self.config = config
+        self.nvram = nvram
+        self._energy = energy
+        self._stats = stats
+        self._queue_latency = ns_to_cycles(config.queue_latency_ns, clock_ghz)
+        self._row_hit = ns_to_cycles(nvram_config.row_hit_ns, clock_ghz)
+        self._read_conflict = ns_to_cycles(nvram_config.read_conflict_ns, clock_ghz)
+        self._write_conflict = ns_to_cycles(nvram_config.write_conflict_ns, clock_ghz)
+        self._infinite_write_bw = nvram_config.infinite_write_bandwidth
+        self._adr = nvram_config.adr_persist_domain
+        self._bus_cycles = nvram_config.bus_cycles_per_transfer
+        self._bus_free = 0.0
+        self._write_slots = []
+
+    def _service(self, addr, now, is_write):
+        nvram = self.nvram
+        bank = nvram.bank_of(addr)
+        row = nvram.row_of(addr)
+        bus_start = max(self._bus_free, now + self._queue_latency)
+        self._bus_free = bus_start + self._bus_cycles
+        if is_write:
+            start = max(bus_start, nvram.bank_write_free[bank], nvram.bank_read_free[bank])
+        else:
+            write_block = min(nvram.bank_write_free[bank], now + self._row_hit)
+            start = max(bus_start, nvram.bank_read_free[bank], write_block)
+        row_hit = nvram.row_buffer_access(bank, row)
+        if row_hit:
+            service = self._row_hit
+        else:
+            service = self._write_conflict if is_write else self._read_conflict
+        finish = start + service
+        if is_write:
+            nvram.bank_write_free[bank] = finish
+        else:
+            nvram.bank_read_free[bank] = finish
+        if row_hit:
+            self._stats.nvram_row_hits += 1
+        else:
+            self._stats.nvram_row_conflicts += 1
+        return start, finish, row_hit
+
+    def read(self, addr, size, now):
+        _start, finish, row_hit = self._service(addr, now, is_write=False)
+        data = self.nvram.read(addr, size)
+        self._stats.nvram_reads += 1
+        self._stats.nvram_read_bytes += size
+        self._energy.nvram_read(size, row_hit)
+        return finish, data
+
+    def write(self, addr, data, now, min_completion=0.0):
+        size = len(data)
+        stall = 0.0
+        if self._infinite_write_bw:
+            durable = max(now + self._queue_latency + self._row_hit, min_completion)
+            accepted = now + self._queue_latency
+            row_hit = True
+        else:
+            slots = self._write_slots
+            while slots and slots[0] <= now:
+                heapq.heappop(slots)
+            if len(slots) >= self.config.write_queue_entries:
+                freed_at = heapq.heappop(slots)
+                stall = max(0.0, freed_at - now)
+                now = max(now, freed_at)
+                self._stats.write_queue_stall_cycles += stall
+            accepted, service_finish, row_hit = self._service(addr, now, True)
+            heapq.heappush(slots, service_finish)
+            durable = accepted if self._adr else service_finish
+            durable = max(durable, min_completion)
+        self.nvram.write(addr, data, durable)
+        self._stats.nvram_writes += 1
+        self._stats.nvram_write_bytes += size
+        self._energy.nvram_write(size, row_hit)
+        return WriteTicket(durable, stall, accepted)
+
+    def retire(self, now):
+        while self._write_slots and self._write_slots[0] <= now:
+            heapq.heappop(self._write_slots)
+        self.nvram.retire_journal(now)
+
+
+_SIZES = (8, 32, 64)
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(("write", "write", "write", "read", "retire")),
+        st.integers(min_value=0, max_value=(1 << 16) // 8 - 8),  # word index
+        st.sampled_from(_SIZES),
+        st.integers(min_value=0, max_value=400),  # time step
+        st.one_of(st.none(), st.integers(min_value=0, max_value=3000)),
+        st.integers(min_value=0, max_value=255),  # payload byte
+    ),
+    min_size=1,
+    max_size=120,
+)
+
+
+def _pair(infinite: bool, adr: bool, queue: int):
+    nvram_config = NVDimmConfig(
+        size_bytes=1 << 16,
+        row_bytes=256,
+        row_buffers_per_bank=2,
+        infinite_write_bandwidth=infinite,
+        adr_persist_domain=adr,
+    )
+    config = MemCtrlConfig(write_queue_entries=queue)
+    sides = []
+    for cls in (MemoryController, ReferenceController):
+        stats = MachineStats()
+        nvram = NVRAM(nvram_config)
+        energy = EnergyModel(EnergyConfig(), stats)
+        sides.append((cls(config, nvram_config, nvram, energy, stats, 2.5), stats))
+    return sides
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ops=_OPS,
+    infinite=st.booleans(),
+    adr=st.booleans(),
+    queue=st.sampled_from((1, 3, 64)),
+    fractional=st.booleans(),
+)
+def test_one_frame_write_matches_the_pre_change_path(ops, infinite, adr, queue, fractional):
+    (mc, mc_stats), (ref, ref_stats) = _pair(infinite, adr, queue)
+    now = 0.5 if fractional else 0
+    for kind, word, size, step, clamp, fill in ops:
+        now += step
+        addr = word * 8
+        if kind == "write":
+            data = bytes([fill]) * size
+            if clamp is None:
+                got, want = mc.write(addr, data, now), ref.write(addr, data, now)
+            else:
+                got = mc.write(addr, data, now, min_completion=now + clamp)
+                want = ref.write(addr, data, now, min_completion=now + clamp)
+            assert type(got) is WriteTicket
+            assert repr(got) == repr(want)  # values and int/float types
+        elif kind == "read":
+            assert repr(mc.read(addr, size, now)) == repr(ref.read(addr, size, now))
+        else:
+            mc.retire(now)
+            ref.retire(now)
+    assert dataclasses.asdict(mc_stats) == dataclasses.asdict(ref_stats)
+    assert mc_stats.energy_nvram_pj == ref_stats.energy_nvram_pj
+    got_nvram, want_nvram = mc.nvram, ref.nvram
+    assert got_nvram.open_rows == want_nvram.open_rows
+    assert repr(got_nvram.bank_read_free) == repr(want_nvram.bank_read_free)
+    assert repr(got_nvram.bank_write_free) == repr(want_nvram.bank_write_free)
+    assert repr(mc._write_slots) == repr(ref._write_slots)
+    assert repr(mc._bus_free) == repr(ref._bus_free)
+    assert got_nvram.image == want_nvram.image
+    assert got_nvram.journal_length == want_nvram.journal_length
