@@ -35,20 +35,11 @@ debt into the hierarchy; accesses pay it back one cycle at a time
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain
 
 from ..sim.config import SystemConfig
 from ..sim.hierarchy import CacheHierarchy
 from ..sim.stats import MachineStats
 from ..utils import ns_to_cycles
-
-
-def _all_lines(cache) -> list:
-    """Every valid line of ``cache`` in :meth:`~repro.sim.cache
-    .SetAssociativeCache.iter_lines` order (set by set, each set in
-    insertion order), taken as a list before any line steps: a forced
-    write-back may move lines between sets while the scan runs."""
-    return list(chain.from_iterable(map(dict.values, cache.sets.values())))
 
 
 def required_scan_interval(config: SystemConfig) -> float:
@@ -114,7 +105,9 @@ class ForceWriteBack:
         caches.append((hierarchy.llc, hierarchy.fwb_writeback_llc))
         scanned = 0
         for cache, writeback in caches:
-            lines = _all_lines(cache)
+            # Listed before any line steps: a forced write-back may move
+            # lines between sets while the scan runs.
+            lines = list(cache.iter_lines())
             scanned += len(lines)
             for line in lines:
                 if not line.dirty:

@@ -135,15 +135,11 @@ class ShardMachine:
         or parked.  Returns the number of generator advances made.  The
         drive order is the monolithic runner's: pop the thread with the
         lowest core clock, advance its generator once, push it back at
-        its new clock.  An idle shard (nothing runnable before the
-        horizon, as most shards are at most arrivals) returns 0 before
-        its workload run state is swapped in.
+        its new clock.
         """
         if not self._started:
             raise WorkloadError("shard not started (call start_batch/start_serve/start)")
         ready = self._ready
-        if not ready or (until_cycle is not None and ready[0][0] >= until_cycle):
-            return 0  # swapping the run state in and out would be an identity
         gens = self._gens
         machine = self.machine
         workload = self.workload

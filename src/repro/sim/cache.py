@@ -16,6 +16,7 @@ line's dirty words are durable; a write-back may not reach NVRAM earlier
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator, NamedTuple, Optional
 
 from ..errors import SimulationError
@@ -158,8 +159,7 @@ class SetAssociativeCache:
     def iter_lines(self) -> Iterator[CacheLine]:
         """Iterate all valid lines, set by set in set-creation order and
         each set in insertion order (FWB scans write back in this order)."""
-        for bucket in self.sets.values():
-            yield from bucket.values()
+        return chain.from_iterable(map(dict.values, self.sets.values()))
 
     @property
     def occupancy(self) -> int:

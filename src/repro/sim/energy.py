@@ -16,9 +16,8 @@ The per-access and per-instruction coefficients are public attributes:
 the cache hierarchy's hit paths and the cores' retirement add them to
 the :class:`MachineStats` totals in their own frames, the same float
 additions in the same order as :meth:`cache_access` and
-:meth:`instructions`.  The memory controller does the same with
-:meth:`nvram_write_pj`, the per-size write energy :meth:`nvram_write`
-charges.
+:meth:`instructions`.  Writes likewise: the memory controller adds what
+:meth:`nvram_write_pj` returns to the total itself.
 """
 
 from __future__ import annotations
@@ -45,16 +44,9 @@ class EnergyModel:
             pj += self._config.nvram_array_read_pj_per_bit * bits
         self._stats.energy_nvram_pj += pj
 
-    def nvram_write(self, size_bytes: int, row_hit: bool) -> None:
-        """Charge a NVRAM write; array-write energy always applies."""
-        self._stats.energy_nvram_pj += self.nvram_write_pj(size_bytes)
-
     def nvram_write_pj(self, size_bytes: int) -> float:
-        """Energy of one NVRAM write of ``size_bytes`` (row hit or not).
-
-        The memory controller keeps this per write size and adds it to
-        :attr:`MachineStats.energy_nvram_pj` in its own frame.
-        """
+        """Energy of one NVRAM write of ``size_bytes``; array-write
+        energy always applies, so a row hit costs the same."""
         bits = size_bytes * 8
         pj = self._config.nvram_row_buffer_write_pj_per_bit * bits
         pj += self._config.nvram_array_write_pj_per_bit * bits

@@ -54,11 +54,19 @@ class MemoryController:
     read-over-write policy of contemporary persistent-memory controllers
     (e.g. FIRM).
 
+    Addresses map to banks and rows here: cache-line interleaved across
+    banks (sequential lines hit distinct banks, so streams like the log
+    use all-bank bandwidth), and with that interleaving one row per bank
+    covers a contiguous ``row_bytes * num_banks`` stripe.
+
     A posted write is the persist path's hot loop (every HWL record and
-    every write-back takes it), so :meth:`write` runs in one frame: the
-    write-queue slot, bus and bank timing, the row-buffer touch, the
-    counters and the energy are all done in place, and :meth:`NVRAM.write
-    <repro.sim.nvram.NVRAM.write>` is its one call.
+    every write-back takes it), so :meth:`write` does its write-queue
+    slot, bus and bank timing and counters in its own frame; its calls
+    are the row-buffer touch (:meth:`NVRAM.row_buffer_access
+    <repro.sim.nvram.NVRAM.row_buffer_access>`, shared with reads), the
+    functional :meth:`NVRAM.write <repro.sim.nvram.NVRAM.write>` and the
+    write energy (:meth:`EnergyModel.nvram_write_pj
+    <repro.sim.energy.EnergyModel.nvram_write_pj>`).
     """
 
     def __init__(
@@ -83,15 +91,10 @@ class MemoryController:
         self._adr = nvram_config.adr_persist_domain
         self._bus_cycles = nvram_config.bus_cycles_per_transfer
         self._write_queue_entries = config.write_queue_entries
-        # Bank and row geometry, copied out of the config once (the same
-        # mapping as NVRAM.bank_of / NVRAM.row_of).
+        # Bank and row geometry (the address mapping in the class doc).
         self._interleave = nvram_config.interleave_bytes
         self._num_banks = nvram_config.num_banks
         self._row_stripe = nvram_config.row_bytes * nvram_config.num_banks
-        self._row_buffers = nvram_config.row_buffers_per_bank
-        # Write energy by size (it does not depend on the row-buffer
-        # outcome), filled on first use.
-        self._write_pj: dict[int, float] = {}
         self._bus_free = 0.0
         # Min-heap of completion times of writes occupying write-queue slots.
         self._write_slots: list[float] = []
@@ -150,24 +153,14 @@ class MemoryController:
                 stats.write_queue_stall_cycles += stall
             nvram = self.nvram
             bank = (addr // self._interleave) % self._num_banks
-            row = addr // self._row_stripe
             bus_start = max(self._bus_free, now + self._queue_latency)
             self._bus_free = bus_start + self._bus_cycles
             write_free = nvram.bank_write_free
             accepted = max(bus_start, write_free[bank], nvram.bank_read_free[bank])
-            # The row-buffer touch (newest row last; see
-            # NVRAM.row_buffer_access).
-            rows = nvram.open_rows[bank]
-            if row in rows:
-                if rows[-1] != row:
-                    rows.remove(row)
-                    rows.append(row)
+            if nvram.row_buffer_access(bank, addr // self._row_stripe):
                 finish = accepted + self._row_hit
                 stats.nvram_row_hits += 1
             else:
-                rows.append(row)
-                if len(rows) > self._row_buffers:
-                    del rows[0]
                 finish = accepted + self._write_conflict
                 stats.nvram_row_conflicts += 1
             write_free[bank] = finish
@@ -181,10 +174,7 @@ class MemoryController:
         size = len(data)
         stats.nvram_writes += 1
         stats.nvram_write_bytes += size
-        pj = self._write_pj.get(size)
-        if pj is None:
-            pj = self._write_pj[size] = self._energy.nvram_write_pj(size)
-        stats.energy_nvram_pj += pj
+        stats.energy_nvram_pj += self._energy.nvram_write_pj(size)
         return _ticket(WriteTicket, (durable, stall, accepted))
 
     def pending_write_completion(self) -> float:

@@ -55,18 +55,13 @@ class NVRAM:
         self._lo_hwm = 0
         self._hi_lwm = self._size
         self._track = track_crash_state
-        # Geometry copied out of the config once: bank_of, row_of and
-        # row_buffer_access read it (the memory controller keeps its
-        # own copy of the same mapping for its timed accesses).
-        self._interleave = config.interleave_bytes
-        self._num_banks = config.num_banks
-        self._row_stripe = config.row_bytes * config.num_banks
         self._row_buffers = config.row_buffers_per_bank
         # Per-bank open rows (LRU list, newest last; the cited PCM design
-        # has several row buffers per bank) and next-free times.  Reads
-        # and writes are tracked separately: the memory controller
-        # schedules reads with priority and drains posted writes in the
-        # gaps (see MemoryController).
+        # has several row buffers per bank) and next-free times.  The
+        # memory controller maps addresses to banks and rows; reads and
+        # writes are tracked separately because it schedules reads with
+        # priority and drains posted writes in the gaps (see
+        # MemoryController).
         self.open_rows: list[list[int]] = [[] for _ in range(config.num_banks)]
         self.bank_read_free: list[float] = [0.0] * config.num_banks
         self.bank_write_free: list[float] = [0.0] * config.num_banks
@@ -101,23 +96,6 @@ class NVRAM:
         if len(rows) > self._row_buffers:
             rows.pop(0)
         return False
-
-    # ------------------------------------------------------------------
-    # Geometry helpers
-    # ------------------------------------------------------------------
-    def bank_of(self, addr: int) -> int:
-        """Bank index for ``addr`` (cache-line interleaved across banks,
-        the usual DIMM configuration: sequential lines hit distinct banks
-        so streams — like the log — use all-bank bandwidth)."""
-        return (addr // self._interleave) % self._num_banks
-
-    def row_of(self, addr: int) -> int:
-        """Row index (within its bank) for ``addr``.
-
-        With line interleaving, one row per bank covers a contiguous
-        ``row_bytes * num_banks`` stripe of the address space.
-        """
-        return addr // self._row_stripe
 
     # ------------------------------------------------------------------
     # Functional access

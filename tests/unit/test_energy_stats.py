@@ -19,17 +19,14 @@ class TestEnergyModel:
         assert stats.energy_nvram_pj == (0.93 + 2.47) * 64
 
     def test_write_always_pays_array(self):
-        stats = MachineStats()
-        model = EnergyModel(EnergyConfig(), stats)
-        model.nvram_write(8, row_hit=True)
-        hit_energy = stats.energy_nvram_pj
-        assert hit_energy == (1.02 + 16.82) * 64
+        model = EnergyModel(EnergyConfig(), MachineStats())
+        assert model.nvram_write_pj(8) == (1.02 + 16.82) * 64
 
     def test_write_energy_dominates_read(self):
-        s1, s2 = MachineStats(), MachineStats()
-        EnergyModel(EnergyConfig(), s1).nvram_write(64, row_hit=True)
-        EnergyModel(EnergyConfig(), s2).nvram_read(64, row_hit=True)
-        assert s1.energy_nvram_pj > 5 * s2.energy_nvram_pj
+        stats = MachineStats()
+        model = EnergyModel(EnergyConfig(), stats)
+        model.nvram_read(64, row_hit=True)
+        assert model.nvram_write_pj(64) > 5 * stats.energy_nvram_pj
 
     def test_cache_levels(self):
         stats = MachineStats()

@@ -139,17 +139,20 @@ class TestRetire:
 
 
 # ----------------------------------------------------------------------
-# The one-frame write against the pre-change write path
+# The write path against the controller it replaced
 # ----------------------------------------------------------------------
 
 
 class ReferenceController:
-    """The controller as it was before writes ran in one frame.
+    """The controller as it was before a posted write did its timing in
+    its own frame.
 
     A posted write occupies bus and bank through ``_service``'s write
-    branch, then applies through ``NVRAM.write`` and charges
-    ``EnergyModel.nvram_write``; a read takes ``_service``'s read branch.
-    Kept here as the reference the one-frame path must match bit for bit.
+    branch (the device's former ``bank_of``/``row_of`` mapping, then
+    ``NVRAM.row_buffer_access``), then applies through ``NVRAM.write``
+    and charges the former ``EnergyModel.nvram_write``; a read takes
+    ``_service``'s read branch.  Kept here as the reference the
+    controller must match bit for bit.
     """
 
     def __init__(self, config, nvram_config, nvram, energy, stats, clock_ghz):
@@ -164,13 +167,16 @@ class ReferenceController:
         self._infinite_write_bw = nvram_config.infinite_write_bandwidth
         self._adr = nvram_config.adr_persist_domain
         self._bus_cycles = nvram_config.bus_cycles_per_transfer
+        self._nvram_config = nvram_config
+        self._energy_config = energy._config
         self._bus_free = 0.0
         self._write_slots = []
 
     def _service(self, addr, now, is_write):
         nvram = self.nvram
-        bank = nvram.bank_of(addr)
-        row = nvram.row_of(addr)
+        geometry = self._nvram_config
+        bank = (addr // geometry.interleave_bytes) % geometry.num_banks
+        row = addr // (geometry.row_bytes * geometry.num_banks)
         bus_start = max(self._bus_free, now + self._queue_latency)
         self._bus_free = bus_start + self._bus_cycles
         if is_write:
@@ -225,7 +231,10 @@ class ReferenceController:
         self.nvram.write(addr, data, durable)
         self._stats.nvram_writes += 1
         self._stats.nvram_write_bytes += size
-        self._energy.nvram_write(size, row_hit)
+        bits = size * 8
+        pj = self._energy_config.nvram_row_buffer_write_pj_per_bit * bits
+        pj += self._energy_config.nvram_array_write_pj_per_bit * bits
+        self._stats.energy_nvram_pj += pj
         return WriteTicket(durable, stall, accepted)
 
     def retire(self, now):
@@ -275,7 +284,7 @@ def _pair(infinite: bool, adr: bool, queue: int):
     queue=st.sampled_from((1, 3, 64)),
     fractional=st.booleans(),
 )
-def test_one_frame_write_matches_the_pre_change_path(ops, infinite, adr, queue, fractional):
+def test_write_matches_the_pre_change_path(ops, infinite, adr, queue, fractional):
     (mc, mc_stats), (ref, ref_stats) = _pair(infinite, adr, queue)
     now = 0.5 if fractional else 0
     for kind, word, size, step, clamp, fill in ops:

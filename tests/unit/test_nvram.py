@@ -3,13 +3,28 @@
 import pytest
 
 from repro.errors import AddressError
-from repro.sim.config import NVDimmConfig
+from repro.sim.config import EnergyConfig, MemCtrlConfig, NVDimmConfig
+from repro.sim.energy import EnergyModel
+from repro.sim.memctrl import MemoryController
 from repro.sim.nvram import NVRAM
+from repro.sim.stats import MachineStats
 
 
 @pytest.fixture
 def nvram():
     return NVRAM(NVDimmConfig(size_bytes=1024 * 1024))
+
+
+def bank_and_row(addr):
+    """The bank and row a timed access to ``addr`` opens on a fresh device
+    (the memory controller maps addresses onto the device's banks)."""
+    config = NVDimmConfig(size_bytes=1024 * 1024)
+    nvram = NVRAM(config)
+    stats = MachineStats()
+    energy = EnergyModel(EnergyConfig(), stats)
+    MemoryController(MemCtrlConfig(), config, nvram, energy, stats, 2.5).read(addr, 1, 0.0)
+    [(bank, rows)] = [(bank, rows) for bank, rows in enumerate(nvram.open_rows) if rows]
+    return bank, rows[0]
 
 
 class TestFunctionalAccess:
@@ -48,17 +63,17 @@ class TestFunctionalAccess:
 
 
 class TestGeometry:
-    def test_line_interleaved_banks(self, nvram):
-        banks = [nvram.bank_of(line * 64) for line in range(8)]
+    def test_line_interleaved_banks(self):
+        banks = [bank_and_row(line * 64)[0] for line in range(8)]
         assert banks == list(range(8))
 
-    def test_bank_wraps(self, nvram):
-        assert nvram.bank_of(8 * 64) == 0
+    def test_bank_wraps(self):
+        assert bank_and_row(8 * 64)[0] == 0
 
-    def test_row_covers_stripe(self, nvram):
+    def test_row_covers_stripe(self):
         stripe = 2048 * 8
-        assert nvram.row_of(0) == nvram.row_of(stripe - 1)
-        assert nvram.row_of(stripe) == 1
+        assert bank_and_row(0)[1] == bank_and_row(stripe - 1)[1] == 0
+        assert bank_and_row(stripe)[1] == 1
 
 
 class TestRowBuffers:
