@@ -137,11 +137,11 @@ def _report_psan(psan_report) -> bool:
     """
     if psan_report is None:
         return True
-    from repro.sanitizer.checker import _claims_guarantee
+    from repro.sanitizer.rules import claims_guarantee
 
     print(psan_report.render())
     for report in psan_report.reports:
-        if not report.clean and _claims_guarantee(report.policy):
+        if not report.clean and claims_guarantee(report.policy):
             print(report.render())
     return psan_report.clean
 

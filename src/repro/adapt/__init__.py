@@ -8,7 +8,7 @@ function of observed workload features.  This package supplies the three
 pieces:
 
 * **safe-switch protocol** — the epoch barrier lives on
-  :meth:`repro.sim.machine.Machine.switch_design` (quiesce + drain +
+  :meth:`repro.sim.machine.Machine.switch_design` (drain +
   force-writeback + atomic spec swap, legality gated by
   :func:`repro.core.design.check_switch_transition`) and its shard-level
   wrapper :meth:`repro.sched.shard.ShardMachine.switch_design`;

@@ -21,23 +21,18 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Iterator, Optional, Tuple
 
 from ..core.design import DesignSpec, legal_switch_targets, resolve_design
 from ..errors import ConfigError
-from ..harness.runner import RunConfig, build_run
-from ..sched.loop import AdmissionConfig, EventLoopScheduler
-from ..sched.serve import default_serve_config, prepared_kernel
-from ..sched.shard import ShardMachine
+from ..sched.loop import AdmissionConfig
+from ..sched.serve import ServeConfig, default_serve_config, run_serve
 from ..sched.traffic import TrafficConfig, open_loop_schedule
 from ..sim.config import LoggingConfig, SystemConfig
 from ..txn.runtime import ThreadAPI
 from ..workloads.rng import ZipfGenerator, thread_rng
-from ..workloads.whisper import make_whisper_kernel
 from ..workloads.whisper.base import MAX_PARTITIONS
 from ..workloads.whisper.ycsb import UPDATE_RATIO, YCSBKernel
-from .controller import AdaptiveController
 from .table import PolicyTable
 
 
@@ -132,10 +127,6 @@ class DriftConfig:
     schedule, so total simulated cycles compares equal completed work
     (a bounded queue would let slow designs shed load and look cheap)."""
     window_txns: int = 4
-    drain_checkpoint_cycles: float = 400.0
-    """Backlog served after the last arrival still passes controller
-    checkpoints every this-many cycles (the drift signal usually peaks
-    exactly there — see ``EventLoopScheduler.drain``)."""
 
     def __post_init__(self) -> None:
         if self.policy is None:
@@ -144,13 +135,11 @@ class DriftConfig:
             self.policy = resolve_design(self.policy)
 
     def validate(self) -> None:
+        """Check the phases; :func:`run_serve` checks the rest."""
         if not self.phases:
             raise ConfigError("a drift scenario needs at least one phase")
         for phase in self.phases:
             phase.validate()
-        if self.shards <= 0 or self.threads <= 0 or self.batch_requests <= 0:
-            raise ConfigError("shards, threads, batch_requests must be positive")
-        self.admission.validate()
 
     @property
     def requests(self) -> int:
@@ -260,57 +249,41 @@ def run_drift(
     metric), completion counts, deterministic cost counters, and — in
     adaptive mode — the controller's full decision log.
 
-    ``machine_hook(shard_id, machine)``, when given, is called on every
-    freshly built shard machine before execution.  Every shard machine's
-    NVRAM image is recycled once the report is built, as
-    :func:`~repro.sched.serve.run_serve` does, so a hook that wants an
-    image must read it before this function returns.
+    The scenario is one :func:`~repro.sched.serve.run_serve` call over
+    :func:`drift_schedule`.  ``machine_hook(shard_id, machine)``, when
+    given, is called on every freshly built shard machine before
+    execution.  Every shard machine's NVRAM image is recycled once the
+    serve report is built, so a hook that wants an image must read it
+    before this function returns.
     """
     config.validate()
     if table is not None and table.start is not None:
         config = dataclasses.replace(config, policy=table.start)
-    workload = make_whisper_kernel(config.workload, seed=config.seed)
-    if not workload.request_shaped:
-        raise ConfigError(
-            f"workload {config.workload!r} is not request-shaped; drift "
-            "scenarios run through the open-loop serve layer"
-        )
-    system = config.system or drift_system(config.threads)
-    prepared = prepared_kernel(workload, system)
+    machines = []
 
-    shards = []
-    run = RunConfig(policy=config.policy, threads=config.threads, system=system)
-    for shard_id in range(config.shards):
-        hook = None if machine_hook is None else partial(machine_hook, shard_id)
-        machine, pm, workload = build_run(workload, run, prepared, hook)
-        shard = ShardMachine(
-            machine,
-            pm,
-            workload,
+    def collect(shard_id, machine) -> None:
+        machines.append(machine)
+        if machine_hook is not None:
+            machine_hook(shard_id, machine)
+
+    served = run_serve(
+        ServeConfig(
+            workload=config.workload,
+            policy=config.policy,
+            shards=config.shards,
             threads=config.threads,
-            shard_id=shard_id,
             batch_requests=config.batch_requests,
-        )
-        shard.start_serve()
-        shards.append(shard)
-
-    controller = None
-    checkpoint = None
-    if table is not None:
-        controller = AdaptiveController(table, window_txns=config.window_txns)
-        checkpoint = controller.checkpoint_for(shards)
-    scheduler = EventLoopScheduler(
-        shards,
-        admission=config.admission,
-        checkpoint=checkpoint,
-        drain_checkpoint_cycles=(
-            config.drain_checkpoint_cycles if checkpoint is not None else None
+            traffic=config.traffic(),
+            admission=config.admission,
+            system=config.system or drift_system(config.threads),
+            seed=config.seed,
+            policy_table=table,
+            adapt_window_txns=config.window_txns,
         ),
+        collect,
+        drift_schedule(config),
     )
-    scheduler.run_open_loop(drift_schedule(config))
 
-    total_cycles = 0.0
-    completed = 0
     counters = {
         "transactions_committed": 0,
         "instructions": 0,
@@ -321,14 +294,9 @@ def run_drift(
         "nvram_write_bytes": 0,
         "design_switches": 0,
     }
-    final_designs = []
-    for shard in shards:
-        stats = shard.machine.finalize()
-        total_cycles = max(total_cycles, stats.cycles)
-        completed += len(shard.completed_requests())
+    for machine in machines:
         for name in counters:
-            counters[name] += getattr(stats, name)
-        final_designs.append(shard.machine.policy.mechanism_string())
+            counters[name] += getattr(machine.stats, name)
 
     report = {
         "workload": config.workload,
@@ -336,20 +304,19 @@ def run_drift(
         "start_design": config.policy.mechanism_string(),
         "adaptive": table is not None,
         "offered": config.requests,
-        "admitted": len(scheduler.admitted),
-        "rejected": len(scheduler.rejected),
-        "completed": completed,
-        "total_cycles": total_cycles,
-        "final_designs": final_designs,
+        "admitted": served.admitted,
+        "rejected": served.rejected,
+        "completed": served.completed,
+        "total_cycles": served.makespan_cycles,
+        "final_designs": [machine.policy.mechanism_string() for machine in machines],
         "counters": counters,
     }
-    if controller is not None:
-        report["adaptation"] = controller.summary()
-    # The report holds everything read from the devices: the shard
-    # buffers go back to the pool for the next run instead of being
-    # freed and allocated again.
-    for shard in shards:
-        shard.machine.nvram.recycle()
+    if table is not None:
+        # The serve report's adaptation block is the controller's summary
+        # plus the designs this report already carries at top level.
+        adaptation = dict(served.adaptation)
+        del adaptation["start_design"], adaptation["final_designs"]
+        report["adaptation"] = adaptation
     return report
 
 

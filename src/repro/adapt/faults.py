@@ -26,23 +26,22 @@ Per legal transition the campaign asserts three things:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.design import DesignSpec, resolve_design, switch_legal
 from ..core.recovery import RecoveryManager
-from ..errors import SimulatedCrash
 from ..faults.campaign import (
-    _campaign_shard,
-    _count_mismatches,
     campaign_workload,
     check_campaign_size,
+    count_mismatches,
+    crash_run,
     default_campaign_system,
+    finish_run,
+    start_run,
 )
 from ..faults.crashpoints import CrashPoint, EventKind, FaultMonitor
 from ..harness.runner import PreparedWorkload, prepare_workload
 from ..sim.config import SystemConfig
-from ..sim.machine import Machine
-from ..txn.runtime import PersistentMemory
 from .drift import WRITEBACK_FAMILY
 
 #: Transition candidates the default campaign ranges over: every ordered
@@ -144,46 +143,6 @@ class SwitchCampaignResult:
         return "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# Single-run driver: closed-loop threads with one mid-run switch
-# ----------------------------------------------------------------------
-def _makespan(
-    prepared: PreparedWorkload, spec: DesignSpec, threads: int, txns_per_thread: int
-) -> float:
-    """Shard clock at the end of the unswitched run under ``spec``."""
-    shard = _campaign_shard(prepared, spec, threads, txns_per_thread, None)
-    shard.drain()
-    makespan = shard.clock()
-    shard.machine.nvram.recycle()
-    return makespan
-
-
-def _run_with_switch(
-    prepared: PreparedWorkload,
-    old: DesignSpec,
-    new: DesignSpec,
-    threads: int,
-    txns_per_thread: int,
-    horizon: float,
-    monitor: Optional[FaultMonitor],
-) -> Tuple[Machine, PersistentMemory, Optional[SimulatedCrash]]:
-    """Run under ``old``, switch to ``new`` at ``horizon``, finish (or crash).
-
-    The switch is serve's: step the shard to the cycle horizon, run its
-    safe-switch protocol (quiesce, barrier, re-priced drive order), then
-    drain — so the campaign crashes the interleaving
-    :class:`~repro.adapt.controller.AdaptiveController` runs.
-    """
-    shard = _campaign_shard(prepared, old, threads, txns_per_thread, monitor)
-    try:
-        shard.step(horizon)
-        shard.switch_design(new)
-        shard.drain()
-    except SimulatedCrash as crash:  # traceback dropped as in _fresh_run
-        return shard.machine, shard.pm, crash.with_traceback(None)
-    return shard.machine, shard.pm, None
-
-
 def _crash_and_recover(
     prepared: PreparedWorkload,
     old: DesignSpec,
@@ -195,13 +154,9 @@ def _crash_and_recover(
     label: str,
 ) -> Tuple[SwitchPointResult, bytes]:
     """Crash one switched run at ``trigger``; recover twice; verify."""
-    monitor = FaultMonitor(trigger)
-    machine, pm, crash = _run_with_switch(
-        prepared, old, new, threads, txns_per_thread, horizon, monitor
-    )
-    crash_time = (
-        machine.crash_at_point(crash) if crash is not None else machine.crash()
-    )
+    shard = start_run(prepared, old, threads, txns_per_thread, FaultMonitor(trigger))
+    crash_time, triggered = crash_run(shard, (horizon, new))
+    machine = shard.machine
     RecoveryManager(machine.nvram, machine.log).recover()
     recovered = bytes(machine.nvram.image)
     # Idempotence: a second cold recovery pass must be a no-op.
@@ -210,9 +165,9 @@ def _crash_and_recover(
     return (
         SwitchPointResult(
             kind=label,
-            triggered=crash is not None,
+            triggered=triggered,
             crash_time=crash_time,
-            mismatches=_count_mismatches(machine.nvram, pm, crash_time),
+            mismatches=count_mismatches(machine.nvram, shard.pm, crash_time),
             converged=converged,
         ),
         recovered,
@@ -253,7 +208,9 @@ def run_switch_campaign(
         report = TransitionReport(old=old, new=new)
         # Switch halfway through the unswitched run under the old design.
         if old not in makespans:
-            makespans[old] = _makespan(prepared, old, threads, txns_per_thread)
+            shard = finish_run(start_run(prepared, old, threads, txns_per_thread))
+            makespans[old] = shard.clock()
+            shard.machine.nvram.recycle()
         horizon = makespans[old] / 2
 
         before, image_before = _crash_and_recover(
@@ -270,10 +227,8 @@ def run_switch_campaign(
         # Post-switch execution: profile the switched run's retire
         # stream, then crash 90% of the way in (inside the new epoch).
         profile = FaultMonitor()
-        machine, _pm, _ = _run_with_switch(
-            prepared, old, new, threads, txns_per_thread, horizon, profile
-        )
-        machine.nvram.recycle()
+        shard = start_run(prepared, old, threads, txns_per_thread, profile)
+        finish_run(shard, (horizon, new)).machine.nvram.recycle()
         retire_total = profile.counts[EventKind.RETIRE]
         if retire_total > 0:
             late, _image = _crash_and_recover(

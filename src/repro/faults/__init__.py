@@ -4,8 +4,8 @@ and structured crash-consistency campaigns.
 Three layers:
 
 * :mod:`~repro.faults.plan` — fault specifications (torn in-flight
-  writes, bit flips, stuck-at media faults, ghost log records) and the
-  :class:`FaultInjector` that applies them at the NVRAM device hooks.
+  writes, ghost log records) and the :class:`FaultInjector` that
+  applies them at the crash.
 * :mod:`~repro.faults.crashpoints` — deterministic crash points keyed to
   simulator events (micro-op retires, log-buffer drains, FWB scans,
   log-wrap forces, recovery writes) via a :class:`FaultMonitor`.
@@ -38,17 +38,9 @@ from .crashpoints import (
     FaultMonitor,
     sample_indices,
 )
-from .plan import (
-    WORD_BYTES,
-    BitFlip,
-    FaultInjector,
-    GhostRecord,
-    StuckAt,
-    TornWrite,
-)
+from .plan import WORD_BYTES, FaultInjector, GhostRecord, TornWrite
 
 __all__ = [
-    "BitFlip",
     "CampaignResult",
     "CrashPoint",
     "EXECUTION_KINDS",
@@ -63,7 +55,6 @@ __all__ = [
     "GUARANTEED_POLICIES",
     "PointResult",
     "PolicyReport",
-    "StuckAt",
     "TornWrite",
     "UNGUARANTEED_POLICIES",
     "WORD_BYTES",

@@ -49,6 +49,7 @@ from ..core.nvlog import CircularLog
 from ..core.recovery import RecoveryManager
 from ..errors import ConfigError, RecoveryInterrupted, SimulatedCrash
 from ..harness.runner import PreparedWorkload, RunConfig, batch_shard, prepare_workload
+from ..sched.shard import ShardMachine
 from ..sim.config import (
     CacheConfig,
     CoreConfig,
@@ -329,23 +330,22 @@ def enumerate_points(
 
 
 # ----------------------------------------------------------------------
-# Single-point execution
+# Run drivers and single-point execution
 # ----------------------------------------------------------------------
-def _campaign_shard(
+def start_run(
     prepared: PreparedWorkload,
     policy: DesignSpec,
     threads: int,
     txns_per_thread: int,
-    monitor: Optional[FaultMonitor],
+    monitor: Optional[FaultMonitor] = None,
     injector: Optional[FaultInjector] = None,
-):
+) -> ShardMachine:
     """A started closed-loop shard of the prepared workload under
     ``policy``, with the fault monitor and torn-write injector armed."""
 
     def arm(machine: Machine) -> None:
         machine.fault_monitor = monitor
-        if injector is not None:
-            machine.nvram.injector = injector
+        machine.nvram.injector = injector
 
     run = RunConfig(
         policy=policy,
@@ -356,30 +356,42 @@ def _campaign_shard(
     return batch_shard(prepared.workload, run, prepared, arm)
 
 
-def _fresh_run(
-    prepared: PreparedWorkload,
-    policy: DesignSpec,
-    threads: int,
-    txns_per_thread: int,
-    monitor: Optional[FaultMonitor],
-    injector: Optional[FaultInjector] = None,
-) -> Tuple[Machine, PersistentMemory, Optional[SimulatedCrash]]:
-    """Run the prepared workload under ``policy`` until completion or crash.
+def finish_run(
+    shard: ShardMachine, switch: Optional[Tuple[float, DesignSpec]] = None
+) -> ShardMachine:
+    """Drive a started shard to the end of its run, without crashing it.
 
-    A :class:`~repro.errors.SimulatedCrash` raised by the armed fault
-    monitor ends the run and is returned with the crashed machine,
-    without its traceback: the traceback's frames reach the caller's
-    frame, which holds the crash, and that cycle would leave every
-    crashed machine's NVRAM image to the cyclic garbage collector.
+    ``switch=(horizon, new_design)`` first steps the shard to the cycle
+    horizon and runs its safe-switch protocol, so a switched run is the
+    interleaving :class:`~repro.adapt.controller.AdaptiveController`
+    runs in serve.  Profiles and makespans read the finished shard.
     """
-    shard = _campaign_shard(
-        prepared, policy, threads, txns_per_thread, monitor, injector
-    )
+    if switch is not None:
+        horizon, new_design = switch
+        shard.step(horizon)
+        shard.switch_design(new_design)
+    shard.drain()
+    return shard
+
+
+def crash_run(
+    shard: ShardMachine, switch: Optional[Tuple[float, DesignSpec]] = None
+) -> Tuple[float, bool]:
+    """Drive a started shard as :func:`finish_run` does, then crash it.
+
+    The machine crashes at the instant its fault monitor's crash point
+    fired or, when the point lies past the run's last event, at the end
+    of the run.  Returns ``(crash_time, triggered)``.  The
+    :class:`~repro.errors.SimulatedCrash` itself is not returned: its
+    traceback's frames would keep the crashed machine and its NVRAM
+    image alive until the cyclic garbage collector ran.
+    """
+    machine = shard.machine
     try:
-        shard.drain()
+        finish_run(shard, switch)
     except SimulatedCrash as crash:
-        return shard.machine, shard.pm, crash.with_traceback(None)
-    return shard.machine, shard.pm, None
+        return machine.crash_at_point(crash), True
+    return machine.crash(), False
 
 
 def _find_empty_slot(nvram: NVRAM, log: CircularLog) -> Optional[int]:
@@ -431,7 +443,7 @@ def _candidate_states(pm: PersistentMemory, crash_time: float) -> List[dict]:
     return candidates
 
 
-def _count_mismatches(nvram: NVRAM, pm: PersistentMemory, crash_time: float) -> int:
+def count_mismatches(nvram: NVRAM, pm: PersistentMemory, crash_time: float) -> int:
     """Word pieces off from the *closest* acceptable golden image."""
     touched = pm.golden.touched_addresses()
     best = None
@@ -477,13 +489,9 @@ def _run_execution_point(
     if point.fault == FAULT_TORN:
         injector = _torn_injector(prepared.system)
     monitor = FaultMonitor(CrashPoint(point.kind, point.index))
-    machine, pm, crash = _fresh_run(
-        prepared, policy, threads, txns_per_thread, monitor, injector
-    )
-    if crash is not None:
-        crash_time = machine.crash_at_point(crash)
-    else:  # point beyond the run's events (profile drift): crash at end
-        crash_time = machine.crash()
+    shard = start_run(prepared, policy, threads, txns_per_thread, monitor, injector)
+    crash_time, triggered = crash_run(shard)
+    machine = shard.machine
     fault_applied = injector is not None and injector.tears_applied > 0
     if point.fault == FAULT_GHOST:
         slot = _find_empty_slot(machine.nvram, machine.log)
@@ -501,12 +509,12 @@ def _run_execution_point(
             fault_applied = True
     machine.nvram.injector = None  # recovery sees the damaged image as-is
     report = RecoveryManager(machine.nvram, machine.log).recover()
-    mismatches = _count_mismatches(machine.nvram, pm, crash_time)
+    mismatches = count_mismatches(machine.nvram, shard.pm, crash_time)
     machine.nvram.recycle()  # verified: the next point reuses the buffer
     return PointResult(
         point=point,
         crash_time=crash_time,
-        triggered=crash is not None,
+        triggered=triggered,
         mismatches=mismatches,
         torn_records_skipped=report.torn_records_skipped,
         checksum_failures=report.checksum_failures,
@@ -548,9 +556,9 @@ def _build_recovery_scenario(
     if retire_total <= 0:
         return None
     mid = CrashPoint(EventKind.RETIRE, max(0, (retire_total * 3) // 5))
-    monitor = FaultMonitor(mid)
-    machine, pm, crash = _fresh_run(prepared, policy, threads, txns_per_thread, monitor)
-    crash_time = machine.crash_at_point(crash) if crash is not None else machine.crash()
+    shard = start_run(prepared, policy, threads, txns_per_thread, FaultMonitor(mid))
+    crash_time, _triggered = crash_run(shard)
+    machine = shard.machine
     image = bytes(machine.nvram.image)
     machine.nvram.recycle()
     log = machine.log
@@ -568,7 +576,7 @@ def _build_recovery_scenario(
     return _RecoveryScenario(
         image=image,
         crash_time=crash_time,
-        golden_pm=pm,
+        golden_pm=shard.pm,
         log_geometry=geometry,
         reference_image=reference_image,
         reference_report=reference_report,
@@ -595,7 +603,7 @@ def _run_recovery_point(
     report = scenario.cold_manager(nvram).recover()
 
     pm = scenario.golden_pm
-    wrong = _count_mismatches(nvram, pm, scenario.crash_time)
+    wrong = count_mismatches(nvram, pm, scenario.crash_time)
     converged = nvram.image == scenario.reference_image
     nvram.recycle()
     return PointResult(
@@ -694,10 +702,8 @@ def run_fault_campaign(
     for policy in policies:
         # 1. Profile the event streams of this design's run.
         profile = FaultMonitor()
-        machine, _pm, _ = _fresh_run(
-            prepared, policy, threads, txns_per_thread, profile
-        )
-        machine.nvram.recycle()
+        shard = start_run(prepared, policy, threads, txns_per_thread, profile)
+        finish_run(shard).machine.nvram.recycle()
         retire_total = profile.counts[EventKind.RETIRE]
         scenario = _build_recovery_scenario(
             prepared, policy, threads, txns_per_thread, retire_total

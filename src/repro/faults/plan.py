@@ -2,20 +2,15 @@
 
 A plan is a list of fault specs bound into one :class:`FaultInjector`,
 which an experiment installs on an :class:`~repro.sim.nvram.NVRAM`
-device (``nvram.injector = injector``).  The device consults it at two
-points:
+device (``nvram.injector = injector``).  The device consults it when a
+crash reverts an in-flight (not-yet-durable) write
+(:meth:`FaultInjector.on_revert`): a matching :class:`TornWrite` spec
+keeps a word-granularity *prefix* of the new data instead of reverting
+it completely — exactly the partially-persisted log entry the paper's
+torn-bit/checksum machinery exists to reject.
 
-* :meth:`FaultInjector.filter_write` — every timed write passes through
-  it on the way to the image, which is where *stuck-at* media faults
-  live (the stuck bit swallows whatever is stored over it);
-* :meth:`FaultInjector.on_revert` — when a crash reverts an in-flight
-  (not-yet-durable) write, a matching :class:`TornWrite` spec keeps a
-  word-granularity *prefix* of the new data instead of reverting it
-  completely: exactly the partially-persisted log entry the paper's
-  torn-bit/checksum machinery exists to reject.
-
-Static image faults — :class:`BitFlip` and :class:`GhostRecord` — are
-applied once, after the crash, with :meth:`FaultInjector.corrupt_image`.
+Static image faults — :class:`GhostRecord` — are applied once, after
+the crash, with :meth:`FaultInjector.corrupt_image`.
 
 All specs are plain frozen dataclasses so campaigns can enumerate,
 pickle, and label them; validation failures raise
@@ -61,41 +56,6 @@ class TornWrite:
 
 
 @dataclass(frozen=True)
-class BitFlip:
-    """Flip bit ``bit`` of the byte at ``addr`` once, at the crash."""
-
-    addr: int
-    bit: int
-
-    def validate(self) -> None:
-        if self.addr < 0:
-            raise FaultInjectionError(f"bit-flip address {self.addr} is negative")
-        if not 0 <= self.bit < 8:
-            raise FaultInjectionError(f"bit index {self.bit} out of range")
-
-
-@dataclass(frozen=True)
-class StuckAt:
-    """Media fault: bit ``bit`` of the byte at ``addr`` always reads ``value``.
-
-    Applied to every write covering the byte and once to the existing
-    image when the injector is installed.
-    """
-
-    addr: int
-    bit: int
-    value: int
-
-    def validate(self) -> None:
-        if self.addr < 0:
-            raise FaultInjectionError(f"stuck-at address {self.addr} is negative")
-        if not 0 <= self.bit < 8:
-            raise FaultInjectionError(f"bit index {self.bit} out of range")
-        if self.value not in (0, 1):
-            raise FaultInjectionError("stuck-at value must be 0 or 1")
-
-
-@dataclass(frozen=True)
 class GhostRecord:
     """A plausible-but-corrupt log entry materialised in an empty slot.
 
@@ -132,65 +92,38 @@ class GhostRecord:
         return bytes(raw)
 
 
-FaultSpec = Union[TornWrite, BitFlip, StuckAt, GhostRecord]
+FaultSpec = Union[TornWrite, GhostRecord]
 
 
 class FaultInjector:
     """A validated plan of faults, ready to attach to an NVRAM device.
 
     The injector is passive until wired up: assign it to
-    ``nvram.injector`` (write-path and crash-revert faults) and call
+    ``nvram.injector`` (crash-revert faults) and call
     :meth:`corrupt_image` after the crash (static image faults).
-    Counters record what actually fired so experiments can tell an
-    injection that never triggered from one that was tolerated.
+    ``tears_applied`` counts the tears that actually fired, so
+    experiments can tell an injection that never triggered from one
+    that was tolerated.
     """
 
     def __init__(self, plan: Iterable[FaultSpec]) -> None:
         self.plan = tuple(plan)
         self._tears: list[TornWrite] = []
-        self._flips: list[BitFlip] = []
-        self._stuck: list[StuckAt] = []
         self._ghosts: list[GhostRecord] = []
         for spec in self.plan:
             spec.validate()
             if isinstance(spec, TornWrite):
                 self._tears.append(spec)
-            elif isinstance(spec, BitFlip):
-                self._flips.append(spec)
-            elif isinstance(spec, StuckAt):
-                self._stuck.append(spec)
             elif isinstance(spec, GhostRecord):
                 self._ghosts.append(spec)
             else:  # pragma: no cover - defensive
                 raise FaultInjectionError(f"unknown fault spec {spec!r}")
         self.tears_applied = 0
-        self.writes_filtered = 0
-        self.image_faults_applied = 0
         self._tears_remaining = {id(spec): spec.max_tears for spec in self._tears}
 
     # ------------------------------------------------------------------
-    # NVRAM hooks
+    # NVRAM hook
     # ------------------------------------------------------------------
-    def filter_write(self, addr: int, data: bytes) -> bytes:
-        """Apply stuck-at masks to ``data`` on its way to the image."""
-        if not self._stuck:
-            return data
-        end = addr + len(data)
-        mutated = None
-        for spec in self._stuck:
-            if addr <= spec.addr < end:
-                if mutated is None:
-                    mutated = bytearray(data)
-                offset = spec.addr - addr
-                if spec.value:
-                    mutated[offset] |= 1 << spec.bit
-                else:
-                    mutated[offset] &= ~(1 << spec.bit) & 0xFF
-        if mutated is None:
-            return data
-        self.writes_filtered += 1
-        return bytes(mutated)
-
     def on_revert(self, addr: int, old: bytes, new: bytes) -> bytes:
         """Decide what an in-flight write leaves behind at the crash.
 
@@ -216,27 +149,8 @@ class FaultInjector:
     # Static image faults
     # ------------------------------------------------------------------
     def corrupt_image(self, nvram: "NVRAM") -> int:
-        """Apply bit-flips and ghost records to the surviving image.
-
-        Stuck-at faults are also stamped once so they hold even for
-        bytes that are never written again.  Returns the number of
-        faults applied.
-        """
-        applied = 0
-        for flip in self._flips:
-            byte = nvram.peek(flip.addr, 1)[0]
-            nvram.poke(flip.addr, bytes([byte ^ (1 << flip.bit)]))
-            applied += 1
+        """Apply ghost records to the surviving image; returns the number
+        of faults applied."""
         for ghost in self._ghosts:
             nvram.poke(ghost.slot_addr, ghost.payload())
-            applied += 1
-        for stuck in self._stuck:
-            byte = nvram.peek(stuck.addr, 1)[0]
-            if stuck.value:
-                byte |= 1 << stuck.bit
-            else:
-                byte &= ~(1 << stuck.bit) & 0xFF
-            nvram.poke(stuck.addr, bytes([byte]))
-            applied += 1
-        self.image_faults_applied += applied
-        return applied
+        return len(self._ghosts)

@@ -11,7 +11,6 @@ shared LLC and NVRAM banks see time-ordered contention.
 
 from __future__ import annotations
 
-import heapq
 import zlib
 from dataclasses import dataclass, field
 from typing import Optional
@@ -242,50 +241,12 @@ def run_workload(
     """Execute ``workload`` under ``run`` and return the outcome.
 
     The run is a single :class:`~repro.sched.shard.ShardMachine` in batch
-    mode, drained to completion by the event-loop scheduler.  The
-    shard's step loop is the historical core-clock min-heap drive order,
-    so outcomes are bit-identical to the monolithic loop kept below as
-    :func:`run_workload_monolithic` (the differential gate in
-    ``tests/sched/test_shard_equivalence.py`` compares the two).
+    mode, drained to completion.  The shard's step loop is the
+    historical core-clock min-heap drive order, so outcomes are
+    bit-identical to the monolithic reference loop the differential gate
+    in ``tests/sched/test_shard_equivalence.py`` compares it against.
     """
-    from ..sched.loop import EventLoopScheduler
-
     shard = batch_shard(workload, run, prepared, machine_hook)
-    EventLoopScheduler([shard]).drain()
+    shard.drain()
     stats = shard.machine.finalize()
     return RunOutcome(run.policy, run.threads, stats, shard.machine, shard.pm)
-
-
-def run_workload_monolithic(
-    workload: Workload,
-    run: RunConfig,
-    prepared: Optional[PreparedWorkload] = None,
-    machine_hook=None,
-) -> RunOutcome:
-    """The pre-refactor single-loop runner, kept as the reference.
-
-    Drives every thread generator to completion with one private
-    min-heap on ``(core_time, tid)``.  The differential gate runs this
-    against :func:`run_workload` to prove the steppable-shard path is
-    bit-identical in cost counters; it is not used by any entry point.
-    """
-    machine, pm, workload = build_run(workload, run, prepared, machine_hook)
-
-    generators = []
-    for tid in range(run.threads):
-        api = pm.api(core_id=tid, tid=tid)
-        generators.append(workload.thread_body(api, tid, run.txns_per_thread))
-
-    # Min-heap on core clock; tie-break on thread id for determinism.
-    ready = [(machine.core_time(tid), tid) for tid in range(run.threads)]
-    heapq.heapify(ready)
-    while ready:
-        _, tid = heapq.heappop(ready)
-        try:
-            next(generators[tid])
-        except StopIteration:
-            continue
-        heapq.heappush(ready, (machine.core_time(tid), tid))
-
-    stats = machine.finalize()
-    return RunOutcome(run.policy, run.threads, stats, machine, pm)

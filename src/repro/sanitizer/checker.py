@@ -43,11 +43,6 @@ from .rules import (
 _EPS = 1e-6
 _WORD = 8
 
-# Backwards-compatible aliases; the metadata now lives in rules.py where
-# the static verifier shares it.
-_LOGGING_RULES = LOGGING_RULES
-_claims_guarantee = claims_guarantee
-
 
 def _word_base(addr: int) -> int:
     return addr - (addr % _WORD)
@@ -574,7 +569,7 @@ class PersistOrderChecker:
             diagnostics=list(self.diagnostics),
             events_processed=self._events,
             txns_checked=len(self._txns),
-            rules_checked=_LOGGING_RULES if self._enabled else (),
+            rules_checked=LOGGING_RULES if self._enabled else (),
         )
 
     def _finish_txn(self, txn: _Txn) -> None:
@@ -853,7 +848,7 @@ class PsanSweepReport:
         return all(
             report.clean
             for report in self.reports
-            if _claims_guarantee(report.policy)
+            if claims_guarantee(report.policy)
         )
 
     def to_dict(self) -> dict:
@@ -878,7 +873,7 @@ class PsanSweepReport:
             verdict = "clean"
             if not report.clean:
                 fired = ",".join(sorted(report.rules_fired()))
-                note = "" if _claims_guarantee(report.policy) else " (no guarantee claimed)"
+                note = "" if claims_guarantee(report.policy) else " (no guarantee claimed)"
                 verdict = f"{len(report.diagnostics)} violation(s): {fired}{note}"
             lines.append(
                 f"{report.benchmark:10s} "

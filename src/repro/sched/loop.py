@@ -76,7 +76,7 @@ class EventLoopScheduler:
 
     # ------------------------------------------------------------------
     def drain(self) -> None:
-        """Run every shard to completion (batch mode, or post-schedule).
+        """Run every shard to completion once the schedule is played.
 
         With ``drain_checkpoint_cycles`` set (and a checkpoint hook),
         queues are closed first and the shards advance horizon window by

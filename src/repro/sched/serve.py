@@ -56,6 +56,12 @@ def default_serve_config(threads: int = 2, **overrides) -> SystemConfig:
     return base.scaled(**overrides) if overrides else base
 
 
+#: Adaptive mode only: the post-schedule backlog drains in windows of
+#: this many cycles so the controller keeps observing.  Drift scenarios
+#: need it most: their drift signal usually peaks exactly there (see
+#: ``EventLoopScheduler.drain``).
+DRAIN_CHECKPOINT_CYCLES = 400.0
+
 #: Prepared kernels :func:`prepared_kernel` keeps per process.
 PREPARED_MEMO_ENTRIES = 4
 
@@ -107,10 +113,6 @@ class ServeConfig:
     caller leaves ``policy`` unset, the table's ``start`` design (if
     any) seeds the shards."""
     adapt_window_txns: int = 16
-    drain_checkpoint_cycles: float = 400.0
-    """Adaptive mode only: the post-schedule backlog drains in windows
-    of this many cycles so the controller keeps observing (see
-    ``EventLoopScheduler.drain``)."""
 
     def __post_init__(self) -> None:
         if self.policy is None:
@@ -131,8 +133,6 @@ class ServeConfig:
             raise ConfigError("batch_requests must be positive")
         if self.adapt_window_txns <= 0:
             raise ConfigError("adapt_window_txns must be positive")
-        if self.drain_checkpoint_cycles <= 0:
-            raise ConfigError("drain_checkpoint_cycles must be positive")
         if self.replicas < 0:
             raise ConfigError(f"replicas must be non-negative, got {self.replicas}")
         if self.ring_records < 1:
@@ -160,7 +160,7 @@ class ServeConfig:
         self.admission.validate()
 
 
-def run_serve(config: ServeConfig, machine_hook=None) -> ServeReport:
+def run_serve(config: ServeConfig, machine_hook=None, schedule=None) -> ServeReport:
     """Run one open-loop serve scenario and return its report.
 
     ``machine_hook(shard_id, machine)``, when given, is called on every
@@ -170,6 +170,10 @@ def run_serve(config: ServeConfig, machine_hook=None) -> ServeReport:
     caller that wants an image must read it before then (a replicator's
     :meth:`~repro.sched.replicate.ShardReplicator.release` is the last
     point).
+
+    ``schedule`` replaces the arrival schedule, by default
+    ``open_loop_schedule(config.traffic, config.shards)``; drift
+    scenarios pass theirs, with per-phase draws.
     """
     config.validate()
     workload = make_whisper_kernel(config.workload, seed=config.seed)
@@ -228,10 +232,11 @@ def run_serve(config: ServeConfig, machine_hook=None) -> ServeReport:
         admission=config.admission,
         checkpoint=checkpoint,
         drain_checkpoint_cycles=(
-            config.drain_checkpoint_cycles if controller is not None else None
+            DRAIN_CHECKPOINT_CYCLES if controller is not None else None
         ),
     )
-    schedule = open_loop_schedule(config.traffic, config.shards)
+    if schedule is None:
+        schedule = open_loop_schedule(config.traffic, config.shards)
     scheduler.run_open_loop(schedule)
 
     report = _build_report(

@@ -194,62 +194,29 @@ class ShardMachine:
     # ------------------------------------------------------------------
     # Safe-switch protocol (repro.adapt)
     # ------------------------------------------------------------------
-    def quiesce(self) -> int:
-        """Advance mid-transaction threads until none is in flight.
-
-        Thread generators yield at transaction boundaries (the
-        ``thread_body`` contract and the serve body both commit before
-        yielding), so a quiesce is normally a no-op; this loop is the
-        defensive general case for generators that yield inside a
-        transaction.  Drive order stays the canonical
-        ``(core_time, tid)`` min-heap order, restricted to in-transaction
-        threads, so quiescing is deterministic.  Returns the number of
-        generator advances made.
-        """
-        if not self._started:
-            return 0
-        apis = self._apis
-        if not any(api.in_transaction for api in apis):
-            return 0
-        ready = self._ready
-        gens = self._gens
-        machine = self.machine
-        workload = self.workload
-        workload.restore_run_state(self._run_state)
-        deferred = []
-        steps = 0
-        while ready and any(api.in_transaction for api in apis):
-            clock, tid = heapq.heappop(ready)
-            if not apis[tid].in_transaction:
-                deferred.append((clock, tid))
-                continue
-            try:
-                value = next(gens[tid])
-            except StopIteration:
-                continue
-            if value is IDLE:
-                self._parked.add(tid)
-                continue
-            heapq.heappush(ready, (machine.core_time(tid), tid))
-            steps += 1
-        for entry in deferred:
-            heapq.heappush(ready, entry)
-        self._run_state = workload.run_state()
-        return steps
-
     def switch_design(self, new_policy) -> float:
-        """Quiesce, run the machine's epoch barrier, swap the spec.
+        """Run the machine's epoch barrier and swap the spec.
 
-        The full safe-switch protocol: in-flight transactions complete
-        (:meth:`quiesce`), the machine drains WCBs and log FIFOs and
-        forces logged-dirty lines durable before atomically swapping the
-        :class:`~repro.core.design.DesignSpec`
+        The full safe-switch protocol: the machine drains WCBs and log
+        FIFOs and forces logged-dirty lines durable before atomically
+        swapping the :class:`~repro.core.design.DesignSpec`
         (:meth:`~repro.sim.machine.Machine.switch_design`), every live
         thread API re-reads the policy, and the ready heap is re-priced
         to the barrier-advanced core clocks so drive order stays
         deterministic.  Returns the barrier completion cycle.
+
+        Thread generators yield only between transactions (the
+        ``thread_body`` contract, the serve body and compiled replay all
+        commit before yielding), so no thread is mid-transaction here.
+        One that is raises :class:`~repro.errors.WorkloadError` before
+        the barrier, leaving the design unchanged.
         """
-        self.quiesce()
+        busy = [api.tid for api in self._apis if api.in_transaction]
+        if busy:
+            raise WorkloadError(
+                f"design switch with thread(s) {busy} inside a transaction: "
+                "thread generators must yield between transactions"
+            )
         barrier = self.machine.switch_design(new_policy)
         for api in self._apis:
             api.refresh_policy()

@@ -252,9 +252,6 @@ class SystemConfig:
     nvram: NVDimmConfig = field(default_factory=NVDimmConfig)
     energy: EnergyConfig = field(default_factory=EnergyConfig)
     logging: LoggingConfig = field(default_factory=LoggingConfig)
-    track_crash_state: bool = True
-    """Keep the bookkeeping needed for Machine.crash(); benchmark sweeps may
-    disable it for speed."""
 
     def validate(self) -> "SystemConfig":
         """Validate all sub-configs and cross-field constraints."""

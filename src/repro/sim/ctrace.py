@@ -5,11 +5,7 @@ workload's abstract operation stream **once** — per (workload identity,
 thread count, transactions per thread) — into the columns held here, and
 then replays the columns under any number of
 :class:`~repro.core.design.DesignSpec` cells.  Columns are stdlib
-``array.array`` instances (``'B'``/``'q'``/``'Q'`` typecodes); an optional
-numpy fast path accelerates the derived-column computation at decode time
-and is bit-identical by construction (it computes the same integers; a
-unit test compares both).  When numpy is absent the stdlib path runs
-automatically.
+``array.array`` instances (``'B'``/``'q'``/``'Q'`` typecodes).
 
 Symbolic addresses
 ------------------
@@ -44,11 +40,6 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
-try:  # optional fast path; the stdlib path below is the reference
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is present in CI images
-    _np = None
-
 TRACE_FORMAT = "ctrace-v1"
 _MAGIC = b"CTRC0001"
 
@@ -75,11 +66,6 @@ def sym_token(block_id: int) -> int:
 def sym_block(addr: int) -> int:
     """Block id of a symbolic address."""
     return (addr - SYM_BASE) >> 24
-
-
-def numpy_available() -> bool:
-    """True when the optional numpy fast path is usable."""
-    return _np is not None
 
 
 @dataclass
@@ -155,29 +141,9 @@ class CompiledThread:
         return spans
 
     # ------------------------------------------------------------------
-    def derive_read_lines(self, line_size: int, use_numpy: Optional[bool] = None) -> None:
-        """Build :attr:`read_line` (numpy when available, else stdlib).
-
-        Both paths compute the same integers; ``use_numpy`` forces one
-        implementation (tests compare the two).
-        """
-        if use_numpy is None:
-            use_numpy = _np is not None
+    def derive_read_lines(self, line_size: int) -> None:
+        """Build :attr:`read_line`."""
         mask = line_size - 1
-        if use_numpy and _np is not None:
-            kinds = _np.frombuffer(self.kinds, dtype=_np.uint8)
-            a = _np.frombuffer(self.a, dtype=_np.int64)
-            b = _np.frombuffer(self.b, dtype=_np.int64)
-            line = a & ~mask
-            single = (
-                (kinds == K_READ)
-                & (a >= 0)
-                & (a < SYM_BASE)
-                & (((a + b - 1) & ~mask) == line)
-            )
-            out = _np.where(single, line, -1)
-            self.read_line = array("q", out.tobytes())
-            return
         out = array("q", bytes(8 * len(self.kinds)))
         kinds = self.kinds
         a = self.a
@@ -247,10 +213,10 @@ class CompiledTrace:
         """Total recorded write pieces across threads."""
         return sum(len(col.piece_addr) for col in self.thread_cols)
 
-    def derive(self, line_size: int, use_numpy: Optional[bool] = None) -> None:
+    def derive(self, line_size: int) -> None:
         """Compute every thread's derived columns for ``line_size``."""
         for col in self.thread_cols:
-            col.derive_read_lines(line_size, use_numpy)
+            col.derive_read_lines(line_size)
             if col.piece_data is None:
                 col.derive_piece_data()
         self.derived_line_size = line_size

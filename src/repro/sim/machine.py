@@ -90,7 +90,7 @@ class Machine:
         policy = self.policy
         self.stats = MachineStats()
         self.energy = EnergyModel(config.energy, self.stats)
-        self.nvram = NVRAM(config.nvram, config.track_crash_state)
+        self.nvram = NVRAM(config.nvram)
         self.memctrl = MemoryController(
             config.memctrl,
             config.nvram,
@@ -342,10 +342,10 @@ class Machine:
         """Atomically swap the active :class:`DesignSpec` at an epoch barrier.
 
         The barrier makes the swap invisible to recovery: with no
-        transaction in flight (the caller quiesces threads first — see
-        :meth:`repro.sched.shard.ShardMachine.switch_design`), it drains
-        every write-combining buffer, waits for the volatile log FIFOs to
-        settle on the NVRAM bus, and forces every dirty cached line
+        transaction in flight (the caller switches between transactions;
+        see :meth:`repro.sched.shard.ShardMachine.switch_design`), it
+        drains every write-combining buffer, waits for the volatile log
+        FIFOs to settle on the NVRAM bus, and forces every dirty cached line
         durable.  After that, every pre-switch log record belongs to a
         committed transaction whose data is durable, so a crash on either
         side of the swap recovers to the same image under either spec.

@@ -73,10 +73,8 @@ class NVRAM:
         self.total_read_bytes = 0
         self.total_write_bytes = 0
         self.injector = None
-        """Optional :class:`~repro.faults.plan.FaultInjector`: filters
-        timed writes (stuck-at media faults) and decides what in-flight
-        writes leave behind at a crash (torn writes).  None — the
-        default — costs one attribute test per write."""
+        """Optional :class:`~repro.faults.plan.FaultInjector`: decides
+        what in-flight writes leave behind at a crash (torn writes)."""
         self.tracer = None
         """Optional tracer (set by the machine's ``tracer`` property);
         emits one ``nvram_write`` event per timed write.  ``poke`` and
@@ -136,8 +134,6 @@ class NVRAM:
                 f"NVRAM write out of range: addr={addr:#x} size={size} "
                 f"limit={self._size:#x}"
             )
-        if self.injector is not None:
-            data = self.injector.filter_write(addr, data)
         image = self.image
         if self._track:
             self._journal.append((completion_time, addr, bytes(image[addr:end])))

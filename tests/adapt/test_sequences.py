@@ -21,7 +21,7 @@ _CANDIDATES = (
     "sw+undo+clwb",
     "sw+undo+redo+clwb",
 )
-from repro.faults.campaign import _count_mismatches
+from repro.faults.campaign import count_mismatches
 from repro.sanitizer.checker import PersistOrderChecker
 
 from .conftest import run_with_switches
@@ -80,4 +80,4 @@ def test_legal_switch_sequences_stay_clean(start, seed):
     from repro.core.recovery import RecoveryManager
 
     RecoveryManager(machine.nvram, machine.log).recover()
-    assert _count_mismatches(machine.nvram, pm, crash_time) == 0
+    assert count_mismatches(machine.nvram, pm, crash_time) == 0

@@ -49,8 +49,6 @@ def test_explicit_policy_overrides_table_start():
 def test_invalid_adaptive_knobs_rejected():
     with pytest.raises(ConfigError):
         _config(adapt_window_txns=0).validate()
-    with pytest.raises(ConfigError):
-        _config(drain_checkpoint_cycles=0.0).validate()
 
 
 def test_adaptive_report_carries_adaptation_block():

@@ -26,7 +26,14 @@ from repro.faults import (
     FaultMonitor,
     run_fault_campaign,
 )
-from repro.faults.campaign import _fresh_run, campaign_workload, default_campaign_system
+from repro.faults.campaign import (
+    campaign_workload,
+    count_mismatches,
+    crash_run,
+    default_campaign_system,
+    finish_run,
+    start_run,
+)
 from repro.harness.runner import prepare_workload
 from repro.sim.nvram import NVRAM
 
@@ -163,21 +170,41 @@ def test_software_design_machines_die_without_the_cyclic_collector():
     gc.collect()
     gc.disable()
     try:
-        machine, pm, crash = _fresh_run(prepared, UNDO_CLWB, 1, 20, None)
-        assert crash is None
-        finished = weakref.ref(machine)
-        del machine, pm
+        shard = finish_run(start_run(prepared, UNDO_CLWB, 1, 20))
+        finished = weakref.ref(shard.machine)
+        del shard
         assert finished() is None
 
         monitor = FaultMonitor(CrashPoint(EventKind.RETIRE, 300))
-        machine, pm, crash = _fresh_run(prepared, REDO_CLWB, 1, 20, monitor)
-        assert crash is not None
-        machine.crash_at_point(crash)
-        crashed = weakref.ref(machine)
-        del machine, pm, crash, monitor
+        shard = start_run(prepared, REDO_CLWB, 1, 20, monitor)
+        _crash_time, triggered = crash_run(shard)
+        assert triggered
+        crashed = weakref.ref(shard.machine)
+        del shard, monitor
         assert crashed() is None
     finally:
         gc.enable()
+
+
+def test_trigger_past_the_last_event_crashes_at_the_end_of_the_run():
+    """A crash point the run never reaches (a profile that drifted from
+    the run it profiled) crashes at the end of the run, untriggered."""
+    prepared = prepare_workload(campaign_workload("hash", 7), default_campaign_system())
+    profile = FaultMonitor()
+    finished = finish_run(start_run(prepared, FWB, 1, TXNS, profile))
+    end = max(core.time for core in finished.machine.cores)
+    finished.machine.nvram.recycle()
+    retires = profile.counts[EventKind.RETIRE]
+
+    shard = start_run(
+        prepared, FWB, 1, TXNS, FaultMonitor(CrashPoint(EventKind.RETIRE, retires))
+    )
+    crash_time, triggered = crash_run(shard)
+    assert not triggered
+    assert crash_time == end
+    assert shard.machine.crashed
+    RecoveryManager(shard.machine.nvram, shard.machine.log).recover()
+    assert count_mismatches(shard.machine.nvram, shard.pm, crash_time) == 0
 
 
 def test_campaign_points_reuse_a_few_device_buffers_and_leave_them_zeroed(

@@ -5,11 +5,10 @@ Three layers of the same guarantee, at increasing cost:
 * an open-loop schedule is a pure function of ``(TrafficConfig,
   num_shards)`` and satisfies its shape invariants for *any* seed,
   rate, and arrival process hypothesis picks;
-* a single shard driven through the event-loop scheduler is
-  bit-identical to the monolithic runner for hypothesis-chosen
-  (benchmark, design, threads, txns) cells — the differential gate in
-  ``tests/sched/test_shard_equivalence.py`` covers the fixed matrix,
-  this covers the gaps between its grid points;
+* a single drained shard is bit-identical to the monolithic runner for
+  hypothesis-chosen (benchmark, design, threads, txns) cells — the
+  differential gate in ``tests/sched/test_shard_equivalence.py`` covers
+  the fixed matrix, this covers the gaps between its grid points;
 * a full ``repro serve`` run reproduces its report digest exactly.
 """
 
@@ -23,13 +22,13 @@ from repro.harness.runner import (
     RunConfig,
     prepare_workload,
     run_workload,
-    run_workload_monolithic,
 )
 from repro.sched.serve import ServeConfig, run_serve
 from repro.sched.traffic import TrafficConfig, open_loop_schedule
 from repro.sim.config import NVDimmConfig
 from repro.workloads import make_microbenchmark
 from tests.conftest import tiny_system
+from tests.reference_runner import run_workload_monolithic
 
 traffic_configs = st.builds(
     TrafficConfig,

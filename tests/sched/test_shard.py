@@ -12,11 +12,11 @@ from repro.harness.runner import (
     batch_shard,
     build_run,
     prepare_workload,
-    run_workload_monolithic,
 )
 from repro.sched.shard import ShardMachine
 from repro.workloads.whisper import make_whisper_kernel
 from tests.conftest import tiny_system
+from tests.reference_runner import run_workload_monolithic
 
 FWB = DESIGNS.resolve("fwb")
 TXNS = 8
@@ -153,4 +153,31 @@ def test_switch_reprices_drive_order_to_the_barrier():
     taken = len(advanced)
     shard.drain()
     assert advanced[taken] == 0
+    machine.nvram.recycle()
+
+
+def test_switch_refuses_a_thread_inside_a_transaction():
+    """A generator that yields inside a transaction leaves its thread
+    mid-transaction between steps: the safe switch refuses before its
+    barrier, and the design stays the one the run started under."""
+    prepared = prepare_workload(campaign_workload("hash", 7), default_campaign_system())
+    run = RunConfig(policy="hw+undo+redo+nowb", threads=1, system=prepared.system)
+    machine, pm, workload = build_run(prepared.workload, run, prepared)
+    shard = ShardMachine(machine, pm, workload, threads=1)
+
+    def body(api, tid):
+        with api.transaction():
+            api.compute(100)
+            yield
+            api.compute(100)
+
+    shard.start(body)
+    shard.step(1.0)
+    policy = machine.policy
+    with pytest.raises(WorkloadError, match="inside a transaction"):
+        shard.switch_design(DESIGNS.resolve("hw+undo+redo+clwb"))
+    assert machine.policy is policy
+    assert machine.stats.design_switches == 0
+    shard.drain()
+    assert machine.stats.transactions_committed == 1
     machine.nvram.recycle()

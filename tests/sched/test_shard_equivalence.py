@@ -1,15 +1,15 @@
 """Differential gate: the steppable-shard runner is the old runner.
 
-``run_workload`` is now a thin adapter driving a single
-:class:`~repro.sched.shard.ShardMachine` through the event-loop
-scheduler; ``run_workload_monolithic`` is the pre-refactor loop, kept
-verbatim as the reference.  These tests demand **bit-identical** cost
+``run_workload`` is now a thin adapter draining a single
+:class:`~repro.sched.shard.ShardMachine`; ``run_workload_monolithic``
+(``tests/reference_runner.py``) is the pre-refactor loop, kept verbatim
+as the reference.  These tests demand **bit-identical** cost
 counters between the two across the full microbenchmark x canonical
 design matrix at 1, 2 and 4 threads — any drift means the shard's step
 loop no longer replicates the historical heap order.
 
 (The golden-fixture suite in ``test_design_equivalence.py`` separately
-pins ``run_workload`` — i.e. the scheduler path — to digests captured
+pins ``run_workload`` — i.e. the shard path — to digests captured
 before this refactor existed.)
 """
 
@@ -22,11 +22,11 @@ from repro.harness.runner import (
     RunConfig,
     prepare_workload,
     run_workload,
-    run_workload_monolithic,
 )
 from repro.sim.config import NVDimmConfig
 from repro.workloads import MICROBENCHMARKS, make_microbenchmark
 from tests.conftest import tiny_system
+from tests.reference_runner import run_workload_monolithic
 
 TXNS = 10
 

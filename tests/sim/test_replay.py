@@ -5,7 +5,8 @@
   so every tracer consumer (psan included) sees identical input;
 * the persistency-ordering sanitizer reaches the same verdicts (and the
   same diagnostics) over the compiled path;
-* the numpy and stdlib derive paths compute identical columns;
+* the derived read-line column holds the line of every read that stays
+  inside one cache line, and -1 for every other op;
 * the trace codec and pickling round-trip without changing replay
   behaviour;
 * the replay generators drive the shard's own thread APIs: one per
@@ -20,7 +21,7 @@ import pytest
 from repro.core.design import CANONICAL_DESIGNS, FWB, HWL, UNSAFE_BASE
 from repro.harness.runner import RunConfig, prepare_workload, run_workload
 from repro.sanitizer.checker import PersistOrderChecker
-from repro.sim.ctrace import CompiledTrace, numpy_available
+from repro.sim.ctrace import K_READ, SYM_BASE, CompiledTrace
 from repro.sim.replay import compile_trace, run_compiled
 from repro.sim.trace import Tracer
 from repro.txn.runtime import ThreadAPI
@@ -113,15 +114,20 @@ class TestEventStreams:
 
 
 class TestDerivedColumns:
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_numpy_matches_stdlib(self, trace):
+    def test_single_line_reads_are_derived(self, trace):
         line_size = 64
-        trace.derive(line_size, use_numpy=True)
-        with_numpy = [list(col.read_line) for col in trace.thread_cols]
-        trace.derive(line_size, use_numpy=False)
-        stdlib = [list(col.read_line) for col in trace.thread_cols]
-        assert with_numpy == stdlib
-        assert any(any(line >= 0 for line in lines) for lines in stdlib)
+        trace.derive(line_size)
+        single = 0
+        for col in trace.thread_cols:
+            for index, kind, addr, size in col.iter_ops():
+                first = addr // line_size * line_size
+                last = (addr + size - 1) // line_size * line_size
+                if kind == K_READ and 0 <= addr < SYM_BASE and first == last:
+                    assert col.read_line[index] == first
+                    single += 1
+                else:
+                    assert col.read_line[index] == -1
+        assert single > 0
 
 
 class TestCodec:

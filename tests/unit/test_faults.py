@@ -5,13 +5,11 @@ import pytest
 from repro.core.logrecord import DecodeStatus, LogRecord
 from repro.errors import FaultInjectionError, RecoveryInterrupted, SimulatedCrash
 from repro.faults import (
-    BitFlip,
     CrashPoint,
     EventKind,
     FaultInjector,
     FaultMonitor,
     GhostRecord,
-    StuckAt,
     TornWrite,
     enumerate_points,
     sample_indices,
@@ -56,18 +54,6 @@ class TestStaticFaults:
     def _nvram(self):
         return NVRAM(NVDimmConfig(size_bytes=64 * 1024))
 
-    def test_stuck_at_filters_writes(self):
-        injector = FaultInjector([StuckAt(addr=0x100, bit=0, value=1)])
-        filtered = injector.filter_write(0x100, bytes(8))
-        assert filtered[0] == 1
-        assert injector.writes_filtered == 1
-
-    def test_bit_flip_applied_once(self):
-        nvram = self._nvram()
-        injector = FaultInjector([BitFlip(addr=0x200, bit=3)])
-        assert injector.corrupt_image(nvram) == 1
-        assert nvram.peek(0x200, 1)[0] == 1 << 3
-
     def test_ghost_record_fails_checksum(self):
         payload = GhostRecord(slot_addr=0x1000, entry_size=64).payload()
         record, status = LogRecord.classify(payload, verify_checksum=True)
@@ -86,8 +72,6 @@ class TestStaticFaults:
         assert nvram.peek(0x1000, 64) == ghost.payload()
 
     def test_validation(self):
-        with pytest.raises(FaultInjectionError):
-            FaultInjector([StuckAt(addr=0, bit=9, value=1)])
         with pytest.raises(FaultInjectionError):
             FaultInjector([GhostRecord(slot_addr=0, entry_size=8)])
 

@@ -24,13 +24,13 @@ from repro.errors import WorkloadError
 from repro.harness.runner import (
     RunConfig,
     prepare_workload,
-    run_workload_monolithic,
 )
 from repro.sched.shard import ShardMachine
 from repro.sim.machine import Machine
 from repro.txn.runtime import PersistentMemory
 from repro.workloads.whisper import WHISPER_KERNELS, make_whisper_kernel
 from tests.conftest import tiny_system
+from tests.reference_runner import run_workload_monolithic
 
 FWB = DESIGNS.resolve("fwb")
 TXNS = 6
