@@ -8,7 +8,8 @@ Commands
     microbenchmark list).
 ``figure {6,7,8,9,10,11a,11b}``
     Regenerate one of the paper's figures (``--quick`` shrinks the sweep
-    for a fast smoke run).
+    for a fast smoke run; ``--psan`` sanitizes every cell of the sweep
+    behind figures 6-10, and exits 2 on 11a/11b, which run none).
 ``compare``
     Run one microbenchmark under all eight designs and print the
     comparison (like ``examples/policy_comparison.py``).
@@ -119,13 +120,30 @@ def _cmd_tables(_args) -> int:
     return 0
 
 
-def _psan_sweep_report(args):
-    """A fresh PsanSweepReport when ``--psan`` was passed, else None."""
-    if not getattr(args, "psan", False):
-        return None
-    from .sanitizer import PsanSweepReport
+def _sweep_options(args) -> dict:
+    """The ``run_micro_sweep`` options every CLI sweep takes from its
+    flags: workers, result cache, self-healing, and a fresh
+    ``PsanSweepReport`` when ``--psan`` was passed."""
+    psan_report = None
+    if getattr(args, "psan", False):
+        from .sanitizer import PsanSweepReport
 
-    return PsanSweepReport()
+        psan_report = PsanSweepReport()
+    return {
+        "jobs": args.jobs,
+        "cache": _sweep_cache(args),
+        "cell_timeout": args.cell_timeout,
+        "health": SweepHealth(),
+        "psan_report": psan_report,
+    }
+
+
+def _report_sweeps(options) -> bool:
+    """Print what the sweeps run with ``options`` did; True when the
+    sanitizer (if any) found them clean."""
+    _report_cache(options["cache"])
+    _report_health(options["health"])
+    return _report_psan(options["psan_report"])
 
 
 def _report_psan(psan_report) -> bool:
@@ -147,23 +165,24 @@ def _report_psan(psan_report) -> bool:
 
 
 def _cmd_figure(args) -> int:
+    if args.psan and args.id in ("11a", "11b"):
+        print(
+            f"figure: --psan applies to the sweep figures 6-10; figure "
+            f"{args.id} runs no sweep",
+            file=sys.stderr,
+        )
+        return 2
     quick = args.quick
     txns = 60 if quick else 250
     threads = (1,) if quick else (1, 8)
     benchmarks = ("hash", "sps") if quick else tuple(MICROBENCHMARKS)
-    cache = _sweep_cache(args)
-    health = SweepHealth()
-    psan_report = _psan_sweep_report(args)
+    options = _sweep_options(args)
     if args.id in ("6", "7", "8", "9"):
         sweep = run_micro_sweep(
             benchmarks=benchmarks,
             threads=threads,
             txns_per_thread=txns,
-            jobs=args.jobs,
-            cache=cache,
-            cell_timeout=args.cell_timeout,
-            health=health,
-            psan_report=psan_report,
+            **options,
         )
         fn = {
             "6": experiments.figure6_throughput,
@@ -190,8 +209,7 @@ def _cmd_figure(args) -> int:
             experiments.figure10_whisper(
                 kernels=kernels,
                 txns_per_thread=40 if quick else 150,
-                jobs=args.jobs,
-                cache=cache,
+                **options,
             ).rendered
         )
     elif args.id == "11a":
@@ -205,9 +223,7 @@ def _cmd_figure(args) -> int:
         print(experiments.figure11b_fwb_frequency().rendered)
     else:  # pragma: no cover - argparse restricts choices
         return 2
-    _report_cache(cache)
-    _report_health(health)
-    return 0 if _report_psan(psan_report) else 1
+    return 0 if _report_sweeps(options) else 1
 
 
 def _cmd_compare(args) -> int:
@@ -250,29 +266,24 @@ def _cmd_ablate(args) -> int:
 
     benchmarks = args.benchmarks.split(",")
     threads_list = tuple(int(t) for t in args.threads.split(","))
-    jobs = args.jobs
-    if jobs is None:
+    options = _sweep_options(args)
+    if args.jobs is None:
         # Unlike the fixed-size figure sweeps, an ablation grid is
         # user-shaped — size the pool to the grid and the machine.
-        jobs = default_jobs(len(designs) * len(benchmarks) * len(threads_list))
-    cache = _sweep_cache(args)
-    health = SweepHealth()
-    psan_report = None
+        options["jobs"] = default_jobs(
+            len(designs) * len(benchmarks) * len(threads_list)
+        )
     if not args.no_psan and any(spec.persistence_guaranteed for spec in designs):
         from .sanitizer import PsanSweepReport
 
-        psan_report = PsanSweepReport()
+        options["psan_report"] = PsanSweepReport()
     sweep = run_micro_sweep(
         benchmarks=benchmarks,
         threads=threads_list,
         policies=designs,
         txns_per_thread=args.txns,
         seed=args.seed,
-        jobs=jobs,
-        cache=cache,
-        cell_timeout=args.cell_timeout,
-        health=health,
-        psan_report=psan_report,
+        **options,
     )
     print(
         f"design-space ablation: {len(designs)} design(s) x "
@@ -313,35 +324,26 @@ def _cmd_ablate(args) -> int:
                 value_format="{:.1f}",
             )
         )
-    _report_cache(cache)
-    _report_health(health)
-    return 0 if _report_psan(psan_report) else 1
+    return 0 if _report_sweeps(options) else 1
 
 
 def _cmd_validate(args) -> int:
     from .harness.validate import validate
 
-    cache = _sweep_cache(args)
-    health = SweepHealth()
-    psan_report = _psan_sweep_report(args)
+    options = _sweep_options(args)
     if args.quick:
-        sweep = run_micro_sweep(
-            benchmarks=("hash", "sps"),
-            threads=(1,),
-            txns_per_thread=80,
-            jobs=args.jobs,
-            cache=cache,
-            cell_timeout=args.cell_timeout,
-            health=health,
-            psan_report=psan_report,
+        report = validate(
+            sweep=run_micro_sweep(
+                benchmarks=("hash", "sps"),
+                threads=(1,),
+                txns_per_thread=80,
+                **options,
+            )
         )
     else:
-        sweep = None
-    report = validate(sweep=sweep, jobs=args.jobs, cache=cache)
+        report = validate(**options)
     print(report.rendered)
-    _report_cache(cache)
-    _report_health(health)
-    psan_clean = _report_psan(psan_report)
+    psan_clean = _report_sweeps(options)
     return 0 if report.passed and psan_clean else 1
 
 

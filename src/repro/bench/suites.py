@@ -345,9 +345,9 @@ def compile_replay(quick: bool, timer: BenchTimer) -> dict:
 @register("pstatic-matrix", "static verifier vs dynamic psan over the canonical designs")
 def pstatic_matrix(quick: bool, timer: BenchTimer) -> dict:
     from ..harness.runner import RunConfig, prepare_workload
-    from ..sanitizer.checker import PersistOrderChecker
+    from ..sanitizer.checker import replay_checked
     from ..sanitizer.static import verify_trace
-    from ..sim.replay import compile_trace, run_compiled
+    from ..sim.replay import compile_trace
     from ..workloads import make_microbenchmark
 
     # The production configuration, not the tiny fixture: the verifier's
@@ -373,12 +373,7 @@ def pstatic_matrix(quick: bool, timer: BenchTimer) -> dict:
             counters["static_entries"] += static.cost()
             counters["static_bytes"] += column_bytes
 
-            holder: dict = {}
-
-            def hook(machine) -> None:
-                holder["checker"] = PersistOrderChecker.attach(machine)
-
-            outcome = run_compiled(
+            stats, report, _tracer = replay_checked(
                 trace,
                 RunConfig(
                     policy=spec,
@@ -387,10 +382,7 @@ def pstatic_matrix(quick: bool, timer: BenchTimer) -> dict:
                     system=prepared.system,
                     seed=11,
                 ),
-                machine_hook=hook,
             )
-            report = holder["checker"].finish()
-            stats = outcome.stats
             counters["dynamic_events"] += report.events_processed
             counters["dynamic_bytes"] += (
                 len(trace.image_prefix)
@@ -401,7 +393,6 @@ def pstatic_matrix(quick: bool, timer: BenchTimer) -> dict:
             counters["agreements"] += int(
                 static.rules_fired() == report.rules_fired()
             )
-            outcome.machine.nvram.recycle()
     counters["bytes_ratio"] = counters["dynamic_bytes"] // max(
         1, counters["static_bytes"]
     )

@@ -79,9 +79,7 @@ class ReplicaNode:
             )
         self.primary_size = primary_size
         self.line_size = line_size
-        self.nvram = NVRAM(
-            replace(system.nvram, size_bytes=size), track_crash_state=False
-        )
+        self.nvram = NVRAM(replace(system.nvram, size_bytes=size))
         self.nvram.load_image_prefix(image_prefix)
         # Ring geometry (entry addresses) only: shipped entries are
         # written straight into their slots, never placed.

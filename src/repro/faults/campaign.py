@@ -565,7 +565,7 @@ def _build_recovery_scenario(
     geometry = (log.base, log.num_entries, log.entry_size)
 
     # Counting pass doubles as the convergence reference.
-    reference = NVRAM(prepared.system.nvram, track_crash_state=False)
+    reference = NVRAM(prepared.system.nvram)
     reference.load_image_prefix(image)
     counter = FaultMonitor()
     reference_report = RecoveryManager(reference, CircularLog(*geometry)).recover(
@@ -590,7 +590,7 @@ def _run_recovery_point(
     point: FaultPoint,
 ) -> PointResult:
     """Interrupt recovery after the point's write; re-recover; verify."""
-    nvram = NVRAM(system.nvram, track_crash_state=False)
+    nvram = NVRAM(system.nvram)
     nvram.load_image_prefix(scenario.image)
     interrupted = False
     try:

@@ -26,6 +26,8 @@ used by the trace-replay execution engine (:mod:`repro.sim.replay`).
 Unlike the result cache it is an *engine* detail — it changes how a cell
 is executed, never what its stats are — so it is on by default and keyed
 **without** the design (one trace serves every design cell).
+:func:`compiled_trace` is the one way a cell gets its trace: sweep
+cells, psan and pstatic all look it up there.
 
 Environment knobs:
 
@@ -479,3 +481,29 @@ def peek_trace_cache() -> Optional[TraceCache]:
     trace don't print (or instantiate) an idle cache.
     """
     return _SHARED_TRACE_CACHE
+
+
+def compiled_trace(
+    workload: Workload,
+    system: SystemConfig,
+    threads: int,
+    txns_per_thread: int,
+    prepare,
+):
+    """The compiled trace of one ``(workload, threads)`` cell.
+
+    One lookup in the shared trace cache; on a miss the trace is
+    compiled from ``prepare()`` — a :class:`~repro.harness.runner
+    .PreparedWorkload` of ``workload`` on ``system`` — and stored.
+    ``prepare`` is called only on a miss, so a workload whose traces
+    all hit is never prepared.
+    """
+    from ..sim.replay import compile_trace
+
+    cache = shared_trace_cache()
+    key = cache.key(system, workload, threads, txns_per_thread)
+    trace = cache.get(key)
+    if trace is None:
+        trace = compile_trace(prepare(), threads, txns_per_thread)
+        cache.put(key, trace)
+    return trace

@@ -170,11 +170,12 @@ def figure10_whisper(
     txns_per_thread: int = 150,
     system: Optional[SystemConfig] = None,
     seed: int = 42,
-    jobs: int = 1,
-    cache=None,
+    **sweep_options,
 ) -> ExperimentResult:
     """WHISPER kernels: IPC, memory energy, throughput, and NVRAM write
-    traffic, normalized to unsafe-base (Figure 10)."""
+    traffic, normalized to unsafe-base (Figure 10).  ``sweep_options``
+    (``jobs``, ``cache``, ``psan_report``, ...) go to
+    :func:`~repro.harness.sweep.run_micro_sweep`."""
     sweep = run_micro_sweep(
         benchmarks=kernels,
         threads=(threads,),
@@ -183,8 +184,7 @@ def figure10_whisper(
         system=system,
         seed=seed,
         workload_factory=lambda name: make_whisper_kernel(name, seed=seed),
-        jobs=jobs,
-        cache=cache,
+        **sweep_options,
     )
     headers = ["kernel", "policy", "ipc", "memory_energy_red", "throughput", "write_red"]
     rows = []

@@ -1,24 +1,26 @@
 """Parallel sweep execution over worker processes, with self-healing.
 
 Sweep cells are embarrassingly parallel: each one builds a private
-machine, restores a prepared NVRAM snapshot and runs to completion with
-no shared mutable state.  :func:`run_cells_parallel` fans a list of cells
+machine, replays its compiled trace and runs to completion with no
+shared mutable state.  :func:`run_cells_parallel` fans a list of cells
 over a :class:`~concurrent.futures.ProcessPoolExecutor`.
 
-The prepared workloads (the expensive part — megabytes of set-up NVRAM
-image) are shipped **once per worker** through the pool initializer
-rather than once per cell; :class:`~repro.harness.runner.PreparedWorkload`
-pickles with its image prefix zlib-compressed, so even spawn-based start
-methods pay far less than the raw device size.  Results are plain
-:class:`~repro.sim.stats.MachineStats` dataclasses, cheap to return.
+The compiled traces (the expensive part — each carries the post-setup
+NVRAM image prefix) are shipped **once per worker** through the pool
+initializer rather than once per cell;
+:class:`~repro.sim.ctrace.CompiledTrace` pickles through its compact
+binary codec.  Results are :class:`~repro.sim.stats.MachineStats`
+dataclasses plus, under psan, a
+:class:`~repro.sanitizer.rules.PsanReport`, cheap to return.
 
 Self-healing: long sweeps die ugly when one worker is OOM-killed or
 wedges on a pathological cell.  The driver therefore
 
 * bounds each cell's wait with ``cell_timeout`` (hung workers are
   terminated, not joined forever),
-* retries the failed remainder up to ``max_retries`` times on a fresh
-  pool, with exponential backoff starting at ``retry_backoff`` seconds,
+* retries the failed remainder up to :data:`MAX_RETRIES` times on a
+  fresh pool, with exponential backoff starting at
+  :data:`RETRY_BACKOFF` seconds,
 * finally runs whatever still failed **serially in-process**, where no
   pool machinery can eat the result,
 
@@ -39,16 +41,20 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, TimeoutError
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
-from ..sim.stats import MachineStats
-from .runner import RunConfig, run_workload
+from ..sim.replay import run_compiled
+from .runner import RunConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sweep imports us)
     from .sweep import SweepCell
 
-#: Per-worker prepared state, installed by :func:`_init_worker`: prepared
-#: workloads keyed by benchmark, compiled traces keyed
-#: ``trace:<benchmark>@<threads>`` (as ``(system, trace)`` pairs).
-_WORKER_PREPARED: Dict[str, object] = {}
+#: Pool attempts after the first one, and the backoff before the first
+#: retry (doubling per round).
+MAX_RETRIES = 2
+RETRY_BACKOFF = 0.5
+
+#: Per-worker shipping map, installed by :func:`_init_worker`:
+#: ``{(benchmark, threads): (system, trace)}``.
+_WORKER_SHIPPING: Dict[tuple, tuple] = {}
 
 #: Test-only fault hook (see :func:`_apply_test_fault`).
 ENV_FAULT_DIR = "REPRO_SWEEP_FAULT_DIR"
@@ -92,10 +98,10 @@ class SweepHealth:
         )
 
 
-def _init_worker(prepared_map: Dict[str, object]) -> None:
-    """Pool initializer: receive the prepared workloads once."""
-    global _WORKER_PREPARED
-    _WORKER_PREPARED = prepared_map
+def _init_worker(shipping: Dict[tuple, tuple]) -> None:
+    """Pool initializer: receive the compiled traces once."""
+    global _WORKER_SHIPPING
+    _WORKER_SHIPPING = shipping
 
 
 def _apply_test_fault(benchmark: str, threads: int, policy) -> None:
@@ -125,55 +131,23 @@ def _apply_test_fault(benchmark: str, threads: int, policy) -> None:
         time.sleep(3600)
 
 
-def _psan_hook(holder: dict):
-    """A ``machine_hook`` that attaches a psan checker into ``holder``."""
-    from ..sanitizer.checker import PersistOrderChecker
-
-    def hook(machine) -> None:
-        holder["checker"] = PersistOrderChecker.attach(machine)
-
-    return hook
-
-
-def _finish_psan(holder: dict, stats: MachineStats, benchmark: str, threads: int):
-    """Evaluate an attached checker and stash its report on the stats.
-
-    The report rides back to the driver as an extra attribute —
-    :class:`~repro.sim.stats.MachineStats` pickles with its instance
-    dict, so worker-process results carry it across the pool boundary.
-    """
-    checker = holder.pop("checker")
-    report = checker.finish()
-    report.benchmark = benchmark
-    report.threads = threads
-    stats.psan_report = report
-
-
 def run_cell(
-    shipping: Dict[str, object],
+    shipping: Dict[tuple, tuple],
     cell: "SweepCell",
     txns_per_thread: int,
     seed: int,
     psan: bool = False,
-) -> MachineStats:
-    """Run one sweep cell from a shipping map; returns its stats.
+):
+    """Run one sweep cell; returns ``(stats, report)``.
 
-    The map holds compiled traces under ``trace:<benchmark>@<threads>``
-    keys (as ``(system, trace)`` pairs) and prepared workloads under
-    benchmark names.  A cell with a trace replays it (bit-identical
-    stats, far cheaper); otherwise it interprets the prepared workload.
-    The finished machine's NVRAM buffer is recycled, saving an
-    allocate+zero of the full device for the next cell.  ``psan`` runs
-    the cell under the persistency-ordering sanitizer.
+    ``shipping`` maps ``(benchmark, threads)`` to the ``(system, trace)``
+    the cell replays.  ``psan`` replays it under the persistency-ordering
+    sanitizer (``report`` is its :class:`~repro.sanitizer.rules
+    .PsanReport`, else None).  The finished machine's NVRAM buffer is
+    recycled, saving an allocate+zero of the full device for the next
+    cell.
     """
-    holder: dict = {}
-    hook = _psan_hook(holder) if psan else None
-    entry = shipping.get(f"trace:{cell.benchmark}@{cell.threads}")
-    if entry is not None:
-        system, trace = entry
-    else:
-        prepared = shipping[cell.benchmark]
-        system = prepared.system
+    system, trace = shipping[(cell.benchmark, cell.threads)]
     run = RunConfig(
         policy=cell.policy,
         threads=cell.threads,
@@ -181,27 +155,22 @@ def run_cell(
         system=system,
         seed=seed,
     )
-    if entry is not None:
-        from ..sim.replay import run_compiled
-
-        outcome = run_compiled(trace, run, machine_hook=hook)
-    else:
-        outcome = run_workload(
-            prepared.workload, run, prepared=prepared, machine_hook=hook
-        )
-    outcome.machine.nvram.recycle()
     if psan:
-        _finish_psan(holder, outcome.stats, cell.benchmark, cell.threads)
-    return outcome.stats
+        from ..sanitizer.checker import replay_checked
+
+        stats, report, _tracer = replay_checked(trace, run)
+        report.benchmark = cell.benchmark
+        return stats, report
+    outcome = run_compiled(trace, run)
+    outcome.machine.nvram.recycle()
+    return outcome.stats, None
 
 
-def _run_cell(
-    cell: "SweepCell", txns_per_thread: int, seed: int, psan: bool = False
-) -> MachineStats:
+def _run_cell(cell: "SweepCell", txns_per_thread: int, seed: int, psan: bool = False):
     """Worker-process entry: the test fault hook, then :func:`run_cell`
     over the shipping map the pool initializer installed."""
     _apply_test_fault(cell.benchmark, cell.threads, cell.policy)
-    return run_cell(_WORKER_PREPARED, cell, txns_per_thread, seed, psan)
+    return run_cell(_WORKER_SHIPPING, cell, txns_per_thread, seed, psan)
 
 
 def default_jobs(cells: int) -> int:
@@ -226,20 +195,20 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
 
 
 def _parallel_round(
-    prepared_map: Dict[str, object],
+    shipping: Dict[tuple, tuple],
     cells: List["SweepCell"],
     txns_per_thread: int,
     seed: int,
     jobs: int,
     cell_timeout: Optional[float],
     health: SweepHealth,
-    results: Dict["SweepCell", MachineStats],
+    results: dict,
     psan: bool = False,
 ) -> List["SweepCell"]:
     """One pool attempt over ``cells``; returns the cells that failed."""
     failed: List["SweepCell"] = []
     pool = ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_worker, initargs=(prepared_map,)
+        max_workers=jobs, initializer=_init_worker, initargs=(shipping,)
     )
     broken = False
     timed_out = False
@@ -274,46 +243,44 @@ def _parallel_round(
 
 
 def run_cells_parallel(
-    prepared_map: Dict[str, object],
+    shipping: Dict[tuple, tuple],
     cells: Iterable["SweepCell"],
     txns_per_thread: int,
     seed: int,
     jobs: int,
     cell_timeout: Optional[float] = None,
-    max_retries: int = 2,
-    retry_backoff: float = 0.5,
     health: Optional[SweepHealth] = None,
     psan: bool = False,
-) -> Dict["SweepCell", MachineStats]:
+) -> dict:
     """Execute ``cells`` across ``jobs`` worker processes, self-healing.
 
-    ``psan=True`` runs every cell under the persistency-ordering
-    sanitizer; each returned stats object carries its cell's
-    :class:`~repro.sanitizer.rules.PsanReport` as ``psan_report``.
+    Each cell runs through :func:`run_cell` over ``shipping``; ``psan``
+    runs every cell under the persistency-ordering sanitizer.
 
     ``cell_timeout`` bounds the wait for each cell's result (None waits
     forever); cells lost to a timeout or a worker death are retried on a
-    fresh pool up to ``max_retries`` times with exponential backoff
-    (``retry_backoff * 2**round`` seconds), and whatever still fails is
+    fresh pool up to :data:`MAX_RETRIES` times with exponential backoff
+    (``RETRY_BACKOFF * 2**round`` seconds), and whatever still fails is
     recovered serially in the driver process.  ``health`` (optional)
     accumulates what happened for CLI reporting.
 
-    Returns ``{cell: stats}``; callers impose their own ordering (dict
-    iteration order here is submission order, which the sweep re-sorts
-    into canonical matrix order anyway).  Results are bit-identical to
-    the serial loop regardless of how many attempts a cell needed.
+    Returns ``{cell: (stats, report)}``; callers impose their own
+    ordering (dict iteration order here is completion-round order,
+    which the sweep re-sorts into canonical matrix order anyway).
+    Results are bit-identical to the serial loop regardless of how many
+    attempts a cell needed.
     """
     if health is None:
         health = SweepHealth()
     remaining = list(cells)
-    results: Dict["SweepCell", MachineStats] = {}
+    results: dict = {}
     attempt = 0
-    while remaining and attempt <= max_retries:
+    while remaining and attempt <= MAX_RETRIES:
         if attempt:
             health.retry_rounds += 1
-            time.sleep(retry_backoff * (2 ** (attempt - 1)))
+            time.sleep(RETRY_BACKOFF * (2 ** (attempt - 1)))
         remaining = _parallel_round(
-            prepared_map,
+            shipping,
             remaining,
             txns_per_thread,
             seed,
@@ -327,5 +294,5 @@ def run_cells_parallel(
     # Last resort: no pool machinery between us and the result.
     for cell in remaining:
         health.serial_fallback_cells += 1
-        results[cell] = run_cell(prepared_map, cell, txns_per_thread, seed, psan)
+        results[cell] = run_cell(shipping, cell, txns_per_thread, seed, psan)
     return results

@@ -11,7 +11,6 @@ shared LLC and NVRAM banks see time-ordered contention.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -74,9 +73,6 @@ class PreparedWorkload:
     zeroed device, so everything past the last touched byte is zero) and
     restored into the freshly zeroed machine of each run — the tail of a
     mostly empty multi-megabyte device is never copied or even paged in.
-    Instances pickle with the prefix zlib-compressed, so shipping a
-    prepared workload to a sweep worker process costs far less than the
-    raw device size.
     """
 
     workload: Workload
@@ -89,17 +85,6 @@ class PreparedWorkload:
     def image(self) -> bytes:
         """The full initial NVRAM image (reconstructed; test/debug use)."""
         return self.image_prefix + bytes(self.image_size - len(self.image_prefix))
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["image_prefix"] = zlib.compress(self.image_prefix, 1)
-        state["_compressed"] = True
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        if state.pop("_compressed", False):
-            state["image_prefix"] = zlib.decompress(state["image_prefix"])
-        self.__dict__.update(state)
 
 
 def prepare_workload(
@@ -193,11 +178,9 @@ def build_run(
         workload.setup(pm)
     else:
         if isinstance(snapshot, PreparedWorkload):
-            # Identity-key comparison (not object identity): a prepared
-            # workload that crossed a pickle boundary — e.g. shipped to
-            # a sweep worker process — is a different object with the
-            # same configuration and post-setup state, and must be
-            # accepted.
+            # Identity-key comparison (not object identity): an
+            # equivalent instance — same configuration, so same
+            # post-setup state — must be accepted.
             if snapshot.workload.identity_key() != workload.identity_key():
                 raise WorkloadError("prepared state belongs to a different workload")
             # The prepared instance carries the post-setup host-side

@@ -13,11 +13,11 @@ The sweep engine has three throughput levers on top of the serial loop:
 * ``cache=`` consults a content-addressed on-disk store
   (:mod:`~repro.harness.cache`) before running anything; benchmarks whose
   cells all hit are never even prepared.
-* trace compilation (:mod:`~repro.sim.replay`, for every
-  ``trace_compilable`` workload): each ``(benchmark, threads)`` pair's
-  micro-op stream is decoded once — or fetched from the shared trace
-  cache, skipping preparation entirely — and replayed per design cell,
-  bit-identically.
+* trace compilation (:mod:`~repro.sim.replay`): each ``(benchmark,
+  threads)`` pair's micro-op stream comes from
+  :func:`~repro.harness.cache.compiled_trace` — decoded once, or fetched
+  from the shared trace cache, skipping preparation entirely — and is
+  replayed per design cell, bit-identically.
 
 Whatever mix of cached and fresh cells a sweep ends up with, the result
 dict is assembled in canonical matrix order (benchmarks outermost,
@@ -28,6 +28,7 @@ cold serial sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, Iterable, Optional
 
 from ..core.design import CANONICAL_DESIGNS, DesignSpec, canonical_order, resolve_design
@@ -35,7 +36,7 @@ from ..sim.config import SystemConfig
 from ..sim.stats import MachineStats
 from ..workloads import make_microbenchmark
 from ..workloads.base import Workload
-from .cache import SweepCache, shared_trace_cache
+from .cache import SweepCache, compiled_trace
 from .runner import default_experiment_config, prepare_workload
 
 
@@ -111,8 +112,6 @@ def run_micro_sweep(
     jobs: int = 1,
     cache: Optional[SweepCache] = None,
     cell_timeout: Optional[float] = None,
-    max_retries: int = 2,
-    retry_backoff: float = 0.5,
     health=None,
     psan_report=None,
 ) -> SweepResult:
@@ -122,9 +121,8 @@ def run_micro_sweep(
     workload (used by the WHISPER sweep and by tests).  ``jobs > 1`` runs
     the cells on that many worker processes; ``cache`` (off by default —
     library callers opt in, the CLI passes one) serves cells from the
-    on-disk store and writes back fresh results.  ``cell_timeout``,
-    ``max_retries``, ``retry_backoff`` and ``health`` configure the
-    parallel driver's self-healing (see
+    on-disk store and writes back fresh results.  ``cell_timeout`` and
+    ``health`` configure the parallel driver's self-healing (see
     :func:`~repro.harness.parallel.run_cells_parallel`); they are ignored
     by the serial path, which has no workers to lose.
 
@@ -176,55 +174,32 @@ def run_micro_sweep(
                 continue
         pending.append(cell)
 
+    reports: Dict[SweepCell, object] = {}
     if pending:
-        # Execution planning: cells of trace-compilable workloads replay
-        # a compiled trace (decode once per (benchmark, threads), replay
-        # per design cell — see repro.sim.replay); everything else runs
-        # interpreted from a prepared snapshot.  When a benchmark's
-        # traces all come from the trace cache, its (expensive) setup
-        # phase is skipped entirely.
-        needed_threads: Dict[str, set] = {}
-        for cell in pending:
-            needed_threads.setdefault(cell.benchmark, set()).add(cell.threads)
-
-        trace_cache = shared_trace_cache()
+        # One trace per (benchmark, threads) pair, replayed per design
+        # cell; a benchmark whose traces all hit is never prepared.
         prepared: Dict[str, object] = {}
-        traces: Dict[tuple, object] = {}
 
-        def _prepared_for(benchmark: str):
+        def _prepare(benchmark: str):
             if benchmark not in prepared:
-                prepared[benchmark] = prepare_workload(workloads[benchmark], system)
+                prepared[benchmark] = prepare_workload(
+                    workloads[benchmark], resolved_system
+                )
             return prepared[benchmark]
 
-        for benchmark, thread_counts in needed_threads.items():
-            workload = workloads[benchmark]
-            if getattr(workload, "trace_compilable", False):
-                from ..sim.replay import compile_trace
-
-                for nthreads in sorted(thread_counts):
-                    trace_key = trace_cache.key(
-                        resolved_system, workload, nthreads, txns_per_thread
-                    )
-                    trace = trace_cache.get(trace_key)
-                    if trace is None:
-                        trace = compile_trace(
-                            _prepared_for(benchmark), nthreads, txns_per_thread
-                        )
-                        trace_cache.put(trace_key, trace)
-                    traces[(benchmark, nthreads)] = trace
-            else:
-                _prepared_for(benchmark)
-
-        # Ship compiled traces; a prepared snapshot rides along only for
-        # benchmarks with interpreted cells.
-        traced_benchmarks = {benchmark for benchmark, _ in traces}
-        shipping: Dict[str, object] = {
-            benchmark: prepared[benchmark]
-            for benchmark in needed_threads
-            if benchmark not in traced_benchmarks
-        }
-        for (benchmark, nthreads), trace in traces.items():
-            shipping[f"trace:{benchmark}@{nthreads}"] = (resolved_system, trace)
+        shipping: Dict[tuple, tuple] = {}
+        for cell in pending:
+            pair = (cell.benchmark, cell.threads)
+            if pair not in shipping:
+                trace = compiled_trace(
+                    workloads[cell.benchmark],
+                    resolved_system,
+                    cell.threads,
+                    txns_per_thread,
+                    partial(_prepare, cell.benchmark),
+                )
+                shipping[pair] = (resolved_system, trace)
+        psan = psan_report is not None
         if jobs > 1:
             from .parallel import run_cells_parallel
 
@@ -235,30 +210,26 @@ def run_micro_sweep(
                 seed,
                 jobs,
                 cell_timeout=cell_timeout,
-                max_retries=max_retries,
-                retry_backoff=retry_backoff,
                 health=health,
-                psan=psan_report is not None,
+                psan=psan,
             )
         else:
             from .parallel import run_cell
 
             fresh = {
-                cell: run_cell(
-                    shipping, cell, txns_per_thread, seed, psan_report is not None
-                )
+                cell: run_cell(shipping, cell, txns_per_thread, seed, psan)
                 for cell in pending
             }
-        for cell, stats in fresh.items():
+        for cell, (stats, report) in fresh.items():
             collected[cell] = stats
+            reports[cell] = report
             if cache is not None:
                 cache.put(keys[cell], stats)
 
     if psan_report is not None:
         for cell in order:
-            report = getattr(collected[cell], "psan_report", None)
-            if report is not None:
-                report.policy = cell.policy.value
-                psan_report.reports.append(report)
+            report = reports[cell]
+            report.policy = cell.policy.value
+            psan_report.reports.append(report)
 
     return SweepResult({cell: collected[cell] for cell in order})

@@ -62,20 +62,18 @@ def validate(
     sweep: Optional[SweepResult] = None,
     threads: int = 1,
     txns_per_thread: int = 250,
-    jobs: int = 1,
-    cache=None,
+    **sweep_options,
 ) -> ValidationReport:
     """Run the headline shape checks; returns the report.
 
-    ``jobs`` and ``cache`` (a :class:`~repro.harness.cache.SweepCache`)
-    are forwarded to :func:`run_micro_sweep` when no sweep is supplied.
+    ``sweep_options`` (``jobs``, ``cache``, ``psan_report``, ...) are
+    forwarded to :func:`run_micro_sweep` when no sweep is supplied.
     """
     if sweep is None:
         sweep = run_micro_sweep(
             threads=(threads,),
             txns_per_thread=txns_per_thread,
-            jobs=jobs,
-            cache=cache,
+            **sweep_options,
         )
     report = ValidationReport()
 

@@ -138,8 +138,8 @@ class PersistOrderChecker:
         }
 
     @classmethod
-    def attach(cls, machine, tracer=None, capacity: int = 1_000_000):
-        """Attach a fresh checker (and tracer, unless given) to ``machine``.
+    def attach(cls, machine):
+        """Attach a fresh checker and tracer to ``machine``.
 
         Emits the ``meta`` event into the stream so a trace saved from
         this tracer can be re-checked offline, then subscribes the
@@ -147,8 +147,7 @@ class PersistOrderChecker:
         """
         from ..sim.trace import Tracer
 
-        if tracer is None:
-            tracer = Tracer(capacity=capacity)
+        tracer = Tracer(capacity=1_000_000)
         checker = cls()
         machine.tracer = tracer
         tracer.subscribe(checker.feed)
@@ -748,6 +747,61 @@ class PersistOrderChecker:
 # ----------------------------------------------------------------------
 # Harness entry points
 # ----------------------------------------------------------------------
+def replay_checked(trace, run, bind_out=None):
+    """Replay ``trace`` under ``run`` with a checker attached.
+
+    The checker is attached to the freshly built machine, before the
+    image is restored, so its stream covers exactly the timed execution.
+    The replayed device is recycled.  ``bind_out`` receives the replay's
+    symbolic binding (see :func:`~repro.sim.replay.run_compiled`).
+    Returns ``(stats, report, tracer)``; ``report.threads`` is set, the
+    caller names the benchmark.
+    """
+    from ..sim.replay import run_compiled
+
+    checkers: list = []
+    outcome = run_compiled(
+        trace,
+        run,
+        machine_hook=lambda machine: checkers.append(
+            PersistOrderChecker.attach(machine)
+        ),
+        bind_out=bind_out,
+    )
+    outcome.machine.nvram.recycle()
+    (checker,) = checkers
+    report = checker.finish()
+    report.threads = run.threads
+    return outcome.stats, report, checker.tracer
+
+
+def cell_trace(benchmark, threads, txns_per_thread, system, prepared, seed):
+    """A microbenchmark cell's compiled trace and the system it runs on.
+
+    The trace comes from :func:`~repro.harness.cache.compiled_trace`;
+    ``prepared``, when given, is the benchmark's preparation (and fixes
+    the system), else the benchmark is built from ``seed`` and prepared
+    only if the trace misses.  Returns ``(trace, system)``.
+    """
+    from ..harness.cache import compiled_trace
+    from ..harness.runner import default_experiment_config, prepare_workload
+    from ..workloads import make_microbenchmark
+
+    if prepared is not None:
+        workload, system = prepared.workload, prepared.system
+    else:
+        workload = make_microbenchmark(benchmark, seed=seed)
+        system = system or default_experiment_config()
+    trace = compiled_trace(
+        workload,
+        system,
+        threads,
+        txns_per_thread,
+        lambda: prepared or prepare_workload(workload, system),
+    )
+    return trace, system
+
+
 def run_psan(
     benchmark: str,
     policy,
@@ -757,77 +811,33 @@ def run_psan(
     prepared=None,
     seed: int = 42,
     trace_path: Optional[str] = None,
-    capacity: int = 1_000_000,
 ) -> PsanReport:
     """Run one (benchmark, policy, threads) cell under the sanitizer.
 
-    Builds the machine through the standard runner with the checker
-    attached before setup, so the stream covers exactly the timed
-    execution.  ``trace_path`` additionally saves the raw event stream
-    as JSONL for offline re-checking (``repro psan --from-trace``).
-
-    Trace-compilable workloads run on compiled replay, whose event
-    stream is bit-identical to interpretation
-    (``tests/sim/test_replay.py``); one decode then amortizes across the
-    whole policy x threads matrix through the shared trace cache.
+    The cell's trace (:func:`cell_trace`) replays through
+    :func:`replay_checked`; its event stream is bit-identical to
+    interpretation (``tests/sim/test_replay.py``).  ``trace_path``
+    additionally saves the raw event stream as JSONL for offline
+    re-checking (``repro psan --from-trace``).
     """
-    from ..harness.cache import shared_trace_cache
-    from ..harness.runner import RunConfig, prepare_workload, run_workload
-    from ..workloads import make_microbenchmark
+    from ..harness.runner import RunConfig
 
-    if prepared is not None:
-        workload = prepared.workload
-    else:
-        workload = make_microbenchmark(benchmark, seed=seed)
-    holder: dict = {}
-
-    def hook(machine) -> None:
-        holder["checker"] = PersistOrderChecker.attach(machine, capacity=capacity)
-
-    if getattr(workload, "trace_compilable", False):
-        from ..sim.replay import compile_trace, run_compiled
-
-        if prepared is None:
-            prepared = prepare_workload(workload, system)
-        trace_cache = shared_trace_cache()
-        trace_key = trace_cache.key(
-            prepared.system, workload, threads, txns_per_thread
-        )
-        trace = trace_cache.get(trace_key)
-        if trace is None:
-            trace = compile_trace(prepared, threads, txns_per_thread)
-            trace_cache.put(trace_key, trace)
-        outcome = run_compiled(
-            trace,
-            RunConfig(
-                policy=policy,
-                threads=threads,
-                txns_per_thread=txns_per_thread,
-                system=prepared.system,
-                seed=seed,
-            ),
-            machine_hook=hook,
-        )
-    else:
-        outcome = run_workload(
-            workload,
-            RunConfig(
-                policy=policy,
-                threads=threads,
-                txns_per_thread=txns_per_thread,
-                system=system,
-                seed=seed,
-            ),
-            prepared=prepared,
-            machine_hook=hook,
-        )
-    checker = holder["checker"]
+    trace, system = cell_trace(
+        benchmark, threads, txns_per_thread, system, prepared, seed
+    )
+    _stats, report, tracer = replay_checked(
+        trace,
+        RunConfig(
+            policy=policy,
+            threads=threads,
+            txns_per_thread=txns_per_thread,
+            system=system,
+            seed=seed,
+        ),
+    )
     if trace_path is not None:
-        checker.tracer.to_jsonl(trace_path)
-    report = checker.finish()
+        tracer.to_jsonl(trace_path)
     report.benchmark = benchmark
-    report.threads = threads
-    outcome.machine.nvram.recycle()
     return report
 
 

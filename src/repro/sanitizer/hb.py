@@ -10,8 +10,8 @@ happens-before edge orders.
 
 Compiled traces carry no synchronization ops today — workloads partition
 the heap per thread precisely so their recorded streams are
-interleaving-independent (the ``trace_compilable`` contract).  A clean
-race report is therefore the *proof obligation* behind that contract:
+interleaving-independent (the ``Workload.thread_body`` contract).  A
+clean race report is therefore the *proof obligation* behind that contract:
 if a workload ever touches a shared word, the detector fails the cell
 before replay could silently pick one winner.  The detector still
 implements the full vector-clock algebra (``acquire``/``release`` edges)

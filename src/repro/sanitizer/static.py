@@ -70,6 +70,7 @@ from ..sim.ctrace import (
     SYM_OFF_MASK,
     CompiledTrace,
 )
+from .checker import cell_trace, replay_checked
 from .hb import RaceReport, detect_races
 from .rules import (
     LOGGING_RULES,
@@ -831,32 +832,6 @@ def verify_ship_schedule(timeline) -> dict:
 # ----------------------------------------------------------------------
 # Harness entry points
 # ----------------------------------------------------------------------
-def _compiled_cell(benchmark, threads, txns_per_thread, system, prepared, seed):
-    """The cell's compiled trace (shared trace cache) and preparation."""
-    from ..harness.cache import shared_trace_cache
-    from ..harness.runner import prepare_workload
-    from ..sim.replay import compile_trace
-    from ..workloads import make_microbenchmark
-
-    if prepared is None:
-        prepared = prepare_workload(
-            make_microbenchmark(benchmark, seed=seed), system
-        )
-    workload = prepared.workload
-    if not getattr(workload, "trace_compilable", False):
-        raise ValueError(
-            f"workload {benchmark!r} is not trace-compilable; the static "
-            "verifier needs compiled op columns"
-        )
-    cache = shared_trace_cache()
-    key = cache.key(prepared.system, workload, threads, txns_per_thread)
-    trace = cache.get(key)
-    if trace is None:
-        trace = compile_trace(prepared, threads, txns_per_thread)
-        cache.put(key, trace)
-    return trace, prepared
-
-
 def run_pstatic(
     benchmark: str,
     policy,
@@ -874,10 +849,10 @@ def run_pstatic(
     :func:`~repro.sanitizer.checker.run_psan`, returning comparable
     fired-rule sets.
     """
-    trace, prepared = _compiled_cell(
+    trace, system = cell_trace(
         benchmark, threads, txns_per_thread, system, prepared, seed
     )
-    report = verify_trace(trace, policy, system=prepared.system, hb=hb)
+    report = verify_trace(trace, policy, system=system, hb=hb)
     report.benchmark = benchmark
     return report
 
@@ -893,22 +868,13 @@ def _relocate(addr: Optional[int], bind: dict) -> Optional[int]:
     return base + (addr & SYM_OFF_MASK)
 
 
-def _dynamic_report_with_bind(
-    trace, policy, system, threads, txns_per_thread, seed
-):
-    """Replay the cell with the checker attached; returns the
-    dynamic report plus the symbolic address binding."""
+def _replay_bound(trace, policy, system, threads, txns_per_thread, seed):
+    """Replay the cell under the checker; returns the dynamic report
+    plus the symbolic address binding."""
     from ..harness.runner import RunConfig
-    from ..sim.replay import run_compiled
-    from .checker import PersistOrderChecker
-
-    holder: dict = {}
-
-    def hook(machine) -> None:
-        holder["checker"] = PersistOrderChecker.attach(machine)
 
     bind: dict = {}
-    outcome = run_compiled(
+    _stats, report, _tracer = replay_checked(
         trace,
         RunConfig(
             policy=policy,
@@ -917,11 +883,8 @@ def _dynamic_report_with_bind(
             system=system,
             seed=seed,
         ),
-        machine_hook=hook,
         bind_out=bind,
     )
-    report = holder["checker"].finish()
-    outcome.machine.nvram.recycle()
     return report, bind
 
 
@@ -952,11 +915,11 @@ def confirm_counterexample(
     is relocated through the replay's block binding, and the diagnostic
     must match on rule, thread and (when both carry one) address.
     """
-    trace, prepared = _compiled_cell(
+    trace, system = cell_trace(
         benchmark, threads, txns_per_thread, system, prepared, seed
     )
-    report, bind = _dynamic_report_with_bind(
-        trace, resolve_design(policy), prepared.system, threads, txns_per_thread, seed
+    report, bind = _replay_bound(
+        trace, resolve_design(policy), system, threads, txns_per_thread, seed
     )
     real_addr = _relocate(cex.addr, bind)
     for diag in report.diagnostics:
@@ -1181,15 +1144,15 @@ def run_differential(
     for benchmark in benchmarks:
         prepared = prepare_workload(make_microbenchmark(benchmark, seed=seed))
         for threads in threads_list:
-            trace, prepared = _compiled_cell(
+            trace, system = cell_trace(
                 benchmark, threads, txns_per_thread, None, prepared, seed
             )
             for policy in policies:
                 spec = resolve_design(policy)
-                static = verify_trace(trace, spec, system=prepared.system, hb=hb)
+                static = verify_trace(trace, spec, system=system, hb=hb)
                 static.benchmark = benchmark
-                dynamic, bind = _dynamic_report_with_bind(
-                    trace, spec, prepared.system, threads, txns_per_thread, seed
+                dynamic, bind = _replay_bound(
+                    trace, spec, system, threads, txns_per_thread, seed
                 )
                 dynamic_fired = dynamic.rules_fired()
                 static_fired = static.rules_fired()

@@ -292,10 +292,6 @@ class ShardMachine:
             return 0
         return max(buffer.occupancy for buffer in buffers)
 
-    def next_event_cycle(self) -> Optional[float]:
-        """Clock of the earliest runnable thread (None if all parked/done)."""
-        return self._ready[0][0] if self._ready else None
-
     def completed_requests(self) -> list:
         """``(request, commit_durable, tid)`` in commit order."""
         return self.pm.request_log

@@ -63,11 +63,6 @@ def sym_token(block_id: int) -> int:
     return SYM_BASE + block_id * SYM_STRIDE
 
 
-def sym_block(addr: int) -> int:
-    """Block id of a symbolic address."""
-    return (addr - SYM_BASE) >> 24
-
-
 @dataclass
 class CompiledThread:
     """One thread's recorded op stream as parallel columns."""
@@ -119,26 +114,6 @@ class CompiledThread:
         piece_sym = self.piece_sym
         for j in range(first, first + count):
             yield j, piece_addr[j], piece_len[j], bool(piece_sym[j])
-
-    def txn_spans(self) -> list:
-        """``(begin_index, commit_index)`` per transaction, in order.
-
-        ``commit_index`` is ``None`` for a transaction left open at the
-        end of the recorded stream (never the case for traces the
-        compiler produces, but synthetic analyzer inputs may be
-        truncated).
-        """
-        spans: list = []
-        open_at = None
-        for i, kind in enumerate(self.kinds):
-            if kind == K_TX_BEGIN:
-                open_at = i
-            elif kind == K_TX_COMMIT and open_at is not None:
-                spans.append((open_at, i))
-                open_at = None
-        if open_at is not None:
-            spans.append((open_at, None))
-        return spans
 
     # ------------------------------------------------------------------
     def derive_read_lines(self, line_size: int) -> None:
@@ -271,7 +246,7 @@ class CompiledTrace:
         return body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little")
 
     @classmethod
-    def from_bytes(cls, payload: bytes, line_size: Optional[int] = None) -> "CompiledTrace":
+    def from_bytes(cls, payload: bytes) -> "CompiledTrace":
         """Decode :meth:`to_bytes` output; raises ``ValueError`` on any
         mismatch (magic, checksum, format version, byte order)."""
         if payload[:8] != _MAGIC:
@@ -308,7 +283,7 @@ class CompiledTrace:
                 blobs.append(columns_raw[offset:offset + blob_len])
                 offset += blob_len
             threads.append(CompiledThread.from_blobs(blobs))
-        trace = cls(
+        return cls(
             workload_key=_key_from_json(header["workload_key"]),
             threads=header["threads"],
             txns_per_thread=header["txns_per_thread"],
@@ -321,9 +296,6 @@ class CompiledTrace:
             block_sizes=list(header["block_sizes"]),
             thread_cols=threads,
         )
-        if line_size is not None:
-            trace.derive(line_size)
-        return trace
 
 
 def _key_to_json(key):

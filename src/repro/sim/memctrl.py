@@ -177,10 +177,6 @@ class MemoryController:
         stats.energy_nvram_pj += self._energy.nvram_write_pj(size)
         return _ticket(WriteTicket, (durable, stall, accepted))
 
-    def pending_write_completion(self) -> float:
-        """Latest completion time among writes still holding queue slots."""
-        return max(self._write_slots) if self._write_slots else 0.0
-
     def retire(self, now: float) -> None:
         """Release bookkeeping for activity durable at ``now``."""
         while self._write_slots and self._write_slots[0] <= now:

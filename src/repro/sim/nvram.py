@@ -41,7 +41,7 @@ class NVRAM:
     _image_pool: dict[int, list[bytearray]] = {}
     _IMAGE_POOL_LIMIT = 4
 
-    def __init__(self, config: NVDimmConfig, track_crash_state: bool = True) -> None:
+    def __init__(self, config: NVDimmConfig) -> None:
         config.validate()
         self.config = config
         self._size = config.size_bytes
@@ -54,7 +54,6 @@ class NVRAM:
         self._mid = self._size // 2
         self._lo_hwm = 0
         self._hi_lwm = self._size
-        self._track = track_crash_state
         self._row_buffers = config.row_buffers_per_bank
         # Per-bank open rows (LRU list, newest last; the cited PCM design
         # has several row buffers per bank) and next-free times.  The
@@ -123,9 +122,9 @@ class NVRAM:
         """Apply a write that becomes durable at ``completion_time``.
 
         The write is applied to the image immediately (the simulator is
-        functional-first); if crash tracking is on, the overwritten bytes
-        are journaled so :meth:`revert_after` can undo writes that were
-        still in flight at a crash.
+        functional-first); the overwritten bytes are journaled so
+        :meth:`revert_after` can undo writes that were still in flight at
+        a crash.
         """
         size = len(data)
         end = addr + size
@@ -135,8 +134,7 @@ class NVRAM:
                 f"limit={self._size:#x}"
             )
         image = self.image
-        if self._track:
-            self._journal.append((completion_time, addr, bytes(image[addr:end])))
+        self._journal.append((completion_time, addr, bytes(image[addr:end])))
         image[addr:end] = data
         if addr < self._mid:
             if end > self._lo_hwm:
@@ -255,8 +253,6 @@ class NVRAM:
         writes durable between the two instants are gone from the
         journal, and keeping them would silently misstate the crash.
         """
-        if not self._track:
-            raise AddressError("crash tracking disabled for this NVRAM device")
         if crash_time < self._retired_to:
             raise SimulationError(
                 f"cannot crash at cycle {crash_time}: the undo journal was "

@@ -22,11 +22,12 @@ golden model, and leave the same NVRAM image.  Reads are issued
 straight from the trace's derived ``read_line`` column, as the same
 per-line loads ``ThreadAPI.read`` issues.
 
-Validity of sequential recording: every trace-compilable workload
-partitions its data per thread (``tid % MAX_PARTITIONS``), derives its
-RNG from ``(seed, tid)`` and never reads another thread's writes, so each
-thread's operation stream is independent of the interleaving and can be
-recorded thread-at-a-time.  Allocation is the one cross-thread coupling:
+Validity of sequential recording: every workload partitions its data
+per thread (``tid % MAX_PARTITIONS``), derives its RNG from ``(seed,
+tid)`` and never reads another thread's writes (the contract of
+:meth:`~repro.workloads.base.Workload.thread_body`), so each thread's
+operation stream is independent of the interleaving and can be recorded
+thread-at-a-time.  Allocation is the one cross-thread coupling:
 the recorder never models the *shared* heap (interleaving-dependent) —
 every shared-heap allocation yields a fresh symbolic token, bound to the
 real address the replayed cell obtains (see :mod:`repro.sim.ctrace`);
@@ -224,14 +225,9 @@ def compile_trace(prepared, threads: int, txns_per_thread: int) -> CompiledTrace
     Runs every thread generator to completion against the functional
     memory, one thread at a time (valid for partitioned workloads; see
     the module docstring).  ``prepared`` is a
-    :class:`~repro.harness.runner.PreparedWorkload` whose workload has
-    ``trace_compilable = True``.
+    :class:`~repro.harness.runner.PreparedWorkload`.
     """
     workload = prepared.workload
-    if not getattr(workload, "trace_compilable", False):
-        raise WorkloadError(
-            f"workload {workload.name!r} is not trace-compilable"
-        )
     workload.reset_run_state()
     memory = _RecordingMemory(prepared.image_prefix)
     columns = []

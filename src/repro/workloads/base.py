@@ -136,14 +136,6 @@ class Workload(abc.ABC):
     paper_footprint: str = "-"
     #: one-line description for Table III.
     description: str = ""
-    #: True when thread bodies are partitioned and deterministic per
-    #: ``(seed, tid)`` — touching only their own partition through the
-    #: accessor protocol, never reading uninitialised memory — so the
-    #: trace-compilation engine (:mod:`repro.sim.replay`) may record each
-    #: thread once and replay the stream under every design.  Workloads
-    #: with cross-thread coupling or direct heap/NVRAM access must leave
-    #: this False and run interpreted.
-    trace_compilable: bool = False
     #: True when the workload's transactions are client-request shaped
     #: and it implements :meth:`serve_request`, so the service layer
     #: (:mod:`repro.sched`) can drive it from an open-loop traffic
@@ -177,7 +169,7 @@ class Workload(abc.ABC):
         cell, plus once by the trace compiler.  Anything host-side that
         thread bodies mutate (append cursors, free-slot rotors) must be
         re-derivable from ``(seed, tid)`` alone, or the second run sees
-        the first run's leftovers and the ``trace_compilable`` contract
+        the first run's leftovers and the :meth:`thread_body` contract
         (identical stream per run) silently breaks.  Subclasses with such
         state override this; the harness calls it before every run and
         before trace recording.
@@ -233,9 +225,8 @@ class Workload(abc.ABC):
         The key covers the concrete class plus every public (non-derived)
         attribute — derived run state uses underscored names by
         convention.  Used by the prepared-state check in
-        :func:`repro.harness.runner.run_workload` (which must accept a
-        pickle-round-tripped workload in a worker process) and by the
-        sweep result cache.
+        :func:`repro.harness.runner.build_run` (which must accept an
+        equivalent instance) and by the sweep result and trace caches.
         """
         public = tuple(
             (name, repr(value))
@@ -248,7 +239,19 @@ class Workload(abc.ABC):
     def thread_body(
         self, api: ThreadAPI, tid: int, num_txns: int
     ) -> Iterator[None]:
-        """Generator running ``num_txns`` transactions, yielding after each."""
+        """Generator running ``num_txns`` transactions, yielding after each.
+
+        The contract every workload keeps: the body is partitioned and
+        deterministic per ``(seed, tid)`` — it touches only its own
+        partition (``tid % MAX_PARTITIONS``), through ``api`` alone,
+        never reads another thread's writes or uninitialised memory, and
+        draws its randomness from ``(seed, tid)``.  Each thread's stream
+        is then independent of the interleaving, so the trace compiler
+        (:mod:`repro.sim.replay`) records each thread once and replays
+        the stream under every design.  The happens-before race
+        detector (:mod:`repro.sanitizer.hb`) and the replay-equivalence
+        tests check it.
+        """
 
     # ------------------------------------------------------------------
     # Shared helpers

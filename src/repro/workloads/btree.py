@@ -42,7 +42,6 @@ class BTreeWorkload(Workload):
     """Insert-if-absent / remove-if-found over a B+ tree."""
 
     name = "btree"
-    trace_compilable = True
     paper_footprint = "256 MB"
     description = (
         "Searches for a value in a B+ tree. Insert if absent, remove if found."

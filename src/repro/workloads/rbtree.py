@@ -39,7 +39,6 @@ class RBTreeWorkload(Workload):
     """Insert-if-absent / remove-if-found over a red-black tree."""
 
     name = "rbtree"
-    trace_compilable = True
     paper_footprint = "256 MB"
     description = (
         "Searches for a value in a red-black tree. "

@@ -23,7 +23,6 @@ class SPSWorkload(Workload):
     """Random swaps in a persistent vector."""
 
     name = "sps"
-    trace_compilable = True
     paper_footprint = "1 GB"
     description = "Random swaps between entries in a vector of values."
 

@@ -47,7 +47,6 @@ class SSCA2Workload(Workload):
     """Transactional SSCA 2.2-style graph analyses."""
 
     name = "ssca2"
-    trace_compilable = True
     paper_footprint = "16 MB"
     description = (
         "A transactional implementation of SSCA 2.2, performing several "

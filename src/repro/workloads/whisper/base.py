@@ -113,7 +113,7 @@ class AppendLog:
         without the rewind a second run of the same workload instance
         appends at different addresses than the first, breaking the
         deterministic-per-``(seed, tid)`` half of the
-        ``trace_compilable`` contract.
+        ``Workload.thread_body`` contract.
         """
         self._cursor = [0] * MAX_PARTITIONS
 

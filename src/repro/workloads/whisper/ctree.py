@@ -31,7 +31,6 @@ class CTreeKernel(Workload):
 
     name = "ctree"
     description = "Crit-bit-style tree insert/remove (WHISPER ctree)."
-    trace_compilable = True
 
     def __init__(
         self, seed: int = 42, value_kind: str = "int", keys_per_partition: int = 4096

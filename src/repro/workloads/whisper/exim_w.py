@@ -29,7 +29,6 @@ class EximKernel(Workload):
 
     name = "exim"
     description = "Mail server: spool create/append/delete churn (WHISPER exim)."
-    trace_compilable = True
 
     def __init__(
         self, seed: int = 42, value_kind: str = "int", spool_slots: int = 1024

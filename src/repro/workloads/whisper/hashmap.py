@@ -22,7 +22,6 @@ class HashmapKernel(Workload):
 
     name = "hashmap"
     description = "Open-addressing hash map insert/remove (WHISPER hashmap)."
-    trace_compilable = True
 
     def __init__(
         self, seed: int = 42, value_kind: str = "int", keys_per_partition: int = 4096

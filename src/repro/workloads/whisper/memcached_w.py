@@ -23,7 +23,6 @@ class MemcachedKernel(Workload):
 
     name = "memcached"
     description = "Cache get/set with LRU list splices (WHISPER memcached)."
-    trace_compilable = True
     request_shaped = True
 
     def __init__(

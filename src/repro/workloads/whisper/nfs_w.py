@@ -34,7 +34,6 @@ class NFSKernel(Workload):
 
     name = "nfs"
     description = "File server: block writes + inode/dir metadata (WHISPER nfs)."
-    trace_compilable = True
 
     def __init__(
         self, seed: int = 42, value_kind: str = "int", files_per_partition: int = 512

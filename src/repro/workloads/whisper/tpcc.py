@@ -30,7 +30,6 @@ class TPCCKernel(Workload):
 
     name = "tpcc"
     description = "TPC-C new-order: multi-record, write-intensive (WHISPER tpcc)."
-    trace_compilable = True
 
     def __init__(
         self, seed: int = 42, value_kind: str = "int", items_per_partition: int = 4096

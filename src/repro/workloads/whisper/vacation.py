@@ -27,7 +27,6 @@ class VacationKernel(Workload):
 
     name = "vacation"
     description = "Travel reservations: read-heavy, few writes (WHISPER vacation)."
-    trace_compilable = True
 
     def __init__(
         self, seed: int = 42, value_kind: str = "int", records_per_table: int = 1024

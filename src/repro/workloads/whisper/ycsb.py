@@ -25,7 +25,6 @@ class YCSBKernel(Workload):
 
     name = "ycsb"
     description = "Zipfian 50/50 read/update KV mix (WHISPER ycsb)."
-    trace_compilable = True
     request_shaped = True
 
     def __init__(

@@ -1,9 +1,10 @@
-"""Parallel sweep execution: determinism, prepared-state shipping, and
+"""Parallel sweep execution: determinism, prepared-state identity, and
 the self-healing retry/fallback machinery."""
 
 import pickle
 
 from repro.core.design import FWB, HWL, NON_PERS, UNDO_CLWB
+from repro.harness import parallel
 from repro.harness.parallel import ENV_FAULT_DIR, SweepHealth
 from repro.harness.runner import (
     RunConfig,
@@ -69,8 +70,7 @@ class TestPreparedShipping:
         run = RunConfig(
             policy=FWB, threads=2, txns_per_thread=15, system=tiny_system()
         )
-        # The clone is a different object with the same identity key —
-        # exactly what a worker process sees.
+        # The clone is a different object with the same identity key.
         direct = run_workload(small_workload(), run, prepared=prepared).stats
         shipped = run_workload(small_workload(), run, prepared=clone).stats
         assert shipped == direct
@@ -103,13 +103,12 @@ class TestSelfHealing:
 
     def test_worker_death_is_retried_bit_identical(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ENV_FAULT_DIR, str(tmp_path))
+        monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.05)
         # Exactly one death: the worker consumes the file before dying,
         # so the retry round runs the cell cleanly.
         (tmp_path / "kill-hash-1-fwb").touch()
         health = SweepHealth()
-        healed = run_micro_sweep(
-            **sweep_kwargs(), jobs=2, retry_backoff=0.05, health=health
-        )
+        healed = run_micro_sweep(**sweep_kwargs(), jobs=2, health=health)
         serial = self._serial_baseline()
         assert list(healed.cells) == list(serial.cells)
         for cell in serial.cells:
@@ -122,16 +121,13 @@ class TestSelfHealing:
 
     def test_hung_worker_recovers_serially(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ENV_FAULT_DIR, str(tmp_path))
+        monkeypatch.setattr(parallel, "MAX_RETRIES", 0)
         # The hang file persists, so every pool attempt wedges on this
         # cell; only the serial fallback (which skips the hook) finishes.
         (tmp_path / "hang-hash-1-fwb").touch()
         health = SweepHealth()
         healed = run_micro_sweep(
-            **sweep_kwargs(),
-            jobs=2,
-            cell_timeout=1.0,
-            max_retries=0,
-            health=health,
+            **sweep_kwargs(), jobs=2, cell_timeout=1.0, health=health
         )
         serial = self._serial_baseline()
         for cell in serial.cells:

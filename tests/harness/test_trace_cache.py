@@ -1,9 +1,9 @@
 """Trace-cache behaviour of the sweep engine.
 
-The sweep compiles each trace-compilable (benchmark, threads) pair once
-and replays it per design cell; the compiled trace is memoised
-in-process and persisted to disk, so a warm sweep skips workload
-preparation entirely.  Replayed cells must equal interpreted runs of
+The sweep compiles each (benchmark, threads) pair once and replays it
+per design cell; the compiled trace is memoised in-process and
+persisted to disk, so a warm sweep skips workload preparation
+entirely.  Replayed cells must equal interpreted runs of
 the same cells.
 """
 
@@ -58,6 +58,23 @@ def test_warm_sweep_hits_trace_cache(tmp_path, monkeypatch):
     second = _snapshot(run_micro_sweep(**MATRIX, seed=9))
     assert cache.hits > warm_hits  # second sweep replayed from cache
     assert first == second
+
+
+def test_trace_hits_skip_preparation(tmp_path, monkeypatch):
+    """One trace lookup per (benchmark, threads) pair per sweep, and a
+    benchmark whose traces all hit is never prepared."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    cache = shared_trace_cache()
+    first = _snapshot(run_micro_sweep(**MATRIX, seed=13))
+
+    def boom(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("prepared a benchmark whose traces all hit")
+
+    monkeypatch.setattr("repro.harness.sweep.prepare_workload", boom)
+    hits, misses = cache.hits, cache.misses
+    second = _snapshot(run_micro_sweep(**MATRIX, seed=13))
+    assert (cache.hits - hits, cache.misses - misses) == (2, 0)
+    assert second == first
 
 
 def test_trace_cache_disk_roundtrip_and_corruption(tmp_path, monkeypatch):

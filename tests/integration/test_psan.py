@@ -7,7 +7,9 @@ missing mechanism implies.  A subset of that matrix runs here; the full
 5-benchmark x 4-thread sweep is the CI ``repro psan`` job.
 """
 
+import importlib
 import json
+import re
 
 import pytest
 
@@ -22,12 +24,14 @@ from repro.core.design import (
     UNSAFE_BASE,
 )
 from repro.harness.sweep import run_micro_sweep
+from repro.sanitizer import static
 from repro.sanitizer.checker import (
     PersistOrderChecker,
     PsanSweepReport,
     run_psan,
 )
 from repro.sanitizer.rules import PsanReport
+from repro.sanitizer.static import run_differential
 from repro.sim.trace import Tracer
 
 TXNS = 15  # enough to wrap nothing but exercise every rule's machinery
@@ -149,6 +153,59 @@ class TestSweepIntegration:
         )
 
 
+def _summary(report):
+    return (
+        sorted(report.rules_fired()),
+        len(report.diagnostics),
+        report.events_processed,
+        report.txns_checked,
+    )
+
+
+class TestOneCellPath:
+    """``run_psan``, a sanitized sweep row (serial and on workers) and the
+    differential gate's dynamic side get the cell's trace from one
+    function and replay it through one checked replay, so they report
+    the same thing."""
+
+    @pytest.mark.parametrize("policy", [HWL, UNSAFE_BASE], ids=lambda p: p.name)
+    def test_entry_points_report_the_same(self, policy, monkeypatch):
+        expected = _summary(psan(policy, threads=2))
+        for jobs in (1, 2):
+            sweep = PsanSweepReport()
+            run_micro_sweep(
+                benchmarks=("hash",),
+                threads=(2,),
+                policies=(policy,),
+                txns_per_thread=TXNS,
+                jobs=jobs,
+                psan_report=sweep,
+            )
+            (row,) = sweep.reports
+            assert (row.benchmark, row.threads) == ("hash", 2)
+            assert _summary(row) == expected, f"jobs={jobs}"
+
+        dynamic = []
+        replay = static.replay_checked
+
+        def spy(*args, **kwargs):
+            result = replay(*args, **kwargs)
+            dynamic.append(result[1])
+            return result
+
+        monkeypatch.setattr(static, "replay_checked", spy)
+        gate = run_differential(("hash",), (2,), (policy,), txns_per_thread=TXNS)
+        assert gate.passed
+        (report,) = dynamic
+        assert _summary(report) == expected
+
+
+def _psan_rows(out, benchmarks):
+    """Sanitizer-table rows (benchmark, thread count, policy, ...)."""
+    pattern = re.compile(rf"^({'|'.join(benchmarks)}) +\d+ ")
+    return [line for line in out.splitlines() if pattern.match(line)]
+
+
 class TestCli:
     def test_psan_command_passes_on_guaranteed_designs(self, capsys):
         rc = main([
@@ -219,6 +276,41 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "hwl" in out and "clean" in out
+
+    def test_figure10_psan_sanitizes_every_cell(self, capsys):
+        rc = main(["figure", "10", "--quick", "--psan", "--no-cache"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        # 2 kernels x 5 designs, one sanitizer row each.
+        assert len(_psan_rows(out, ("ycsb", "tpcc"))) == 10
+
+    def test_full_validate_hands_its_options_to_the_sweep(self, monkeypatch, capsys):
+        module = importlib.import_module("repro.harness.validate")
+        full_sweep = module.run_micro_sweep
+        seen = {}
+
+        def small_sweep(**kwargs):
+            # The wiring is the point, not the 40-cell matrix: run one
+            # benchmark at a few transactions.
+            seen.update(kwargs)
+            return full_sweep(
+                **{**kwargs, "benchmarks": ("hash",), "txns_per_thread": TXNS}
+            )
+
+        monkeypatch.setattr(module, "run_micro_sweep", small_sweep)
+        main(["validate", "--psan", "--no-cache", "--cell-timeout", "30"])
+        out = capsys.readouterr().out
+        assert isinstance(seen["psan_report"], PsanSweepReport)
+        assert seen["cell_timeout"] == 30.0
+        assert len(seen["psan_report"].reports) == 8
+        assert len(_psan_rows(out, ("hash",))) == 8
+
+    @pytest.mark.parametrize("figure", ["11a", "11b"])
+    def test_psan_on_a_figure_without_a_sweep_exits_2(self, figure, capsys):
+        assert main(["figure", figure, "--psan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
 
 
 class TestSweepReportRendering:

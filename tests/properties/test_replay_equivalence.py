@@ -31,10 +31,9 @@ MAX_PARTITIONS = 4
 
 
 class RandomOpsWorkload(Workload):
-    """Seeded-random accessor-op soup (partitioned, so trace-compilable)."""
+    """Seeded-random accessor-op soup (partitioned, so it compiles to a trace)."""
 
     name = "randomops"
-    trace_compilable = True
 
     def __init__(
         self,

@@ -127,9 +127,3 @@ class TestCrashJournal:
             nvram.write(i * 8, bytes(8), completion_time=float(i))
         nvram.retire_journal(5.0)
         assert nvram.journal_length == 4
-
-    def test_revert_disabled_without_tracking(self):
-        nvram = NVRAM(NVDimmConfig(size_bytes=1024 * 1024), track_crash_state=False)
-        nvram.write(0, b"A", completion_time=1.0)
-        with pytest.raises(AddressError):
-            nvram.revert_after(0.0)

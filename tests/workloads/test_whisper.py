@@ -69,12 +69,12 @@ SMALL_KW = {
 
 @pytest.mark.parametrize("name", sorted(WHISPER_KERNELS), ids=str)
 class TestTraceCompilableContract:
-    """Every WHISPER kernel honours the trace-compilable audit.
+    """Every WHISPER kernel honours the ``Workload.thread_body`` contract.
 
-    The contract behind the flag: partitioned by ``tid % MAX_PARTITIONS``,
-    deterministic per ``(seed, tid)``, accessor-only persistent state, and
-    volatile run state reset by :meth:`Workload.reset_run_state` — so a
-    prepared instance replays identically and the compiled trace is
+    Partitioned by ``tid % MAX_PARTITIONS``, deterministic per
+    ``(seed, tid)``, accessor-only persistent state, and volatile run
+    state reset by :meth:`Workload.reset_run_state` — so a prepared
+    instance replays identically and the compiled trace is
     bit-equivalent to interpretation.
     """
 
@@ -84,9 +84,6 @@ class TestTraceCompilableContract:
 
         kernel = make_whisper_kernel(name, seed=2, **SMALL_KW[name])
         return prepare_workload(kernel, tiny_system())
-
-    def test_flagged_compilable(self, name):
-        assert make_whisper_kernel(name, **SMALL_KW[name]).trace_compilable
 
     def test_rerun_is_deterministic(self, name):
         """Two interpreted runs of the same prepared instance must agree
