@@ -76,7 +76,7 @@ from .core.lifetime import log_pass_period_seconds, log_region_lifetime_days
 from .harness import experiments
 from .harness.cache import SweepCache, cache_enabled
 from .harness.parallel import SweepHealth, default_jobs
-from .harness.runner import RunConfig, prepare_workload, run_workload
+from .harness.runner import Preparation, RunConfig, prepare_workload, run_workload
 from .harness.sweep import run_micro_sweep
 from .workloads import MICROBENCHMARKS, make_microbenchmark
 
@@ -415,9 +415,13 @@ def _cmd_psan(args) -> int:
     if args.save_trace:
         os.makedirs(args.save_trace, exist_ok=True)
 
+    # Each benchmark is prepared only if one of its traces misses the cache.
+    preparations = [
+        Preparation(make_microbenchmark(benchmark, seed=args.seed))
+        for benchmark in benchmarks
+    ]
     sweep = PsanSweepReport()
-    for benchmark in benchmarks:
-        prepared = prepare_workload(make_microbenchmark(benchmark, seed=args.seed))
+    for benchmark, prepared in zip(benchmarks, preparations):
         for threads in threads_list:
             for policy in policies:
                 trace_path = None
@@ -444,14 +448,13 @@ def _cmd_psan(args) -> int:
     adversarial = {}
     if not args.no_adversarial:
         probe_bench = benchmarks[0]
-        prepared = prepare_workload(make_microbenchmark(probe_bench, seed=args.seed))
         for policy in (UNSAFE_BASE, HW_RLOG):
             report = run_psan(
                 probe_bench,
                 policy,
                 threads=1,
                 txns_per_thread=args.txns,
-                prepared=prepared,
+                prepared=preparations[0],
                 seed=args.seed,
             )
             adversarial[policy.value] = sorted(report.rules_fired())
@@ -554,7 +557,7 @@ def _cmd_pstatic(args) -> int:
 
     sweep = StaticSweepReport()
     for benchmark in benchmarks:
-        prepared = prepare_workload(make_microbenchmark(benchmark, seed=args.seed))
+        prepared = Preparation(make_microbenchmark(benchmark, seed=args.seed))
         for threads in threads_list:
             for policy in policies:
                 sweep.reports.append(
@@ -708,6 +711,7 @@ def _cmd_adapt_train(args) -> int:
         seed=args.seed,
         jobs=args.jobs,
         cache=cache,
+        cell_timeout=args.cell_timeout,
     )
     if args.specs:
         kwargs["specs"] = tuple(s.strip() for s in args.specs.split(","))

@@ -42,6 +42,7 @@ from ..faults.campaign import (
 from ..faults.crashpoints import CrashPoint, EventKind, FaultMonitor
 from ..harness.runner import PreparedWorkload, prepare_workload
 from ..sim.config import SystemConfig
+from ..sim.nvram import ImageSnapshot
 from .drift import WRITEBACK_FAMILY
 
 #: Transition candidates the default campaign ranges over: every ordered
@@ -152,16 +153,16 @@ def _crash_and_recover(
     horizon: float,
     trigger: CrashPoint,
     label: str,
-) -> Tuple[SwitchPointResult, bytes]:
+) -> Tuple[SwitchPointResult, ImageSnapshot]:
     """Crash one switched run at ``trigger``; recover twice; verify."""
     shard = start_run(prepared, old, threads, txns_per_thread, FaultMonitor(trigger))
     crash_time, triggered = crash_run(shard, (horizon, new))
     machine = shard.machine
     RecoveryManager(machine.nvram, machine.log).recover()
-    recovered = bytes(machine.nvram.image)
+    recovered = machine.nvram.snapshot()
     # Idempotence: a second cold recovery pass must be a no-op.
     RecoveryManager(machine.nvram, machine.log).recover()
-    converged = bytes(machine.nvram.image) == recovered
+    converged = machine.nvram.snapshot() == recovered
     return (
         SwitchPointResult(
             kind=label,

@@ -145,11 +145,14 @@ def train_policy_table(
     probe_spec=None,
     cache=None,
     jobs: int = 1,
+    cell_timeout: Optional[float] = None,
 ) -> PolicyTable:
     """Grid the candidate designs per training unit; emit a policy table.
 
     Exactly one of ``phases`` or ``benchmarks`` selects the training
-    set.  ``probe_spec`` (default: the first candidate) is the design
+    set; ``jobs``, ``cache`` and ``cell_timeout`` go to its sweep
+    (:func:`~repro.harness.sweep.run_micro_sweep`).  ``probe_spec``
+    (default: the first candidate) is the design
     whose runs supply each unit's feature vector — the features a rule
     thresholds on must come from one consistent observation design,
     since the live controller observes under whatever design is
@@ -203,6 +206,7 @@ def train_policy_table(
         workload_factory=workload_factory,
         jobs=jobs,
         cache=cache,
+        cell_timeout=cell_timeout,
     )
 
     units = []

@@ -41,7 +41,7 @@ from ..core.logrecord import LogRecord, stamp_torn
 from ..core.nvlog import CircularLog
 from ..core.recovery import RecoveryManager, RecoveryReport
 from ..errors import ConfigError
-from ..sim.nvram import NVRAM
+from ..sim.nvram import NVRAM, ImageSnapshot
 
 
 def _ring_entries(count: int) -> int:
@@ -290,13 +290,13 @@ class ReplicaNode:
             line_size=self.line_size,
         )
 
-    def image_bytes(self) -> bytes:
+    def snapshot(self) -> ImageSnapshot:
         """The full NVRAM image (bit-compare material)."""
-        return bytes(self.nvram.image)
+        return self.nvram.snapshot()
 
-    def heap_image(self) -> bytes:
+    def heap_snapshot(self) -> ImageSnapshot:
         """The mirrored primary address space (heap + metadata)."""
-        return bytes(self.nvram.image[: self.primary_size])
+        return self.nvram.snapshot(self.primary_size)
 
     def release(self) -> None:
         """Return the NVRAM buffer to the pool."""

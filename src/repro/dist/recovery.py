@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import RecoveryInterrupted
+from ..sim.nvram import ImageSnapshot
 
 
 @dataclass
@@ -101,7 +102,7 @@ def required_frontier(stream, cluster_committed: dict) -> int:
     return max(seqs) + 1 if seqs else 0
 
 
-def expected_image(prepared, stream, golden, frontier: int) -> bytes:
+def expected_image(prepared, stream, golden, frontier: int) -> ImageSnapshot:
     """Golden NVRAM image for commits inside ``frontier``.
 
     The setup checkpoint plus the write-sets of every transaction whose
@@ -109,27 +110,29 @@ def expected_image(prepared, stream, golden, frontier: int) -> bytes:
     (= replay) order.  Replicas never receive data write-backs, so this
     is the *whole* truth of what their recovery must reconstruct.
     """
-    image = bytearray(prepared.image_size)
-    image[: len(prepared.image_prefix)] = prepared.image_prefix
+    image = bytearray(prepared.image_prefix)
     entries = sorted(stream.commit_map().items(), key=lambda item: item[1][0])
     for _key, (seq, _txid, golden_index, _reported) in entries:
         if seq >= frontier:
             continue
         _durable, writes = golden.commits[golden_index]
         for addr, piece in writes.items():
-            image[addr:addr + len(piece)] = piece
-    return bytes(image)
+            end = addr + len(piece)
+            if end > len(image):
+                image.extend(bytes(end - len(image)))
+            image[addr:end] = piece
+    size = prepared.image_size
+    return ImageSnapshot(size, bytes(image), size, b"")
 
 
-def _count_word_mismatches(actual: bytes, expected: bytes) -> int:
+def _count_word_mismatches(actual: ImageSnapshot, expected: ImageSnapshot) -> int:
     if actual == expected:
         return 0
     count = 0
-    limit = min(len(actual), len(expected))
-    for offset in range(0, limit, 8):
-        if actual[offset:offset + 8] != expected[offset:offset + 8]:
-            count += 1
-    count += abs(len(actual) - len(expected)) // 8
+    for mine, theirs in zip(*actual.spans(expected)):
+        for offset in range(0, len(mine), 8):
+            if mine[offset:offset + 8] != theirs[offset:offset + 8]:
+                count += 1
     return count
 
 
@@ -234,7 +237,7 @@ def recover_cluster(
     # Convergence proof: bit-identical full images across every survivor
     # that recovered, and golden truth when the caller supplied it.
     recovered = [out for out in eligible if out.recovered]
-    images = [by_id[out.node_id].image_bytes() for out in recovered]
+    images = [by_id[out.node_id].snapshot() for out in recovered]
     report.images_identical = all(image == images[0] for image in images[1:])
     if prepared is not None and golden is not None:
         expected = expected_image(
@@ -242,7 +245,7 @@ def recover_cluster(
         )
         source_node = by_id[report.source]
         report.mismatched_words = _count_word_mismatches(
-            source_node.heap_image(), expected
+            source_node.heap_snapshot(), expected
         )
     else:
         report.mismatched_words = 0

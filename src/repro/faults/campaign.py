@@ -59,7 +59,7 @@ from ..sim.config import (
     SystemConfig,
 )
 from ..sim.machine import Machine
-from ..sim.nvram import NVRAM
+from ..sim.nvram import NVRAM, ImageSnapshot
 from ..txn.runtime import PersistentMemory
 from ..workloads import make_microbenchmark
 from ..workloads.base import Workload
@@ -531,11 +531,11 @@ class _RecoveryScenario:
     of that snapshot provides the convergence reference.
     """
 
-    image: bytes
+    image: ImageSnapshot
     crash_time: float
     golden_pm: PersistentMemory
     log_geometry: Tuple[int, int, int]  # base, entries, entry_size
-    reference_image: bytes
+    reference_image: ImageSnapshot
     reference_report: object
     steps: int
 
@@ -559,19 +559,19 @@ def _build_recovery_scenario(
     shard = start_run(prepared, policy, threads, txns_per_thread, FaultMonitor(mid))
     crash_time, _triggered = crash_run(shard)
     machine = shard.machine
-    image = bytes(machine.nvram.image)
+    image = machine.nvram.snapshot()
     machine.nvram.recycle()
     log = machine.log
     geometry = (log.base, log.num_entries, log.entry_size)
 
     # Counting pass doubles as the convergence reference.
     reference = NVRAM(prepared.system.nvram)
-    reference.load_image_prefix(image)
+    reference.restore(image)
     counter = FaultMonitor()
     reference_report = RecoveryManager(reference, CircularLog(*geometry)).recover(
         crash_injector=counter
     )
-    reference_image = bytes(reference.image)
+    reference_image = reference.snapshot()
     reference.recycle()
     return _RecoveryScenario(
         image=image,
@@ -591,7 +591,7 @@ def _run_recovery_point(
 ) -> PointResult:
     """Interrupt recovery after the point's write; re-recover; verify."""
     nvram = NVRAM(system.nvram)
-    nvram.load_image_prefix(scenario.image)
+    nvram.restore(scenario.image)
     interrupted = False
     try:
         scenario.cold_manager(nvram).recover(
@@ -604,7 +604,7 @@ def _run_recovery_point(
 
     pm = scenario.golden_pm
     wrong = count_mismatches(nvram, pm, scenario.crash_time)
-    converged = nvram.image == scenario.reference_image
+    converged = nvram.snapshot() == scenario.reference_image
     nvram.recycle()
     return PointResult(
         point=point,

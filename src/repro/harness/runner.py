@@ -95,18 +95,38 @@ def prepare_workload(
     machine = Machine(system, NON_PERS)
     pm = PersistentMemory(machine)
     workload.setup(pm)
-    # Setup writes into a zeroed device, so only the written extent can
-    # be non-zero; strip trailing zeros off that extent rather than
-    # copying and scanning the whole (mostly empty) image.
-    lo_end, hi_start = machine.nvram.written_extent()
-    if hi_start < system.nvram.size_bytes:
-        lo_end = system.nvram.size_bytes
-    prefix = bytes(machine.nvram.image[:lo_end]).rstrip(b"\x00")
+    # Setup writes into a zeroed device, so only the written windows can
+    # be non-zero; strip trailing zeros off them rather than copying and
+    # scanning the whole (mostly empty) image.
+    image = machine.nvram.snapshot()
+    prefix = (image.tobytes() if image.high else image.low).rstrip(b"\x00")
     prepared = PreparedWorkload(
         workload, system, prefix, system.nvram.size_bytes, pm.heap.snapshot()
     )
     machine.nvram.recycle()
     return prepared
+
+
+class Preparation:
+    """``prepare_workload(workload, system)``, run on the first call only.
+
+    The ``prepare`` callable :func:`~repro.harness.cache.compiled_trace`
+    takes, shared by every cell of one workload: a workload whose traces
+    all hit the cache is never prepared, and one that misses is prepared
+    once.
+    """
+
+    def __init__(
+        self, workload: Workload, system: Optional[SystemConfig] = None
+    ) -> None:
+        self.workload = workload
+        self.system = system or default_experiment_config()
+        self._prepared: Optional[PreparedWorkload] = None
+
+    def __call__(self) -> PreparedWorkload:
+        if self._prepared is None:
+            self._prepared = prepare_workload(self.workload, self.system)
+        return self._prepared
 
 
 @dataclass

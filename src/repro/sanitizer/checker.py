@@ -138,16 +138,19 @@ class PersistOrderChecker:
         }
 
     @classmethod
-    def attach(cls, machine):
+    def attach(cls, machine, keep_events: bool = False):
         """Attach a fresh checker and tracer to ``machine``.
 
         Emits the ``meta`` event into the stream so a trace saved from
         this tracer can be re-checked offline, then subscribes the
         checker.  Returns the checker; its :attr:`tracer` is the tracer.
+        The checker consumes each event as it is emitted, so the
+        tracer's ring keeps events only when ``keep_events`` (a saved
+        trace reads them).
         """
         from ..sim.trace import Tracer
 
-        tracer = Tracer(capacity=1_000_000)
+        tracer = Tracer(capacity=1_000_000 if keep_events else 0)
         checker = cls()
         machine.tracer = tracer
         tracer.subscribe(checker.feed)
@@ -747,7 +750,7 @@ class PersistOrderChecker:
 # ----------------------------------------------------------------------
 # Harness entry points
 # ----------------------------------------------------------------------
-def replay_checked(trace, run, bind_out=None):
+def replay_checked(trace, run, bind_out=None, keep_events: bool = False):
     """Replay ``trace`` under ``run`` with a checker attached.
 
     The checker is attached to the freshly built machine, before the
@@ -755,7 +758,8 @@ def replay_checked(trace, run, bind_out=None):
     The replayed device is recycled.  ``bind_out`` receives the replay's
     symbolic binding (see :func:`~repro.sim.replay.run_compiled`).
     Returns ``(stats, report, tracer)``; ``report.threads`` is set, the
-    caller names the benchmark.
+    caller names the benchmark.  The tracer holds the event stream only
+    when ``keep_events`` (see :meth:`PersistOrderChecker.attach`).
     """
     from ..sim.replay import run_compiled
 
@@ -764,7 +768,7 @@ def replay_checked(trace, run, bind_out=None):
         trace,
         run,
         machine_hook=lambda machine: checkers.append(
-            PersistOrderChecker.attach(machine)
+            PersistOrderChecker.attach(machine, keep_events)
         ),
         bind_out=bind_out,
     )
@@ -772,6 +776,8 @@ def replay_checked(trace, run, bind_out=None):
     (checker,) = checkers
     report = checker.finish()
     report.threads = run.threads
+    # The returned tracer would otherwise keep the checker's state alive.
+    checker.tracer.unsubscribe(checker.feed)
     return outcome.stats, report, checker.tracer
 
 
@@ -779,27 +785,23 @@ def cell_trace(benchmark, threads, txns_per_thread, system, prepared, seed):
     """A microbenchmark cell's compiled trace and the system it runs on.
 
     The trace comes from :func:`~repro.harness.cache.compiled_trace`;
-    ``prepared``, when given, is the benchmark's preparation (and fixes
-    the system), else the benchmark is built from ``seed`` and prepared
-    only if the trace misses.  Returns ``(trace, system)``.
+    ``prepared``, when given, is the benchmark's
+    :class:`~repro.harness.runner.PreparedWorkload` or a
+    :class:`~repro.harness.runner.Preparation` of it (either fixes the
+    system), else the benchmark is built from ``seed``.  A preparation
+    runs only if the trace misses.  Returns ``(trace, system)``.
     """
     from ..harness.cache import compiled_trace
-    from ..harness.runner import default_experiment_config, prepare_workload
+    from ..harness.runner import Preparation
     from ..workloads import make_microbenchmark
 
-    if prepared is not None:
-        workload, system = prepared.workload, prepared.system
-    else:
-        workload = make_microbenchmark(benchmark, seed=seed)
-        system = system or default_experiment_config()
+    if prepared is None:
+        prepared = Preparation(make_microbenchmark(benchmark, seed=seed), system)
+    prepare = prepared if isinstance(prepared, Preparation) else lambda: prepared
     trace = compiled_trace(
-        workload,
-        system,
-        threads,
-        txns_per_thread,
-        lambda: prepared or prepare_workload(workload, system),
+        prepared.workload, prepared.system, threads, txns_per_thread, prepare
     )
-    return trace, system
+    return trace, prepared.system
 
 
 def run_psan(
@@ -834,6 +836,7 @@ def run_psan(
             system=system,
             seed=seed,
         ),
+        keep_events=trace_path is not None,
     )
     if trace_path is not None:
         tracer.to_jsonl(trace_path)

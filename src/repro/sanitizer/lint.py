@@ -4,7 +4,7 @@
 tree.  Each pass is a :class:`LintPass` subclass registered under its
 rule id via :func:`register_pass`; ``lint_file`` instantiates every
 registered pass that declares itself applicable to the file and runs it
-over the parsed tree.  The built-in passes reject four classes of
+over the parsed tree.  The built-in passes reject five classes of
 hazard that have historically produced irreproducible or silently-wrong
 simulation results:
 
@@ -33,6 +33,13 @@ simulation results:
     Passing a string literal to ``.emit(...)`` that is not registered in
     :data:`repro.sim.events.EVENT_KINDS` — a typo would create a
     parallel event stream the sanitizer silently ignores.
+
+``device-image-eq``
+    ``==`` / ``!=`` with an NVRAM device image operand (``nvram.image``,
+    ``machine.nvram.image``, or a name bound to one in the same
+    function).  The image is a memory mapping, which compares by
+    identity: such a check is never a contents check.  Compare
+    :meth:`~repro.sim.nvram.NVRAM.snapshot` results instead.
 
 A finding on a line containing ``# lint: allow(rule-id)`` is suppressed;
 the comment marks a reviewed, justified exception.  Suppressions are
@@ -394,6 +401,65 @@ class EventKindPass(LintPass):
                     node,
                     f"emit of unregistered event kind {kind!r} "
                     "(register it in repro.sim.events.EVENT_KINDS)",
+                )
+        self.generic_visit(node)
+
+
+def _names_device(node: ast.AST) -> bool:
+    """True for an expression naming an NVRAM device (``nvram``,
+    ``machine.nvram``, ``NVRAM(config)``)."""
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id == "NVRAM"
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+    return "nvram" in name.lower()
+
+
+def _device_image(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "image"
+        and _names_device(node.value)
+    )
+
+
+@register_pass
+class DeviceImageEqPass(LintPass):
+    rule = "device-image-eq"
+    description = "no ==/!= on a device image (a mapping compares by identity)"
+
+    def __init__(self, ctx: LintContext) -> None:
+        super().__init__(ctx)
+        self._aliases: list = [set()]  # per scope: names bound to an image
+
+    def _visit_scope(self, node: ast.AST) -> None:
+        aliases = {
+            target.id
+            for stmt in ast.walk(node)
+            if isinstance(stmt, ast.Assign) and _device_image(stmt.value)
+            for target in stmt.targets
+            if isinstance(target, ast.Name)
+        }
+        self._aliases.append(aliases)
+        self.generic_visit(node)
+        self._aliases.pop()
+
+    visit_Module = visit_FunctionDef = visit_AsyncFunctionDef = _visit_scope
+
+    def _is_image(self, node: ast.AST) -> bool:
+        return _device_image(node) or (
+            isinstance(node, ast.Name) and node.id in self._aliases[-1]
+        )
+
+    def visit_Compare(self, node: ast.Compare) -> None:
+        operands = [node.left] + list(node.comparators)
+        for op, left, right in zip(node.ops, operands, operands[1:]):
+            if isinstance(op, (ast.Eq, ast.NotEq)) and (
+                self._is_image(left) or self._is_image(right)
+            ):
+                self.add(
+                    node,
+                    "==/!= on a device image compares identity, not "
+                    "contents (compare nvram.snapshot() results)",
                 )
         self.generic_visit(node)
 

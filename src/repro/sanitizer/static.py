@@ -1137,12 +1137,12 @@ def run_differential(
     the cost baseline: its counter is the events processed plus the
     instructions the machine had to simulate.
     """
-    from ..harness.runner import prepare_workload
+    from ..harness.runner import Preparation
     from ..workloads import make_microbenchmark
 
     result = DifferentialReport()
     for benchmark in benchmarks:
-        prepared = prepare_workload(make_microbenchmark(benchmark, seed=seed))
+        prepared = Preparation(make_microbenchmark(benchmark, seed=seed))
         for threads in threads_list:
             trace, system = cell_trace(
                 benchmark, threads, txns_per_thread, None, prepared, seed

@@ -7,38 +7,117 @@ keeps an *undo journal* of recently applied writes so that
 yet durable at the crash instant (writes still in the controller's queues
 or in flight on the banks are, architecturally, volatile).
 
-Two hot-path design points keep large sweeps fast:
+Device memory follows what a run writes, by two rules:
 
-* The functional image is a flat ``bytearray``, but allocating (and the
-  OS zeroing) a fresh multi-megabyte image for every sweep cell is
-  measurable, so finished devices can :meth:`recycle` their buffer into a
-  per-process pool.  The device tracks the extent of all writes as two
-  windows — a low-address one (the heap grows up from the bottom) and a
-  high-address one (the log region sits at the top) — and re-zeroes only
-  those windows on recycle, which is far cheaper than a full-image memset
-  when the footprint is a fraction of the device.
-* Workload set-up does not come through here word by word: its accessor
-  (:class:`~repro.workloads.base.SetupAccessor`) reads and writes aligned
-  words through a ``memoryview(image).cast("Q")`` view of the image, and
-  :meth:`poke` carries only byte strings and whole-slice fills.  Writes
-  through the view bypass :meth:`poke`, so the accessor first claims the
-  range it writes with :meth:`claim_written`, which keeps every set-up
-  byte inside the dirty extent.
+* *Allocation.*  Every image is a private anonymous mapping
+  (:func:`_map_image`): the kernel zero-fills a page on first touch, so a
+  run that writes its heap prefix and the log at the top of a
+  multi-megabyte device makes only those pages resident.  The mapping is
+  private, so a forked worker that writes into an inherited buffer gets
+  its own copy of the page.  Finished devices :meth:`recycle` their
+  buffer into a per-process pool.  The device tracks the extent of all
+  writes as two windows — a low-address one (the heap grows up from the
+  bottom) and a high-address one (the log region sits at the top) — and
+  re-zeroes only those windows on recycle.
+* *Snapshots.*  Copies, restores and comparisons cover those two windows
+  only: :meth:`snapshot` returns an :class:`ImageSnapshot`,
+  :meth:`restore` loads one into a fresh device, and snapshots compare
+  by contents.  An image buffer itself compares by identity, so
+  ``==``/``!=`` on ``nvram.image`` is never a contents check (``repro
+  lint``'s ``device-image-eq`` rule flags it).
+
+Workload set-up does not come through here word by word: its accessor
+(:class:`~repro.workloads.base.SetupAccessor`) reads and writes aligned
+words through a ``memoryview(image).cast("Q")`` view of the image, and
+:meth:`poke` carries only byte strings and whole-slice fills.  Writes
+through the view bypass :meth:`poke`, so the accessor first claims the
+range it writes with :meth:`claim_written`, which keeps every set-up byte
+inside the dirty extent.
 """
 
 from __future__ import annotations
 
+import mmap
+from dataclasses import dataclass
+
 from ..errors import AddressError, SimulationError
 from .config import NVDimmConfig
+
+
+def _map_image(size: int) -> mmap.mmap:
+    """A zeroed device image of ``size`` bytes whose pages exist once touched.
+
+    The one allocation site for device images.  ``MAP_PRIVATE`` keeps a
+    forked child's writes out of its parent's buffer (anonymous maps
+    default to shared).
+    """
+    return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+
+
+@dataclass(frozen=True, eq=False)
+class ImageSnapshot:
+    """The contents of a ``size``-byte image, held as its two windows.
+
+    ``low`` is the image's ``[0, len(low))`` and ``high`` its
+    ``[hi_start, size)``; every other byte is zero.  Two snapshots are
+    equal exactly when the images they describe are, whatever windows
+    each was taken over.
+    """
+
+    size: int
+    low: bytes
+    hi_start: int
+    high: bytes
+
+    def __len__(self) -> int:
+        return self.size
+
+    def tobytes(self) -> bytes:
+        """The whole image (hashing and debugging; allocates ``size``)."""
+        image = bytearray(self.size)
+        image[: len(self.low)] = self.low
+        image[self.hi_start :] = self.high
+        return bytes(image)
+
+    def spans(self, other: "ImageSnapshot") -> tuple:
+        """``(mine, theirs)``: two same-size images over their windows.
+
+        Each side is a list of byte strings covering the same address
+        ranges, in order: the union of both snapshots' windows, widened
+        to whole 8-byte words.  A byte outside both is zero in both
+        images and is left out.
+        """
+        if self.size != other.size:
+            raise ValueError(f"images of {self.size} and {other.size} bytes")
+        lo = -(-max(len(self.low), len(other.low)) // 8) * 8
+        hi = min(self.hi_start, other.hi_start) // 8 * 8
+        if lo >= hi:  # the windows meet: compare whole images
+            return [self.tobytes()], [other.tobytes()]
+        tail = self.size - hi
+        return (
+            [self.low.ljust(lo, b"\0"), self.high.rjust(tail, b"\0")],
+            [other.low.ljust(lo, b"\0"), other.high.rjust(tail, b"\0")],
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ImageSnapshot):
+            return NotImplemented
+        if self.size != other.size:
+            return False
+        mine, theirs = self.spans(other)
+        return mine == theirs
+
+    __hash__ = None  # equal contents, different windows: no stable hash
 
 
 class NVRAM:
     """NVRAM DIMM: persistent image, banks, row buffers, traffic counters."""
 
     #: Recycled image buffers by size, shared within the process (sweeps
-    #: build one machine per cell; reusing the zeroed buffer avoids an
-    #: allocate + zero of the full device each time).
-    _image_pool: dict[int, list[bytearray]] = {}
+    #: build one machine per cell; a reused buffer keeps the pages its
+    #: earlier runs wrote, re-zeroed, so a like run takes no fresh page
+    #: faults).
+    _image_pool: dict[int, list[mmap.mmap]] = {}
     _IMAGE_POOL_LIMIT = 4
 
     def __init__(self, config: NVDimmConfig) -> None:
@@ -46,7 +125,7 @@ class NVRAM:
         self.config = config
         self._size = config.size_bytes
         pool = NVRAM._image_pool.get(self._size)
-        self.image = pool.pop() if pool else bytearray(self._size)
+        self.image = pool.pop() if pool else _map_image(self._size)
         # Dirty-extent windows: every byte that may differ from zero lies
         # in [0, _lo_hwm) or [_hi_lwm, size).  Two windows match the
         # bimodal write pattern (heap at the bottom, log at the top); a
@@ -106,7 +185,7 @@ class NVRAM:
                 f"limit={self._size:#x}"
             )
         self.total_read_bytes += size
-        return bytes(self.image[addr:end])
+        return self.image[addr:end]
 
     def peek(self, addr: int, size: int) -> bytes:
         """Read without touching traffic counters (for recovery/tests)."""
@@ -116,7 +195,7 @@ class NVRAM:
                 f"NVRAM peek out of range: addr={addr:#x} size={size} "
                 f"limit={self._size:#x}"
             )
-        return bytes(self.image[addr:end])
+        return self.image[addr:end]
 
     def write(self, addr: int, data: bytes, completion_time: float = 0.0) -> None:
         """Apply a write that becomes durable at ``completion_time``.
@@ -134,7 +213,7 @@ class NVRAM:
                 f"limit={self._size:#x}"
             )
         image = self.image
-        self._journal.append((completion_time, addr, bytes(image[addr:end])))
+        self._journal.append((completion_time, addr, image[addr:end]))
         image[addr:end] = data
         if addr < self._mid:
             if end > self._lo_hwm:
@@ -197,6 +276,24 @@ class NVRAM:
         ``[hi_start, size)``.
         """
         return self._lo_hwm, self._hi_lwm
+
+    def snapshot(self, end: int | None = None) -> ImageSnapshot:
+        """Copy the written windows of ``image[:end]`` (default: all of it)."""
+        end = self._size if end is None else min(end, self._size)
+        lo = min(self._lo_hwm, end)
+        hi = min(max(self._hi_lwm, lo), end)  # the high window past ``low``
+        return ImageSnapshot(end, self.image[:lo], hi, self.image[hi:end])
+
+    def restore(self, snapshot: ImageSnapshot) -> None:
+        """Load ``snapshot``, taken of a device this size, into this fresh one."""
+        if snapshot.size != self._size:
+            raise AddressError(
+                f"snapshot of {snapshot.size} bytes does not fit a "
+                f"{self._size}-byte device"
+            )
+        self.load_image_prefix(snapshot.low)
+        if snapshot.high:
+            self.poke(snapshot.hi_start, snapshot.high)
 
     def recycle(self) -> None:
         """Re-zero the written extents and return the buffer to the pool.
@@ -265,7 +362,7 @@ class NVRAM:
             if completion > crash_time:
                 left = old
                 if injector is not None:
-                    new = bytes(self.image[addr:addr + len(old)])
+                    new = self.image[addr:addr + len(old)]
                     left = injector.on_revert(addr, old, new)
                 self.image[addr:addr + len(old)] = left
                 reverted += 1

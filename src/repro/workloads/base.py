@@ -52,8 +52,7 @@ class SetupAccessor:
       (:meth:`~repro.sim.nvram.NVRAM.claim_written`), so every byte
       set-up writes stays inside the extent that ``recycle`` re-zeroes
       and :func:`~repro.harness.runner.prepare_workload` captures.
-    * ``read`` returns a (mutable, caller-owned) ``bytearray`` slice —
-      set-up readers only decode or compare it — and ``write`` is
+    * ``read`` returns a ``bytes`` slice of the image, and ``write`` is
       ``poke``, which carries byte strings and whole-slice fills.
     """
 
@@ -75,7 +74,7 @@ class SetupAccessor:
         read_limit = size - 7
         write_limit = nvram.written_extent()[0] - 7
 
-        def read(addr: int, length: int) -> bytearray:
+        def read(addr: int, length: int) -> bytes:
             end = addr + length
             if addr < 0 or length < 0 or end > size:
                 raise AddressError(

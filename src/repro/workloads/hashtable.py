@@ -49,7 +49,7 @@ class HashTableWorkload(Workload):
         self.keys_per_partition = keys_per_partition
         self._buckets_base = 0
         self._heap = None
-        self._resident: list[set[int]] = []
+        self._resident: list[bytearray] = []  # per partition, 1 per stored key
 
     @property
     def node_size(self) -> int:
@@ -66,30 +66,32 @@ class HashTableWorkload(Workload):
         # One bulk write of zeros instead of a word-at-a-time loop over
         # every bucket head (same bytes).
         acc.write(self._buckets_base, bytes(total_buckets * 8))
-        self._resident = [set() for _ in range(MAX_PARTITIONS)]
+        self._resident = [
+            bytearray(self.keys_per_partition) for _ in range(MAX_PARTITIONS)
+        ]
         rng = thread_rng(self.seed, 0xBEEF)
         for part in range(MAX_PARTITIONS):
             for key in rng.sample(
                 range(self.keys_per_partition), self.keys_per_partition // 2
             ):
                 self._insert(acc, part, key, self.make_value(rng, key))
-                self._resident[part].add(key)
+                self._resident[part][key] = 1
 
     def thread_body(self, api: ThreadAPI, tid: int, num_txns: int) -> Iterator[None]:
         """One insert-or-remove transaction per iteration."""
         part = tid % MAX_PARTITIONS
         rng = thread_rng(self.seed, tid)
-        resident = set(self._resident[part])
+        resident = bytearray(self._resident[part])
         for txn in range(num_txns):
             key = rng.randrange(self.keys_per_partition)
             with api.transaction():
                 api.compute(HASH_COMPUTE)
-                if key in resident:
+                if resident[key]:
                     self._remove(api, part, key)
-                    resident.discard(key)
+                    resident[key] = 0
                 else:
                     self._insert(api, part, key, self.make_value(rng, txn))
-                    resident.add(key)
+                    resident[key] = 1
             yield
 
     # ------------------------------------------------------------------

@@ -39,7 +39,7 @@ class CTreeKernel(Workload):
         self.keys_per_partition = keys_per_partition
         self._roots_base = 0
         self._heap = None
-        self._resident: list[set[int]] = []
+        self._resident: list[bytearray] = []  # per partition, 1 per stored key
 
     def _root_addr(self, part: int) -> int:
         return self._roots_base + part * 8
@@ -52,29 +52,31 @@ class CTreeKernel(Workload):
         self._roots_base = pm.heap.alloc(MAX_PARTITIONS * 8)
         for part in range(MAX_PARTITIONS):
             acc.write_word(self._root_addr(part), 0)
-        self._resident = [set() for _ in range(MAX_PARTITIONS)]
+        self._resident = [
+            bytearray(self.keys_per_partition + 1) for _ in range(MAX_PARTITIONS)
+        ]
         rng = thread_rng(self.seed, 0xC7EE)
         for part in range(MAX_PARTITIONS):
             for key in rng.sample(
                 range(1, self.keys_per_partition + 1), self.keys_per_partition // 2
             ):
                 self.insert(acc, part, key, rng.randrange(1 << 32))
-                self._resident[part].add(key)
+                self._resident[part][key] = 1
 
     def thread_body(self, api: ThreadAPI, tid: int, num_txns: int) -> Iterator[None]:
         """One insert-or-remove transaction per iteration."""
         part = tid % MAX_PARTITIONS
         rng = thread_rng(self.seed, tid)
-        resident = set(self._resident[part])
+        resident = bytearray(self._resident[part])
         for txn in range(num_txns):
             key = rng.randrange(1, self.keys_per_partition + 1)
             with api.transaction():
-                if key in resident:
+                if resident[key]:
                     self.remove(api, part, key)
-                    resident.discard(key)
+                    resident[key] = 0
                 else:
                     self.insert(api, part, key, txn)
-                    resident.add(key)
+                    resident[key] = 1
             yield
 
     # ------------------------------------------------------------------

@@ -31,37 +31,39 @@ class HashmapKernel(Workload):
         self._table = ProbingTable(
             capacity=keys_per_partition * 2, value_size=self.value_size
         )
-        self._resident: list[set[int]] = []
+        self._resident: list[bytearray] = []  # per partition, 1 per stored key
 
     def setup(self, pm: PersistentMemory) -> None:
         """Allocate the table and pre-populate half of each partition."""
         acc = SetupAccessor(pm)
         self._table.allocate(pm.heap)
         self._table.clear(acc)
-        self._resident = [set() for _ in range(MAX_PARTITIONS)]
+        self._resident = [
+            bytearray(self.keys_per_partition + 1) for _ in range(MAX_PARTITIONS)
+        ]
         rng = thread_rng(self.seed, 0x4A5)
         for part in range(MAX_PARTITIONS):
             for key in rng.sample(
                 range(1, self.keys_per_partition + 1), self.keys_per_partition // 2
             ):
                 self._table.put(acc, part, key, self.make_value(rng, key))
-                self._resident[part].add(key)
+                self._resident[part][key] = 1
 
     def thread_body(self, api: ThreadAPI, tid: int, num_txns: int) -> Iterator[None]:
         """One insert-or-remove transaction per iteration."""
         part = tid % MAX_PARTITIONS
         rng = thread_rng(self.seed, tid)
-        resident = set(self._resident[part])
+        resident = bytearray(self._resident[part])
         for txn in range(num_txns):
             key = rng.randrange(1, self.keys_per_partition + 1)
             with api.transaction():
                 api.compute(HASH_COMPUTE)
-                if key in resident:
+                if resident[key]:
                     self._table.remove(api, part, key)
-                    resident.discard(key)
+                    resident[key] = 0
                 else:
                     self._table.put(api, part, key, self.make_value(rng, txn))
-                    resident.add(key)
+                    resident[key] = 1
             yield
 
     @property

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 
 import pytest
@@ -88,6 +89,44 @@ class TestCommands:
         assert "policy table written" in out
         doc = json.loads(path.read_text())
         assert doc["schema"] == "repro-adapt/v1"
+
+    def test_adapt_train_hands_its_cell_timeout_to_the_sweep(
+        self, tmp_path, monkeypatch
+    ):
+        sweep = importlib.import_module("repro.harness.sweep")
+        seen = {}
+
+        class Stop(Exception):
+            pass
+
+        def spy(**kwargs):
+            seen.update(kwargs)
+            raise Stop
+
+        monkeypatch.setattr(sweep, "run_micro_sweep", spy)
+        with pytest.raises(Stop):
+            main(
+                [
+                    "adapt",
+                    "train",
+                    "--benchmarks",
+                    "hash",
+                    "--threads",
+                    "1",
+                    "--txns",
+                    "30",
+                    "--jobs",
+                    "2",
+                    "--no-cache",
+                    "--cell-timeout",
+                    "7.5",
+                    "--out",
+                    str(tmp_path / "table.json"),
+                ]
+            )
+        assert seen["cell_timeout"] == 7.5
+        assert seen["jobs"] == 2
+        assert seen["cache"] is None
 
     def test_serve_adaptive_accepts_trained_table(self, tmp_path, capsys):
         path = tmp_path / "table.json"

@@ -93,4 +93,4 @@ def test_drift_runs_reuse_pooled_device_buffers_and_leave_them_zeroed(monkeypatc
     assert second == first
     pooled = [buffer for buffers in NVRAM._image_pool.values() for buffer in buffers]
     assert len(pooled) == 2
-    assert all(buffer.count(0) == len(buffer) for buffer in pooled)
+    assert all(buffer[:].count(0) == len(buffer) for buffer in pooled)

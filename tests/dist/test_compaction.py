@@ -58,7 +58,7 @@ def test_compaction_preserves_the_recovered_image(traced_hash):
             compacted.append(rec)
         full.recover(reset_log=False)
         compacted.recover(reset_log=False)
-        assert full.heap_image() == compacted.heap_image()
+        assert full.heap_snapshot() == compacted.heap_snapshot()
     finally:
         full.release()
         compacted.release()
@@ -186,10 +186,10 @@ def test_a_slot_overwritten_with_a_valid_entry_is_refused(traced_hash):
         slot_addr = node.ring.entry_addr(data.seq)
         node.nvram.poke(slot_addr, forged.encode(entry_size, 1))
         assert LogRecord.decode(node.nvram.peek(slot_addr, entry_size)) == forged._replace(torn=1)
-        heap = node.heap_image()
+        heap = node.heap_snapshot()
         with pytest.raises(ConfigError, match=f"damaged slot {data.seq} "):
             node.compact_below(frontier)
-        assert node.heap_image() == heap
+        assert node.heap_snapshot() == heap
         assert node.base_seq == 0 and node.appended == len(records)
     finally:
         node.release()
@@ -210,7 +210,7 @@ def test_truncation_drops_the_kept_records_past_the_frontier(traced_hash):
         for rec in records[frontier // 2 :]:
             cut.append(rec)
         assert full.compact_below(frontier) == cut.compact_below(frontier) == frontier
-        assert full.image_bytes() == cut.image_bytes()
+        assert full.snapshot() == cut.snapshot()
     finally:
         full.release()
         cut.release()

@@ -39,10 +39,10 @@ def test_append_assigns_slot_equal_to_seq(traced_hash):
 def test_duplicate_append_is_ignored(traced_hash):
     node, stream = _fresh_node(traced_hash)
     try:
-        before = node.image_bytes()
+        before = node.snapshot()
         for rec in stream.records[:8]:
             assert node.append(rec) == rec.seq
-        assert node.image_bytes() == before
+        assert node.snapshot() == before
         assert node.appended == len(stream.records)
     finally:
         node.release()
@@ -116,9 +116,9 @@ def test_double_recovery_is_a_fixed_point(traced_hash, dist_config):
     try:
         for node in nodes:
             first = node.recover(reset_log=False)
-            image_after_first = node.image_bytes()
+            image_after_first = node.snapshot()
             second = node.recover(reset_log=False)
-            assert node.image_bytes() == image_after_first
+            assert node.snapshot() == image_after_first
             assert second.redo_writes == first.redo_writes
             assert second.undo_writes == first.undo_writes
     finally:
@@ -141,9 +141,9 @@ def test_recovery_with_truncated_tail_drops_uncommitted(traced_hash, dist_config
         node.truncate_to(frontier)
         report = node.recover(reset_log=False)
         assert report.records_scanned > 0
-        image = node.image_bytes()
+        image = node.snapshot()
         again = node.recover(reset_log=False)
-        assert node.image_bytes() == image
+        assert node.snapshot() == image
         assert again.committed_instances == report.committed_instances
     finally:
         node.release()
@@ -168,8 +168,8 @@ def test_reshipped_batch_cannot_resurrect_aborted_txns(traced_hash, dist_config)
         tail = stream.records[mid_commit - 2 : mid_commit + 1]
         node.truncate_to(mid_commit - 2)  # tail records never landed
         node.recover(reset_log=False)
-        recovered = node.image_bytes()
-        heap = node.heap_image()
+        recovered = node.snapshot()
+        heap = node.heap_snapshot()
         # The "re-shipped batch" arrives after recovery already ran.
         # appended bookkeeping says these slots are free again, but the
         # dedup contract is monotone: state can only be re-extended
@@ -177,7 +177,7 @@ def test_reshipped_batch_cannot_resurrect_aborted_txns(traced_hash, dist_config)
         # before the data is trusted.  The heap image must not move.
         for rec in tail:
             node.append(rec)
-        assert node.heap_image() == heap
+        assert node.heap_snapshot() == heap
         node.recover(reset_log=False)
         # With the COMMIT record present again the transaction is simply
         # committed (it was never acked-aborted, just undone); the heap
@@ -188,9 +188,9 @@ def test_reshipped_batch_cannot_resurrect_aborted_txns(traced_hash, dist_config)
         for rec in stream.records[: mid_commit + 1]:
             reference.append(rec)
         reference.recover(reset_log=False)
-        assert node.heap_image() == reference.heap_image()
+        assert node.heap_snapshot() == reference.heap_snapshot()
         reference.release()
-        assert node.image_bytes() != recovered or True  # documentation only
+        assert node.snapshot() != recovered or True  # documentation only
     finally:
         node.release()
         other.release()

@@ -173,7 +173,7 @@ def test_expected_image_full_frontier_equals_golden_heap(traced_hash, dist_confi
         # Recover one replica and compare directly.
         node = nodes[0]
         node.recover(reset_log=False)
-        assert node.heap_image() == image
+        assert node.heap_snapshot() == image
     finally:
         _release(nodes)
 

@@ -232,4 +232,4 @@ def test_campaign_points_reuse_a_few_device_buffers_and_leave_them_zeroed(
     assert len(images) <= limit
     pooled = [buffer for buffers in NVRAM._image_pool.values() for buffer in buffers]
     assert pooled
-    assert all(buffer.count(0) == len(buffer) for buffer in pooled)
+    assert all(buffer[:].count(0) == len(buffer) for buffer in pooled)

@@ -10,6 +10,7 @@ missing mechanism implies.  A subset of that matrix runs here; the full
 import importlib
 import json
 import re
+import tracemalloc
 
 import pytest
 
@@ -25,9 +26,12 @@ from repro.core.design import (
 )
 from repro.harness.sweep import run_micro_sweep
 from repro.sanitizer import static
+from repro.harness.runner import RunConfig
 from repro.sanitizer.checker import (
     PersistOrderChecker,
     PsanSweepReport,
+    cell_trace,
+    replay_checked,
     run_psan,
 )
 from repro.sanitizer.rules import PsanReport
@@ -198,6 +202,66 @@ class TestOneCellPath:
         assert gate.passed
         (report,) = dynamic
         assert _summary(report) == expected
+
+
+class TestCheckedReplayFootprint:
+    def test_a_checked_replay_keeps_no_event_stream(self):
+        """The checker consumes events as they are emitted; a replay that
+        saves no trace keeps none.  A ring of every event (and the checker
+        hanging off the returned tracer) retained about 25 MB here."""
+        trace, system = cell_trace("hash", 8, 250, None, None, 42)
+        run = RunConfig(
+            policy=FWB, threads=8, txns_per_thread=250, system=system, seed=42
+        )
+        tracemalloc.start()
+        try:
+            _stats, report, tracer = replay_checked(trace, run)
+            retained, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.clean and report.events_processed > 30_000
+        assert len(tracer) == 0
+        assert retained < 4_000_000, retained
+
+    def test_a_saved_trace_keeps_every_event(self):
+        trace, system = cell_trace("hash", 1, TXNS, None, None, 42)
+        run = RunConfig(policy=HWL, threads=1, txns_per_thread=TXNS, system=system)
+        _stats, report, tracer = replay_checked(trace, run, keep_events=True)
+        assert len(tracer) == report.events_processed > 0
+
+
+class TestPrepareOnMiss:
+    ARGS = [
+        "psan", "--benchmarks", "hash", "--threads", "2",
+        "--policies", "hwl,fwb", "--txns", "40",
+    ]
+
+    def test_a_warm_trace_cache_prepares_nothing(self, tmp_path, monkeypatch, capsys):
+        """The CI psan smoke on a warm cache: every trace hits, so no
+        benchmark is prepared (the adversarial probe's benchmark was
+        prepared twice before, hit or miss)."""
+        cache = importlib.import_module("repro.harness.cache")
+        runner = importlib.import_module("repro.harness.runner")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(cache, "_SHARED_TRACE_CACHE", None)
+        calls = []
+        prepare = runner.prepare_workload
+
+        def counting(workload, *args, **kwargs):
+            calls.append(workload.name)
+            return prepare(workload, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "prepare_workload", counting)
+        cli = importlib.import_module("repro.__main__")
+        monkeypatch.setattr(cli, "prepare_workload", counting)
+        assert main(self.ARGS) == 0
+        cold = capsys.readouterr().out
+        assert calls == ["hash"]  # two cells miss, one preparation
+        calls.clear()
+        monkeypatch.setattr(cache, "_SHARED_TRACE_CACHE", None)  # disk only
+        assert main(self.ARGS) == 0
+        assert capsys.readouterr().out == cold
+        assert calls == []
 
 
 def _psan_rows(out, benchmarks):

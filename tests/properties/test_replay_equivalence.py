@@ -134,7 +134,8 @@ class TestReplayEquivalence:
                     f"stats drift: {cell}"
                 )
                 assert (
-                    interpreted.machine.nvram.image == replayed.machine.nvram.image
+                    interpreted.machine.nvram.image[:]
+                    == replayed.machine.nvram.image[:]
                 ), f"NVRAM image drift: {cell}"
                 assert interpreted.pm.golden.commits == replayed.pm.golden.commits, (
                     f"golden model drift: {cell}"

@@ -26,7 +26,7 @@ class TestRBTreeProperties:
     @settings(max_examples=30, deadline=None)
     def test_toggle_semantics_and_invariants(self, keys):
         _pm, w, acc = fresh(RBTreeWorkload, keys_per_partition=48)
-        model = set(w._resident[0])
+        model = {key for key, flag in enumerate(w._resident[0]) if flag}
         for key in keys:
             if key in model:
                 assert w.delete(acc, 0, key)
@@ -43,7 +43,7 @@ class TestBTreeProperties:
     @settings(max_examples=30, deadline=None)
     def test_toggle_semantics_and_invariants(self, keys):
         _pm, w, acc = fresh(BTreeWorkload, keys_per_partition=48)
-        model = set(w._resident[0])
+        model = {key for key, flag in enumerate(w._resident[0]) if flag}
         for key in keys:
             if key in model:
                 assert w.delete(acc, 0, key)
@@ -62,7 +62,7 @@ class TestHashProperties:
         _pm, w, acc = fresh(
             HashTableWorkload, keys_per_partition=48, buckets_per_partition=8
         )
-        model = set(w._resident[0])
+        model = {key for key, flag in enumerate(w._resident[0]) if flag}
         for key in keys:
             if key in model:
                 w._remove(acc, 0, key)

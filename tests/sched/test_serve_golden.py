@@ -92,7 +92,7 @@ def run_case(config: ServeConfig) -> dict:
             # run_serve releases each shard's replicator, in shard order,
             # once its report is built: the images' last readable state.
             for node in self.nodes:
-                images.append(hashlib.sha256(node.image_bytes()).hexdigest())
+                images.append(hashlib.sha256(node.nvram.image).hexdigest())
             super().release()
 
     original = serve.ShardReplicator

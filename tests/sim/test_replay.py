@@ -169,4 +169,4 @@ class TestThreadAPIs:
         assert len(built) == THREADS
         assert sorted(api.tid for api in built) == list(range(THREADS))
         assert dataclasses.asdict(replayed.stats) == dataclasses.asdict(interpreted.stats)
-        assert replayed.machine.nvram.image == interpreted.machine.nvram.image
+        assert replayed.machine.nvram.image[:] == interpreted.machine.nvram.image[:]

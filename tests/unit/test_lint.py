@@ -135,6 +135,52 @@ class TestEventKind:
         assert run(tmp_path, "x.py", body) == []
 
 
+class TestDeviceImageEq:
+    def test_comparing_two_device_images_fires(self, tmp_path):
+        body = "ok = a.machine.nvram.image == b.machine.nvram.image\n"
+        findings = run(tmp_path, "x.py", body)
+        assert [f.rule for f in findings] == ["device-image-eq"]
+
+    def test_a_name_bound_to_an_image_fires(self, tmp_path):
+        body = """
+        def f(machine, zero):
+            image = machine.nvram.image
+            assert image != zero
+            fresh = NVRAM(config).image
+            return fresh == zero
+        """
+        findings = run(tmp_path, "x.py", body)
+        assert [(f.rule, f.line) for f in findings] == [
+            ("device-image-eq", 4),
+            ("device-image-eq", 6),
+        ]
+
+    def test_contents_comparisons_are_clean(self, tmp_path):
+        body = """
+        def f(nvram, other, prepared, clone, image):
+            assert bytes(nvram.image) == image
+            assert nvram.snapshot() == other.snapshot()
+            assert prepared.image == clone.image
+            return nvram.image is other.image
+
+        def g(image, zero):
+            return image != zero
+        """
+        assert run(tmp_path, "x.py", body) == []
+
+    def test_repo_sources_and_tests_compare_image_contents(self):
+        root = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))))
+        findings = [
+            finding
+            for finding in lint_paths(
+                [os.path.join(root, "src"), os.path.join(root, "tests")]
+            )
+            if finding.rule == "device-image-eq"
+        ]
+        assert findings == [], "\n".join(f.render() for f in findings)
+
+
 class TestRegistries:
     def test_declared_stats_fields_parse_real_source(self):
         fields = declared_stats_fields()
@@ -181,7 +227,7 @@ class TestPassFramework:
 
         assert set(PASSES) >= {
             "wall-clock", "stats-counter", "float-eq", "event-kind",
-            "sched-entropy",
+            "sched-entropy", "device-image-eq",
         }
         for rule, cls in PASSES.items():
             assert cls.rule == rule

@@ -312,5 +312,5 @@ def test_write_matches_the_pre_change_path(ops, infinite, adr, queue, fractional
     assert repr(got_nvram.bank_write_free) == repr(want_nvram.bank_write_free)
     assert repr(mc._write_slots) == repr(ref._write_slots)
     assert repr(mc._bus_free) == repr(ref._bus_free)
-    assert got_nvram.image == want_nvram.image
+    assert got_nvram.image[:] == want_nvram.image[:]
     assert got_nvram.journal_length == want_nvram.journal_length

@@ -1,12 +1,17 @@
 """Unit tests for repro.sim.nvram."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.errors import AddressError
 from repro.sim.config import EnergyConfig, MemCtrlConfig, NVDimmConfig
 from repro.sim.energy import EnergyModel
 from repro.sim.memctrl import MemoryController
-from repro.sim.nvram import NVRAM
+from repro.sim.nvram import NVRAM, ImageSnapshot
 from repro.sim.stats import MachineStats
 
 
@@ -127,3 +132,148 @@ class TestCrashJournal:
             nvram.write(i * 8, bytes(8), completion_time=float(i))
         nvram.retire_journal(5.0)
         assert nvram.journal_length == 4
+
+
+MIB = 1024 * 1024
+
+
+class TestDeviceMemory:
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_writes_stay_out_of_the_parents_pooled_buffer(
+        self, monkeypatch
+    ):
+        """A parallel sweep forks its workers, which inherit the pool: a
+        child's writes into a pooled buffer must not reach the parent's."""
+        monkeypatch.setattr(NVRAM, "_image_pool", {})
+        config = NVDimmConfig(size_bytes=MIB)
+        device = NVRAM(config)
+        buffer = device.image
+        device.recycle()
+        pid = os.fork()
+        if pid == 0:  # child: take the pooled buffer and dirty both ends
+            code = 1
+            try:
+                child = NVRAM(config)
+                child.poke(0, b"\xff" * 64)
+                child.poke(MIB - 64, b"\xff" * 64)
+                code = 0 if child.image is buffer else 2
+            finally:
+                os._exit(code)
+        _pid, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert NVRAM._image_pool[MIB] == [buffer]
+        assert buffer[:].count(0) == MIB
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="needs procfs VmHWM"
+    )
+    def test_a_fresh_device_is_not_resident_until_written(self):
+        """Building a 64 MiB device adds under 8 MiB to peak RSS; writing
+        16 MiB of it then adds at least 12 MiB (the probe can see it).
+
+        The probe reads ``VmHWM``, the peak of the process's own address
+        space: ``ru_maxrss`` starts a spawned process at its parent's peak.
+        """
+        probe = textwrap.dedent(
+            """
+            from repro.sim.config import NVDimmConfig
+            from repro.sim.nvram import NVRAM
+
+            def peak_mib():
+                with open("/proc/self/status") as status:
+                    for line in status:
+                        if line.startswith("VmHWM:"):
+                            return int(line.split()[1]) / 1024
+
+            before = peak_mib()
+            device = NVRAM(NVDimmConfig(size_bytes=64 << 20))
+            built = peak_mib()
+            for addr in range(0, 16 << 20, 1 << 20):
+                device.poke(addr, b"\\x01" * (1 << 20))
+            print(built - before, peak_mib() - built)
+            """
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        ).stdout
+        built, written = (float(field) for field in out.split())
+        assert built < 8, out
+        assert written >= 12, out
+
+
+def _pair():
+    """Two 1 MiB devices with equal contents in both windows."""
+    devices = []
+    for _ in range(2):
+        device = NVRAM(NVDimmConfig(size_bytes=MIB))
+        device.poke(0x100, b"heap")
+        device.poke(MIB - 0x100, b"log!")
+        devices.append(device)
+    return devices
+
+
+class TestSnapshots:
+    def test_equal_contents_are_equal_whatever_the_windows(self):
+        a, b = _pair()
+        b.poke(0x4000, bytes(8))  # widens b's low window with zeros
+        b.poke(MIB - 0x8000, bytes(8))  # and its high window
+        assert a.written_extent() != b.written_extent()
+        assert a.snapshot() == b.snapshot()
+        assert not a.snapshot() != b.snapshot()
+
+    @pytest.mark.parametrize(
+        "addr",
+        [0x102, MIB - 0xFE, MIB // 2 - 0x40],
+        ids=["low-window", "high-window", "outside-both"],
+    )
+    def test_a_one_byte_difference_is_caught(self, addr):
+        a, b = _pair()
+        lo_end, hi_start = a.written_extent()
+        assert (addr < lo_end) + (addr >= hi_start) == (addr != MIB // 2 - 0x40)
+        b.poke(addr, b"\x01" if b.peek(addr, 1) == b"\x00" else b"\x00")
+        assert a.snapshot() != b.snapshot()
+        assert b.snapshot() != a.snapshot()
+
+    def test_restore_round_trips_and_claims_both_windows(self, monkeypatch):
+        monkeypatch.setattr(NVRAM, "_image_pool", {})
+        a, _b = _pair()
+        copy = NVRAM(NVDimmConfig(size_bytes=MIB))
+        copy.restore(a.snapshot())
+        assert copy.snapshot() == a.snapshot()
+        assert copy.peek(0x100, 4) == b"heap"
+        assert copy.peek(MIB - 0x100, 4) == b"log!"
+        buffer = copy.image
+        copy.recycle()  # re-zeroes what restore claimed
+        assert buffer[:].count(0) == MIB
+
+    def test_snapshot_holds_only_the_windows(self):
+        a, _b = _pair()
+        image = a.snapshot()
+        assert len(image.low) == 0x104
+        assert image.hi_start == MIB - 0x100 and image.high == b"log!" + bytes(0xFC)
+        assert image.tobytes() == a.image[:]
+
+    def test_a_clipped_snapshot_covers_the_prefix(self):
+        a, _b = _pair()
+        a.poke(MIB // 2 + 0x10, b"mid")  # lands in the high window
+        heap = a.snapshot(MIB - 0x200)
+        assert len(heap) == MIB - 0x200
+        assert heap.tobytes() == a.image[: MIB - 0x200]
+
+    def test_snapshots_of_different_sizes_differ(self):
+        small = ImageSnapshot(64, b"x", 64, b"")
+        assert small != ImageSnapshot(128, b"x", 128, b"")
+        with pytest.raises(ValueError):
+            small.spans(ImageSnapshot(128, b"x", 128, b""))
+
+    def test_restore_refuses_a_snapshot_of_another_size(self):
+        device = NVRAM(NVDimmConfig(size_bytes=MIB))
+        with pytest.raises(AddressError):
+            device.restore(ImageSnapshot(2 * MIB, b"", 2 * MIB, b""))

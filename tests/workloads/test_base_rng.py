@@ -92,11 +92,11 @@ class TestWorkloadBase:
         machine, _pm, _ = build_run(workload, run)
         image = machine.nvram.image
         zero = bytes(len(image))
-        assert image != zero
+        assert image[:] != zero
         machine.nvram.recycle()
         fresh = Machine(tiny_system(), FWB).nvram.image
         assert fresh is image
-        assert fresh == zero
+        assert fresh[:] == zero
 
     def test_word_view_needs_a_little_endian_host(self, monkeypatch):
         pm = make_pm(NON_PERS)

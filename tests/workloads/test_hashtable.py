@@ -65,7 +65,7 @@ class TestThreadBody:
     def test_runs_and_matches_model(self, env):
         pm, w, acc = env
         api = pm.api(0)
-        model = set(w._resident[0])
+        model = {key for key, flag in enumerate(w._resident[0]) if flag}
         steps = 0
         for _ in w.thread_body(api, 0, 30):
             steps += 1
@@ -82,7 +82,7 @@ class TestThreadBody:
         from repro.workloads.rng import thread_rng
 
         rng = thread_rng(w.seed, 0)
-        resident = set(w._resident[0])
+        resident = {key for key, flag in enumerate(w._resident[0]) if flag}
         for _ in range(40):
             key = rng.randrange(w.keys_per_partition)
             if key in resident:

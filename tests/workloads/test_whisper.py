@@ -238,7 +238,7 @@ class TestCTree:
         kernel.setup(pm)
         acc = SetupAccessor(pm)
         rng = random.Random(8)
-        model = set(kernel._resident[0])
+        model = {key for key, flag in enumerate(kernel._resident[0]) if flag}
         for _ in range(200):
             key = rng.randrange(1, 33)
             if key in model:
