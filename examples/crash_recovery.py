@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 
-from repro import Machine, PersistentMemory, RecoveryManager, SystemConfig
+from repro import Machine, PersistentMemory, SystemConfig, recover_image
 from repro.core.design import FWB, HWL, REDO_CLWB, UNDO_CLWB, UNSAFE_BASE, DesignSpec
 from repro.sim.config import LoggingConfig, NVDimmConfig
 
@@ -42,7 +42,7 @@ def trial(policy: DesignSpec, seed: int) -> int:
 
     crash_time = rng.uniform(0, machine.core_time(0))
     machine.crash(at_time=crash_time)
-    RecoveryManager(machine.nvram, machine.log).recover()
+    recover_image(machine.nvram, machine.config)
 
     expected = pm.golden.expected_at(crash_time)
     corrupted = 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from repro import Machine, PersistentMemory, RecoveryManager, SystemConfig
+from repro import Machine, PersistentMemory, SystemConfig, recover_image
 from repro.core.design import FWB
 from repro.sim.config import LoggingConfig, NVDimmConfig
 
@@ -60,7 +60,7 @@ def main() -> None:
     # the last core cycle: posted log/data writes are still draining.)
     crash_time = rng.uniform(0.4, 1.3) * stats.cycles
     machine.crash(at_time=crash_time)
-    report = RecoveryManager(machine.nvram, machine.log).recover()
+    report = recover_image(machine.nvram, machine.config)
     print("\n=== crash & recovery ===")
     print(f"crashed at cycle       : {crash_time:,.0f}")
     print(f"log window replayed    : {report.window_entries} records")

@@ -30,7 +30,7 @@ Subpackages:
 """
 
 from .core.design import CANONICAL_DESIGNS, DESIGNS, DesignSpec, parse_design, resolve_design
-from .core.recovery import RecoveryManager, RecoveryReport
+from .core.recovery import RecoveryManager, RecoveryReport, recover_image
 from .sim.config import SystemConfig
 from .sim.machine import Machine
 from .sim.stats import MachineStats
@@ -51,5 +51,6 @@ __all__ = [
     "ThreadAPI",
     "RecoveryManager",
     "RecoveryReport",
+    "recover_image",
     "__version__",
 ]

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.design import DesignSpec, resolve_design, switch_legal
-from ..core.recovery import RecoveryManager
+from ..core.recovery import recover_image
 from ..faults.campaign import (
     campaign_workload,
     check_campaign_size,
@@ -158,10 +158,10 @@ def _crash_and_recover(
     shard = start_run(prepared, old, threads, txns_per_thread, FaultMonitor(trigger))
     crash_time, triggered = crash_run(shard, (horizon, new))
     machine = shard.machine
-    RecoveryManager(machine.nvram, machine.log).recover()
+    recover_image(machine.nvram, machine.config)
     recovered = machine.nvram.snapshot()
     # Idempotence: a second cold recovery pass must be a no-op.
-    RecoveryManager(machine.nvram, machine.log).recover()
+    recover_image(machine.nvram, machine.config)
     converged = machine.nvram.snapshot() == recovered
     return (
         SwitchPointResult(

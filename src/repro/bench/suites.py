@@ -55,7 +55,7 @@ import tempfile
 
 from ..core.design import CANONICAL_DESIGNS, FWB, HWL, REDO_CLWB, UNSAFE_BASE, expand_grid
 from ..core.logbuffer import LogBuffer
-from ..core.recovery import RecoveryManager
+from ..core.recovery import recover_image
 from ..harness.cache import SweepCache
 from ..harness.sweep import run_micro_sweep
 from ..sim.cache import SetAssociativeCache
@@ -233,7 +233,7 @@ def recovery_replay(quick: bool, timer: BenchTimer) -> dict:
         pass
     machine.crash(at_time=machine.core_time(0) * 0.6)
     with timer.timed():
-        report = RecoveryManager(machine.nvram, machine.log).recover()
+        report = recover_image(machine.nvram, machine.config)
     return {
         "records_scanned": report.records_scanned,
         "window_entries": report.window_entries,

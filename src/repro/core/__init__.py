@@ -13,7 +13,8 @@
 * :mod:`~repro.core.design` — the composable mechanism space
   (:class:`~repro.core.design.DesignSpec`) and the registry of the
   paper's eight canonical designs;
-* :mod:`~repro.core.recovery` — post-crash log replay.
+* :mod:`~repro.core.recovery` — post-crash log replay, through one
+  layout-aware entry point (:func:`~repro.core.recovery.recover_image`).
 """
 
 from .design import (
@@ -30,9 +31,9 @@ from .design import (
 from .growlog import GrowableCircularLog, RegionDirectory
 from .lifetime import log_region_lifetime_days, wear_report
 from .logrecord import LogRecord, RecordKind
-from .multilog import LogRouter, recover_all, split_log_region
+from .multilog import LogRouter, log_rings, split_log_region
 from .nvlog import CircularLog
-from .recovery import RecoveryManager, RecoveryReport
+from .recovery import RecoveryManager, RecoveryReport, recover_image
 
 __all__ = [
     "LogRecord",
@@ -42,7 +43,7 @@ __all__ = [
     "RegionDirectory",
     "LogRouter",
     "split_log_region",
-    "recover_all",
+    "log_rings",
     "log_region_lifetime_days",
     "wear_report",
     "DesignSpec",
@@ -56,4 +57,5 @@ __all__ = [
     "resolve_design",
     "RecoveryManager",
     "RecoveryReport",
+    "recover_image",
 ]

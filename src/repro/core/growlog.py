@@ -14,8 +14,9 @@ uncommitted transaction".  This module implements the second option:
 * a small *region directory* is persisted in NVRAM so that recovery can
   find every region after a crash (the paper stores the equivalent
   pointers "as part of the log structure");
-* :meth:`RecoveryManager.scan_window` walks regions in creation order,
-  so replay semantics are unchanged.
+* recovery (:func:`~repro.core.recovery.recover_image`) replays every
+  listed region, in creation order, as one window, so replay semantics
+  are unchanged.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Optional
 
 from typing import TYPE_CHECKING
 
-from ..errors import LogError
+from ..errors import LogError, RecoveryError
 from .logrecord import LogRecord, RecordKind
 from .nvlog import CircularLog, PlacedRecord
 
@@ -44,6 +45,11 @@ class RegionDirectory:
     def __init__(self, nvram: "NVRAM", addr: int) -> None:
         self._nvram = nvram
         self.addr = addr
+
+    @classmethod
+    def below(cls, nvram: "NVRAM", log_base: int) -> "RegionDirectory":
+        """The directory block just below the primary log region."""
+        return cls(nvram, log_base - DIRECTORY_BYTES)
 
     def write(self, regions: list, entry_size: int) -> None:
         """Persist the region list (system-software metadata update)."""
@@ -76,6 +82,15 @@ class RegionDirectory:
             regions.append((base, entries))
         return entry_size, regions
 
+    def views(self) -> list:
+        """Cold views (geometry only) of every listed region, in creation
+        order — the log a restart finds."""
+        directory = self.read()
+        if directory is None:
+            raise RecoveryError("no log region directory in NVRAM")
+        entry_size, regions = directory
+        return [CircularLog(base, entries, entry_size) for base, entries in regions]
+
 
 class GrowableCircularLog(CircularLog):
     """A circular log that grows instead of overwriting active records.
@@ -103,7 +118,6 @@ class GrowableCircularLog(CircularLog):
         self._activity_token = activity_token
         self._directory = directory
         self._frozen: list[CircularLog] = []
-        self._slot_tokens: list = [None] * num_entries
         self.grow_count = 0
         self._directory.write(self._region_list(), entry_size)
 
@@ -125,6 +139,11 @@ class GrowableCircularLog(CircularLog):
         self._slot_tokens[placed.slot] = (record.txid, self._activity_token(record.txid))
         return placed
 
+    def reset(self) -> None:
+        """Rewind the active region to an empty first pass."""
+        super().reset()
+        self._slot_tokens: list = [None] * self.num_entries
+
     def _grow(self) -> None:
         """Freeze the current ring and continue in a fresh region."""
         frozen = CircularLog(self.base, self.num_entries, self.entry_size)
@@ -133,11 +152,7 @@ class GrowableCircularLog(CircularLog):
         frozen.wrapped = self.wrapped
         self._frozen.append(frozen)
         self.base = self._allocator(self.size_bytes)
-        self.tail = 0
-        self.head = 0
-        self.parity = 1
-        self.wrapped = False
-        self._slot_tokens = [None] * self.num_entries
+        self.reset()
         self.grow_count += 1
         self._directory.write(self._region_list(), self.entry_size)
 

@@ -11,9 +11,10 @@ implements the per-thread flavour:
   on ring tail bandwidth);
 * per-thread records no longer *need* the thread-ID field (the paper's
   observation) — we keep writing it for a uniform record format;
-* recovery replays every ring independently; a thread's transactions are
-  sequential, so each ring is self-contained (commit records live in the
-  same ring as their data records).
+* recovery (:func:`~repro.core.recovery.recover_image`) replays every
+  ring independently; a thread's transactions are sequential, so each
+  ring is self-contained (commit records live in the same ring as their
+  data records).
 """
 
 from __future__ import annotations
@@ -43,21 +44,6 @@ class LogRouter:
         """Volatile log buffer for thread ``tid``."""
         return self._buffers[tid % len(self._buffers)]
 
-    @property
-    def primary(self) -> CircularLog:
-        """The first (or only) ring."""
-        return self._logs[0]
-
-    @property
-    def logs(self) -> list:
-        """All rings."""
-        return list(self._logs)
-
-    @property
-    def is_distributed(self) -> bool:
-        """True when more than one ring exists."""
-        return len(self._logs) > 1
-
 
 def split_log_region(
     base: int, total_entries: int, entry_size: int, ways: int, line_size: int = 64
@@ -74,22 +60,14 @@ def split_log_region(
     ]
 
 
-def recover_all(nvram, logs: list, reset_log: bool = True):
-    """Replay every ring; returns the merged :class:`RecoveryReport`.
-
-    Rings are independent (per-thread transactions are sequential and
-    workloads partition data per thread), so replay order across rings
-    does not matter.
-    """
-    from .recovery import RecoveryManager, RecoveryReport
-
-    merged = RecoveryReport()
-    for log in logs:
-        report = RecoveryManager(nvram, log).recover(reset_log=reset_log)
-        merged.records_scanned += report.records_scanned
-        merged.window_entries += report.window_entries
-        merged.committed_instances += report.committed_instances
-        merged.uncommitted_instances += report.uncommitted_instances
-        merged.redo_writes += report.redo_writes
-        merged.undo_writes += report.undo_writes
-    return merged
+def log_rings(system) -> list:
+    """The rings ``system`` places in its log region: the paper's one
+    centralized ring, or one per thread with ``distributed_logs``."""
+    logging = system.logging
+    return split_log_region(
+        system.log_base,
+        logging.log_entries,
+        logging.log_entry_size,
+        max(1, logging.distributed_logs),
+        system.line_size,
+    )

@@ -65,16 +65,20 @@ class CircularLog:
         self.num_entries = num_entries
         self.entry_size = entry_size
         self._line_size = line_size
+        self.appended = 0
+        # Encoded markers by record, one table per pass parity.
+        self._markers: tuple = ({}, {})
+        self.reset()
+
+    def reset(self) -> None:
+        """Rewind to an empty first pass (the region holds no entry)."""
         self.tail = 0
         self.head = 0
         self.parity = 1  # zeroed NVRAM decodes as invalid; first pass writes torn=1
         self.wrapped = False
-        self.appended = 0
         # Volatile shadow of what lives in each slot, for wrap protection.
-        self._slot_lines: list[Optional[int]] = [None] * num_entries
-        self._slot_kinds: list[Optional[RecordKind]] = [None] * num_entries
-        # Encoded markers by record, one table per pass parity.
-        self._markers: tuple = ({}, {})
+        self._slot_lines: list[Optional[int]] = [None] * self.num_entries
+        self._slot_kinds: list[Optional[RecordKind]] = [None] * self.num_entries
 
     @property
     def size_bytes(self) -> int:

@@ -45,17 +45,28 @@ Damaged-log hardening (beyond the paper's discussion):
   marker.  A campaign can interrupt recovery deterministically by passing
   a ``crash_injector`` whose ``recovery_step()`` raises
   :class:`~repro.errors.RecoveryInterrupted` between NVRAM writes.
+
+Every crash verifier recovers through :func:`recover_image`, which finds
+the log the way a restart would — from the system's layout alone: one
+central ring, one ring per thread (Section III-F), or every region the
+persistent directory of a grown log lists (Section IV-A).  It replays
+each independent window through :class:`RecoveryManager` and sums the
+reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, Optional
 
-from ..errors import RecoveryError
-from ..sim.nvram import NVRAM
+from .growlog import RegionDirectory
 from .logrecord import DecodeStatus, LogRecord, RecordKind, reset_marker
+from .multilog import log_rings
 from .nvlog import CircularLog
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..sim.config import SystemConfig
+    from ..sim.nvram import NVRAM
 
 
 @dataclass
@@ -81,17 +92,10 @@ class RecoveryReport:
     undo_writes: int = 0
     torn_records_skipped: int = 0
     checksum_failures: int = 0
-    reset_markers_seen: int = 0
     commits_inferred: int = 0
     """Open instances whose COMMIT record was lost to log damage but that
     a later record of the same thread proves finished (a thread runs one
     transaction at a time) — replayed as committed instead of undone."""
-    committed_ids: set = field(default_factory=set)
-    """``(tid, physical txid)`` of each transaction the replay treated as
-    committed — for its *newest* instance in the window (physical IDs are
-    recycled).  Crash verifiers use this to resolve in-doubt transactions
-    (crash inside the commit sequence): the transaction counts as
-    committed exactly when its IDs appear here."""
 
     @property
     def total_writes(self) -> int:
@@ -105,7 +109,11 @@ class RecoveryReport:
 
 
 class RecoveryManager:
-    """Replays the circular log against a surviving NVRAM image.
+    """Replays one log window against a surviving NVRAM image.
+
+    ``logs`` hold the window's regions, oldest first; a grown log stands
+    for every region it spans (its ``region_views()``).  Crash verifiers
+    build managers through :func:`recover_image`.
 
     ``verify_checksums=False`` falls back to the paper's bare scheme
     (magic byte + torn bit only, no per-record integrity check) — useful
@@ -114,46 +122,15 @@ class RecoveryManager:
     """
 
     def __init__(
-        self,
-        nvram: NVRAM,
-        log: CircularLog,
-        verify_checksums: bool = True,
+        self, nvram: NVRAM, *logs: CircularLog, verify_checksums: bool = True
     ) -> None:
         self._nvram = nvram
-        self._log = log
+        self._regions = [view for log in logs for view in log.region_views()]
         self._verify_checksums = verify_checksums
-
-    @classmethod
-    def from_directory(
-        cls,
-        nvram: NVRAM,
-        directory_addr: int,
-        verify_checksums: bool = True,
-    ) -> "RecoveryManager":
-        """Rebuild a manager from the persistent region directory written
-        by a :class:`~repro.core.growlog.GrowableCircularLog` — the path a
-        cold-restart recovery tool takes when only the NVRAM image
-        survives."""
-        from .growlog import RegionDirectory
-
-        directory = RegionDirectory(nvram, directory_addr).read()
-        if directory is None:
-            raise RecoveryError("no log region directory in NVRAM")
-        entry_size, regions = directory
-        logs = [CircularLog(base, entries, entry_size) for base, entries in regions]
-        manager = cls(nvram, logs[-1], verify_checksums)
-        manager._log_views = logs
-        return manager
 
     # ------------------------------------------------------------------
     # Window scan
     # ------------------------------------------------------------------
-    def _views(self) -> list:
-        views = getattr(self, "_log_views", None)
-        if views is not None:
-            return views
-        return self._log.region_views()
-
     def scan_window(self, report: Optional[RecoveryReport] = None) -> list[LogRecord]:
         """Decode the valid window, oldest record first.
 
@@ -164,7 +141,7 @@ class RecoveryManager:
         if report is None:
             report = RecoveryReport()
         window: list[LogRecord] = []
-        for view in self._views():
+        for view in self._regions:
             window.extend(self._scan_region(view, report))
         return window
 
@@ -174,12 +151,9 @@ class RecoveryManager:
             raw = self._nvram.peek(log.entry_addr(slot), log.entry_size)
             entries.append(LogRecord.classify(raw, self._verify_checksums))
         first, first_status = entries[0]
-        if first_status is DecodeStatus.RESET_MARKER:
-            # Crash mid-reset: replay nothing; recover() re-runs the
-            # reset so leftover stale entries cannot resurface later.
-            report.reset_markers_seen += 1
-            return []
-        if first_status is DecodeStatus.EMPTY:
+        if first_status in (DecodeStatus.EMPTY, DecodeStatus.RESET_MARKER):
+            # A marker means a crash mid-reset: replay nothing; recover()
+            # re-runs the reset so stale entries cannot resurface later.
             return []
         # Log writes drain FIFO, so durability is always a *prefix* of
         # append order and in-flight damage (torn entries, or entries
@@ -237,10 +211,7 @@ class RecoveryManager:
                 else:
                     report.torn_records_skipped += 1
                 continue
-            if status is DecodeStatus.RESET_MARKER:
-                report.reset_markers_seen += 1
-                break
-            if status is DecodeStatus.EMPTY:
+            if status in (DecodeStatus.EMPTY, DecodeStatus.RESET_MARKER):
                 break
             # Torn or corrupt: mid-window corruption if valid same-pass
             # records follow; the torn append frontier otherwise.
@@ -274,8 +245,6 @@ class RecoveryManager:
                 index += 1
                 continue
             if status in (DecodeStatus.EMPTY, DecodeStatus.RESET_MARKER):
-                if status is DecodeStatus.RESET_MARKER:
-                    report.reset_markers_seen += 1
                 boundary = index
                 break
             # Torn or corrupt: mid-window corruption iff the next valid
@@ -326,7 +295,7 @@ class RecoveryManager:
         same state as an uninterrupted one.
         """
         report = RecoveryReport(
-            records_scanned=sum(view.num_entries for view in self._views())
+            records_scanned=sum(view.num_entries for view in self._regions)
         )
         window = self.scan_window(report)
         report.window_entries = len(window)
@@ -373,15 +342,6 @@ class RecoveryManager:
                 instance.committed = True
                 report.commits_inferred += 1
 
-        # Commit state of the *newest* instance per (tid, physical txid):
-        # a fresh BEGIN for recycled IDs supersedes an older commit.
-        final_state: dict[tuple[int, int], bool] = {}
-        for instance in ordered:
-            final_state[(instance.tid, instance.txid)] = instance.committed
-        report.committed_ids = {
-            ids for ids, done in final_state.items() if done
-        }
-
         # Forward pass: redo committed instances in log order.
         for instance in ordered:
             if not instance.committed:
@@ -389,7 +349,7 @@ class RecoveryManager:
             report.committed_instances += 1
             for record in instance.records:
                 if record.has_redo:
-                    self._recovery_write(record.addr, record.redo, crash_injector)
+                    _persist(self._nvram, record.addr, record.redo, crash_injector)
                     report.redo_writes += 1
 
         # Reverse pass: undo uncommitted instances, newest record first.
@@ -399,46 +359,72 @@ class RecoveryManager:
             report.uncommitted_instances += 1
             for record in reversed(instance.records):
                 if record.has_undo:
-                    self._recovery_write(record.addr, record.undo, crash_injector)
+                    _persist(self._nvram, record.addr, record.undo, crash_injector)
                     report.undo_writes += 1
 
         if reset_log:
-            self._reset_log(crash_injector)
+            reset_log_regions(self._nvram, self._regions, crash_injector)
         return report
 
-    def _recovery_write(self, addr: int, data: bytes, crash_injector) -> None:
-        self._nvram.poke(addr, data)
-        if crash_injector is not None:
-            crash_injector.recovery_step()
 
-    def _reset_log(self, crash_injector=None) -> None:
-        """Invalidate every entry and reset the ring(s) to a fresh state.
+def _persist(nvram: NVRAM, addr: int, data: bytes, crash_injector) -> None:
+    """One recovery NVRAM write, then the crash injector's step."""
+    nvram.poke(addr, data)
+    if crash_injector is not None:
+        crash_injector.recovery_step()
 
-        The multi-write reset is crash-safe: slot 0 is first stamped with
-        the reset marker (a region whose slot 0 holds the marker scans as
-        empty), the remaining entries are cleared, and the marker is
-        cleared last.  A crash anywhere in between leaves either a fully
-        valid window (marker not yet durable — but slot 0 is always the
-        first write, so only a torn marker is possible, which classify
-        treats as a torn slot 0 over an otherwise intact window) or a
-        marked-empty region; a second recovery converges either way.
-        """
-        for view in self._views():
-            marker = reset_marker(view.entry_size)
-            zero = bytes(view.entry_size)
-            self._recovery_write(view.entry_addr(0), marker, crash_injector)
-            for slot in range(1, view.num_entries):
-                self._recovery_write(view.entry_addr(slot), zero, crash_injector)
-            self._recovery_write(view.entry_addr(0), zero, crash_injector)
-        # Reset the in-memory ring state on every view — frozen grown
-        # regions and directory-reconstructed views included, so a
-        # manager built via from_directory leaves no stale tail/parity
-        # behind on any region object a caller may keep using.
-        views = list(self._views())
-        if self._log not in views:
-            views.append(self._log)
-        for view in views:
-            view.tail = 0
-            view.head = 0
-            view.parity = 1
-            view.wrapped = False
+
+def reset_log_regions(nvram: NVRAM, regions, crash_injector=None) -> None:
+    """Invalidate every entry of ``regions`` and rewind each to empty.
+
+    The multi-write reset is crash-safe: slot 0 is first stamped with
+    the reset marker (a region whose slot 0 holds the marker scans as
+    empty), the remaining entries are cleared, and the marker is
+    cleared last.  A crash anywhere in between leaves either a fully
+    valid window (marker not yet durable — but slot 0 is always the
+    first write, so only a torn marker is possible, which classify
+    treats as a torn slot 0 over an otherwise intact window) or a
+    marked-empty region; a second recovery converges either way.
+    Recovery and the safe-switch barrier both truncate this way.
+    """
+    for view in regions:
+        marker = reset_marker(view.entry_size)
+        zero = bytes(view.entry_size)
+        _persist(nvram, view.entry_addr(0), marker, crash_injector)
+        for slot in range(1, view.num_entries):
+            _persist(nvram, view.entry_addr(slot), zero, crash_injector)
+        _persist(nvram, view.entry_addr(0), zero, crash_injector)
+        view.reset()
+
+
+def cold_windows(nvram: NVRAM, system: SystemConfig) -> list:
+    """The log windows a restart finds in ``nvram`` under ``system``'s
+    layout, each a list of cold region views (geometry only: no volatile
+    ring state survives a crash) that replays independently.
+
+    The centralized log is one window and per-thread rings are one
+    window each.  A grown log is one window over every region its
+    persistent directory lists, in creation order.
+    """
+    if system.logging.enable_log_grow:
+        return [RegionDirectory.below(nvram, system.log_base).views()]
+    return [[ring] for ring in log_rings(system)]
+
+
+def recover_image(
+    nvram: NVRAM, system: SystemConfig, *, crash_injector=None
+) -> RecoveryReport:
+    """Recover a crashed image the way a restart would; returns the sum
+    of every window's report.
+
+    Every window of :func:`cold_windows` is replayed and its log reset.
+    ``crash_injector`` sees every recovery write of every window (see
+    :meth:`RecoveryManager.recover`).
+    """
+    total = RecoveryReport()
+    for window in cold_windows(nvram, system):
+        report = RecoveryManager(nvram, *window).recover(crash_injector=crash_injector)
+        for item in fields(RecoveryReport):
+            name = item.name
+            setattr(total, name, getattr(total, name) + getattr(report, name))
+    return total

@@ -60,8 +60,6 @@ class ReplicaNode:
         system,
         image_prefix: bytes,
         capacity_records: int,
-        *,
-        line_size: int = 64,
     ) -> None:
         self.node_id = node_id
         entry_size = system.logging.log_entry_size
@@ -78,12 +76,11 @@ class ReplicaNode:
                 f"{entries} entries"
             )
         self.primary_size = primary_size
-        self.line_size = line_size
         self.nvram = NVRAM(replace(system.nvram, size_bytes=size))
         self.nvram.load_image_prefix(image_prefix)
         # Ring geometry (entry addresses) only: shipped entries are
         # written straight into their slots, never placed.
-        self.ring = CircularLog(base, entries, entry_size, line_size=line_size)
+        self.ring = CircularLog(base, entries, entry_size)
         self.appended = 0  # slots occupied, torn tail included
         self.base_seq = 0  # first sequence number still held in the ring
         self.torn_tail = False
@@ -267,28 +264,14 @@ class ReplicaNode:
         return drop
 
     # ------------------------------------------------------------------
-    def recover(
-        self,
-        *,
-        reset_log: bool = True,
-        crash_injector=None,
-        verify_checksums: bool = True,
-    ) -> RecoveryReport:
-        """Run the standard single-node recovery over the replica ring."""
-        manager = RecoveryManager(
-            self.nvram, self._cold_ring(), verify_checksums=verify_checksums
-        )
+    def recover(self, *, reset_log: bool = True, crash_injector=None) -> RecoveryReport:
+        """Run the standard single-node recovery over the replica ring,
+        through a freshly powered-on view of it: geometry only, no
+        volatile head/tail state survives the crash."""
+        ring = self.ring
+        cold = CircularLog(ring.base, ring.num_entries, ring.entry_size)
+        manager = RecoveryManager(self.nvram, cold)
         return manager.recover(reset_log=reset_log, crash_injector=crash_injector)
-
-    def _cold_ring(self) -> CircularLog:
-        # A freshly powered-on view of the ring: geometry only, no
-        # volatile head/tail state survives the crash.
-        return CircularLog(
-            self.ring.base,
-            self.ring.num_entries,
-            self.ring.entry_size,
-            line_size=self.line_size,
-        )
 
     def snapshot(self) -> ImageSnapshot:
         """The full NVRAM image (bit-compare material)."""

@@ -46,7 +46,7 @@ from ..core.design import (
     resolve_design,
 )
 from ..core.nvlog import CircularLog
-from ..core.recovery import RecoveryManager
+from ..core.recovery import recover_image
 from ..errors import ConfigError, RecoveryInterrupted, SimulatedCrash
 from ..harness.runner import PreparedWorkload, RunConfig, batch_shard, prepare_workload
 from ..sched.shard import ShardMachine
@@ -464,11 +464,10 @@ def count_mismatches(nvram: NVRAM, pm: PersistentMemory, crash_time: float) -> i
 
 def _torn_injector(system: SystemConfig) -> FaultInjector:
     """Tear up to two in-flight log-region writes at the crash."""
-    log_base = system.nvram.size_bytes - system.logging.log_bytes
     return FaultInjector(
         [
             TornWrite(
-                base=log_base,
+                base=system.log_base,
                 end=system.nvram.size_bytes,
                 keep_words=2,
                 max_tears=2,
@@ -508,7 +507,7 @@ def _run_execution_point(
             ghost.corrupt_image(machine.nvram)
             fault_applied = True
     machine.nvram.injector = None  # recovery sees the damaged image as-is
-    report = RecoveryManager(machine.nvram, machine.log).recover()
+    report = recover_image(machine.nvram, machine.config)
     mismatches = count_mismatches(machine.nvram, shard.pm, crash_time)
     machine.nvram.recycle()  # verified: the next point reuses the buffer
     return PointResult(
@@ -534,15 +533,8 @@ class _RecoveryScenario:
     image: ImageSnapshot
     crash_time: float
     golden_pm: PersistentMemory
-    log_geometry: Tuple[int, int, int]  # base, entries, entry_size
     reference_image: ImageSnapshot
-    reference_report: object
     steps: int
-
-    def cold_manager(self, nvram: NVRAM) -> RecoveryManager:
-        """A manager the way a cold restart would build it."""
-        base, entries, entry_size = self.log_geometry
-        return RecoveryManager(nvram, CircularLog(base, entries, entry_size))
 
 
 def _build_recovery_scenario(
@@ -561,25 +553,19 @@ def _build_recovery_scenario(
     machine = shard.machine
     image = machine.nvram.snapshot()
     machine.nvram.recycle()
-    log = machine.log
-    geometry = (log.base, log.num_entries, log.entry_size)
 
     # Counting pass doubles as the convergence reference.
     reference = NVRAM(prepared.system.nvram)
     reference.restore(image)
     counter = FaultMonitor()
-    reference_report = RecoveryManager(reference, CircularLog(*geometry)).recover(
-        crash_injector=counter
-    )
+    recover_image(reference, prepared.system, crash_injector=counter)
     reference_image = reference.snapshot()
     reference.recycle()
     return _RecoveryScenario(
         image=image,
         crash_time=crash_time,
         golden_pm=shard.pm,
-        log_geometry=geometry,
         reference_image=reference_image,
-        reference_report=reference_report,
         steps=counter.counts[EventKind.RECOVERY],
     )
 
@@ -594,13 +580,15 @@ def _run_recovery_point(
     nvram.restore(scenario.image)
     interrupted = False
     try:
-        scenario.cold_manager(nvram).recover(
-            crash_injector=FaultMonitor(CrashPoint(EventKind.RECOVERY, point.index))
+        recover_image(
+            nvram,
+            system,
+            crash_injector=FaultMonitor(CrashPoint(EventKind.RECOVERY, point.index)),
         )
     except RecoveryInterrupted:
         interrupted = True
     # Second (clean) recovery pass — the restart after the second crash.
-    report = scenario.cold_manager(nvram).recover()
+    report = recover_image(nvram, system)
 
     pm = scenario.golden_pm
     wrong = count_mismatches(nvram, pm, scenario.crash_time)

@@ -73,6 +73,9 @@ class ShardMachine:
                 f"config has {machine.config.num_cores}"
             )
         self.machine = machine
+        # Thread ``tid`` runs on core ``tid``; idle cores must not hold
+        # back the NVRAM journal's retire horizon.
+        machine.thread_cores = machine.cores[:threads]
         self.pm = pm
         self.workload = workload
         self.threads = threads

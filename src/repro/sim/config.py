@@ -275,6 +275,12 @@ class SystemConfig:
         """System-wide cache-line size in bytes."""
         return self.l1.line_size
 
+    @property
+    def log_base(self) -> int:
+        """First byte of the circular log region, which ends at the top
+        of NVRAM — the one placement rule the machine and recovery read."""
+        return self.nvram.size_bytes - self.logging.log_bytes
+
     def scaled(self, **overrides) -> "SystemConfig":
         """Return a copy with fields replaced (convenience for sweeps)."""
         return replace(self, **overrides)

@@ -4,8 +4,9 @@ Address-space layout (all inside the NVRAM device; the paper's DRAM side
 holds non-persistent data and is not evaluated):
 
 * ``[HEAP_BASE, log_base)`` — persistent heap (working data);
-* ``[log_base, nvram_size)`` — the circular log region, where
-  ``log_base = nvram_size - log_entries * log_entry_size``.
+* ``[log_base, nvram_size)`` — the circular log region
+  (:attr:`SystemConfig.log_base <repro.sim.config.SystemConfig.log_base>`),
+  one ring or one per thread (:func:`~repro.core.multilog.log_rings`).
 
 The machine wires the persistence machinery selected by the
 :class:`~repro.core.design.DesignSpec` mechanisms: the HWL engine and
@@ -19,12 +20,12 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..core.fwb import ForceWriteBack
-from ..core.growlog import DIRECTORY_BYTES, GrowableCircularLog, RegionDirectory
+from ..core.growlog import GrowableCircularLog, RegionDirectory
 from ..core.hwl import HardwareLogging
 from ..core.logbuffer import LogBuffer
-from ..core.multilog import LogRouter, split_log_region
+from ..core.multilog import LogRouter, log_rings
 from ..core.design import NON_PERS, DesignSpec, resolve_design
-from ..core.nvlog import CircularLog
+from ..core.recovery import reset_log_regions
 from ..core.registers import SpecialRegisters
 from ..core.softlog import SoftwareLog
 from ..errors import SimulationError
@@ -103,16 +104,14 @@ class Machine:
         self.registers = SpecialRegisters()
 
         logging = config.logging
-        log_bytes = logging.log_bytes
-        self.log_base = config.nvram.size_bytes - log_bytes
+        self.log_base = config.log_base
         heap_limit = self.log_base
-        self.log_directory_addr: Optional[int] = None
         if logging.enable_log_grow:
             # Reserve the directory block and a growth arena below the
             # primary log region.
-            self.log_directory_addr = self.log_base - DIRECTORY_BYTES
-            arena_bytes = logging.log_grow_reserve_regions * log_bytes
-            heap_limit = self.log_directory_addr - arena_bytes
+            directory = RegionDirectory.below(self.nvram, self.log_base)
+            arena_bytes = logging.log_grow_reserve_regions * logging.log_bytes
+            heap_limit = directory.addr - arena_bytes
         if heap_limit <= HEAP_BASE:
             raise SimulationError("log region leaves no room for the heap")
         self._heap_limit = heap_limit
@@ -123,28 +122,14 @@ class Machine:
                 logging.log_entries,
                 logging.log_entry_size,
                 config.line_size,
-                region_allocator=_grow_arena(heap_limit, self.log_directory_addr),
+                region_allocator=_grow_arena(heap_limit, directory.addr),
                 activity_token=self.registers.activity_token,
-                directory=RegionDirectory(self.nvram, self.log_directory_addr),
+                directory=directory,
             )
             self.logs = [self.log]
-        elif logging.distributed_logs > 0:
-            self.logs = split_log_region(
-                self.log_base,
-                logging.log_entries,
-                logging.log_entry_size,
-                logging.distributed_logs,
-                config.line_size,
-            )
-            self.log = self.logs[0]
         else:
-            self.log = CircularLog(
-                self.log_base,
-                logging.log_entries,
-                logging.log_entry_size,
-                config.line_size,
-            )
-            self.logs = [self.log]
+            self.logs = log_rings(config)
+            self.log = self.logs[0]
 
         self.hwl: Optional[HardwareLogging] = None
         self.log_buffer: Optional[LogBuffer] = None
@@ -201,6 +186,11 @@ class Machine:
             # Software log records must not be overtaken by their data
             # lines; flush the WCBs before any data write-back.
             self.hierarchy.writeback_release_hook = self._drain_wcbs
+        self.thread_cores = self.cores
+        """Cores whose clocks bound the NVRAM journal's retire horizon:
+        every core, unless a :class:`~repro.sched.shard.ShardMachine`
+        names the ones it runs threads on (an idle core's clock would
+        hold the horizon at its start)."""
         self.crashed = False
         self._ops_since_retire = 0
         self._tracer = None
@@ -282,7 +272,7 @@ class Machine:
         catch up to the core clock, reports a ``log_wrap_force`` event
         when the op forced write-backs to protect the log, tells the
         fault monitor, and retires settled memory-controller state every
-        ``_RETIRE_PERIOD`` ops.
+        ``_RETIRE_PERIOD`` ops, up to the slowest of :attr:`thread_cores`.
         """
         if self.crashed:
             raise SimulationError("machine has crashed; no further execution")
@@ -302,7 +292,7 @@ class Machine:
         self._ops_since_retire += 1
         if self._ops_since_retire >= _RETIRE_PERIOD:
             self._ops_since_retire = 0
-            self.memctrl.retire(min(c.time for c in self.cores))
+            self.memctrl.retire(min(c.time for c in self.thread_cores))
         return result
 
     def core_time(self, core_id: int) -> float:
@@ -421,10 +411,13 @@ class Machine:
             # undo-only transaction persisted in place (which logs no
             # superseding redo).  The barrier proved every pre-switch
             # record's data durable, so the records are dead — truncate
-            # the ring(s) with the recovery manager's crash-safe marker
-            # sequence.  Write-back-policy switches keep the ring: both
-            # epochs record the same sides, so replay stays sound.
-            self._truncate_logs_at_barrier()
+            # the ring(s) with recovery's crash-safe marker sequence.
+            # These system-software pokes don't ride the memory pipeline
+            # (the barrier already quiesced it), so the swap stays
+            # instantaneous.  Write-back-policy switches keep the ring:
+            # both epochs record the same sides, so replay stays sound.
+            for log in self.logs:
+                reset_log_regions(self.nvram, log.region_views())
         if self.hwl is not None:
             self.hwl.retune(
                 record_undo=new.logs_undo,
@@ -468,34 +461,6 @@ class Machine:
             self.fault_monitor.at_switch(EventKind.SWITCH_AFTER, barrier)
         return barrier
 
-    def _truncate_logs_at_barrier(self) -> None:
-        """Invalidate every log entry and rewind the ring(s) to empty.
-
-        Only called from a clean epoch barrier (all records committed,
-        all logged data durable in place).  Uses the same crash-safe
-        ordering as recovery's log reset: slot 0 takes the reset marker
-        first — a region whose slot 0 holds the marker scans as empty —
-        then the remaining slots are cleared, then the marker itself.
-        The system-software pokes don't ride the memory pipeline (the
-        barrier already quiesced it), so the swap stays instantaneous.
-        """
-        from ..core.logrecord import reset_marker
-
-        for log in self.logs:
-            for view in log.region_views():
-                marker = reset_marker(view.entry_size)
-                zero = bytes(view.entry_size)
-                self.nvram.poke(view.entry_addr(0), marker)
-                for slot in range(1, view.num_entries):
-                    self.nvram.poke(view.entry_addr(slot), zero)
-                self.nvram.poke(view.entry_addr(0), zero)
-                view.tail = 0
-                view.head = 0
-                view.parity = 1
-                view.wrapped = False
-                view._slot_lines = [None] * view.num_entries
-                view._slot_kinds = [None] * view.num_entries
-
     # ------------------------------------------------------------------
     # End of run / crash
     # ------------------------------------------------------------------
@@ -522,7 +487,7 @@ class Machine:
         All volatile state disappears: caches, WCBs, the log buffer, and
         any NVRAM write that had not completed by the crash instant.
         Returns the crash time.  Only the NVRAM image survives; recover
-        with :class:`repro.core.recovery.RecoveryManager`.
+        it with :func:`repro.core.recovery.recover_image`.
 
         Raises :class:`SimulationError`, leaving the machine running,
         when ``at_time`` lies before the NVRAM journal's retire horizon

@@ -9,7 +9,7 @@ transaction is fully absent (atomicity).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Machine, PersistentMemory, RecoveryManager
+from repro import Machine, PersistentMemory, recover_image
 from repro.core.design import FWB, HWL, REDO_CLWB, UNDO_CLWB
 from repro.sim.config import LoggingConfig
 from tests.conftest import tiny_system, word
@@ -55,9 +55,7 @@ def run_and_crash(
     horizon = max(api.now, max((t for t, _ in pm.golden.commits), default=0.0))
     crash_time = horizon * crash_fraction
     machine.crash(at_time=crash_time)
-    from repro.core.multilog import recover_all
-
-    recover_all(machine.nvram, machine.logs)
+    recover_image(machine.nvram, machine.config)
     expected = pm.golden.expected_at(crash_time)
     for i, addr in enumerate(slots):
         want = expected.get(addr, word(0))

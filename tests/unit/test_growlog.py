@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from repro import Machine, PersistentMemory, RecoveryManager
+from repro import Machine, PersistentMemory, RecoveryManager, recover_image
 from repro.core.design import FWB
 from repro.core.growlog import (
     DIRECTORY_BYTES,
@@ -128,10 +128,7 @@ class TestMachineIntegration:
         api.write(addr, word(99))
         durable = api.tx_commit()
         machine.crash(at_time=durable)
-        manager = RecoveryManager.from_directory(
-            machine.nvram, machine.log_directory_addr
-        )
-        report = manager.recover()
+        report = recover_image(machine.nvram, machine.config)
         assert report.committed_instances == 1
         assert machine.nvram.peek(addr, 8) == word(99)
 

@@ -6,6 +6,8 @@ from repro import Machine
 from repro.sim.machine import _RETIRE_PERIOD
 from repro.core.design import FWB, HWL, NON_PERS, UNDO_CLWB, UNSAFE_BASE
 from repro.errors import SimulationError
+from repro.harness.runner import RunConfig, default_experiment_config, run_workload
+from repro.workloads.hashtable import HashTableWorkload
 from tests.conftest import tiny_system
 
 
@@ -123,6 +125,19 @@ class TestCrash:
         assert not m.crashed
         assert m.crash() == max(core.time for core in m.cores)
         assert m.crashed
+
+    def test_shard_retires_the_journal_over_its_threads_cores(self):
+        # One thread on the 8-core experiment system: the seven idle
+        # cores must not hold the retire horizon at cycle 0, or the
+        # journal keeps every timed write of the run.
+        workload = HashTableWorkload(
+            seed=7, buckets_per_partition=16, keys_per_partition=64
+        )
+        run = RunConfig(
+            FWB, threads=1, txns_per_thread=1000, system=default_experiment_config()
+        )
+        outcome = run_workload(workload, run)
+        assert outcome.machine.nvram.journal_length < outcome.stats.nvram_writes // 4
 
     def test_no_execution_after_crash(self):
         m = Machine(tiny_system(), NON_PERS)

@@ -4,7 +4,8 @@ import pytest
 
 from repro import Machine, PersistentMemory
 from repro.core.design import FWB
-from repro.core.multilog import LogRouter, recover_all, split_log_region
+from repro.core.multilog import LogRouter, split_log_region
+from repro.core.recovery import recover_image
 from repro.core.logbuffer import LogBuffer
 from repro.errors import LogError
 from repro.sim.config import LoggingConfig
@@ -36,14 +37,6 @@ class TestRouter:
         assert router.log_for(1) is rings[1]
         assert router.log_for(2) is rings[0]
 
-    def test_primary_and_distribution(self):
-        rings = split_log_region(0x1000, 64, 64, 2)
-        router = LogRouter(rings, [None, None])
-        assert router.primary is rings[0]
-        assert router.is_distributed
-        single = LogRouter(rings[:1], [None])
-        assert not single.is_distributed
-
     def test_mismatched_buffers_rejected(self):
         rings = split_log_region(0x1000, 64, 64, 2)
         with pytest.raises(LogError):
@@ -61,7 +54,7 @@ class TestMachineIntegration:
         machine = self._machine()
         assert len(machine.logs) == 2
         assert machine.log is machine.logs[0]
-        assert machine.log_router.is_distributed
+        assert machine.log_router.log_for(1) is machine.logs[1]
         assert isinstance(machine.log_router.buffer_for(1), LogBuffer)
         assert machine.log_router.buffer_for(0) is not machine.log_router.buffer_for(1)
 
@@ -87,7 +80,7 @@ class TestMachineIntegration:
             api.write(slots[tid], word(tid + 41))
             durables.append(api.tx_commit())
         machine.crash(at_time=max(durables))
-        report = recover_all(machine.nvram, machine.logs)
+        report = recover_image(machine.nvram, machine.config)
         assert report.committed_instances == 2
         for tid in range(2):
             assert machine.nvram.peek(slots[tid], 8) == word(tid + 41)
@@ -109,6 +102,6 @@ class TestMachineIntegration:
         if durable1 <= durable0:
             pytest.skip("ring service order did not produce a gap")
         machine.crash(at_time=durable0)
-        recover_all(machine.nvram, machine.logs)
+        recover_image(machine.nvram, machine.config)
         assert machine.nvram.peek(slots[0], 8) == word(1)
         assert machine.nvram.peek(slots[1], 8) == word(0)

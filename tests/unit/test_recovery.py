@@ -329,22 +329,24 @@ class TestGrownLogRecovery:
         self._fill(nvram, log, self.ENTRIES + 3)
         views = log.region_views()
         tear(nvram, views[-1], 2)  # torn in-flight write of the newest record
-        manager = RecoveryManager.from_directory(nvram, directory_addr)
+        cold = RegionDirectory(nvram, directory_addr).views()
+        manager = RecoveryManager(nvram, *cold)
         report = RecoveryReport()
         window = manager.scan_window(report)
         assert [r.redo[0] for r in window] == list(range(self.ENTRIES + 2))
         assert report.torn_records_skipped == 1
 
     def test_reset_clears_every_region_view(self):
-        # Satellite: _reset_log must reset frozen views too, so nothing
+        # The log reset must rewind frozen views too, so nothing
         # replays from a stale region after recovery.
         nvram, log, directory_addr = self._grown_env()
         self._fill(nvram, log, self.ENTRIES + 3)
-        manager = RecoveryManager.from_directory(nvram, directory_addr)
+        cold = RegionDirectory(nvram, directory_addr).views()
+        manager = RecoveryManager(nvram, *cold)
         manager.recover()
-        for view in manager._views():
+        for view in cold:
             assert view.tail == 0 and view.head == 0 and not view.wrapped
         assert manager.scan_window() == []
-        # The original (still-live) log object is reset as well.
+        # A manager over the original live log finds nothing either.
         fresh = RecoveryManager(nvram, log)
         assert fresh.scan_window() == []
