@@ -43,6 +43,11 @@ Each suite exercises one performance-critical path of the system:
     is ``bytes_ratio`` — bytes the dynamic engine must touch (NVRAM
     image restore + simulated I/O) over bytes the static engine walks
     (the column arrays) — required to stay >= 10.
+``workload-prepare``
+    Workload set-up: ``prepare_workload`` over the five Table III
+    microbenchmarks on the sweep's machine, at their default footprints
+    (one sixteenth of them under ``--quick``).  The counters pin each
+    prepared image (length and CRC-32) and heap cursor.
 
 Every suite returns counters that are pure functions of configuration —
 simulated cycles, instructions, cache/NVRAM accesses — never wall time,
@@ -52,6 +57,7 @@ process ids, or host properties.
 from __future__ import annotations
 
 import tempfile
+import zlib
 
 from ..core.design import CANONICAL_DESIGNS, FWB, HWL, REDO_CLWB, UNSAFE_BASE, expand_grid
 from ..core.logbuffer import LogBuffer
@@ -590,3 +596,34 @@ def adapt_switch(quick: bool, timer: BenchTimer) -> dict:
         "fwb_writebacks": stats.fwb_writebacks,
         "nvram_writes": stats.nvram_writes,
     }
+
+
+#: ``--quick`` sizes of the ``workload-prepare`` suite: one sixteenth of
+#: each microbenchmark's default key, entry or vertex count.
+_QUICK_PREPARE_SIZES = {
+    "hash": dict(buckets_per_partition=256, keys_per_partition=4096),
+    "rbtree": dict(keys_per_partition=1024),
+    "sps": dict(entries_per_partition=8192),
+    "btree": dict(keys_per_partition=1024),
+    "ssca2": dict(vertices_per_partition=256),
+}
+
+
+@register("workload-prepare", "prepared images of the five microbenchmarks (set-up)")
+def workload_prepare(quick: bool, timer: BenchTimer) -> dict:
+    from ..harness.runner import default_experiment_config, prepare_workload
+    from ..workloads import MICROBENCHMARKS, make_microbenchmark
+
+    system = default_experiment_config()
+    workloads = [
+        make_microbenchmark(name, seed=42, **(_QUICK_PREPARE_SIZES[name] if quick else {}))
+        for name in MICROBENCHMARKS
+    ]
+    with timer.timed():
+        prepared = [prepare_workload(workload, system) for workload in workloads]
+    counters = {}
+    for name, image in zip(MICROBENCHMARKS, prepared):
+        counters[f"{name}_prefix_bytes"] = len(image.image_prefix)
+        counters[f"{name}_heap_cursor"] = image.heap_state[0]
+        counters[f"{name}_prefix_crc32"] = zlib.crc32(image.image_prefix)
+    return counters

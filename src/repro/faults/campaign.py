@@ -674,7 +674,9 @@ def run_fault_campaign(
     few when the configuration lacks some event streams.  ``progress``
     (e.g. ``print``) receives one line per policy as results land.
     A campaign with no work or no budget, or an unknown workload or
-    design name, raises :class:`ConfigError` before any run.
+    design name, raises :class:`ConfigError` before any run; a design
+    whose run exhausts the log-growth arena raises it from the profile
+    runs, before any crash point.
     """
     system = system or default_campaign_system()
     check_campaign_size(system, threads, txns_per_thread, points)
@@ -687,11 +689,16 @@ def run_fault_campaign(
         threads=threads,
         seed=seed,
     )
+    # 1. Profile the event streams of each design's run, every design
+    # before any point runs: a run the configuration cannot hold (an
+    # exhausted log-growth arena) fails here, as a ConfigError.
+    profiles = []
     for policy in policies:
-        # 1. Profile the event streams of this design's run.
         profile = FaultMonitor()
         shard = start_run(prepared, policy, threads, txns_per_thread, profile)
         finish_run(shard).machine.nvram.recycle()
+        profiles.append(profile)
+    for policy, profile in zip(policies, profiles):
         retire_total = profile.counts[EventKind.RETIRE]
         scenario = _build_recovery_scenario(
             prepared, policy, threads, txns_per_thread, retire_total

@@ -28,7 +28,7 @@ from ..core.design import NON_PERS, DesignSpec, resolve_design
 from ..core.recovery import reset_log_regions
 from ..core.registers import SpecialRegisters
 from ..core.softlog import SoftwareLog
-from ..errors import SimulationError
+from ..errors import ConfigError, SimulationError
 from .config import SystemConfig
 from .core import Core
 from .energy import EnergyModel
@@ -61,20 +61,25 @@ def _wcb_drain(wcbs: list) -> Callable[[int, float], float]:
     return drain
 
 
-def _grow_arena(floor: int, top: int) -> Callable[[int], int]:
+def _grow_arena(floor: int, top: int, regions: int) -> Callable[[int], int]:
     """A log-region allocator carving regions downward from ``top``,
-    never below ``floor``.
+    never below ``floor``; the arena holds ``regions`` regions.
 
     Like :func:`_wcb_drain`, it keeps its own cursor rather than the
     machine's: a bound method of the machine stored on its log would
-    close a reference cycle.
+    close a reference cycle.  Running out is a :class:`ConfigError`:
+    the configuration reserved too few regions for this run.
     """
     cursor = top
 
     def allocate(size_bytes: int) -> int:
         nonlocal cursor
         if cursor - size_bytes < floor:
-            raise SimulationError("log growth arena exhausted")
+            raise ConfigError(
+                f"log growth arena exhausted: the run needs more than "
+                f"log_grow_reserve_regions={regions} region(s) of "
+                f"{size_bytes} bytes"
+            )
         cursor -= size_bytes
         return cursor
 
@@ -122,7 +127,9 @@ class Machine:
                 logging.log_entries,
                 logging.log_entry_size,
                 config.line_size,
-                region_allocator=_grow_arena(heap_limit, directory.addr),
+                region_allocator=_grow_arena(
+                    heap_limit, directory.addr, logging.log_grow_reserve_regions
+                ),
                 activity_token=self.registers.activity_token,
                 directory=directory,
             )

@@ -13,6 +13,15 @@ works in the untimed set-up phase (:class:`SetupAccessor`, through a word
 view of the device), in the timed run phase (a
 :class:`~repro.txn.runtime.ThreadAPI`) and while a trace is recorded
 (:class:`~repro.sim.replay.RecordingAccessor`).
+
+Four microbenchmarks pre-populate in bulk instead of calling their
+structure code once per key: hash and ssca2 in closed form, rbtree and
+btree by replaying their inserts as plain indexing on the word view
+(:meth:`SetupAccessor.claim_words`).  They leave the image and heap the
+per-key inserts would; ``tests/properties/test_bulk_setup.py`` checks
+each against a per-key reference, and the prepared-image golden pins
+the default sizes.  sps and the WHISPER kernels set up through the
+structure code.
 """
 
 from __future__ import annotations
@@ -54,6 +63,10 @@ class SetupAccessor:
       and :func:`~repro.harness.runner.prepare_workload` captures.
     * ``read`` returns a ``bytes`` slice of the image, and ``write`` is
       ``poke``, which carries byte strings and whole-slice fills.
+    * ``claim_words(end)`` claims ``[0, end)`` and returns the word view
+      itself, for the bulk builders that write a whole structure in
+      place (word ``i`` holds image bytes ``[8 * i, 8 * i + 8)``).  A
+      builder claims each range before it writes there.
     """
 
     def __init__(self, pm: PersistentMemory) -> None:
@@ -96,10 +109,16 @@ class SetupAccessor:
                 return
             words[addr >> 3] = value
 
+        def claim_words(end: int) -> memoryview:
+            nonlocal write_limit
+            write_limit = claim(end) - 7
+            return words
+
         self.read = read
         self.write = poke
         self.read_word = read_word
         self.write_word = write_word
+        self.claim_words = claim_words
 
     def compute(self, count: int) -> None:
         """No-op during setup."""

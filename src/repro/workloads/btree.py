@@ -16,10 +16,11 @@ child node.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterator
 
 from ..txn.runtime import PersistentMemory, ThreadAPI
-from .base import SetupAccessor, Workload
+from .base import CLAIM_BYTES, SetupAccessor, Workload
 from .rng import thread_rng
 
 MAX_PARTITIONS = 8
@@ -95,7 +96,13 @@ class BTreeWorkload(Workload):
 
     # ------------------------------------------------------------------
     def setup(self, pm: PersistentMemory) -> None:
-        """Allocate per-partition roots and pre-populate half the keys."""
+        """Allocate per-partition roots and pre-populate half the keys.
+
+        Builds the image and heap :meth:`insert` per key would leave:
+        :func:`_build_insert` replays the insert and its splits on the
+        device's word view, allocating value blocks and split nodes in
+        the same order.
+        """
         self._heap = pm.heap
         acc = SetupAccessor(pm)
         self._roots_base = pm.heap.alloc(MAX_PARTITIONS * 8)
@@ -105,13 +112,33 @@ class BTreeWorkload(Workload):
         self._resident = [
             bytearray(self.keys_per_partition) for _ in range(MAX_PARTITIONS)
         ]
+        # Each allocation is claimed, a granule at a time, before the
+        # builder writes it.
+        heap_alloc = pm.heap.alloc
+        words = acc.claim_words(0)
+        claimed = 0
+
+        def alloc(size: int) -> int:
+            nonlocal claimed
+            addr = heap_alloc(size)
+            if addr + size > claimed:
+                claimed = ((addr + size) | (CLAIM_BYTES - 1)) + 1
+                acc.claim_words(claimed)
+            return addr
+
+        size = self.value_size
         rng = thread_rng(self.seed, 0xB7EE)
         for part in range(MAX_PARTITIONS):
+            root = self._root_addr(part) >> 3
+            resident = self._resident[part]
             for key in rng.sample(
                 range(self.keys_per_partition), self.keys_per_partition // 2
             ):
-                self.insert(acc, part, key, self.make_value(rng, key))
-                self._resident[part][key] = 1
+                value = self.make_value(rng, key)
+                block = alloc(size)
+                words[block >> 3 : (block + size) >> 3] = memoryview(value).cast("Q")
+                _build_insert(words, root, key, block, alloc)
+                resident[key] = 1
 
     def thread_body(self, api: ThreadAPI, tid: int, num_txns: int) -> Iterator[None]:
         """One insert-or-remove transaction per iteration."""
@@ -398,3 +425,88 @@ class BTreeWorkload(Workload):
         if not self._is_leaf(acc, node):
             for i in range(n + 1):
                 self._check_node_bounds(acc, self._ptr(acc, node, i), is_root=False)
+
+
+# ----------------------------------------------------------------------
+# Set-up builder: the insert path on the device's word view
+# ----------------------------------------------------------------------
+# A node is referred to by its word index (address >> 3); the fields are
+# words at these offsets, and pointers hold byte addresses, as on the
+# device.
+_NK, _NX, _KS, _PS = _NKEYS >> 3, _NEXT >> 3, _KEYS >> 3, _PTRS >> 3
+
+
+def _build_node(words, alloc, is_leaf: bool) -> int:
+    """:meth:`BTreeWorkload._new_node` on the word view; returns its word."""
+    node = alloc(NODE_SIZE) >> 3
+    words[node + (_IS_LEAF >> 3)] = 1 if is_leaf else 0
+    words[node + _NK] = 0
+    words[node + _NX] = 0
+    return node
+
+
+def _build_insert(words, root: int, key: int, block: int, alloc) -> None:
+    """:meth:`BTreeWorkload.insert` of a key not yet in the tree, whose
+    value block at ``block`` is allocated and written; ``root`` is the
+    word of the tree's root pointer.  Writes the slots the per-key insert
+    and its splits write, and leaves the ones they leave: a split keeps
+    the moved keys and pointers past the old node's ``nkeys``.
+    """
+    path = []
+    node = words[root] >> 3
+    while words[node + (_IS_LEAF >> 3)] != 1:
+        keys = node + _KS
+        index = bisect_right(words[keys : keys + words[node + _NK]], key)
+        path.append((node, index))
+        node = words[node + _PS + index] >> 3
+    # The leaf: shift the tail up one slot and insert at ``pos``.
+    n = words[node + _NK]
+    keys, ptrs = node + _KS, node + _PS
+    pos = bisect_right(words[keys : keys + n], key)
+    words[keys + pos + 1 : keys + n + 1] = words[keys + pos : keys + n]
+    words[ptrs + pos + 1 : ptrs + n + 1] = words[ptrs + pos : ptrs + n]
+    words[keys + pos] = key
+    words[ptrs + pos] = block
+    n += 1
+    words[node + _NK] = n
+    if n <= ORDER:
+        return
+    # Leaf split: the upper half moves to a new right sibling.
+    half = n // 2
+    new = _build_node(words, alloc, is_leaf=True)
+    words[new + _KS : new + _KS + n - half] = words[keys + half : keys + n]
+    words[new + _PS : new + _PS + n - half] = words[ptrs + half : ptrs + n]
+    words[new + _NK] = n - half
+    words[node + _NK] = half
+    words[new + _NX] = words[node + _NX]
+    words[node + _NX] = new << 3
+    left, separator, right = node, words[new + _KS], new
+    while path:
+        parent, index = path.pop()
+        n = words[parent + _NK]
+        keys, ptrs = parent + _KS, parent + _PS
+        words[keys + index + 1 : keys + n + 1] = words[keys + index : keys + n]
+        words[ptrs + index + 2 : ptrs + n + 2] = words[ptrs + index + 1 : ptrs + n + 1]
+        words[keys + index] = separator
+        words[ptrs + index + 1] = right << 3
+        n += 1
+        words[parent + _NK] = n
+        if n <= ORDER:
+            return
+        # Internal split: the middle key moves up, the keys and pointers
+        # above it to a new right sibling.
+        mid = n // 2
+        separator = words[keys + mid]
+        new = _build_node(words, alloc, is_leaf=False)
+        words[new + _KS : new + _KS + n - mid - 1] = words[keys + mid + 1 : keys + n]
+        words[new + _PS : new + _PS + n - mid] = words[ptrs + mid + 1 : ptrs + n + 1]
+        words[new + _NK] = n - mid - 1
+        words[parent + _NK] = mid
+        left, right = parent, new
+    # The root split: a new root above ``left`` and ``right``.
+    top = _build_node(words, alloc, is_leaf=False)
+    words[top + _NK] = 1
+    words[top + _KS] = separator
+    words[top + _PS] = left << 3
+    words[top + _PS + 1] = right << 3
+    words[root] = top << 3

@@ -16,6 +16,7 @@ never contend on the same words.
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterator
 
 from ..txn.runtime import PersistentMemory, ThreadAPI
@@ -25,6 +26,7 @@ from .rng import thread_rng
 MAX_PARTITIONS = 8
 HASH_COMPUTE = 18  # instructions to hash a key
 COMPARE_COMPUTE = 3  # instructions per chain-node comparison
+_HASH_MULTIPLIER = 2654435761  # Knuth's multiplicative hash of a key
 
 
 class HashTableWorkload(Workload):
@@ -58,10 +60,17 @@ class HashTableWorkload(Workload):
 
     # ------------------------------------------------------------------
     def setup(self, pm: PersistentMemory) -> None:
-        """Allocate buckets and pre-populate half of each partition."""
+        """Allocate buckets and pre-populate half of each partition.
+
+        Built in closed form on the device's word view, with the image
+        and heap :meth:`_insert` per key would leave: node ``i`` is the
+        ``i``-th bump allocation (one allocation covers them all on the
+        fresh heap) and links to its bucket's previous head.
+        """
         self._heap = pm.heap
         acc = SetupAccessor(pm)
-        total_buckets = MAX_PARTITIONS * self.buckets_per_partition
+        buckets = self.buckets_per_partition
+        total_buckets = MAX_PARTITIONS * buckets
         self._buckets_base = pm.heap.alloc(total_buckets * 8)
         # One bulk write of zeros instead of a word-at-a-time loop over
         # every bucket head (same bytes).
@@ -69,13 +78,38 @@ class HashTableWorkload(Workload):
         self._resident = [
             bytearray(self.keys_per_partition) for _ in range(MAX_PARTITIONS)
         ]
+        per_part = self.keys_per_partition // 2
+        if per_part == 0:
+            return
+        size = self.node_size
+        node = pm.heap.alloc(MAX_PARTITIONS * per_part * size)
+        words = acc.claim_words(node + MAX_PARTITIONS * per_part * size)
+        # A partition's nodes are consecutive: each field is one strided
+        # column of the word view, written in a single slice assignment.
+        stride = size >> 3
+        value_words = stride - 2
         rng = thread_rng(self.seed, 0xBEEF)
         for part in range(MAX_PARTITIONS):
-            for key in rng.sample(
-                range(self.keys_per_partition), self.keys_per_partition // 2
-            ):
-                self._insert(acc, part, key, self.make_value(rng, key))
-                self._resident[part][key] = 1
+            keys = rng.sample(range(self.keys_per_partition), per_part)
+            values = b"".join([self.make_value(rng, key) for key in keys])
+            start = node >> 3
+            end = start + per_part * stride
+            heads = [0] * buckets
+            links = array("Q")
+            resident = self._resident[part]
+            for key in keys:
+                bucket = (key * _HASH_MULTIPLIER) % buckets
+                links.append(heads[bucket])
+                heads[bucket] = node
+                resident[key] = 1
+                node += size
+            words[start:end:stride] = array("Q", keys)
+            words[start + 1 : end : stride] = links
+            value_view = memoryview(values).cast("Q")
+            for word in range(value_words):
+                words[start + 2 + word : end : stride] = value_view[word::value_words]
+            first = (self._buckets_base >> 3) + part * buckets
+            words[first : first + buckets] = array("Q", heads)
 
     def thread_body(self, api: ThreadAPI, tid: int, num_txns: int) -> Iterator[None]:
         """One insert-or-remove transaction per iteration."""
@@ -99,7 +133,7 @@ class HashTableWorkload(Workload):
     # ------------------------------------------------------------------
     def _bucket_addr(self, part: int, key: int) -> int:
         index = part * self.buckets_per_partition + (
-            (key * 2654435761) % self.buckets_per_partition
+            (key * _HASH_MULTIPLIER) % self.buckets_per_partition
         )
         return self._buckets_base + index * 8
 

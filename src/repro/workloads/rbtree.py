@@ -75,7 +75,13 @@ class RBTreeWorkload(Workload):
 
     # ------------------------------------------------------------------
     def setup(self, pm: PersistentMemory) -> None:
-        """Allocate root pointers and pre-populate half of each tree."""
+        """Allocate root pointers and pre-populate half of each tree.
+
+        Builds the image and heap :meth:`insert` per key would leave:
+        node ``i`` is the ``i``-th bump allocation (one allocation covers
+        them all on the fresh heap), and :func:`_build_insert` replays
+        the insert and its fixup on the device's word view.
+        """
         self._heap = pm.heap
         acc = SetupAccessor(pm)
         self._roots_base = pm.heap.alloc(MAX_PARTITIONS * 8)
@@ -83,13 +89,20 @@ class RBTreeWorkload(Workload):
         self._resident = [
             bytearray(self.keys_per_partition) for _ in range(MAX_PARTITIONS)
         ]
+        per_tree = self.keys_per_partition // 2
+        if per_tree == 0:
+            return
+        size = self.node_size
+        node = pm.heap.alloc(MAX_PARTITIONS * per_tree * size)
+        words = acc.claim_words(node + MAX_PARTITIONS * per_tree * size)
         rng = thread_rng(self.seed, 0x5B7)
         for part in range(MAX_PARTITIONS):
-            for key in rng.sample(
-                range(self.keys_per_partition), self.keys_per_partition // 2
-            ):
-                self.insert(acc, part, key, self.make_value(rng, key))
-                self._resident[part][key] = 1
+            root = self._root_addr(part) >> 3
+            resident = self._resident[part]
+            for key in rng.sample(range(self.keys_per_partition), per_tree):
+                _build_insert(words, root, node >> 3, key, self.make_value(rng, key))
+                resident[key] = 1
+                node += size
 
     def thread_body(self, api: ThreadAPI, tid: int, num_txns: int) -> Iterator[None]:
         """One insert-or-remove transaction per iteration."""
@@ -395,3 +408,75 @@ class RBTreeWorkload(Workload):
         rh = self._check_node(acc, right)
         assert lh == rh, "unequal black heights"
         return lh + (1 if color == BLACK else 0)
+
+
+# ----------------------------------------------------------------------
+# Set-up builder: the insert path on the device's word view
+# ----------------------------------------------------------------------
+# A node is referred to by its word index (address >> 3); the fields are
+# words at these offsets and hold byte addresses, as on the device.
+_L, _R, _P, _C, _V = _LEFT >> 3, _RIGHT >> 3, _PARENT >> 3, _COLOR >> 3, _VALUE >> 3
+
+
+def _build_insert(words, root: int, z: int, key: int, value: bytes) -> None:
+    """:meth:`RBTreeWorkload.insert` of a key not yet in the tree, into
+    the fresh node at word ``z``; ``root`` is the word of the tree's root
+    pointer.  Writes what the per-key insert and its fixup write."""
+    parent = 0
+    node = words[root] >> 3
+    while node:
+        parent = node
+        node = words[node + (_L if key < words[node] else _R)] >> 3
+    words[z] = key
+    words[z + _L] = 0
+    words[z + _R] = 0
+    words[z + _P] = parent << 3
+    words[z + _C] = RED
+    words[z + _V : z + _V + (len(value) >> 3)] = memoryview(value).cast("Q")
+    if parent == 0:
+        words[root] = z << 3
+    else:
+        words[parent + (_L if key < words[parent] else _R)] = z << 3
+    while True:
+        zp = words[z + _P] >> 3
+        if zp == 0 or words[zp + _C] == BLACK:
+            break
+        zpp = words[zp + _P] >> 3
+        # ``side`` is zp's side of zpp; the uncle hangs on the other one.
+        side, other = (_L, _R) if words[zpp + _L] == zp << 3 else (_R, _L)
+        uncle = words[zpp + other] >> 3
+        if uncle and words[uncle + _C] == RED:
+            words[zp + _C] = BLACK
+            words[uncle + _C] = BLACK
+            words[zpp + _C] = RED
+            z = zpp
+            continue
+        if words[zp + other] == z << 3:
+            z = zp
+            _build_rotate(words, root, z, other, side)
+            zp = words[z + _P] >> 3
+            zpp = words[zp + _P] >> 3
+        words[zp + _C] = BLACK
+        words[zpp + _C] = RED
+        _build_rotate(words, root, zpp, side, other)
+    words[(words[root] >> 3) + _C] = BLACK
+
+
+def _build_rotate(words, root: int, x: int, up: int, down: int) -> None:
+    """Rotate ``x``'s ``up`` child into its place: a left rotation is
+    ``(up, down) = (_R, _L)``, a right one ``(_L, _R)``."""
+    y = words[x + up] >> 3
+    moved = words[y + down]
+    words[x + up] = moved
+    if moved:
+        words[(moved >> 3) + _P] = x << 3
+    xp = words[x + _P]
+    words[y + _P] = xp
+    if xp == 0:
+        words[root] = y << 3
+    elif words[(xp >> 3) + down] == x << 3:
+        words[(xp >> 3) + down] = y << 3
+    else:
+        words[(xp >> 3) + up] = y << 3
+    words[y + down] = x << 3
+    words[x + _P] = y << 3

@@ -78,19 +78,43 @@ class SSCA2Workload(Workload):
 
     # ------------------------------------------------------------------
     def setup(self, pm: PersistentMemory) -> None:
-        """Build the initial scale-free graph in each partition."""
+        """Build the initial scale-free graph in each partition.
+
+        Built in closed form on the device's word view, with the image
+        and heap :meth:`_insert_edge` per edge would leave: edge ``i`` is
+        the ``i``-th bump allocation (one allocation covers them all on
+        the fresh heap) and links to its vertex's previous head.  Each
+        vertex gets its edges in one consecutive run, so its head is the
+        run's last edge and its degree the run's length.
+        """
         self._heap = pm.heap
         acc = SetupAccessor(pm)
         total = MAX_PARTITIONS * self.vertices_per_partition
         self._vertices_base = pm.heap.alloc(total * VERTEX_SIZE)
         acc.write(self._vertices_base, bytes(total * VERTEX_SIZE))
+        degree = self.initial_edges_per_vertex
+        if degree <= 0:
+            return
+        edge = pm.heap.alloc(total * degree * EDGE_SIZE)
+        words = acc.claim_words(edge + total * degree * EDGE_SIZE)
         rng = thread_rng(self.seed, 0x55CA)
-        for part in range(MAX_PARTITIONS):
-            for v in range(self.vertices_per_partition):
-                for _ in range(self.initial_edges_per_vertex):
-                    self._insert_edge(
-                        acc, part, v, self._pick_vertex(rng), rng.randrange(1, 1 << 16)
-                    )
+        pick = self._pick_vertex
+        randrange = rng.randrange
+        vertex = self._vertices_base >> 3
+        # Partitions in order, then vertices: vertex ``v`` of partition
+        # ``part`` is entry ``part * vertices_per_partition + v``.
+        for _ in range(total):
+            head = 0
+            for _ in range(degree):
+                w = edge >> 3
+                words[w + (_DEST >> 3)] = pick(rng)
+                words[w + (_WEIGHT >> 3)] = randrange(1, 1 << 16)
+                words[w + (_NEXT >> 3)] = head
+                head = edge
+                edge += EDGE_SIZE
+            words[vertex + (_HEAD >> 3)] = head
+            words[vertex + (_DEGREE >> 3)] = degree
+            vertex += VERTEX_SIZE >> 3
 
     def thread_body(self, api: ThreadAPI, tid: int, num_txns: int) -> Iterator[None]:
         """Mix of edge-insert (50%), classify (25%), analysis (25%) txns."""

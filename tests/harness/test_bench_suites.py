@@ -27,6 +27,7 @@ EXPECTED_SUITES = [
     "serve-traffic",
     "adapt-decide",
     "adapt-switch",
+    "workload-prepare",
 ]
 
 # Cheap enough to run twice in a unit test; the expensive sweep suites

@@ -1,5 +1,6 @@
 """Unit tests for repro.core.growlog (log_grow(), Section IV-A)."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -14,7 +15,9 @@ from repro.core.growlog import (
     RegionDirectory,
 )
 from repro.core.logrecord import LogRecord, RecordKind
-from repro.errors import LogError, SimulationError
+from repro.errors import ConfigError, LogError
+from repro.faults import campaign
+from repro.faults.campaign import default_campaign_system
 from repro.sim.config import LoggingConfig, NVDimmConfig
 from repro.sim.nvram import NVRAM
 from tests.conftest import tiny_system, word
@@ -151,11 +154,38 @@ class TestMachineIntegration:
         slots = [pm.heap.alloc(8) for _ in range(40)]
         api.tx_begin()
         # The records fill the 16-entry primary ring, then the one
-        # reserved region; the second growth finds the arena empty.
-        with pytest.raises(SimulationError, match="arena exhausted"):
+        # reserved region; the second growth finds the arena empty, which
+        # the configuration's reserve could not hold.
+        with pytest.raises(
+            ConfigError, match="arena exhausted.*log_grow_reserve_regions=1 "
+        ):
             for i, addr in enumerate(slots):
                 api.write(addr, word(i + 1))
         assert machine.log.grow_count == 1
+
+    def test_campaign_fails_exhausted_arena_before_any_point(self, monkeypatch):
+        """An rbtree campaign on a 16-entry grown log exhausts the arena in
+        its fwb profile run.  Every design is profiled first, so it fails
+        as a ConfigError naming the reserve before any crash point runs
+        (unsafe-base, which keeps no log, profiles cleanly before it)."""
+        system = default_campaign_system(16)
+        system = dataclasses.replace(
+            system,
+            logging=dataclasses.replace(system.logging, enable_log_grow=True),
+        )
+        ran = []
+        for runner in ("_run_execution_point", "_run_recovery_point"):
+            monkeypatch.setattr(
+                campaign, runner, lambda *args, runner=runner: ran.append(runner)
+            )
+        with pytest.raises(ConfigError, match="log_grow_reserve_regions=3 "):
+            campaign.run_fault_campaign(
+                policies=("unsafe-base", "fwb"),
+                workload="rbtree",
+                points=30,
+                system=system,
+            )
+        assert ran == []
 
     def test_machine_dies_with_its_last_reference(self):
         """The log's region allocator must not hold the machine: a cycle
