@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..core.design import DesignSpec, resolve_design, switch_legal
 from ..core.recovery import recover_image
 from ..faults.campaign import (
-    campaign_workload,
+    campaign_trace,
     check_campaign_size,
     count_mismatches,
     crash_run,
@@ -40,8 +40,8 @@ from ..faults.campaign import (
     start_run,
 )
 from ..faults.crashpoints import CrashPoint, EventKind, FaultMonitor
-from ..harness.runner import PreparedWorkload, prepare_workload
 from ..sim.config import SystemConfig
+from ..sim.ctrace import CompiledTrace
 from ..sim.nvram import ImageSnapshot
 from .drift import WRITEBACK_FAMILY
 
@@ -145,34 +145,31 @@ class SwitchCampaignResult:
 
 
 def _crash_and_recover(
-    prepared: PreparedWorkload,
+    trace: CompiledTrace,
+    system: SystemConfig,
     old: DesignSpec,
     new: DesignSpec,
-    threads: int,
-    txns_per_thread: int,
     horizon: float,
     trigger: CrashPoint,
     label: str,
 ) -> Tuple[SwitchPointResult, ImageSnapshot]:
     """Crash one switched run at ``trigger``; recover twice; verify."""
-    shard = start_run(prepared, old, threads, txns_per_thread, FaultMonitor(trigger))
+    shard = start_run(trace, system, old, FaultMonitor(trigger))
     crash_time, triggered = crash_run(shard, (horizon, new))
-    machine = shard.machine
-    recover_image(machine.nvram, machine.config)
-    recovered = machine.nvram.snapshot()
+    nvram = shard.machine.nvram
+    recover_image(nvram, system)
+    recovered = nvram.snapshot()
     # Idempotence: a second cold recovery pass must be a no-op.
-    recover_image(machine.nvram, machine.config)
-    converged = machine.nvram.snapshot() == recovered
-    return (
-        SwitchPointResult(
-            kind=label,
-            triggered=triggered,
-            crash_time=crash_time,
-            mismatches=count_mismatches(machine.nvram, shard.pm, crash_time),
-            converged=converged,
-        ),
-        recovered,
+    recover_image(nvram, system)
+    result = SwitchPointResult(
+        kind=label,
+        triggered=triggered,
+        crash_time=crash_time,
+        mismatches=count_mismatches(nvram, shard.pm, crash_time),
+        converged=nvram.snapshot() == recovered,
     )
+    nvram.recycle()  # verified: the next point reuses the buffer
+    return result, recovered
 
 
 def run_switch_campaign(
@@ -195,8 +192,7 @@ def run_switch_campaign(
     transitions = [
         (resolve_design(old), resolve_design(new)) for old, new in transitions
     ]
-    wl = campaign_workload(workload, seed)
-    prepared = prepare_workload(wl, system)
+    trace = campaign_trace(workload, seed, system, threads, txns_per_thread)
     makespans = {}
 
     result = SwitchCampaignResult(
@@ -209,17 +205,17 @@ def run_switch_campaign(
         report = TransitionReport(old=old, new=new)
         # Switch halfway through the unswitched run under the old design.
         if old not in makespans:
-            shard = finish_run(start_run(prepared, old, threads, txns_per_thread))
+            shard = finish_run(start_run(trace, system, old))
             makespans[old] = shard.clock()
             shard.machine.nvram.recycle()
         horizon = makespans[old] / 2
 
         before, image_before = _crash_and_recover(
-            prepared, old, new, threads, txns_per_thread, horizon,
+            trace, system, old, new, horizon,
             CrashPoint(EventKind.SWITCH_BEFORE, 0), "switch-before",
         )
         after, image_after = _crash_and_recover(
-            prepared, old, new, threads, txns_per_thread, horizon,
+            trace, system, old, new, horizon,
             CrashPoint(EventKind.SWITCH_AFTER, 0), "switch-after",
         )
         report.points.extend([before, after])
@@ -228,12 +224,12 @@ def run_switch_campaign(
         # Post-switch execution: profile the switched run's retire
         # stream, then crash 90% of the way in (inside the new epoch).
         profile = FaultMonitor()
-        shard = start_run(prepared, old, threads, txns_per_thread, profile)
+        shard = start_run(trace, system, old, profile)
         finish_run(shard, (horizon, new)).machine.nvram.recycle()
         retire_total = profile.counts[EventKind.RETIRE]
         if retire_total > 0:
             late, _image = _crash_and_recover(
-                prepared, old, new, threads, txns_per_thread, horizon,
+                trace, system, old, new, horizon,
                 CrashPoint(EventKind.RETIRE, (retire_total * 9) // 10),
                 "post-switch-retire",
             )

@@ -48,6 +48,12 @@ Each suite exercises one performance-critical path of the system:
     microbenchmarks on the sweep's machine, at their default footprints
     (one sixteenth of them under ``--quick``).  The counters pin each
     prepared image (length and CRC-32) and heap cursor.
+``fault-campaign``
+    One crash campaign, ``run_fault_campaign`` over the four guaranteed
+    designs on hash: profile, crash, inject, recover and verify every
+    point (12 points of 60 txns under ``--quick``).  The counters pin
+    the verdicts: points, violations, triggered points, recovery's
+    torn-record and checksum tallies, and a CRC-32 of the rendered table.
 
 Every suite returns counters that are pure functions of configuration —
 simulated cycles, instructions, cache/NVRAM accesses — never wall time,
@@ -552,8 +558,7 @@ def adapt_decide(quick: bool, timer: BenchTimer) -> dict:
 @register("adapt-switch", "safe-switch epoch barrier: drain + force + swap, mid-run")
 def adapt_switch(quick: bool, timer: BenchTimer) -> dict:
     from ..core.design import resolve_design
-    from ..faults.campaign import campaign_workload
-    from ..harness.runner import RunConfig, batch_shard, prepare_workload
+    from ..faults.campaign import campaign_trace, finish_run, start_run
 
     cycle_specs = [
         resolve_design(name)
@@ -564,21 +569,15 @@ def adapt_switch(quick: bool, timer: BenchTimer) -> dict:
         )
     ]
     system = _tiny_system(logging=LoggingConfig(log_entries=256))
-    prepared = prepare_workload(campaign_workload("hash", 7), system)
-    run = RunConfig(
-        policy=resolve_design("hw+undo+redo+nowb"),
-        threads=2,
-        txns_per_thread=24 if quick else 96,
-        system=system,
-    )
+    trace = campaign_trace("hash", 7, system, 2, 24 if quick else 96)
+    start = resolve_design("hw+undo+redo+nowb")
     # One switch per quarter of the unswitched run's makespan, cycling
     # through the family — at cycle horizons, the way serve switches.
-    profile = batch_shard(prepared.workload, run, prepared)
-    profile.drain()
+    profile = finish_run(start_run(trace, system, start))
     makespan = profile.clock()
     profile.machine.nvram.recycle()
     horizons = [makespan / 4, makespan / 2, 3 * makespan / 4]
-    shard = batch_shard(prepared.workload, run, prepared)
+    shard = start_run(trace, system, start)
     with timer.timed():
         for horizon, spec in zip(horizons, cycle_specs):
             shard.step(horizon)
@@ -627,3 +626,21 @@ def workload_prepare(quick: bool, timer: BenchTimer) -> dict:
         counters[f"{name}_heap_cursor"] = image.heap_state[0]
         counters[f"{name}_prefix_crc32"] = zlib.crc32(image.image_prefix)
     return counters
+
+
+@register("fault-campaign", "crash campaign: crash, inject, recover and verify every point")
+def fault_campaign(quick: bool, timer: BenchTimer) -> dict:
+    from ..faults.campaign import GUARANTEED_POLICIES, run_fault_campaign
+
+    size = dict(points=12, txns_per_thread=60) if quick else {}
+    with timer.timed():
+        result = run_fault_campaign(GUARANTEED_POLICIES, workload="hash", **size)
+    points = [point for report in result.reports for point in report.points]
+    return {
+        "points": len(points),
+        "violations": sum(not point.consistent for point in points),
+        "triggered_points": sum(point.triggered for point in points),
+        "torn_records_skipped": sum(r.torn_records_skipped for r in result.reports),
+        "checksum_failures": sum(r.checksum_failures for r in result.reports),
+        "rendered_crc32": zlib.crc32(result.rendered.encode()),
+    }

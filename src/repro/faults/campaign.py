@@ -16,6 +16,11 @@ fractions.  For each policy it:
    point's faults, recovers (checksums on), and compares the surviving
    NVRAM against the golden committed state at the crash instant.
 
+Every run — profile, recovery scenario and point — replays one compiled
+trace of the workload (:func:`campaign_trace`): the workload's own code
+runs once per campaign, not once per point, and replay leaves the same
+machine state as interpreting it would.
+
 Every point is a pure function of (workload, seed, policy, point), so a
 verdict table is reproducible bit-for-bit.  Guaranteed designs (fwb,
 hwl, undo-clwb, redo-clwb) must show **zero** violations; unguaranteed
@@ -48,7 +53,8 @@ from ..core.design import (
 from ..core.nvlog import CircularLog
 from ..core.recovery import recover_image
 from ..errors import ConfigError, RecoveryInterrupted, SimulatedCrash
-from ..harness.runner import PreparedWorkload, RunConfig, batch_shard, prepare_workload
+from ..harness.cache import compiled_trace
+from ..harness.runner import Preparation, RunConfig
 from ..sched.shard import ShardMachine
 from ..sim.config import (
     CacheConfig,
@@ -58,8 +64,10 @@ from ..sim.config import (
     NVDimmConfig,
     SystemConfig,
 )
+from ..sim.ctrace import CompiledTrace
 from ..sim.machine import Machine
 from ..sim.nvram import NVRAM, ImageSnapshot
+from ..sim.replay import replay_shard
 from ..txn.runtime import PersistentMemory
 from ..workloads import make_microbenchmark
 from ..workloads.base import Workload
@@ -111,6 +119,19 @@ def campaign_workload(name: str, seed: int) -> Workload:
         return make_microbenchmark(name, seed=seed, **_SMALL_WORKLOADS.get(name, {}))
     except KeyError as exc:
         raise ConfigError(exc.args[0]) from None
+
+
+def campaign_trace(
+    name: str, seed: int, system: SystemConfig, threads: int, txns_per_thread: int
+) -> CompiledTrace:
+    """The compiled trace every run of a campaign replays: microbenchmark
+    ``name`` (:func:`campaign_workload`) on ``system``, ``threads`` x
+    ``txns_per_thread``.  The workload is prepared only when the trace
+    cache misses."""
+    workload = campaign_workload(name, seed)
+    return compiled_trace(
+        workload, system, threads, txns_per_thread, Preparation(workload, system)
+    )
 
 
 def campaign_design(design) -> DesignSpec:
@@ -333,15 +354,15 @@ def enumerate_points(
 # Run drivers and single-point execution
 # ----------------------------------------------------------------------
 def start_run(
-    prepared: PreparedWorkload,
+    trace: CompiledTrace,
+    system: SystemConfig,
     policy: DesignSpec,
-    threads: int,
-    txns_per_thread: int,
     monitor: Optional[FaultMonitor] = None,
     injector: Optional[FaultInjector] = None,
 ) -> ShardMachine:
-    """A started closed-loop shard of the prepared workload under
-    ``policy``, with the fault monitor and torn-write injector armed."""
+    """A started replay of ``trace`` on ``system`` under ``policy``, with
+    the fault monitor and torn-write injector armed
+    (:func:`~repro.sim.replay.replay_shard`)."""
 
     def arm(machine: Machine) -> None:
         machine.fault_monitor = monitor
@@ -349,11 +370,11 @@ def start_run(
 
     run = RunConfig(
         policy=policy,
-        threads=threads,
-        txns_per_thread=txns_per_thread,
-        system=prepared.system,
+        threads=trace.threads,
+        txns_per_thread=trace.txns_per_thread,
+        system=system,
     )
-    return batch_shard(prepared.workload, run, prepared, arm)
+    return replay_shard(trace, run, arm)
 
 
 def finish_run(
@@ -477,18 +498,17 @@ def _torn_injector(system: SystemConfig) -> FaultInjector:
 
 
 def _run_execution_point(
-    prepared: PreparedWorkload,
+    trace: CompiledTrace,
+    system: SystemConfig,
     policy: DesignSpec,
     point: FaultPoint,
-    threads: int,
-    txns_per_thread: int,
 ) -> PointResult:
     """Crash at an execution event, optionally injure the log, recover."""
     injector = None
     if point.fault == FAULT_TORN:
-        injector = _torn_injector(prepared.system)
+        injector = _torn_injector(system)
     monitor = FaultMonitor(CrashPoint(point.kind, point.index))
-    shard = start_run(prepared, policy, threads, txns_per_thread, monitor, injector)
+    shard = start_run(trace, system, policy, monitor, injector)
     crash_time, triggered = crash_run(shard)
     machine = shard.machine
     fault_applied = injector is not None and injector.tears_applied > 0
@@ -538,27 +558,26 @@ class _RecoveryScenario:
 
 
 def _build_recovery_scenario(
-    prepared: PreparedWorkload,
+    trace: CompiledTrace,
+    system: SystemConfig,
     policy: DesignSpec,
-    threads: int,
-    txns_per_thread: int,
     retire_total: int,
 ) -> Optional[_RecoveryScenario]:
     """Crash mid-run, snapshot, and profile/reference the recovery pass."""
     if retire_total <= 0:
         return None
     mid = CrashPoint(EventKind.RETIRE, max(0, (retire_total * 3) // 5))
-    shard = start_run(prepared, policy, threads, txns_per_thread, FaultMonitor(mid))
+    shard = start_run(trace, system, policy, FaultMonitor(mid))
     crash_time, _triggered = crash_run(shard)
     machine = shard.machine
     image = machine.nvram.snapshot()
     machine.nvram.recycle()
 
     # Counting pass doubles as the convergence reference.
-    reference = NVRAM(prepared.system.nvram)
+    reference = NVRAM(system.nvram)
     reference.restore(image)
     counter = FaultMonitor()
-    recover_image(reference, prepared.system, crash_injector=counter)
+    recover_image(reference, system, crash_injector=counter)
     reference_image = reference.snapshot()
     reference.recycle()
     return _RecoveryScenario(
@@ -681,8 +700,7 @@ def run_fault_campaign(
     system = system or default_campaign_system()
     check_campaign_size(system, threads, txns_per_thread, points)
     policies = [campaign_design(policy) for policy in policies]
-    wl = campaign_workload(workload, seed)
-    prepared = prepare_workload(wl, system)
+    trace = campaign_trace(workload, seed, system, threads, txns_per_thread)
     result = CampaignResult(
         workload=workload,
         txns_per_thread=txns_per_thread,
@@ -695,14 +713,11 @@ def run_fault_campaign(
     profiles = []
     for policy in policies:
         profile = FaultMonitor()
-        shard = start_run(prepared, policy, threads, txns_per_thread, profile)
-        finish_run(shard).machine.nvram.recycle()
+        finish_run(start_run(trace, system, policy, profile)).machine.nvram.recycle()
         profiles.append(profile)
     for policy, profile in zip(policies, profiles):
         retire_total = profile.counts[EventKind.RETIRE]
-        scenario = _build_recovery_scenario(
-            prepared, policy, threads, txns_per_thread, retire_total
-        )
+        scenario = _build_recovery_scenario(trace, system, policy, retire_total)
         # 2. Enumerate points against the profiled totals.
         plan = enumerate_points(
             profile.counts,
@@ -715,9 +730,7 @@ def run_fault_campaign(
             if point.kind is EventKind.RECOVERY:
                 outcome = _run_recovery_point(scenario, system, point)
             else:
-                outcome = _run_execution_point(
-                    prepared, policy, point, threads, txns_per_thread
-                )
+                outcome = _run_execution_point(trace, system, policy, point)
             report.points.append(outcome)
         result.reports.append(report)
         if progress is not None:

@@ -77,14 +77,18 @@ class FaultMonitor:
     With ``trigger=None`` the monitor only profiles: run a workload to
     completion and read :attr:`counts` to learn how many events of each
     kind the configuration generates.  With a trigger armed, reaching
-    the target occurrence raises immediately.
+    the target occurrence raises immediately, and the monitor watches
+    only the trigger's own stream (its :meth:`after_op` is that stream's
+    watcher): a retire-armed monitor just counts retires, and the other
+    kinds' counts stay 0.
 
     ``deadline`` arms a *time-keyed* kill instead: the first retired
     micro-op whose cycle time reaches the deadline raises
     :class:`~repro.errors.SimulatedCrash`.  The distributed campaign
     uses this to kill a node at an instant derived from the shipping
     timeline (mid-transaction, mid-log-ship) rather than an event index;
-    determinism still holds because cycle times are deterministic.
+    determinism still holds because cycle times are deterministic.  A
+    deadline monitor counts every stream, as a profiling one does.
     """
 
     def __init__(
@@ -99,6 +103,15 @@ class FaultMonitor:
         self._prev_log_records = 0
         self._prev_fwb_scans = 0
         self._prev_wrap_forces = 0
+        if trigger is not None and deadline is None:
+            # Shadows the counting after_op; kinds no op generates (the
+            # switch barrier, recovery writes) need no per-op work.
+            self.after_op = {
+                EventKind.RETIRE: self._watch_retires,
+                EventKind.LOG_DRAIN: self._watch_drains,
+                EventKind.FWB_SCAN: self._watch_scans,
+                EventKind.WRAP_FORCE: self._watch_wrap_forces,
+            }.get(trigger.kind, _ignore_op)
 
     # ------------------------------------------------------------------
     # Execution-side events (called by Machine.issue)
@@ -108,6 +121,12 @@ class FaultMonitor:
         if self.deadline is not None and not self.fired and now >= self.deadline:
             self.fired = True
             raise SimulatedCrash("deadline", 0, now)
+        self._watch_retires(now, stats)
+        self._watch_drains(now, stats)
+        self._watch_scans(now, stats)
+        self._watch_wrap_forces(now, stats)
+
+    def _watch_retires(self, now: float, stats: "MachineStats") -> None:
         # The retire bump of _bump, for the one-occurrence case.
         counts = self.counts
         retired = counts[_RETIRE]
@@ -121,14 +140,20 @@ class FaultMonitor:
         ):
             self.fired = True
             raise SimulatedCrash(_RETIRE.value, retired, now)
+
+    def _watch_drains(self, now: float, stats: "MachineStats") -> None:
         delta = stats.log_records - self._prev_log_records
         if delta:
             self._prev_log_records = stats.log_records
             self._bump(EventKind.LOG_DRAIN, delta, now)
+
+    def _watch_scans(self, now: float, stats: "MachineStats") -> None:
         delta = stats.fwb_scans - self._prev_fwb_scans
         if delta:
             self._prev_fwb_scans = stats.fwb_scans
             self._bump(EventKind.FWB_SCAN, delta, now)
+
+    def _watch_wrap_forces(self, now: float, stats: "MachineStats") -> None:
         delta = stats.log_wrap_forced_writebacks - self._prev_wrap_forces
         if delta:
             self._prev_wrap_forces = stats.log_wrap_forced_writebacks
@@ -180,6 +205,10 @@ class FaultMonitor:
         ):
             self.fired = True
             raise SimulatedCrash(kind.value, trigger.index, now)
+
+
+def _ignore_op(now: float, stats: "MachineStats") -> None:
+    """The per-op watcher of a monitor armed on a kind no op generates."""
 
 
 def sample_indices(total: int, budget: int) -> list[int]:

@@ -19,15 +19,17 @@ Invalidation is by construction: any change to the key inputs (including
 the workload's public attributes, via
 :meth:`~repro.workloads.base.Workload.identity_key`) produces a different
 hash, and simulator-behaviour changes are handled by bumping
-:data:`CODE_SALT`, which is folded into every key.
+:data:`CODE_SALT`, which is folded into every key.  Trace keys also fold
+in :func:`recording_code_digest`, a hash of the code that records a
+trace, so an edited workload never replays a trace of its old code.
 
 This module also hosts :class:`TraceCache`, the compiled-trace store
 used by the trace-replay execution engine (:mod:`repro.sim.replay`).
 Unlike the result cache it is an *engine* detail — it changes how a cell
 is executed, never what its stats are — so it is on by default and keyed
 **without** the design (one trace serves every design cell).
-:func:`compiled_trace` is the one way a cell gets its trace: sweep
-cells, psan and pstatic all look it up there.
+:func:`compiled_trace` is the one way a run gets its trace: sweep
+cells, psan, pstatic and the crash campaigns all look it up there.
 
 Environment knobs:
 
@@ -42,6 +44,7 @@ Environment knobs:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -57,13 +60,40 @@ from ..workloads.base import Workload
 
 #: Bump whenever a simulator change alters any cell's stats — every key
 #: includes it, so old entries become unreachable (not merely stale).
-#: (v2: keys switched from policy names to design-spec mechanisms.)
-CODE_SALT = "sweep-v2"
+#: (v2: keys switched from policy names to design-spec mechanisms;
+#: v3: instant-commit software redo applies its deferred stores.)
+CODE_SALT = "sweep-v3"
 
 #: Bump whenever the recorded column format or recording semantics
 #: change; stale ``.ctrace`` files then fail decoding and are recompiled.
 #: (v2: CRC32 trailer appended to the blob.)
 TRACE_SALT = "ctrace-v2"
+
+#: The sources, relative to the package, whose code decides what a trace
+#: records: the workloads' thread bodies and set-up, the heap allocator,
+#: the recorder and the column format.
+_RECORDING_SOURCES = ("workloads/**/*.py", "txn/heap.py", "sim/replay.py", "sim/ctrace.py")
+
+
+@functools.lru_cache(maxsize=None)
+def recording_code_digest() -> str:
+    """sha256 of the sources that record a trace (computed once per
+    process): each source's package-relative path and contents, sorted
+    by path.  :meth:`TraceCache.key` folds it in."""
+    package = Path(__file__).resolve().parent.parent
+    sources = sorted(
+        {
+            path.relative_to(package).as_posix()
+            for pattern in _RECORDING_SOURCES
+            for path in package.glob(pattern)
+        }
+    )
+    digest = hashlib.sha256()
+    for source in sources:
+        digest.update(source.encode() + b"\0")
+        digest.update(hashlib.sha256((package / source).read_bytes()).digest())
+    return digest.hexdigest()
+
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_DISABLE = "REPRO_SWEEP_CACHE"
@@ -277,7 +307,8 @@ class TraceCache:
     suite several times; repeats skip even the disk decode), level 2 a
     directory of ``.ctrace`` files written by the
     :meth:`~repro.sim.ctrace.CompiledTrace.to_bytes` codec.  Keys cover
-    system config, workload identity, thread count and transactions per
+    system config, workload identity and code
+    (:func:`recording_code_digest`), thread count and transactions per
     thread — **not** the design: the whole point of the engine is that
     one trace replays under every design cell.
 
@@ -323,6 +354,7 @@ class TraceCache:
         """Content hash of everything that determines the recorded trace."""
         material = {
             "salt": self.salt,
+            "code": recording_code_digest(),
             "system": dataclasses.asdict(system),
             "workload": workload.identity_key(),
             "threads": threads,

@@ -216,25 +216,6 @@ def build_run(
     return machine, pm, workload
 
 
-def batch_shard(
-    workload: Workload,
-    run: RunConfig,
-    prepared: Optional[PreparedWorkload] = None,
-    machine_hook=None,
-):
-    """Build ``run`` and start it as one closed-loop
-    :class:`~repro.sched.shard.ShardMachine` (one ``thread_body`` per
-    thread, ``run.txns_per_thread`` transactions each)."""
-    # Local import: harness is a lower layer that sched builds on for
-    # serve mode; pulling sched in lazily avoids the import cycle.
-    from ..sched.shard import ShardMachine
-
-    machine, pm, workload = build_run(workload, run, prepared, machine_hook)
-    shard = ShardMachine(machine, pm, workload, threads=run.threads)
-    shard.start_batch(run.txns_per_thread)
-    return shard
-
-
 def run_workload(
     workload: Workload,
     run: RunConfig,
@@ -244,12 +225,19 @@ def run_workload(
     """Execute ``workload`` under ``run`` and return the outcome.
 
     The run is a single :class:`~repro.sched.shard.ShardMachine` in batch
-    mode, drained to completion.  The shard's step loop is the
-    historical core-clock min-heap drive order, so outcomes are
+    mode (one ``thread_body`` per thread, ``run.txns_per_thread``
+    transactions each), drained to completion.  The shard's step loop is
+    the historical core-clock min-heap drive order, so outcomes are
     bit-identical to the monolithic reference loop the differential gate
     in ``tests/sched/test_shard_equivalence.py`` compares it against.
     """
-    shard = batch_shard(workload, run, prepared, machine_hook)
+    # Local import: harness is a lower layer that sched builds on for
+    # serve mode; pulling sched in lazily avoids the import cycle.
+    from ..sched.shard import ShardMachine
+
+    machine, pm, workload = build_run(workload, run, prepared, machine_hook)
+    shard = ShardMachine(machine, pm, workload, threads=run.threads)
+    shard.start_batch(run.txns_per_thread)
     shard.drain()
-    stats = shard.machine.finalize()
-    return RunOutcome(run.policy, run.threads, stats, shard.machine, shard.pm)
+    stats = machine.finalize()
+    return RunOutcome(run.policy, run.threads, stats, machine, pm)

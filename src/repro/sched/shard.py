@@ -18,9 +18,9 @@ scheduler can interleave many shards and inject work between steps:
     Run to completion (and, in serve mode, close the queue first).
 
 It is the package's only drive loop: batch runs, serve and drift
-shards, compiled replay (:func:`~repro.sim.replay.run_compiled`, via
-:meth:`start` with its replay generator) and the crash campaigns all
-advance through :meth:`step`.  Every thread generator drives the
+shards, compiled replay (:func:`~repro.sim.replay.replay_shard`, via
+:meth:`start` with its replay generator; the crash campaigns replay
+too) all advance through :meth:`step`.  Every thread generator drives the
 shard's own thread API, one per thread.
 
 Bit-identity: with ``until_cycle=None`` the step loop is structurally

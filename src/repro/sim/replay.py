@@ -11,7 +11,9 @@ identical for every cell that differs only in
   into :class:`~repro.sim.ctrace.CompiledTrace` columns;
 * :func:`run_compiled` replays the columns under any design, producing
   **bit-identical** :class:`~repro.sim.stats.MachineStats` to the
-  interpreted run.
+  interpreted run; :func:`replay_shard` starts that replay and hands
+  back the shard undriven (the crash campaigns step, switch and crash
+  it themselves).
 
 Replay drives the transaction runtime's own lowering: each thread's
 transactions and write pieces go through the private steps of a real
@@ -351,23 +353,22 @@ def _replay_thread(machine: Machine, api, col: CompiledThread, bind: dict):
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
-def run_compiled(trace: CompiledTrace, run, machine_hook=None, bind_out=None):
-    """Replay ``trace`` under ``run`` (a :class:`RunConfig`); returns the
-    same :class:`~repro.harness.runner.RunOutcome` as
-    :func:`~repro.harness.runner.run_workload` with bit-identical stats.
+def replay_shard(trace: CompiledTrace, run, machine_hook=None, bind_out=None):
+    """Build ``run`` (a :class:`RunConfig`) from ``trace`` and start its
+    replay; returns the started :class:`~repro.sched.shard.ShardMachine`.
 
     The run is assembled by :func:`~repro.harness.runner.build_run` from
     the trace's image and heap snapshot, and the per-thread replay
-    generators drive the thread APIs of a
-    :class:`~repro.sched.shard.ShardMachine` — the same builder, APIs
-    and drive order as an interpreted run.
+    generators drive the thread APIs of the shard — the same builder,
+    APIs and drive order as an interpreted run.  ``machine_hook`` is
+    :func:`~repro.harness.runner.build_run`'s.
 
     ``bind_out`` (a dict, filled in place) receives the symbolic
     block-id -> real-address binding the replay establishes; the static
     verifier uses it to translate a counterexample's symbolic addresses
     into the addresses the dynamic checker diagnosed.
     """
-    from ..harness.runner import RunOutcome, build_run
+    from ..harness.runner import build_run
     from ..sched.shard import ShardMachine
 
     if run.threads != trace.threads:
@@ -387,7 +388,18 @@ def run_compiled(trace: CompiledTrace, run, machine_hook=None, bind_out=None):
     cols = trace.thread_cols
     shard = ShardMachine(machine, pm, None, run.threads)
     shard.start(lambda api, tid: _replay_thread(machine, api, cols[tid], bind))
-    shard.drain()
+    return shard
 
+
+def run_compiled(trace: CompiledTrace, run, machine_hook=None, bind_out=None):
+    """Replay ``trace`` under ``run`` to the end (:func:`replay_shard`,
+    drained); returns the same :class:`~repro.harness.runner.RunOutcome`
+    as :func:`~repro.harness.runner.run_workload` with bit-identical
+    stats."""
+    from ..harness.runner import RunOutcome
+
+    shard = replay_shard(trace, run, machine_hook, bind_out)
+    shard.drain()
+    machine = shard.machine
     stats = machine.finalize()
-    return RunOutcome(run.policy, run.threads, stats, machine, pm)
+    return RunOutcome(run.policy, run.threads, stats, machine, shard.pm)

@@ -434,9 +434,13 @@ class ThreadAPI:
         overhead = logging.softlog_instrs_tx_commit
         if policy.commit is CommitProtocol.INSTANT:
             # unsafe-base: append the commit record and report commit at
-            # the core clock without ever fencing — no guarantee.
+            # the core clock without ever fencing — no guarantee.  Redo
+            # content still applies its deferred in-place stores (unfenced),
+            # or later transactions would read the values they replaced.
             self._sw_commit_record(txid)
             machine.issue(core, tx_commit, txid, self.tid, overhead)
+            for addr, piece in self._overlay.items():
+                machine.issue(core, core.exec_store, addr, piece)
             return self.now  # optimistic; no durability guarantee
 
         if not policy.logs_redo:

@@ -11,6 +11,28 @@ from repro.adapt.faults import (
     run_switch_campaign,
 )
 from repro.core.design import resolve_design, switch_legal
+from repro.sim.machine import Machine
+
+
+def test_switch_campaign_recycles_every_device(monkeypatch):
+    """Profile runs and crash points alike hand their device back once
+    verified, so no switch-campaign machine keeps its image."""
+    machines = []
+    original = Machine.__init__
+
+    def init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        machines.append(self)
+
+    monkeypatch.setattr(Machine, "__init__", init)
+    result = run_switch_campaign(
+        transitions=[("hw+undo+redo+nowb", "hw+undo+redo+clwb")], txns_per_thread=12
+    )
+    assert result.passed and result.total_points == 3
+    # The makespan run, both barrier sides, the profile and the late
+    # point (plus the workload's set-up machine on a trace-cache miss).
+    assert len(machines) >= 5
+    assert all(machine.nvram.image is None for machine in machines)
 
 
 class TestDefaultTransitions:

@@ -31,7 +31,8 @@ from repro.dist.ship import LogStreamCollector
 from repro.errors import ConfigError, SimulatedCrash
 from repro.faults.campaign import campaign_workload, default_campaign_system
 from repro.faults.crashpoints import FaultMonitor
-from repro.harness.runner import RunConfig, batch_shard, prepare_workload, run_workload
+from repro.harness.runner import RunConfig, build_run, prepare_workload, run_workload
+from repro.sched.shard import ShardMachine
 from repro.sim.trace import Tracer
 
 TXNS = 12
@@ -237,7 +238,9 @@ def _harvested_run(prepared, design, horizons):
         holder["collector"] = LogStreamCollector(machine)
 
     run = RunConfig(policy=design, threads=2, txns_per_thread=TXNS, system=prepared.system)
-    shard = batch_shard(prepared.workload, run, prepared, hook)
+    machine, pm, workload = build_run(prepared.workload, run, prepared, hook)
+    shard = ShardMachine(machine, pm, workload, threads=2)
+    shard.start_batch(TXNS)
     collector = holder["collector"]
     harvested = []
     for horizon in horizons:

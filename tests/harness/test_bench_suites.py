@@ -28,6 +28,7 @@ EXPECTED_SUITES = [
     "adapt-decide",
     "adapt-switch",
     "workload-prepare",
+    "fault-campaign",
 ]
 
 # Cheap enough to run twice in a unit test; the expensive sweep suites

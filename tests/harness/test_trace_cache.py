@@ -180,3 +180,55 @@ def test_trace_key_ignores_design(tmp_path):
     assert cache.key(system, workload, 2, 10) == cache.key(system, workload, 2, 10)
     assert cache.key(system, workload, 2, 10) != cache.key(system, workload, 4, 10)
     assert cache.key(system, workload, 2, 10) != cache.key(system, workload, 2, 20)
+
+
+def test_trace_key_folds_in_the_recording_code(tmp_path, monkeypatch):
+    """Keys are stable within a process and move with the code that
+    records a trace (its digest is computed once per process)."""
+    from repro.harness import cache as cache_module
+    from repro.workloads.hashtable import HashTableWorkload
+    from tests.conftest import tiny_system
+
+    workload = HashTableWorkload(seed=3)
+    system = tiny_system()
+    cache = TraceCache(tmp_path)
+    key = cache.key(system, workload, 2, 10)
+    assert TraceCache(tmp_path).key(system, workload, 2, 10) == key
+    monkeypatch.setattr(cache_module, "recording_code_digest", lambda: "edited")
+    assert cache.key(system, workload, 2, 10) != key
+
+
+def test_edited_recording_code_recompiles_instead_of_reading_the_old_trace(
+    tmp_path, monkeypatch
+):
+    """A ``.ctrace`` written by other workload code is never served: once
+    the recording-code digest changes, ``compiled_trace`` prepares and
+    compiles again rather than decoding the old file."""
+    from repro.harness import cache as cache_module
+    from repro.harness.cache import compiled_trace
+    from repro.harness.runner import Preparation
+    from repro.workloads.hashtable import HashTableWorkload
+    from tests.conftest import tiny_system
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    system = tiny_system()
+    workload = HashTableWorkload(seed=6, buckets_per_partition=8, keys_per_partition=32)
+    preparations = []
+
+    def prepare():
+        preparations.append(None)
+        return Preparation(workload, system)()
+
+    def lookup():
+        # A fresh process-wide cache: an empty memo, so only the disk can hit.
+        monkeypatch.setattr(cache_module, "_SHARED_TRACE_CACHE", None)
+        return compiled_trace(workload, system, 1, 4, prepare)
+
+    first = lookup()
+    assert len(preparations) == 1 and len(list(tmp_path.glob("*.ctrace"))) == 1
+    assert lookup().op_count() == first.op_count()
+    assert len(preparations) == 1  # served from the disk
+    monkeypatch.setattr(cache_module, "recording_code_digest", lambda: "edited")
+    lookup()
+    assert len(preparations) == 2  # recompiled, the old file unread
+    assert len(list(tmp_path.glob("*.ctrace"))) == 2

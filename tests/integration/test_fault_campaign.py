@@ -27,6 +27,7 @@ from repro.faults import (
     run_fault_campaign,
 )
 from repro.faults.campaign import (
+    campaign_trace,
     campaign_workload,
     count_mismatches,
     crash_run,
@@ -34,7 +35,6 @@ from repro.faults.campaign import (
     finish_run,
     start_run,
 )
-from repro.harness.runner import prepare_workload
 from repro.sim.nvram import NVRAM
 
 GUARANTEED = [FWB, HWL, UNDO_CLWB, REDO_CLWB]
@@ -166,17 +166,18 @@ def test_software_design_machines_die_without_the_cyclic_collector():
     write-back ordering hook holds the write-combining buffers, not the
     machine, so dropping a finished or crashed run frees the machine
     (and its NVRAM image) at once."""
-    prepared = prepare_workload(campaign_workload("btree", 7), default_campaign_system())
+    system = default_campaign_system()
+    trace = campaign_trace("btree", 7, system, 1, 20)
     gc.collect()
     gc.disable()
     try:
-        shard = finish_run(start_run(prepared, UNDO_CLWB, 1, 20))
+        shard = finish_run(start_run(trace, system, UNDO_CLWB))
         finished = weakref.ref(shard.machine)
         del shard
         assert finished() is None
 
         monitor = FaultMonitor(CrashPoint(EventKind.RETIRE, 300))
-        shard = start_run(prepared, REDO_CLWB, 1, 20, monitor)
+        shard = start_run(trace, system, REDO_CLWB, monitor)
         _crash_time, triggered = crash_run(shard)
         assert triggered
         crashed = weakref.ref(shard.machine)
@@ -189,15 +190,16 @@ def test_software_design_machines_die_without_the_cyclic_collector():
 def test_trigger_past_the_last_event_crashes_at_the_end_of_the_run():
     """A crash point the run never reaches (a profile that drifted from
     the run it profiled) crashes at the end of the run, untriggered."""
-    prepared = prepare_workload(campaign_workload("hash", 7), default_campaign_system())
+    system = default_campaign_system()
+    trace = campaign_trace("hash", 7, system, 1, TXNS)
     profile = FaultMonitor()
-    finished = finish_run(start_run(prepared, FWB, 1, TXNS, profile))
+    finished = finish_run(start_run(trace, system, FWB, profile))
     end = max(core.time for core in finished.machine.cores)
     finished.machine.nvram.recycle()
     retires = profile.counts[EventKind.RETIRE]
 
     shard = start_run(
-        prepared, FWB, 1, TXNS, FaultMonitor(CrashPoint(EventKind.RETIRE, retires))
+        trace, system, FWB, FaultMonitor(CrashPoint(EventKind.RETIRE, retires))
     )
     crash_time, triggered = crash_run(shard)
     assert not triggered

@@ -7,12 +7,7 @@ import pytest
 from repro.core.design import DESIGNS
 from repro.errors import WorkloadError
 from repro.faults.campaign import campaign_workload, default_campaign_system
-from repro.harness.runner import (
-    RunConfig,
-    batch_shard,
-    build_run,
-    prepare_workload,
-)
+from repro.harness.runner import RunConfig, build_run, prepare_workload
 from repro.sched.shard import ShardMachine
 from repro.workloads.whisper import make_whisper_kernel
 from tests.conftest import tiny_system
@@ -141,8 +136,9 @@ def test_switch_reprices_drive_order_to_the_barrier():
         policy="hw+undo+redo+nowb", threads=2, txns_per_thread=24,
         system=prepared.system,
     )
-    shard = batch_shard(workload, run, prepared)
-    machine = shard.machine
+    machine, pm, workload = build_run(workload, run, prepared)
+    shard = ShardMachine(machine, pm, workload, threads=2)
+    shard.start_batch(run.txns_per_thread)
     horizon = 0.0
     while not machine.core_time(1) < machine.core_time(0):
         horizon += 50.0

@@ -109,6 +109,32 @@ class TestFaultMonitor:
             monitor.after_op(0.0, stats)
         monitor.after_op(1.0, stats)  # must not raise again
 
+    def test_armed_monitor_counts_only_its_trigger_stream(self):
+        retire = FaultMonitor(CrashPoint(EventKind.RETIRE, 99))
+        drain = FaultMonitor(CrashPoint(EventKind.LOG_DRAIN, 2))
+        stats = _FakeStats()
+        for i in range(3):
+            stats.log_records = i
+            retire.after_op(float(i), stats)
+            drain.after_op(float(i), stats)
+        assert retire.counts[EventKind.RETIRE] == 3
+        assert retire.counts[EventKind.LOG_DRAIN] == 0
+        assert drain.counts[EventKind.RETIRE] == 0
+        assert drain.counts[EventKind.LOG_DRAIN] == 2
+        stats.log_records = 3
+        with pytest.raises(SimulatedCrash) as excinfo:
+            drain.after_op(3.0, stats)
+        assert (excinfo.value.kind, excinfo.value.index) == ("log-drain", 2)
+
+    def test_deadline_monitor_counts_every_stream(self):
+        monitor = FaultMonitor(CrashPoint(EventKind.RETIRE, 99), deadline=10.0)
+        stats = _FakeStats()
+        for i in range(3):
+            stats.log_records = i
+            monitor.after_op(float(i), stats)
+        assert monitor.counts[EventKind.RETIRE] == 3
+        assert monitor.counts[EventKind.LOG_DRAIN] == 2
+
     def test_recovery_trigger(self):
         monitor = FaultMonitor(CrashPoint(EventKind.RECOVERY, 1))
         monitor.recovery_step()

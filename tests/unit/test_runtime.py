@@ -10,6 +10,7 @@ from repro.core.design import (
     REDO_CLWB,
     UNDO_CLWB,
     UNSAFE_BASE,
+    resolve_design,
 )
 from repro.errors import TransactionError
 from tests.conftest import make_pm, word
@@ -116,6 +117,18 @@ class TestRedoOverlay:
         assert not pm.machine.hierarchy.is_line_dirty(0x2000)
         api.tx_commit()
         assert api.read(0x2000, 8) == word(5)
+
+    def test_instant_commit_applies_the_deferred_stores(self):
+        """The instant twin of redo-clwb reports commit without a fence,
+        but its deferred in-place stores still land: a later transaction
+        reads the committed value, not the one it replaced."""
+        pm = make_pm(resolve_design("sw+redo+clwb+instant"))
+        api = pm.api(0)
+        with api.transaction():
+            api.write(0x2000, word(5))
+        assert pm.machine.hierarchy.is_line_dirty(0x2000)
+        with api.transaction():
+            assert api.read(0x2000, 8) == word(5)
 
 
 class TestGoldenModel:
