@@ -59,10 +59,11 @@ Commands
     on wall-clock) and exits non-zero on regression, ``bench update``
     rewrites the baseline intentionally.
 ``cache``
-    Sweep result-cache maintenance: ``cache prune`` deletes
-    ``.repro_cache`` entries whose ``CODE_SALT`` predates the current
-    one (``--dry-run`` counts without deleting); ``cache stats`` reports
-    entry counts and CRC32-verifies every compiled-trace blob.
+    Result- and trace-cache maintenance: ``cache prune`` deletes the
+    ``.repro_cache`` entries that other code wrote or that no longer
+    read back (``--dry-run`` counts without deleting); ``cache stats``
+    is the same scan as a dry run, with entry counts and the size of the
+    compiled-trace blobs.
 """
 
 from __future__ import annotations
@@ -74,22 +75,27 @@ from . import SystemConfig
 from .core.design import CANONICAL_DESIGNS, DESIGNS, HW_RLOG, UNSAFE_BASE, expand_grid
 from .core.lifetime import log_pass_period_seconds, log_region_lifetime_days
 from .harness import experiments
-from .harness.cache import SweepCache, cache_enabled
+from .errors import ConfigError
+from .harness.cache import SweepCache
 from .harness.parallel import SweepHealth, default_jobs
-from .harness.runner import Preparation, RunConfig, prepare_workload, run_workload
+from .harness.runner import Preparation
 from .harness.sweep import run_micro_sweep
 from .workloads import MICROBENCHMARKS, make_microbenchmark
 
 
 def _sweep_cache(args):
-    """The CLI's sweep cache, or None when switched off.
+    """The CLI's sweep cache (on by default at the CLI; library callers
+    opt in instead), or None under ``--no-cache``."""
+    return None if args.no_cache else SweepCache()
 
-    The cache defaults on at the CLI (library callers opt in instead);
-    ``--no-cache`` or ``REPRO_SWEEP_CACHE=0`` disables it.
-    """
-    if getattr(args, "no_cache", False) or not cache_enabled():
-        return None
-    return SweepCache()
+
+def _thread_counts(text: str) -> tuple:
+    """A ``--threads`` list such as ``1,2``; a non-integer is a
+    :class:`ConfigError`."""
+    try:
+        return tuple(int(token) for token in text.split(","))
+    except ValueError:
+        raise ConfigError(f"--threads takes comma-separated integers, got {text!r}") from None
 
 
 def _report_cache(cache) -> None:
@@ -130,7 +136,7 @@ def _sweep_options(args) -> dict:
 
         psan_report = PsanSweepReport()
     return {
-        "jobs": args.jobs,
+        "jobs": args.jobs or 1,
         "cache": _sweep_cache(args),
         "cell_timeout": args.cell_timeout,
         "health": SweepHealth(),
@@ -165,13 +171,6 @@ def _report_psan(psan_report) -> bool:
 
 
 def _cmd_figure(args) -> int:
-    if args.psan and args.id in ("11a", "11b"):
-        print(
-            f"figure: --psan applies to the sweep figures 6-10; figure "
-            f"{args.id} runs no sweep",
-            file=sys.stderr,
-        )
-        return 2
     quick = args.quick
     txns = 60 if quick else 250
     threads = (1,) if quick else (1, 8)
@@ -227,18 +226,13 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    workload = make_microbenchmark(args.benchmark)
-    prepared = prepare_workload(workload)
+    sweep = run_micro_sweep(
+        benchmarks=(args.benchmark,), threads=(args.threads,), txns_per_thread=args.txns
+    )
     print(f"{'design':12s} {'throughput':>11s} {'IPC':>7s} {'instrs':>9s} "
           f"{'NVRAM wr KB':>11s}")
     for policy in CANONICAL_DESIGNS:
-        stats = run_workload(
-            workload,
-            RunConfig(
-                policy=policy, threads=args.threads, txns_per_thread=args.txns
-            ),
-            prepared=prepared,
-        ).stats
+        stats = sweep.stats(args.benchmark, args.threads, policy)
         print(
             f"{policy.value:12s} {stats.throughput:11.1f} {stats.ipc:7.3f} "
             f"{stats.instructions:9d} {stats.nvram_write_bytes / 1024:11.1f}"
@@ -265,7 +259,7 @@ def _cmd_ablate(args) -> int:
         return 2
 
     benchmarks = args.benchmarks.split(",")
-    threads_list = tuple(int(t) for t in args.threads.split(","))
+    threads_list = _thread_counts(args.threads)
     options = _sweep_options(args)
     if args.jobs is None:
         # Unlike the fixed-size figure sweeps, an ablation grid is
@@ -410,7 +404,7 @@ def _cmd_psan(args) -> int:
         return 0 if report.clean else 1
 
     benchmarks = args.benchmarks.split(",")
-    threads_list = [int(t) for t in args.threads.split(",")]
+    threads_list = _thread_counts(args.threads)
     policies = [DESIGNS.resolve(name) for name in args.policies.split(",")]
     if args.save_trace:
         os.makedirs(args.save_trace, exist_ok=True)
@@ -532,7 +526,7 @@ def _cmd_pstatic(args) -> int:
     from .sanitizer.static import StaticSweepReport, run_differential, run_pstatic
 
     benchmarks = args.benchmarks.split(",")
-    threads_list = [int(t) for t in args.threads.split(",")]
+    threads_list = _thread_counts(args.threads)
     policies = [DESIGNS.resolve(name) for name in args.policies.split(",")]
     hb = not args.no_hb
 
@@ -593,44 +587,34 @@ def _cmd_cache(args) -> int:
     from .harness.cache import TraceCache, default_cache_dir, peek_trace_cache
 
     directory = Path(args.dir) if args.dir else default_cache_dir()
-    cache = SweepCache(directory)
+    dry_run = args.cache_command == "stats" or args.dry_run
+    sweep_counts = SweepCache(directory).prune(dry_run)
+    trace_counts = TraceCache(directory).prune(dry_run)
     if args.cache_command == "prune":
-        counts = cache.prune(dry_run=args.dry_run)
-        verb = "would remove" if args.dry_run else "removed"
-        print(
-            f"cache prune: {counts['scanned']} entr(ies) scanned, "
-            f"{counts['stale']} stale (salt != {cache.salt!r}), "
-            f"{verb} {counts['stale'] if args.dry_run else counts['removed']}, "
-            f"{counts['kept']} kept ({directory})"
-        )
-        trace_counts = TraceCache(directory).prune(dry_run=args.dry_run)
-        print(
-            f"trace prune: {trace_counts['scanned']} entr(ies) scanned, "
-            f"{trace_counts['stale']} stale (undecodable format), "
-            f"{verb} "
-            f"{trace_counts['stale'] if args.dry_run else trace_counts['removed']}, "
-            f"{trace_counts['kept']} kept ({directory})"
-        )
+        verb = "would remove" if dry_run else "removed"
+        for label, counts in (("cache prune", sweep_counts), ("trace prune", trace_counts)):
+            print(
+                f"{label}: {counts['scanned']} entr(ies) scanned, "
+                f"{counts['stale']} stale (other code or unreadable), "
+                f"{verb} {counts['stale'] if dry_run else counts['removed']}, "
+                f"{counts['kept']} kept ({directory})"
+            )
         return 0
-    if args.cache_command == "stats":
-        sweep_counts = cache.prune(dry_run=True)
-        print(
-            f"sweep cache: {sweep_counts['scanned']} entr(ies), "
-            f"{sweep_counts['kept']} current, {sweep_counts['stale']} stale "
-            f"({directory})"
-        )
-        trace_counts = TraceCache(directory).verify_disk()
-        print(
-            f"trace cache: {trace_counts['scanned']} entr(ies), "
-            f"{trace_counts['ok']} CRC-verified, "
-            f"{trace_counts['stale']} stale (prunable), "
-            f"{trace_counts['bytes'] / 1024:.1f} KiB ({directory})"
-        )
-        live = peek_trace_cache()
-        if live is not None and (live.hits or live.misses or live.corrupt):
-            print(f"this process: {live.summary()}")
-        return 0
-    return 2  # pragma: no cover - argparse restricts choices
+    print(
+        f"sweep cache: {sweep_counts['scanned']} entr(ies), "
+        f"{sweep_counts['kept']} current, {sweep_counts['stale']} stale "
+        f"({directory})"
+    )
+    print(
+        f"trace cache: {trace_counts['scanned']} entr(ies), "
+        f"{trace_counts['kept']} CRC-verified, "
+        f"{trace_counts['stale']} stale (prunable), "
+        f"{trace_counts['bytes'] / 1024:.1f} KiB ({directory})"
+    )
+    live = peek_trace_cache()
+    if live is not None and (live.hits or live.misses or live.corrupt):
+        print(f"this process: {live.summary()}")
+    return 0
 
 
 def _cmd_lifetime(_args) -> int:
@@ -709,7 +693,7 @@ def _cmd_adapt_train(args) -> int:
         threads=args.threads,
         txns_per_thread=args.txns,
         seed=args.seed,
-        jobs=args.jobs,
+        jobs=args.jobs or 1,
         cache=cache,
         cell_timeout=args.cell_timeout,
     )
@@ -826,20 +810,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("tables").set_defaults(fn=_cmd_tables)
 
-    def _sweep_flags(cmd, psan: bool = True, jobs_default: int = 1) -> None:
-        if jobs_default is None:
+    def _sweep_flags(cmd, psan: bool = True, auto_jobs: bool = False) -> None:
+        if auto_jobs:
             jobs_help = (
                 "worker processes for sweep cells (default: auto — one "
                 "per cell, capped at cpu_count-1)"
             )
         else:
             jobs_help = "worker processes for sweep cells (default: 1, in-process)"
-        cmd.add_argument(
-            "--jobs",
-            type=int,
-            default=jobs_default,
-            help=jobs_help,
-        )
+        cmd.add_argument("--jobs", type=int, default=None, help=jobs_help)
         cmd.add_argument(
             "--no-cache",
             action="store_true",
@@ -924,7 +903,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append a terminal bar chart of per-cell throughput",
     )
-    _sweep_flags(ablate, psan=False, jobs_default=None)
+    _sweep_flags(ablate, psan=False, auto_jobs=True)
     ablate.set_defaults(fn=_cmd_ablate)
     faults = sub.add_parser(
         "faults",
@@ -1275,11 +1254,11 @@ def build_parser() -> argparse.ArgumentParser:
     adapt_faults.set_defaults(fn=_cmd_adapt_faults)
 
     cache_cmd = sub.add_parser(
-        "cache", help="sweep result-cache maintenance (.repro_cache)"
+        "cache", help="result- and trace-cache maintenance (.repro_cache)"
     )
     cache_action = cache_cmd.add_subparsers(dest="cache_command", required=True)
     prune = cache_action.add_parser(
-        "prune", help="delete entries whose CODE_SALT predates the current one"
+        "prune", help="delete entries that other code wrote or that no longer read back"
     )
     prune.add_argument(
         "--dry-run", action="store_true", help="count stale entries, delete nothing"
@@ -1291,8 +1270,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prune.set_defaults(fn=_cmd_cache)
     stats = cache_action.add_parser(
-        "stats",
-        help="entry counts plus CRC32 verification of compiled-trace blobs",
+        "stats", help="what prune would delete, without deleting it"
     )
     stats.add_argument(
         "--dir",
@@ -1303,21 +1281,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Flags a command accepts but, in some mode, would drop: the command,
+#: the mode, the flags and why.  :func:`main` refuses any of them given.
+_DROPPED_FLAGS = (
+    ("figure", lambda a: a.id in ("10", "11a", "11b"), ("--chart",),
+     "applies to figures 6-9 only"),
+    ("figure", lambda a: a.id in ("11a", "11b"),
+     ("--jobs", "--no-cache", "--cell-timeout", "--psan"),
+     "applies to the sweep figures 6-10; figures 11a and 11b run no sweep"),
+    ("figure", lambda a: a.id == "11b", ("--quick",),
+     "does not apply to figure 11b, which has one size"),
+    ("pstatic", lambda a: a.differential, ("--proofs",),
+     "applies to the static sweep, not to --differential"),
+    ("pstatic", lambda a: not a.differential, ("--verbose",),
+     "applies to --differential only"),
+    ("psan", lambda a: a.rules, ("--json",), "does not apply to --rules"),
+    ("bench compare", lambda a: a.from_file, ("--suites", "--repeats"),
+     "applies to a fresh run, not to --from"),
+)
+
+
 def main(argv=None) -> int:
     """Entry point.
 
     A :class:`~repro.errors.ConfigError` is input the command rejects: it
     prints one ``<command>: <reason>`` line on stderr and exits 2, apart
-    from a failed run's 1.
+    from a failed run's 1.  A flag the command would accept and then
+    drop (:data:`_DROPPED_FLAGS`) is rejected the same way.
     """
-    from .errors import ConfigError
-
     args = build_parser().parse_args(argv)
+    sub = getattr(args, f"{args.command}_command", None)
+    command = f"{args.command} {sub}" if sub else args.command
     try:
+        for name, mode, flags, why in _DROPPED_FLAGS:
+            if name != command or not mode(args):
+                continue
+            for flag in flags:
+                value = getattr(args, flag[2:].replace("-", "_"))
+                if value is not None and value is not False:
+                    raise ConfigError(f"{flag} {why}")
         return args.fn(args)
     except ConfigError as exc:
-        sub = getattr(args, f"{args.command}_command", None)
-        print(f"{args.command}{' ' + sub if sub else ''}: {exc}", file=sys.stderr)
+        print(f"{command}: {exc}", file=sys.stderr)
         return 2
 
 

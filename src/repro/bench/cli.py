@@ -19,13 +19,16 @@ from .baseline import (
 )
 from .compare import DEFAULT_WALL_TOLERANCE, compare_results
 from .registry import BenchError, get_suites
-from .runner import run_bench
+from .runner import DEFAULT_REPEATS, run_bench
 
 
-def _suite_names(args) -> list:
-    if not args.suites:
-        return None
-    return [name.strip() for name in args.suites.split(",") if name.strip()]
+def _run_suites(args, progress):
+    """``run_bench`` over the suites, mode and repeats the flags name."""
+    names = None
+    if args.suites:
+        names = [name.strip() for name in args.suites.split(",") if name.strip()]
+    repeats = DEFAULT_REPEATS if args.repeats is None else args.repeats
+    return run_bench(names=names, quick=args.quick, repeats=repeats, progress=progress)
 
 
 def _baseline_path(args) -> Path:
@@ -35,12 +38,7 @@ def _baseline_path(args) -> Path:
 
 
 def _run(args) -> int:
-    result = run_bench(
-        names=_suite_names(args),
-        quick=args.quick,
-        repeats=args.repeats,
-        progress=None if args.json else print,
-    )
+    result = _run_suites(args, None if args.json else print)
     if args.json:
         print(json.dumps(result_to_doc(result), indent=2))
     else:
@@ -53,12 +51,7 @@ def _run(args) -> int:
 
 def _update(args) -> int:
     path = _baseline_path(args)
-    result = run_bench(
-        names=_suite_names(args),
-        quick=args.quick,
-        repeats=args.repeats,
-        progress=print,
-    )
+    result = _run_suites(args, print)
     if not result.deterministic:
         print(
             "bench update: refusing to record a baseline whose counters "
@@ -76,12 +69,7 @@ def _compare(args) -> int:
     if args.from_file:
         current = load_baseline(args.from_file)
     else:
-        current = run_bench(
-            names=_suite_names(args),
-            quick=args.quick,
-            repeats=args.repeats,
-            progress=None if args.json else print,
-        )
+        current = _run_suites(args, None if args.json else print)
     report = compare_results(
         baseline,
         current,
@@ -125,7 +113,7 @@ def _list(args) -> int:
     return 0
 
 
-def _common_flags(cmd, with_repeats: bool = True) -> None:
+def _common_flags(cmd) -> None:
     cmd.add_argument(
         "--quick",
         action="store_true",
@@ -136,13 +124,13 @@ def _common_flags(cmd, with_repeats: bool = True) -> None:
         default=None,
         help="comma-separated subset of suites (default: all registered)",
     )
-    if with_repeats:
-        cmd.add_argument(
-            "--repeats",
-            type=int,
-            default=3,
-            help="wall-clock repeats per suite; min is reported (default: 3)",
-        )
+    cmd.add_argument(
+        "--repeats",
+        type=int,
+        default=None,
+        help="wall-clock repeats per suite; min is reported "
+        f"(default: {DEFAULT_REPEATS})",
+    )
 
 
 def add_bench_parser(sub) -> None:

@@ -28,6 +28,9 @@ from .registry import BenchTimer, get_suites
 
 ENV_PERTURB = "REPRO_BENCH_PERTURB"
 
+#: Wall-clock repeats per suite unless a caller asks for others.
+DEFAULT_REPEATS = 3
+
 
 def host_fingerprint() -> dict:
     """Host identity relevant to wall-clock comparability.
@@ -111,7 +114,7 @@ class BenchRunResult:
 def run_bench(
     names=None,
     quick: bool = True,
-    repeats: int = 3,
+    repeats: int = DEFAULT_REPEATS,
     progress=None,
 ) -> BenchRunResult:
     """Run the requested suites; returns all measurements.

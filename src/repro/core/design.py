@@ -34,6 +34,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Tuple
 
+from ..errors import ConfigError
+
 
 class LogBackend(enum.Enum):
     """Who generates log records."""
@@ -357,10 +359,10 @@ class DesignRegistry:
         return iter(self._by_name.values())
 
     def get(self, name: str) -> DesignSpec:
-        """The registered spec for ``name`` (ValueError with suggestions)."""
+        """The registered spec for ``name`` (ConfigError with suggestions)."""
         spec = self._by_name.get(name)
         if spec is None:
-            raise ValueError(self._unknown(name))
+            raise ConfigError(self._unknown(name))
         return spec
 
     def resolve(self, text: str) -> DesignSpec:
@@ -376,7 +378,7 @@ class DesignRegistry:
         try:
             return parse_design(text)
         except ValueError:
-            raise ValueError(self._unknown(text)) from None
+            raise ConfigError(self._unknown(text)) from None
 
     def _unknown(self, name: str) -> str:
         suggestions = difflib.get_close_matches(name, self._by_name, n=3)

@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from ..core.design import HWL, DesignSpec
+from ..core.design import HWL, DesignSpec, resolve_design
 from ..faults.campaign import (
-    campaign_design,
     campaign_workload,
     check_campaign_size,
     default_campaign_system,
@@ -443,7 +442,7 @@ def run_dist_campaign(
     if policies is None:
         policies = (HWL,)  # the paper's design
     workloads = [(benchmark, campaign_workload(benchmark, seed)) for benchmark in benchmarks]
-    policies = tuple(campaign_design(policy) for policy in policies)
+    policies = tuple(resolve_design(policy) for policy in policies)
     result = DistCampaignResult(config=config)
     probe_tripped: Optional[bool] = None
     for benchmark, workload in workloads:

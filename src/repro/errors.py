@@ -11,8 +11,9 @@ class ReproError(Exception):
     """Base class for all errors raised by the repro package."""
 
 
-class ConfigError(ReproError):
-    """A configuration value is invalid or inconsistent."""
+class ConfigError(ReproError, ValueError):
+    """A configuration value is invalid or inconsistent (an unknown
+    design or benchmark name included); also a :class:`ValueError`."""
 
 
 class AddressError(ReproError):

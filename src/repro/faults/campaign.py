@@ -113,12 +113,8 @@ def default_campaign_system(log_entries: int = 128) -> SystemConfig:
 
 
 def campaign_workload(name: str, seed: int) -> Workload:
-    """A small-footprint instance of microbenchmark ``name``; an unknown
-    name is a :class:`ConfigError`."""
-    try:
-        return make_microbenchmark(name, seed=seed, **_SMALL_WORKLOADS.get(name, {}))
-    except KeyError as exc:
-        raise ConfigError(exc.args[0]) from None
+    """A small-footprint instance of microbenchmark ``name``."""
+    return make_microbenchmark(name, seed=seed, **_SMALL_WORKLOADS.get(name, {}))
 
 
 def campaign_trace(
@@ -132,15 +128,6 @@ def campaign_trace(
     return compiled_trace(
         workload, system, threads, txns_per_thread, Preparation(workload, system)
     )
-
-
-def campaign_design(design) -> DesignSpec:
-    """:func:`resolve_design` for campaign input: an unknown design name
-    is a :class:`ConfigError` (its "did you mean" text kept)."""
-    try:
-        return resolve_design(design)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def check_campaign_size(
@@ -669,7 +656,7 @@ def resolve_policies(spec: str) -> Tuple[DesignSpec, ...]:
         token = token.strip()
         if not token:
             continue
-        design = campaign_design(token)
+        design = resolve_design(token)
         if design not in policies:
             policies.append(design)
     if not policies:
@@ -699,7 +686,7 @@ def run_fault_campaign(
     """
     system = system or default_campaign_system()
     check_campaign_size(system, threads, txns_per_thread, points)
-    policies = [campaign_design(policy) for policy in policies]
+    policies = [resolve_design(policy) for policy in policies]
     trace = campaign_trace(workload, seed, system, threads, txns_per_thread)
     result = CampaignResult(
         workload=workload,

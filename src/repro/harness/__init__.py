@@ -8,7 +8,7 @@
   rows and series.
 """
 
-from .cache import SweepCache, cache_enabled
+from .cache import SweepCache
 from .parallel import SweepHealth
 from .plots import figure_chart, grouped_bars, series_chart
 from .runner import RunConfig, RunOutcome, run_workload
@@ -34,7 +34,6 @@ __all__ = [
     "SweepCell",
     "SweepHealth",
     "SweepResult",
-    "cache_enabled",
     "run_micro_sweep",
     "run_workload",
     "validate",

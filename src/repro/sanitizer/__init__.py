@@ -56,7 +56,6 @@ from .static import (
     confirm_counterexample,
     run_differential,
     run_pstatic,
-    verify_ship_schedule,
     verify_trace,
 )
 
@@ -84,6 +83,5 @@ __all__ = [
     "run_differential",
     "run_psan",
     "run_pstatic",
-    "verify_ship_schedule",
     "verify_trace",
 ]

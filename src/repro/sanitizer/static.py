@@ -51,9 +51,9 @@ run only once at least ``wcb_entries`` later records displace it
 ``redo-missing`` only from the second transaction on, exactly like the
 dynamic checker.
 
-Replication rules are verified over :class:`~repro.dist.ship
-.ShipTimeline` *schedules* (the derived batch/append/ack structures,
-not the event stream) by :func:`verify_ship_schedule`.
+A single-machine cell ships no batch, so the replication rules are
+proven vacuously here; ``repro dist`` checks shipped timelines with
+:func:`~repro.sanitizer.replication.check_replication`.
 """
 
 from __future__ import annotations
@@ -79,8 +79,6 @@ from .rules import (
     claims_guarantee,
     rules_for_design,
 )
-
-_EPS = 1e-6
 
 PROVEN = "proven"
 VIOLATED = "violated"
@@ -622,7 +620,7 @@ def verify_trace(
             rule,
             PROVEN,
             "single-machine cell: no batch is shipped, nothing to order "
-            "(ship schedules verify via verify_ship_schedule)",
+            "(repro dist checks ship timelines dynamically)",
         )
 
     if hb:
@@ -675,158 +673,6 @@ def _first_undrained_commit_witness(facts, spec, fenced: bool, logging):
             op, j, addr, _length = txn.pieces[0]
             return tf.tid, txn, op, j, addr
     return None
-
-
-# ----------------------------------------------------------------------
-# Ship-schedule verification (the three replication rules)
-# ----------------------------------------------------------------------
-def verify_ship_schedule(timeline) -> dict:
-    """Verify the replication rules over a :class:`ShipTimeline` schedule.
-
-    Operates on the timeline's *derived structures* — per-link append
-    and ack tables, the cluster-commit map — not on its event stream, so
-    no event replay happens.  Returns ``rule id -> StaticVerdict``.
-    """
-    verdicts: dict = {}
-    batches = {batch.index: batch for batch in timeline.batches}
-
-    # repl-ack-durable: an ack must not be sent before every record of
-    # its batch is durable on the replica.
-    witness = None
-    for replica, link in sorted(timeline.links.items()):
-        durable_by_seq = dict(link.appends)
-        for batch_index, (ack_send, _arrival) in sorted(link.acks.items()):
-            batch = batches[batch_index]
-            for rec in batch.records:
-                durable = durable_by_seq.get(rec.seq)
-                if durable is None or durable > ack_send + _EPS:
-                    witness = (replica, batch_index, rec.seq, ack_send, durable)
-                    break
-            if witness is not None:
-                break
-        if witness is not None:
-            break
-    if witness is None:
-        verdicts["repl-ack-durable"] = StaticVerdict(
-            "repl-ack-durable",
-            PROVEN,
-            "every ack is sent at the batch's applied_end, which is no "
-            "earlier than its last append completion; torn or truncated "
-            "batches are never acked",
-        )
-    else:
-        replica, batch_index, seq, ack_send, durable = witness
-        verdicts["repl-ack-durable"] = StaticVerdict(
-            "repl-ack-durable",
-            VIOLATED,
-            "a batch is acknowledged before its records are durable on "
-            "the replica",
-            CounterExample(
-                "repl-ack-durable",
-                replica,
-                batch_index,
-                detail=(
-                    f"replica {replica} acks batch {batch_index} at "
-                    f"{ack_send:.0f} but seq {seq} is "
-                    + (
-                        "never appended"
-                        if durable is None
-                        else f"durable only at {durable:.0f}"
-                    )
-                ),
-            ),
-        )
-
-    # repl-commit-quorum: the derived cluster-commit instant must cover
-    # the full quorum's ack arrivals for the carrying batch.
-    witness = None
-    batch_of = {}
-    for batch in timeline.batches:
-        for rec in batch.records:
-            batch_of[rec.seq] = batch.index
-    commit_map = timeline.stream.commit_map()
-    for key, commit_time in sorted(timeline.cluster_committed.items()):
-        entry = commit_map.get(key)
-        if entry is None:
-            witness = (key, "commit with no durable COMMIT record")
-            break
-        seq = entry[0]
-        batch_index = batch_of.get(seq)
-        if batch_index is None:
-            witness = (key, f"seq {seq} never shipped")
-            break
-        for replica in timeline.config.replica_ids:
-            ack = timeline.links[replica].acks.get(batch_index)
-            if ack is None:
-                witness = (key, f"replica {replica} never acked batch {batch_index}")
-                break
-            if ack[1] > commit_time + _EPS:
-                witness = (
-                    key,
-                    f"replica {replica}'s ack arrives at {ack[1]:.0f}, "
-                    f"after the cluster commit at {commit_time:.0f}",
-                )
-                break
-        if witness is not None:
-            break
-    if witness is None:
-        verdicts["repl-commit-quorum"] = StaticVerdict(
-            "repl-commit-quorum",
-            PROVEN,
-            "each cluster commit is the max of the primary's report and "
-            "the full quorum's ack arrivals for the carrying batch",
-        )
-    else:
-        key, why = witness
-        verdicts["repl-commit-quorum"] = StaticVerdict(
-            "repl-commit-quorum",
-            VIOLATED,
-            "a transaction is reported cluster-committed without quorum "
-            "ack coverage",
-            CounterExample(
-                "repl-commit-quorum",
-                key[0],
-                key[1],
-                detail=f"(tid, ordinal) {key}: {why}",
-            ),
-        )
-
-    # repl-seq-order: every replica's appends are a gap-free ascending
-    # run (drops are retransmitted in order, dups never re-append, a
-    # dead link simply stops).
-    witness = None
-    for replica, link in sorted(timeline.links.items()):
-        prev = None
-        for seq, _durable in link.appends:
-            if prev is not None and seq != prev + 1:
-                witness = (replica, prev, seq)
-                break
-            prev = seq
-        if witness is not None:
-            break
-    if witness is None:
-        verdicts["repl-seq-order"] = StaticVerdict(
-            "repl-seq-order",
-            PROVEN,
-            "per-link appends start at the window base and advance "
-            "seq+1 each record: batches are cut in seq order, delayed "
-            "predecessors push successors' append start out, and "
-            "duplicates are never re-applied",
-        )
-    else:
-        replica, prev, seq = witness
-        verdicts["repl-seq-order"] = StaticVerdict(
-            "repl-seq-order",
-            VIOLATED,
-            "a replica appended records out of sequence",
-            CounterExample(
-                "repl-seq-order",
-                replica,
-                seq,
-                detail=f"replica {replica} appended seq {seq} after {prev}",
-            ),
-        )
-    return verdicts
 
 
 # ----------------------------------------------------------------------

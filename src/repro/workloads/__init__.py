@@ -19,6 +19,7 @@ elements span multiple cache lines, as in the paper's methodology).
 WHISPER-like kernels (Figure 10) live in :mod:`repro.workloads.whisper`.
 """
 
+from ..errors import ConfigError
 from .base import SetupAccessor, Workload, WorkloadResult
 from .btree import BTreeWorkload
 from .hashtable import HashTableWorkload
@@ -37,11 +38,12 @@ MICROBENCHMARKS = {
 
 
 def make_microbenchmark(name: str, **kwargs) -> Workload:
-    """Instantiate a Table III microbenchmark by name."""
+    """Instantiate a Table III microbenchmark by name (an unknown name is
+    a :class:`~repro.errors.ConfigError`)."""
     try:
         factory = MICROBENCHMARKS[name]
     except KeyError:
-        raise KeyError(
+        raise ConfigError(
             f"unknown microbenchmark {name!r}; choose from {sorted(MICROBENCHMARKS)}"
         ) from None
     return factory(**kwargs)

@@ -2,13 +2,15 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.core.design import FWB, NON_PERS
+from repro.harness import cache as cache_module
 from repro.harness.cache import (
     SweepCache,
-    cache_enabled,
+    TraceCache,
     stats_from_dict,
     stats_to_dict,
 )
@@ -129,11 +131,39 @@ class TestSweepCacheKeys:
     def test_custom_spec_string_key_matches_spec_key(self):
         assert self.base_key(policy="hw+undo+redo+fwb") == self.base_key()
 
-    def test_salt_bump_invalidates(self):
-        other = SweepCache("unused", salt="sweep-v2-different")
-        assert other.key(
-            self.system, FWB, small_workload(), 1, 20
-        ) != self.base_key()
+    def test_salt_bump_invalidates(self, monkeypatch):
+        """The code digest salts every key: other code, other keys."""
+        base = self.base_key()
+        assert base.startswith(cache_module.code_digest()[:16] + "-")
+        monkeypatch.setattr(cache_module, "code_digest", lambda: "e" * 64)
+        assert self.base_key() != base
+        assert self.base_key().startswith("e" * 16 + "-")
+
+
+PACKAGE = Path(cache_module.__file__).resolve().parent.parent
+
+
+class TestCodeDigest:
+    def test_is_computed_once_per_process(self):
+        assert cache_module.code_digest() is cache_module.code_digest()
+
+    def test_covers_every_source_of_the_package(self, monkeypatch):
+        """Appending one byte to any ``.py`` file of the package — the
+        recorder's helpers, the runtime, the runner and the device
+        included — moves the digest."""
+        sources = sorted(PACKAGE.rglob("*.py"))
+        names = {path.relative_to(PACKAGE).as_posix() for path in sources}
+        assert {"utils.py", "txn/runtime.py", "harness/runner.py", "sim/nvram.py"} <= names
+        digest = cache_module.code_digest.__wrapped__
+        before = digest()
+        read_bytes = Path.read_bytes
+        for source in sources:
+            monkeypatch.setattr(
+                Path,
+                "read_bytes",
+                lambda path, edited=source: read_bytes(path) + (b"#" if path == edited else b""),
+            )
+            assert digest() != before, source
 
 
 class TestSweepCacheStore:
@@ -176,31 +206,6 @@ class TestSweepCacheStore:
         assert capsys.readouterr().err == ""
         assert "corrupt entr" not in cache.summary()
 
-    def test_clear_removes_entries(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        cache.put("a" * 64, sample_stats())
-        cache.put("b" * 64, sample_stats())
-        assert cache.clear() == 2
-        assert cache.get("a" * 64) is None
-
-    def test_hit_rate(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        assert cache.hit_rate == 0.0
-        cache.put("a" * 64, sample_stats())
-        cache.get("a" * 64)
-        cache.get("b" * 64)
-        assert cache.hit_rate == 0.5
-
-    def test_env_off_switch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SWEEP_CACHE", raising=False)
-        assert cache_enabled()
-        monkeypatch.setenv("REPRO_SWEEP_CACHE", "0")
-        assert not cache_enabled()
-        monkeypatch.setenv("REPRO_SWEEP_CACHE", "off")
-        assert not cache_enabled()
-        monkeypatch.setenv("REPRO_SWEEP_CACHE", "1")
-        assert cache_enabled()
-
 
 class TestSweepWithCache:
     def test_cold_then_warm(self, tmp_path):
@@ -231,6 +236,18 @@ class TestSweepWithCache:
         cached = run_micro_sweep(**sweep_kwargs(), cache=cache)
         plain = run_micro_sweep(**sweep_kwargs())
         assert cached.cells == plain.cells
+
+    def test_entry_of_other_code_is_not_served(self, tmp_path, monkeypatch):
+        """An entry stored before the code changed is never read after it:
+        the sweep recomputes every cell and stores it anew."""
+        cache = SweepCache(tmp_path)
+        cold = run_micro_sweep(**sweep_kwargs(), cache=cache)
+        monkeypatch.setattr(cache_module, "code_digest", lambda: "e" * 64)
+        cache.hits = cache.misses = cache.stores = 0
+        edited = run_micro_sweep(**sweep_kwargs(), cache=cache)
+        assert (cache.hits, cache.misses, cache.stores) == (0, len(POLICIES), len(POLICIES))
+        assert edited.cells == cold.cells
+        assert len(list(tmp_path.glob("*.json"))) == 2 * len(POLICIES)
 
     def test_parameter_change_misses(self, tmp_path):
         cache = SweepCache(tmp_path)
@@ -275,37 +292,65 @@ class TestSweepResultMerge:
 
 
 class TestCachePrune:
-    def fill(self, tmp_path):
-        cache = SweepCache(directory=tmp_path)
-        cache.put("k-current", MachineStats())
-        stale = SweepCache(directory=tmp_path, salt="sweep-v1")
-        stale.put("k-old", MachineStats())
-        (tmp_path / "garbage.json").write_text("{not json")
+    """One rule for both caches: delete what other code wrote, or what no
+    longer reads back; keep the rest."""
+
+    def fill(self, tmp_path, monkeypatch):
+        """A readable result entry and a decodable trace under another
+        code digest and under this one, a current result entry that no
+        longer reads back, a result entry of the old unprefixed layout
+        and a file that is no entry at all.  Returns the caches and the
+        current keys."""
+        from repro.harness.runner import prepare_workload
+        from repro.sim.replay import compile_trace
+
+        system = tiny_system()
+        prepared = prepare_workload(small_workload(), system)
+        trace = compile_trace(prepared, 1, 4)
+        sweep, traces = SweepCache(tmp_path), TraceCache(tmp_path, use_disk=True)
+        current = {}
+        for digest in (lambda: "0" * 64, cache_module.code_digest):
+            monkeypatch.setattr(cache_module, "code_digest", digest)
+            current["sweep"] = sweep.key(system, FWB, prepared.workload, 1, 4)
+            current["trace"] = traces.key(system, prepared.workload, 1, 4)
+            sweep.put(current["sweep"], sample_stats())
+            traces.put(current["trace"], trace)
+        rotten = sweep.key(system, NON_PERS, prepared.workload, 1, 4)
+        (tmp_path / f"{rotten}.json").write_text("{not json")
+        (tmp_path / f"{'a' * 64}.json").write_text('{"stats": {}}')
         (tmp_path / "unrelated.txt").write_text("ignore me")
-        return cache
+        return sweep, traces, current
 
-    def test_prune_removes_only_foreign_salt_entries(self, tmp_path):
-        cache = self.fill(tmp_path)
-        summary = cache.prune()
-        assert summary == {"scanned": 3, "stale": 2, "removed": 2, "kept": 1}
-        remaining = sorted(p.name for p in tmp_path.iterdir())
-        assert len([n for n in remaining if n.endswith(".json")]) == 1
-        assert "unrelated.txt" in remaining
+    @staticmethod
+    def tally(counts):
+        return counts["scanned"], counts["stale"], counts["removed"], counts["kept"]
 
-    def test_dry_run_counts_without_deleting(self, tmp_path):
-        cache = self.fill(tmp_path)
-        summary = cache.prune(dry_run=True)
-        assert summary["stale"] == 2
-        assert summary["removed"] == 0
-        assert len(list(tmp_path.glob("*.json"))) == 3
+    def test_prune_removes_only_foreign_salt_entries(self, tmp_path, monkeypatch):
+        """Entries of another code digest go, readable or not, and so
+        does a current entry that no longer reads back."""
+        sweep, traces, current = self.fill(tmp_path, monkeypatch)
+        assert self.tally(sweep.prune()) == (4, 3, 3, 1)
+        assert self.tally(traces.prune()) == (2, 1, 1, 1)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [f"{current['sweep']}.json", f"{current['trace']}.ctrace", "unrelated.txt"]
+        )
+
+    def test_dry_run_counts_without_deleting(self, tmp_path, monkeypatch):
+        sweep, traces, _current = self.fill(tmp_path, monkeypatch)
+        files = sorted(tmp_path.iterdir())
+        assert self.tally(sweep.prune(dry_run=True)) == (4, 3, 0, 1)
+        assert self.tally(traces.prune(dry_run=True)) == (2, 1, 0, 1)
+        assert sorted(tmp_path.iterdir()) == files
 
     def test_prune_on_missing_directory_is_a_noop(self, tmp_path):
         cache = SweepCache(directory=tmp_path / "never-created")
         assert cache.prune() == {
-            "scanned": 0, "stale": 0, "removed": 0, "kept": 0,
+            "scanned": 0, "stale": 0, "removed": 0, "kept": 0, "bytes": 0,
         }
 
-    def test_pruned_current_entry_still_hits(self, tmp_path):
-        cache = self.fill(tmp_path)
-        cache.prune()
-        assert cache.get("k-current") is not None
+    def test_pruned_current_entry_still_hits(self, tmp_path, monkeypatch):
+        sweep, traces, current = self.fill(tmp_path, monkeypatch)
+        sweep.prune()
+        traces.prune()
+        assert SweepCache(tmp_path).get(current["sweep"]) == sample_stats()
+        assert TraceCache(tmp_path, use_disk=True).get(current["trace"]) is not None

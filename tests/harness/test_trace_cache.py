@@ -183,8 +183,8 @@ def test_trace_key_ignores_design(tmp_path):
 
 
 def test_trace_key_folds_in_the_recording_code(tmp_path, monkeypatch):
-    """Keys are stable within a process and move with the code that
-    records a trace (its digest is computed once per process)."""
+    """Keys are stable within a process, start with the package's code
+    digest (computed once per process) and move with it."""
     from repro.harness import cache as cache_module
     from repro.workloads.hashtable import HashTableWorkload
     from tests.conftest import tiny_system
@@ -194,16 +194,17 @@ def test_trace_key_folds_in_the_recording_code(tmp_path, monkeypatch):
     cache = TraceCache(tmp_path)
     key = cache.key(system, workload, 2, 10)
     assert TraceCache(tmp_path).key(system, workload, 2, 10) == key
-    monkeypatch.setattr(cache_module, "recording_code_digest", lambda: "edited")
+    assert key.startswith(cache_module.code_digest()[:16] + "-")
+    monkeypatch.setattr(cache_module, "code_digest", lambda: "e" * 64)
     assert cache.key(system, workload, 2, 10) != key
 
 
 def test_edited_recording_code_recompiles_instead_of_reading_the_old_trace(
     tmp_path, monkeypatch
 ):
-    """A ``.ctrace`` written by other workload code is never served: once
-    the recording-code digest changes, ``compiled_trace`` prepares and
-    compiles again rather than decoding the old file."""
+    """A ``.ctrace`` written by other code is never served: once the code
+    digest changes, ``compiled_trace`` prepares and compiles again
+    rather than decoding the old file."""
     from repro.harness import cache as cache_module
     from repro.harness.cache import compiled_trace
     from repro.harness.runner import Preparation
@@ -228,7 +229,7 @@ def test_edited_recording_code_recompiles_instead_of_reading_the_old_trace(
     assert len(preparations) == 1 and len(list(tmp_path.glob("*.ctrace"))) == 1
     assert lookup().op_count() == first.op_count()
     assert len(preparations) == 1  # served from the disk
-    monkeypatch.setattr(cache_module, "recording_code_digest", lambda: "edited")
+    monkeypatch.setattr(cache_module, "code_digest", lambda: "e" * 64)
     lookup()
     assert len(preparations) == 2  # recompiled, the old file unread
     assert len(list(tmp_path.glob("*.ctrace"))) == 2

@@ -252,8 +252,6 @@ class TestPrepareOnMiss:
             return prepare(workload, *args, **kwargs)
 
         monkeypatch.setattr(runner, "prepare_workload", counting)
-        cli = importlib.import_module("repro.__main__")
-        monkeypatch.setattr(cli, "prepare_workload", counting)
         assert main(self.ARGS) == 0
         cold = capsys.readouterr().out
         assert calls == ["hash"]  # two cells miss, one preparation

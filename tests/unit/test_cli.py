@@ -126,10 +126,6 @@ class TestCommands:
         assert code == 2
         assert "no valid design" in capsys.readouterr().err
 
-    def test_ablate_bad_spec_errors(self):
-        with pytest.raises(ValueError, match="did you mean"):
-            main(["ablate", "--specs", "hlw"])
-
     def test_faults_smoke(self, capsys):
         assert (
             main(
@@ -171,12 +167,41 @@ REJECTED = [
     ["serve", "--replicas", "-1"],
     ["serve", "--replicas", "1", "--ring-records", "0"],
     ["serve", "--replicas", "1", "--ring-records", "-5"],
+    # Unknown designs and benchmarks, and non-integer thread lists.
+    ["ablate", "--specs", "hlw"],
+    ["psan", "--policies", "nope"],
+    ["pstatic", "--policies", "nope"],
+    ["adapt", "train", "--specs", "nope"],
+    ["serve", "--design", "nope"],
+    ["ablate", "--benchmarks", "nope"],
+    ["psan", "--benchmarks", "nope"],
+    ["pstatic", "--benchmarks", "nope"],
+    ["adapt", "train", "--benchmarks", "nope"],
+    ["psan", "--threads", "x"],
+    ["pstatic", "--threads", "1,x"],
+    ["ablate", "--threads", "1,x"],
+    # Flags the command would accept and then drop.
+    ["figure", "10", "--chart"],
+    ["figure", "11a", "--chart"],
+    ["figure", "11b", "--chart"],
+    ["figure", "11a", "--jobs", "2"],
+    ["figure", "11b", "--jobs", "1"],
+    ["figure", "11a", "--no-cache"],
+    ["figure", "11b", "--no-cache"],
+    ["figure", "11a", "--cell-timeout", "5"],
+    ["figure", "11b", "--cell-timeout", "5"],
+    ["figure", "11b", "--quick"],
+    ["pstatic", "--differential", "--proofs"],
+    ["pstatic", "--verbose"],
+    ["psan", "--rules", "--json"],
+    ["bench", "compare", "--from", "run.json", "--suites", "lifetime"],
+    ["bench", "compare", "--from", "run.json", "--repeats", "1"],
 ]
 
 
 class TestRejectedCampaignInput:
-    """Bad campaign input is a usage error (exit 2), not a failed campaign
-    (exit 1) and never a pass over zero points."""
+    """Bad input is a usage error (exit 2) — one line naming the command —
+    not a failed run (exit 1), a traceback, or a flag silently dropped."""
 
     @pytest.mark.parametrize(
         "argv", REJECTED, ids=lambda argv: "_".join(a.lstrip("-") for a in argv)
@@ -184,7 +209,7 @@ class TestRejectedCampaignInput:
     def test_one_line_and_exit_2(self, argv, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
-        command = " ".join(argv[:2]) if argv[0] == "adapt" else argv[0]
+        command = " ".join(argv[:2]) if argv[0] in ("adapt", "bench") else argv[0]
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith(f"{command}: ")
@@ -196,8 +221,17 @@ class TestRejectedCampaignInput:
             (["dist", "--policy", "nope"], "did you mean"),
             (["dist", "--benchmarks", "hash,nope"], "choose from"),
             (["adapt", "faults", "--workload", "nope"], "choose from"),
+            (["ablate", "--specs", "nope"], "did you mean"),
+            (["psan", "--benchmarks", "nope"], "choose from"),
         ],
-        ids=["faults-policy", "dist-policy", "dist-benchmarks", "adapt-workload"],
+        ids=[
+            "faults-policy",
+            "dist-policy",
+            "dist-benchmarks",
+            "adapt-workload",
+            "ablate-specs",
+            "psan-benchmarks",
+        ],
     )
     def test_unknown_names_keep_their_hint(self, argv, hint, capsys):
         assert main(argv) == 2

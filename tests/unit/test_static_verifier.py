@@ -3,8 +3,6 @@
 Every rule's proof *and* counterexample path is exercised on synthetic
 compiled traces (built by ``tests.conftest.synthetic_trace``), so each
 case pins one row of the decision table without compiling a workload.
-The ship-schedule half runs against one small traced primary run, the
-same shape the dist suite uses.
 """
 
 from __future__ import annotations
@@ -12,13 +10,11 @@ from __future__ import annotations
 import pytest
 
 from repro import SystemConfig
-from repro.core.design import resolve_design
 from repro.sanitizer.static import (
     NOT_APPLICABLE,
     PROVEN,
     VIOLATED,
     StaticReport,
-    verify_ship_schedule,
     verify_trace,
 )
 from repro.sanitizer.rules import REPLICATION_RULE_IDS, RULES
@@ -258,56 +254,3 @@ class TestReportShape:
         report = verify_trace(trace, "hwl", system=small_system(), hb=False)
         for rule in REPLICATION_RULE_IDS:
             assert report.verdicts[rule].verdict == PROVEN
-
-
-# ----------------------------------------------------------------------
-# Ship-schedule verification (one small traced run, dist-suite shape)
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def ship_stream():
-    from repro.dist import DistConfig, traced_primary_run
-    from repro.faults.campaign import campaign_workload, default_campaign_system
-    from repro.harness.runner import prepare_workload
-
-    prepared = prepare_workload(
-        campaign_workload("hash", 4), default_campaign_system()
-    )
-    stream, _golden, outcome = traced_primary_run(
-        prepared, resolve_design("hwl"), threads=2, txns_per_thread=8
-    )
-    yield stream, DistConfig(nodes=3, replicas=2)
-    outcome.machine.nvram.recycle()
-
-
-class TestShipSchedule:
-    def test_baseline_schedule_proves_all_rules(self, ship_stream):
-        from repro.dist import ShipTimeline
-
-        stream, config = ship_stream
-        verdicts = verify_ship_schedule(ShipTimeline(stream, config))
-        assert set(verdicts) == set(REPLICATION_RULE_IDS)
-        assert all(v.verdict == PROVEN for v in verdicts.values())
-
-    def test_early_ack_trips_ack_durable(self, ship_stream):
-        from repro.dist import ShipTimeline
-
-        stream, config = ship_stream
-        verdicts = verify_ship_schedule(
-            ShipTimeline(stream, config, unsafe_early_ack=True)
-        )
-        verdict = verdicts["repl-ack-durable"]
-        assert verdict.verdict == VIOLATED
-        assert "acks batch" in verdict.counterexample.detail
-
-    def test_link_faults_recover_cleanly(self, ship_stream):
-        from repro.dist import LinkFault, ShipTimeline
-
-        stream, config = ship_stream
-        for fault_kind in ("drop", "dup"):
-            timeline = ShipTimeline(
-                stream, config, faults=(LinkFault(fault_kind, 1, 1),)
-            )
-            verdicts = verify_ship_schedule(timeline)
-            assert all(
-                v.verdict == PROVEN for v in verdicts.values()
-            ), fault_kind
