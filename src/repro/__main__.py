@@ -9,7 +9,7 @@ Commands
 ``figure {6,7,8,9,10,11a,11b}``
     Regenerate one of the paper's figures (``--quick`` shrinks the sweep
     for a fast smoke run; ``--psan`` sanitizes every cell of the sweep
-    behind figures 6-10, and exits 2 on 11a/11b, which run none).
+    behind figures 6-10).  Each figure takes only the flags it reads.
 ``compare``
     Run one microbenchmark under all eight designs and print the
     comparison (like ``examples/policy_comparison.py``).
@@ -69,6 +69,8 @@ Commands
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
 
 from . import SystemConfig
@@ -83,10 +85,48 @@ from .harness.sweep import run_micro_sweep
 from .workloads import MICROBENCHMARKS, make_microbenchmark
 
 
-def _sweep_cache(args):
-    """The CLI's sweep cache (on by default at the CLI; library callers
-    opt in instead), or None under ``--no-cache``."""
-    return None if args.no_cache else SweepCache()
+class _Parser(argparse.ArgumentParser):
+    """The CLI's argument parser.  Every refusal it makes — a parse error,
+    a path that cannot be used, a flag the chosen mode does not read — is
+    a :class:`ConfigError` naming its (sub)command.  Each parser puts
+    itself in the namespace, so ``args.parser`` is the innermost one."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.set_defaults(parser=self)
+
+    @property
+    def command(self) -> str:
+        """``figure 11b`` for the parser ``repro figure 11b``."""
+        return self.prog.partition(" ")[2] or self.prog
+
+    def error(self, message):
+        error = ConfigError(message)
+        error.command = self.command
+        raise error
+
+    def refuse(self, args, mode: str, *dests: str) -> None:
+        """Refuse each flag in ``dests`` given a value other than its
+        default: the ``mode`` branch of the command does not read it."""
+        for dest in dests:
+            if getattr(args, dest) != self.get_default(dest):
+                self.error(f"--{dest.replace('_', '-')} does not apply to {mode}")
+
+    @staticmethod
+    def existing_path(path: str) -> str:
+        """``type=`` of an input path, which must exist."""
+        if not os.path.exists(path):
+            raise argparse.ArgumentTypeError(f"{path!r} does not exist")
+        return path
+
+    @staticmethod
+    def output_path(path: str) -> str:
+        """``type=`` of an output file, whose directory must exist before
+        the run rather than at its end (nothing is created here)."""
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise argparse.ArgumentTypeError(f"directory {directory!r} does not exist")
+        return path
 
 
 def _thread_counts(text: str) -> tuple:
@@ -96,6 +136,16 @@ def _thread_counts(text: str) -> tuple:
         return tuple(int(token) for token in text.split(","))
     except ValueError:
         raise ConfigError(f"--threads takes comma-separated integers, got {text!r}") from None
+
+
+#: The matrix flags psan and pstatic share (declared by ``_matrix_flags``).
+_MATRIX = ("benchmarks", "threads", "policies", "txns", "seed")
+
+
+def _matrix(args) -> tuple:
+    """The benchmarks, thread counts and designs the matrix flags name."""
+    policies = [DESIGNS.resolve(name) for name in args.policies.split(",")]
+    return args.benchmarks.split(","), _thread_counts(args.threads), policies
 
 
 def _report_cache(cache) -> None:
@@ -108,11 +158,6 @@ def _report_cache(cache) -> None:
         trace_cache.hits or trace_cache.misses or trace_cache.corrupt
     ):
         print(trace_cache.summary())
-
-
-def _report_health(health) -> None:
-    if health is not None and health.degraded:
-        print(health.summary())
 
 
 def _cmd_tables(_args) -> int:
@@ -128,8 +173,9 @@ def _cmd_tables(_args) -> int:
 
 def _sweep_options(args) -> dict:
     """The ``run_micro_sweep`` options every CLI sweep takes from its
-    flags: workers, result cache, self-healing, and a fresh
-    ``PsanSweepReport`` when ``--psan`` was passed."""
+    flags: workers, result cache (on by default at the CLI; library
+    callers opt in), self-healing, and a fresh ``PsanSweepReport`` when
+    ``--psan`` was passed."""
     psan_report = None
     if getattr(args, "psan", False):
         from .sanitizer import PsanSweepReport
@@ -137,8 +183,7 @@ def _sweep_options(args) -> dict:
         psan_report = PsanSweepReport()
     return {
         "jobs": args.jobs or 1,
-        "cache": _sweep_cache(args),
-        "cell_timeout": args.cell_timeout,
+        "cache": None if args.no_cache else SweepCache(),
         "health": SweepHealth(),
         "psan_report": psan_report,
     }
@@ -148,7 +193,8 @@ def _report_sweeps(options) -> bool:
     """Print what the sweeps run with ``options`` did; True when the
     sanitizer (if any) found them clean."""
     _report_cache(options["cache"])
-    _report_health(options["health"])
+    if options["health"].degraded:
+        print(options["health"].summary())
     return _report_psan(options["psan_report"])
 
 
@@ -171,57 +217,51 @@ def _report_psan(psan_report) -> bool:
 
 
 def _cmd_figure(args) -> int:
+    if args.id == "11b":
+        print(experiments.figure11b_fwb_frequency().rendered)
+        return 0
     quick = args.quick
-    txns = 60 if quick else 250
-    threads = (1,) if quick else (1, 8)
-    benchmarks = ("hash", "sps") if quick else tuple(MICROBENCHMARKS)
+    if args.id == "11a":
+        sizes = (0, 8, 15) if quick else (0, 8, 15, 16, 32, 64, 128, 256)
+        txns = 60 if quick else 300
+        print(experiments.figure11a_log_buffer(sizes=sizes, txns_per_thread=txns).rendered)
+        return 0
     options = _sweep_options(args)
-    if args.id in ("6", "7", "8", "9"):
-        sweep = run_micro_sweep(
-            benchmarks=benchmarks,
-            threads=threads,
-            txns_per_thread=txns,
-            **options,
-        )
-        fn = {
-            "6": experiments.figure6_throughput,
-            "7": experiments.figure7_ipc_instructions,
-            "8": experiments.figure8_energy,
-            "9": experiments.figure9_write_traffic,
-        }[args.id]
-        result = fn(sweep)
-        if args.chart:
-            from .harness.plots import figure_chart
+    if args.id == "10":
+        from .workloads.whisper import WHISPER_KERNELS
 
-            print(figure_chart(result))
-        else:
-            print(result.rendered)
-        if args.id == "6":
-            for t in threads:
-                gain = experiments.summarize_fwb_gain(sweep, t)
-                print(f"fwb gain over best software-clwb @{t}t: {gain:.2f}x")
-    elif args.id == "10":
-        kernels = ("ycsb", "tpcc") if quick else tuple(
-            sorted(__import__("repro.workloads.whisper", fromlist=["WHISPER_KERNELS"]).WHISPER_KERNELS)
-        )
+        kernels = ("ycsb", "tpcc") if quick else tuple(sorted(WHISPER_KERNELS))
+        txns = 40 if quick else 150
         print(
             experiments.figure10_whisper(
-                kernels=kernels,
-                txns_per_thread=40 if quick else 150,
-                **options,
+                kernels=kernels, txns_per_thread=txns, **options
             ).rendered
         )
-    elif args.id == "11a":
-        sizes = (0, 8, 15) if quick else (0, 8, 15, 16, 32, 64, 128, 256)
-        print(
-            experiments.figure11a_log_buffer(
-                sizes=sizes, txns_per_thread=60 if quick else 300
-            ).rendered
-        )
-    elif args.id == "11b":
-        print(experiments.figure11b_fwb_frequency().rendered)
-    else:  # pragma: no cover - argparse restricts choices
-        return 2
+        return 0 if _report_sweeps(options) else 1
+    threads = (1,) if quick else (1, 8)
+    sweep = run_micro_sweep(
+        benchmarks=("hash", "sps") if quick else tuple(MICROBENCHMARKS),
+        threads=threads,
+        txns_per_thread=60 if quick else 250,
+        **options,
+    )
+    fn = {
+        "6": experiments.figure6_throughput,
+        "7": experiments.figure7_ipc_instructions,
+        "8": experiments.figure8_energy,
+        "9": experiments.figure9_write_traffic,
+    }[args.id]
+    result = fn(sweep)
+    if args.chart:
+        from .harness.plots import figure_chart
+
+        print(figure_chart(result))
+    else:
+        print(result.rendered)
+    if args.id == "6":
+        for t in threads:
+            gain = experiments.summarize_fwb_gain(sweep, t)
+            print(f"fwb gain over best software-clwb @{t}t: {gain:.2f}x")
     return 0 if _report_sweeps(options) else 1
 
 
@@ -241,22 +281,18 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    axes = ("backends", "contents", "writebacks", "commits")
     if args.specs:
+        args.parser.refuse(args, "--specs", *axes)
         designs = []
         for token in args.specs.split(","):
             spec = DESIGNS.resolve(token.strip())
             if spec not in designs:
                 designs.append(spec)
     else:
-        designs = expand_grid(
-            args.backends.split(","),
-            args.contents.split(","),
-            args.writebacks.split(","),
-            args.commits.split(","),
-        )
+        designs = expand_grid(*(getattr(args, axis).split(",") for axis in axes))
     if not designs:
-        print("ablate: the requested grid contains no valid design", file=sys.stderr)
-        return 2
+        raise ConfigError("the requested grid contains no valid design")
 
     benchmarks = args.benchmarks.split(",")
     threads_list = _thread_counts(args.threads)
@@ -382,14 +418,13 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_psan(args) -> int:
-    import json
-    import os
-
     from .sanitizer import PersistOrderChecker, PsanSweepReport, run_psan
 
     if args.rules:
         from .sanitizer import RULES
 
+        unread = (*_MATRIX, "no_adversarial", "save_trace", "from_trace", "json")
+        args.parser.refuse(args, "--rules", *unread)
         for rule in RULES.values():
             print(f"{rule.id:20s} {rule.paper_ref:12s} {rule.title}")
             print(f"{'':20s} {rule.description}")
@@ -398,14 +433,14 @@ def _cmd_psan(args) -> int:
     if args.from_trace:
         from .sim.trace import Tracer
 
+        unread = (*_MATRIX, "no_adversarial", "save_trace")
+        args.parser.refuse(args, "--from-trace", *unread)
         tracer = Tracer.from_jsonl(args.from_trace)
         report = PersistOrderChecker.check_events(tracer.events())
         print(json.dumps(report.to_dict(), indent=2) if args.json else report.render())
         return 0 if report.clean else 1
 
-    benchmarks = args.benchmarks.split(",")
-    threads_list = _thread_counts(args.threads)
-    policies = [DESIGNS.resolve(name) for name in args.policies.split(",")]
+    benchmarks, threads_list, policies = _matrix(args)
     if args.save_trace:
         os.makedirs(args.save_trace, exist_ok=True)
 
@@ -454,18 +489,15 @@ def _cmd_psan(args) -> int:
             adversarial[policy.value] = sorted(report.rules_fired())
 
     adversarial_ok = args.no_adversarial or all(adversarial.values())
+    passed = sweep.clean and adversarial_ok
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "matrix": sweep.to_dict(),
-                    "adversarial": adversarial,
-                    "adversarial_ok": adversarial_ok,
-                    "passed": sweep.clean and adversarial_ok,
-                },
-                indent=2,
-            )
-        )
+        doc = {
+            "matrix": sweep.to_dict(),
+            "adversarial": adversarial,
+            "adversarial_ok": adversarial_ok,
+            "passed": passed,
+        }
+        print(json.dumps(doc, indent=2))
     else:
         print(sweep.render())
         for name, rules in adversarial.items():
@@ -474,18 +506,11 @@ def _cmd_psan(args) -> int:
         for report in sweep.reports:
             if not report.clean:
                 print(report.render())
-        print(
-            "psan: PASS"
-            if sweep.clean and adversarial_ok
-            else "psan: FAIL"
-        )
-    return 0 if sweep.clean and adversarial_ok else 1
+        print("psan: PASS" if passed else "psan: FAIL")
+    return 0 if passed else 1
 
 
 def _cmd_lint(args) -> int:
-    import json
-    import os
-
     from .sanitizer.lint import STALE_SUPPRESSION, lint_paths
 
     paths = args.paths or [os.path.dirname(os.path.abspath(__file__))]
@@ -493,17 +518,13 @@ def _cmd_lint(args) -> int:
     real = [f for f in findings if f.rule != STALE_SUPPRESSION]
     stale = [f for f in findings if f.rule == STALE_SUPPRESSION]
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "findings": [finding.to_dict() for finding in findings],
-                    "real": len(real),
-                    "stale_suppressions": len(stale),
-                    "strict": args.strict,
-                },
-                indent=2,
-            )
-        )
+        doc = {
+            "findings": [finding.to_dict() for finding in findings],
+            "real": len(real),
+            "stale_suppressions": len(stale),
+            "strict": args.strict,
+        }
+        print(json.dumps(doc, indent=2))
     else:
         for finding in findings:
             print(finding.render())
@@ -515,22 +536,16 @@ def _cmd_lint(args) -> int:
             )
     # Stale suppressions are advisory by default; --strict makes every
     # finding (including them) fatal.
-    if real:
-        return 1
-    return 1 if (args.strict and findings) else 0
+    return 1 if real or (args.strict and findings) else 0
 
 
 def _cmd_pstatic(args) -> int:
-    import json
-
     from .sanitizer.static import StaticSweepReport, run_differential, run_pstatic
 
-    benchmarks = args.benchmarks.split(",")
-    threads_list = _thread_counts(args.threads)
-    policies = [DESIGNS.resolve(name) for name in args.policies.split(",")]
+    benchmarks, threads_list, policies = _matrix(args)
     hb = not args.no_hb
-
     if args.differential:
+        args.parser.refuse(args, "--differential", "proofs")
         report = run_differential(
             benchmarks,
             threads_list,
@@ -540,45 +555,43 @@ def _cmd_pstatic(args) -> int:
             hb=hb,
             progress=print if args.verbose else None,
         )
-        if args.markdown:
-            with open(args.markdown, "w", encoding="utf-8") as fh:
-                fh.write(report.render_markdown() + "\n")
+        passed = report.passed
+    else:
+        args.parser.refuse(args, "a run without --differential", "verbose")
         if args.json:
-            print(json.dumps(report.to_dict(), indent=2))
-        else:
-            print(report.render())
-        return 0 if report.passed else 1
-
-    sweep = StaticSweepReport()
-    for benchmark in benchmarks:
-        prepared = Preparation(make_microbenchmark(benchmark, seed=args.seed))
-        for threads in threads_list:
-            for policy in policies:
-                sweep.reports.append(
-                    run_pstatic(
-                        benchmark,
-                        policy,
-                        threads=threads,
-                        txns_per_thread=args.txns,
-                        prepared=prepared,
-                        seed=args.seed,
-                        hb=hb,
+            args.parser.refuse(args, "--json, whose report has every proof", "proofs")
+        report = StaticSweepReport()
+        for benchmark in benchmarks:
+            prepared = Preparation(make_microbenchmark(benchmark, seed=args.seed))
+            for threads in threads_list:
+                for policy in policies:
+                    report.reports.append(
+                        run_pstatic(
+                            benchmark,
+                            policy,
+                            threads=threads,
+                            txns_per_thread=args.txns,
+                            prepared=prepared,
+                            seed=args.seed,
+                            hb=hb,
+                        )
                     )
-                )
+        passed = report.clean
     if args.markdown:
         with open(args.markdown, "w", encoding="utf-8") as fh:
-            fh.write(sweep.render_markdown() + "\n")
+            fh.write(report.render_markdown() + "\n")
     if args.json:
-        print(json.dumps(sweep.to_dict(), indent=2))
-    else:
-        print(sweep.render())
-        for report in sweep.reports:
-            if not report.clean or (report.races is not None and not report.races.clean):
-                print(report.render(proofs=args.proofs))
+        print(json.dumps(report.to_dict(), indent=2))
+        return 0 if passed else 1
+    print(report.render())
+    if not args.differential:
+        for cell in report.reports:
+            if not cell.clean or (cell.races is not None and not cell.races.clean):
+                print(cell.render(proofs=args.proofs))
             elif args.proofs:
-                print(report.render(proofs=True))
-        print("pstatic: PASS" if sweep.clean else "pstatic: FAIL")
-    return 0 if sweep.clean else 1
+                print(cell.render(proofs=True))
+        print("pstatic: PASS" if passed else "pstatic: FAIL")
+    return 0 if passed else 1
 
 
 def _cmd_cache(args) -> int:
@@ -630,11 +643,19 @@ def _cmd_lifetime(_args) -> int:
     return 0
 
 
+def _write_json(path: str, doc) -> None:
+    """Write a JSON report (sorted keys, trailing newline) and say so."""
+    with open(path, "w") as handle:
+        json.dump(doc, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"json report written to {path}")
+
+
 def _load_policy_table(args):
     """The policy table ``--adaptive`` / ``--policy-table`` selects."""
     from .adapt import PolicyTable, default_policy_table
 
-    if getattr(args, "policy_table", None):
+    if args.policy_table:
         return PolicyTable.load(args.policy_table)
     return default_policy_table()
 
@@ -644,9 +665,16 @@ def _cmd_serve(args) -> int:
     from .sched.serve import ServeConfig, run_serve
     from .sched.traffic import TrafficConfig
 
+    parser = args.parser
+    if args.arrival != "burst":
+        parser.refuse(args, f"--arrival {args.arrival}", "burst_size")
+    if not args.replicas:
+        parser.refuse(args, "a run without --replicas", "ring_records")
     table = None
     if args.adaptive or args.policy_table:
         table = _load_policy_table(args)
+    else:
+        parser.refuse(args, "a run without --adaptive or --policy-table", "adapt_window")
     config = ServeConfig(
         workload=args.workload,
         policy=args.design,
@@ -676,35 +704,28 @@ def _cmd_serve(args) -> int:
             handle.write(report.render_markdown())
         print(f"markdown report written to {args.markdown}")
     if args.json:
-        import json as json_module
-
-        with open(args.json, "w") as handle:
-            json_module.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"json report written to {args.json}")
+        _write_json(args.json, report.to_dict())
     return 0
 
 
 def _cmd_adapt_train(args) -> int:
     from .adapt import DriftConfig, train_policy_table
 
-    cache = _sweep_cache(args)
+    cache = None if args.no_cache else SweepCache()
     kwargs = dict(
         threads=args.threads,
         txns_per_thread=args.txns,
         seed=args.seed,
         jobs=args.jobs or 1,
         cache=cache,
-        cell_timeout=args.cell_timeout,
     )
     if args.specs:
         kwargs["specs"] = tuple(s.strip() for s in args.specs.split(","))
     if args.benchmarks:
-        table = train_policy_table(
-            benchmarks=tuple(args.benchmarks.split(",")), **kwargs
-        )
+        kwargs["benchmarks"] = tuple(args.benchmarks.split(","))
     else:
-        table = train_policy_table(phases=DriftConfig().phases, **kwargs)
+        kwargs["phases"] = DriftConfig().phases
+    table = train_policy_table(**kwargs)
     table.save(args.out)
     units = table.trained_on.get("units", [])
     print(
@@ -737,8 +758,6 @@ def _cmd_adapt_train(args) -> int:
 
 
 def _cmd_adapt_run(args) -> int:
-    import json
-
     from .adapt import DriftConfig, compare_drift
 
     table = _load_policy_table(args)
@@ -780,10 +799,7 @@ def _cmd_adapt_run(args) -> int:
         f"(margin {result['margin'] * 100:.2f}%)"
     )
     if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(result, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"json report written to {args.json}")
+        _write_json(args.json, result)
     return 0 if result["adaptive_wins"] else 1
 
 
@@ -803,7 +819,7 @@ def _cmd_adapt_faults(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Steal-but-No-Force (HPCA 2018) reproduction toolkit",
     )
@@ -811,26 +827,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("tables").set_defaults(fn=_cmd_tables)
 
     def _sweep_flags(cmd, psan: bool = True, auto_jobs: bool = False) -> None:
-        if auto_jobs:
-            jobs_help = (
-                "worker processes for sweep cells (default: auto — one "
-                "per cell, capped at cpu_count-1)"
-            )
-        else:
-            jobs_help = "worker processes for sweep cells (default: 1, in-process)"
-        cmd.add_argument("--jobs", type=int, default=None, help=jobs_help)
+        jobs = "auto — one per cell, capped at cpu_count-1" if auto_jobs else "1, in-process"
+        cmd.add_argument(
+            "--jobs",
+            type=int,
+            default=None,
+            help=f"worker processes for sweep cells (default: {jobs})",
+        )
         cmd.add_argument(
             "--no-cache",
             action="store_true",
             help="skip the on-disk sweep result cache (.repro_cache)",
-        )
-        cmd.add_argument(
-            "--cell-timeout",
-            type=float,
-            default=None,
-            metavar="SECONDS",
-            help="per-cell wait bound for parallel sweeps; hung workers "
-            "are terminated, the cell retried, then run serially",
         )
         if psan:
             cmd.add_argument(
@@ -841,14 +848,40 @@ def build_parser() -> argparse.ArgumentParser:
                 "any violation",
             )
 
-    figure = sub.add_parser("figure")
-    figure.add_argument("id", choices=["6", "7", "8", "9", "10", "11a", "11b"])
-    figure.add_argument("--quick", action="store_true")
-    figure.add_argument(
-        "--chart", action="store_true", help="render as terminal bar charts"
-    )
-    _sweep_flags(figure)
-    figure.set_defaults(fn=_cmd_figure)
+    def _matrix_flags(cmd, threads: str, policies: str) -> None:
+        """The benchmark x threads x design matrix (:data:`_MATRIX`)."""
+        cmd.add_argument(
+            "--benchmarks",
+            default="hash,rbtree,sps,btree,ssca2",
+            help="comma-separated microbenchmarks (default: all five)",
+        )
+        cmd.add_argument(
+            "--threads",
+            default=threads,
+            help=f"comma-separated thread counts (default: {threads})",
+        )
+        cmd.add_argument(
+            "--policies",
+            default=policies,
+            help=f"comma-separated designs to verify (default: {policies})",
+        )
+        cmd.add_argument("--txns", type=int, default=40)
+        cmd.add_argument("--seed", type=int, default=42)
+
+    # Each figure takes the flags it reads: 11b has one size, only 6-9
+    # chart, and 11a/11b run no sweep.
+    figures = sub.add_parser("figure").add_subparsers(dest="id", required=True)
+    for figure_id in ("6", "7", "8", "9", "10", "11a", "11b"):
+        figure = figures.add_parser(figure_id)
+        figure.set_defaults(fn=_cmd_figure)
+        if figure_id != "11b":
+            figure.add_argument("--quick", action="store_true")
+        if figure_id in ("6", "7", "8", "9"):
+            figure.add_argument(
+                "--chart", action="store_true", help="render as terminal bar charts"
+            )
+        if figure_id not in ("11a", "11b"):
+            _sweep_flags(figure)
     compare = sub.add_parser("compare")
     compare.add_argument("--benchmark", default="hash", choices=sorted(MICROBENCHMARKS))
     compare.add_argument("--threads", type=int, default=1)
@@ -862,7 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--specs",
         default=None,
         help="comma-separated designs: registered names and/or mechanism "
-        "strings, e.g. 'fwb,hw+undo+clwb,sw+redo+fwb' (overrides the "
+        "strings, e.g. 'fwb,hw+undo+clwb,sw+redo+fwb' (replaces the "
         "axis flags)",
     )
     ablate.add_argument(
@@ -1013,6 +1046,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy-table",
         metavar="FILE",
         default=None,
+        type=serve.existing_path,
         help="repro-adapt/v1 JSON policy table (implies --adaptive)",
     )
     serve.add_argument(
@@ -1020,7 +1054,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=16,
         help="committed transactions per controller decision window "
-        "(default: 16)",
+        "(default: 16; adaptive runs only)",
     )
     serve.add_argument("--shards", type=int, default=1)
     serve.add_argument("--threads", type=int, default=2, help="threads per shard")
@@ -1031,7 +1065,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--arrival", default="poisson", choices=["poisson", "uniform", "burst"]
     )
-    serve.add_argument("--burst-size", type=int, default=16)
+    serve.add_argument("--burst-size", type=int, default=16, help="burst arrivals only")
     serve.add_argument(
         "--clients", type=int, default=1_000_000, help="simulated client id space"
     )
@@ -1051,33 +1085,22 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="replica rings per shard (mid-run log shipping + compaction)",
     )
-    serve.add_argument("--ring-records", type=int, default=256)
+    serve.add_argument("--ring-records", type=int, default=256, help="with --replicas only")
     serve.add_argument(
-        "--markdown", metavar="PATH", help="also write a markdown report"
+        "--markdown",
+        metavar="PATH",
+        type=serve.output_path,
+        help="also write a markdown report",
     )
-    serve.add_argument("--json", metavar="PATH", help="also write a JSON report")
+    serve.add_argument(
+        "--json", metavar="PATH", type=serve.output_path, help="also write a JSON report"
+    )
     serve.set_defaults(fn=_cmd_serve)
     psan = sub.add_parser(
         "psan",
         help="persistency-ordering sanitizer over a benchmark matrix",
     )
-    psan.add_argument(
-        "--benchmarks",
-        default="hash,rbtree,sps,btree,ssca2",
-        help="comma-separated microbenchmarks (default: all five)",
-    )
-    psan.add_argument(
-        "--threads",
-        default="1,2,4,8",
-        help="comma-separated thread counts (default: 1,2,4,8)",
-    )
-    psan.add_argument(
-        "--policies",
-        default="hwl,fwb",
-        help="comma-separated designs to verify (default: hwl,fwb)",
-    )
-    psan.add_argument("--txns", type=int, default=40)
-    psan.add_argument("--seed", type=int, default=42)
+    _matrix_flags(psan, threads="1,2,4,8", policies="hwl,fwb")
     psan.add_argument(
         "--no-adversarial",
         action="store_true",
@@ -1099,6 +1122,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--from-trace",
         metavar="FILE",
         default=None,
+        type=psan.existing_path,
         help="sanitize a saved JSONL trace instead of running anything",
     )
     psan.set_defaults(fn=_cmd_psan)
@@ -1107,23 +1131,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="static persistency verifier: psan verdicts proven from the "
         "compiled trace, without replaying",
     )
-    pstatic.add_argument(
-        "--benchmarks",
-        default="hash,rbtree,sps,btree,ssca2",
-        help="comma-separated microbenchmarks (default: all five)",
+    _matrix_flags(
+        pstatic,
+        threads="1,2,4",
+        policies="non-pers,unsafe-base,redo-clwb,undo-clwb,hw-rlog,hw-ulog,hwl,fwb",
     )
-    pstatic.add_argument(
-        "--threads",
-        default="1,2,4",
-        help="comma-separated thread counts (default: 1,2,4)",
-    )
-    pstatic.add_argument(
-        "--policies",
-        default="non-pers,unsafe-base,redo-clwb,undo-clwb,hw-rlog,hw-ulog,hwl,fwb",
-        help="comma-separated designs to verify (default: all eight canonical)",
-    )
-    pstatic.add_argument("--txns", type=int, default=40)
-    pstatic.add_argument("--seed", type=int, default=42)
     pstatic.add_argument(
         "--differential",
         action="store_true",
@@ -1133,7 +1145,8 @@ def build_parser() -> argparse.ArgumentParser:
     pstatic.add_argument(
         "--proofs",
         action="store_true",
-        help="print the per-rule proof reasons, not just violations",
+        help="print the per-rule proof reasons, not just violations "
+        "(without --differential)",
     )
     pstatic.add_argument(
         "--no-hb",
@@ -1144,10 +1157,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--markdown",
         metavar="FILE",
         default=None,
+        type=pstatic.output_path,
         help="also write the verdict table as a markdown artifact",
     )
     pstatic.add_argument(
-        "--verbose", action="store_true", help="print one line per cell"
+        "--verbose",
+        action="store_true",
+        help="print one line per cell (with --differential)",
     )
     pstatic.add_argument("--json", action="store_true", help="machine-readable report")
     pstatic.set_defaults(fn=_cmd_pstatic)
@@ -1157,6 +1173,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "paths",
         nargs="*",
+        type=lint.existing_path,
         help="files or directories to lint (default: the repro package)",
     )
     lint.add_argument("--json", action="store_true", help="machine-readable report")
@@ -1209,6 +1226,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         default="policy_table.json",
         metavar="FILE",
+        type=train.output_path,
         help="where the policy table JSON lands (default: policy_table.json)",
     )
     _sweep_flags(train, psan=False)
@@ -1223,6 +1241,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="policy_table",
         default=None,
         metavar="FILE",
+        type=adapt_run.existing_path,
         help="repro-adapt/v1 policy table (default: the built-in table)",
     )
     adapt_run.add_argument("--threads", type=int, default=2)
@@ -1234,7 +1253,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="controller observation window in committed txns (default: 4)",
     )
     adapt_run.add_argument(
-        "--json", default=None, metavar="FILE", help="dump the full comparison"
+        "--json",
+        default=None,
+        metavar="FILE",
+        type=adapt_run.output_path,
+        help="dump the full comparison",
     )
     adapt_run.set_defaults(fn=_cmd_adapt_run)
     adapt_faults = adapt_sub.add_parser(
@@ -1281,47 +1304,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Flags a command accepts but, in some mode, would drop: the command,
-#: the mode, the flags and why.  :func:`main` refuses any of them given.
-_DROPPED_FLAGS = (
-    ("figure", lambda a: a.id in ("10", "11a", "11b"), ("--chart",),
-     "applies to figures 6-9 only"),
-    ("figure", lambda a: a.id in ("11a", "11b"),
-     ("--jobs", "--no-cache", "--cell-timeout", "--psan"),
-     "applies to the sweep figures 6-10; figures 11a and 11b run no sweep"),
-    ("figure", lambda a: a.id == "11b", ("--quick",),
-     "does not apply to figure 11b, which has one size"),
-    ("pstatic", lambda a: a.differential, ("--proofs",),
-     "applies to the static sweep, not to --differential"),
-    ("pstatic", lambda a: not a.differential, ("--verbose",),
-     "applies to --differential only"),
-    ("psan", lambda a: a.rules, ("--json",), "does not apply to --rules"),
-    ("bench compare", lambda a: a.from_file, ("--suites", "--repeats"),
-     "applies to a fresh run, not to --from"),
-)
-
-
 def main(argv=None) -> int:
     """Entry point.
 
-    A :class:`~repro.errors.ConfigError` is input the command rejects: it
-    prints one ``<command>: <reason>`` line on stderr and exits 2, apart
-    from a failed run's 1.  A flag the command would accept and then
-    drop (:data:`_DROPPED_FLAGS`) is rejected the same way.
+    Every refusal is a :class:`~repro.errors.ConfigError` — a parse
+    error, a path that cannot be used, a flag the chosen mode does not
+    read, or input the command rejects — printed as one
+    ``<command>: <reason>`` line on stderr with exit 2; a failed run
+    exits 1.
     """
-    args = build_parser().parse_args(argv)
-    sub = getattr(args, f"{args.command}_command", None)
-    command = f"{args.command} {sub}" if sub else args.command
     try:
-        for name, mode, flags, why in _DROPPED_FLAGS:
-            if name != command or not mode(args):
-                continue
-            for flag in flags:
-                value = getattr(args, flag[2:].replace("-", "_"))
-                if value is not None and value is not False:
-                    raise ConfigError(f"{flag} {why}")
+        args, unknown = build_parser().parse_known_args(argv)
+        if unknown:
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
         return args.fn(args)
     except ConfigError as exc:
+        command = getattr(exc, "command", None) or args.parser.command
         print(f"{command}: {exc}", file=sys.stderr)
         return 2
 

@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 regression (or intra-run counter drift),
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
@@ -18,7 +17,7 @@ from .baseline import (
     write_baseline,
 )
 from .compare import DEFAULT_WALL_TOLERANCE, compare_results
-from .registry import BenchError, get_suites
+from .registry import get_suites
 from .runner import DEFAULT_REPEATS, run_bench
 
 
@@ -65,6 +64,8 @@ def _update(args) -> int:
 
 
 def _compare(args) -> int:
+    if args.from_file:
+        args.parser.refuse(args, "--from", "suites", "repeats")
     baseline = load_baseline(_baseline_path(args))
     if args.from_file:
         current = load_baseline(args.from_file)
@@ -139,18 +140,15 @@ def add_bench_parser(sub) -> None:
         "bench",
         help="performance-regression benchmark suites and baseline gating",
     )
-    # The top-level CLI dispatches on args.fn; every bench subcommand
-    # additionally carries its own bench_fn for cmd_bench to route.
-    bench.set_defaults(fn=cmd_bench)
     action = bench.add_subparsers(dest="bench_command", required=True)
 
     run_cmd = action.add_parser("run", help="run suites, optionally write a result file")
     _common_flags(run_cmd)
     run_cmd.add_argument(
-        "--out", default=None, help="write the run as a baseline-format JSON file"
+        "--out", type=run_cmd.output_path, help="write the run as a baseline-format JSON file"
     )
     run_cmd.add_argument("--json", action="store_true", help="machine-readable output")
-    run_cmd.set_defaults(bench_fn=_run)
+    run_cmd.set_defaults(fn=_run)
 
     compare_cmd = action.add_parser(
         "compare", help="diff a fresh (or saved) run against a baseline"
@@ -185,12 +183,13 @@ def add_bench_parser(sub) -> None:
         "--report",
         default=None,
         metavar="FILE",
+        type=compare_cmd.output_path,
         help="write the markdown comparison report to FILE",
     )
     compare_cmd.add_argument(
         "--json", action="store_true", help="machine-readable output"
     )
-    compare_cmd.set_defaults(bench_fn=_compare)
+    compare_cmd.set_defaults(fn=_compare)
 
     update_cmd = action.add_parser(
         "update", help="re-run suites and rewrite the baseline intentionally"
@@ -199,18 +198,10 @@ def add_bench_parser(sub) -> None:
     update_cmd.add_argument(
         "--baseline",
         default=None,
+        type=update_cmd.output_path,
         help="baseline file to rewrite (default: by mode)",
     )
-    update_cmd.set_defaults(bench_fn=_update)
+    update_cmd.set_defaults(fn=_update)
 
     list_cmd = action.add_parser("list", help="list registered suites")
-    list_cmd.set_defaults(bench_fn=_list)
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Dispatch a parsed ``bench`` invocation (exit-code semantics)."""
-    try:
-        return args.bench_fn(args)
-    except BenchError as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return 2
+    list_cmd.set_defaults(fn=_list)

@@ -28,11 +28,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict
 
-from ..errors import ReproError
+from ..errors import ConfigError
 
 
-class BenchError(ReproError):
-    """A benchmark suite or baseline operation failed."""
+class BenchError(ConfigError):
+    """A benchmark suite or baseline operation failed; the CLI refuses it
+    like any other :class:`ConfigError` (one line, exit 2)."""
 
 
 class BenchTimer:

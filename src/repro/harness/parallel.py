@@ -13,11 +13,9 @@ binary codec.  Results are :class:`~repro.sim.stats.MachineStats`
 dataclasses plus, under psan, a
 :class:`~repro.sanitizer.rules.PsanReport`, cheap to return.
 
-Self-healing: long sweeps die ugly when one worker is OOM-killed or
-wedges on a pathological cell.  The driver therefore
+Self-healing: long sweeps die ugly when one worker is OOM-killed.  The
+driver therefore
 
-* bounds each cell's wait with ``cell_timeout`` (hung workers are
-  terminated, not joined forever),
 * retries the failed remainder up to :data:`MAX_RETRIES` times on a
   fresh pool, with exponential backoff starting at
   :data:`RETRY_BACKOFF` seconds,
@@ -37,7 +35,7 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, TimeoutError
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
@@ -65,7 +63,6 @@ class SweepHealth:
     """What the self-healing driver had to do to finish a sweep."""
 
     worker_deaths: int = 0
-    timeouts: int = 0
     retry_rounds: int = 0
     serial_fallback_cells: int = 0
 
@@ -73,16 +70,12 @@ class SweepHealth:
     def degraded(self) -> bool:
         """True when any cell needed more than one attempt."""
         return bool(
-            self.worker_deaths
-            or self.timeouts
-            or self.retry_rounds
-            or self.serial_fallback_cells
+            self.worker_deaths or self.retry_rounds or self.serial_fallback_cells
         )
 
     def merge(self, other: "SweepHealth") -> None:
         """Accumulate ``other`` into this record (multi-sweep CLIs)."""
         self.worker_deaths += other.worker_deaths
-        self.timeouts += other.timeouts
         self.retry_rounds += other.retry_rounds
         self.serial_fallback_cells += other.serial_fallback_cells
 
@@ -92,9 +85,8 @@ class SweepHealth:
             return "sweep health: clean (no retries needed)"
         return (
             f"sweep health: {self.worker_deaths} worker death(s), "
-            f"{self.timeouts} timeout(s), {self.retry_rounds} retry "
-            f"round(s), {self.serial_fallback_cells} cell(s) recovered "
-            f"serially"
+            f"{self.retry_rounds} retry round(s), "
+            f"{self.serial_fallback_cells} cell(s) recovered serially"
         )
 
 
@@ -110,9 +102,8 @@ def _apply_test_fault(benchmark: str, threads: int, policy) -> None:
     When ``REPRO_SWEEP_FAULT_DIR`` names a directory, a file
     ``kill-<benchmark>-<threads>-<policy>`` inside it makes the worker
     consume the file and die (``os._exit``) — exactly one death per
-    armed file — and ``hang-<...>`` makes it sleep far past any sane
-    ``cell_timeout``.  Only :func:`_run_cell` (worker processes) consults
-    the hook, so the serial fallback is immune by construction.  This
+    armed file.  Only :func:`_run_cell` (worker processes) consults the
+    hook, so the serial fallback is immune by construction.  This
     exists so the retry/fallback machinery is testable; production runs
     never set the variable.
     """
@@ -127,8 +118,6 @@ def _apply_test_fault(benchmark: str, threads: int, policy) -> None:
         except OSError:
             pass
         os._exit(1)
-    if os.path.exists(os.path.join(root, f"hang-{name}")):
-        time.sleep(3600)
 
 
 def run_cell(
@@ -183,36 +172,22 @@ def default_jobs(cells: int) -> int:
     return max(1, min(cells, (os.cpu_count() or 2) - 1))
 
 
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down hard: hung workers are terminated, not joined."""
-    processes = list(getattr(pool, "_processes", {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
-    for process in processes:
-        try:
-            process.terminate()
-        except (OSError, ValueError):  # pragma: no cover - already gone
-            pass
-
-
 def _parallel_round(
     shipping: Dict[tuple, tuple],
     cells: List["SweepCell"],
     txns_per_thread: int,
     seed: int,
     jobs: int,
-    cell_timeout: Optional[float],
     health: SweepHealth,
     results: dict,
     psan: bool = False,
 ) -> List["SweepCell"]:
     """One pool attempt over ``cells``; returns the cells that failed."""
     failed: List["SweepCell"] = []
-    pool = ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_worker, initargs=(shipping,)
-    )
     broken = False
-    timed_out = False
-    try:
+    with ProcessPoolExecutor(
+        max_workers=jobs, initializer=_init_worker, initargs=(shipping,)
+    ) as pool:
         futures: List[Tuple["SweepCell", object]] = [
             (
                 cell,
@@ -222,11 +197,7 @@ def _parallel_round(
         ]
         for cell, future in futures:
             try:
-                results[cell] = future.result(timeout=cell_timeout)
-            except TimeoutError:
-                health.timeouts += 1
-                timed_out = True
-                failed.append(cell)
+                results[cell] = future.result()
             except BrokenExecutor:
                 if not broken:
                     # One death breaks the whole pool; every unfinished
@@ -234,11 +205,6 @@ def _parallel_round(
                     health.worker_deaths += 1
                     broken = True
                 failed.append(cell)
-    finally:
-        if timed_out or broken:
-            _terminate_pool(pool)
-        else:
-            pool.shutdown(wait=True)
     return failed
 
 
@@ -248,7 +214,6 @@ def run_cells_parallel(
     txns_per_thread: int,
     seed: int,
     jobs: int,
-    cell_timeout: Optional[float] = None,
     health: Optional[SweepHealth] = None,
     psan: bool = False,
 ) -> dict:
@@ -257,9 +222,8 @@ def run_cells_parallel(
     Each cell runs through :func:`run_cell` over ``shipping``; ``psan``
     runs every cell under the persistency-ordering sanitizer.
 
-    ``cell_timeout`` bounds the wait for each cell's result (None waits
-    forever); cells lost to a timeout or a worker death are retried on a
-    fresh pool up to :data:`MAX_RETRIES` times with exponential backoff
+    Cells lost to a worker death are retried on a fresh pool up to
+    :data:`MAX_RETRIES` times with exponential backoff
     (``RETRY_BACKOFF * 2**round`` seconds), and whatever still fails is
     recovered serially in the driver process.  ``health`` (optional)
     accumulates what happened for CLI reporting.
@@ -285,7 +249,6 @@ def run_cells_parallel(
             txns_per_thread,
             seed,
             jobs,
-            cell_timeout,
             health,
             results,
             psan,

@@ -26,7 +26,7 @@ from ..workloads.base import Workload
 def default_experiment_config(**overrides) -> SystemConfig:
     """Scaled-down Table II configuration used by the experiments.
 
-    The LLC and footprints are scaled together (1 MB LLC against multi-MB
+    The LLC and footprints are scaled together (256 KB LLC against multi-MB
     footprints preserves the paper's footprint >> LLC regime) so that runs
     finish in seconds under the Python simulator; all latency, bank and
     energy parameters stay at their Table II values.  See EXPERIMENTS.md.

@@ -111,7 +111,6 @@ def run_micro_sweep(
     workload_factory: Optional[Callable[[str], Workload]] = None,
     jobs: int = 1,
     cache: Optional[SweepCache] = None,
-    cell_timeout: Optional[float] = None,
     health=None,
     psan_report=None,
 ) -> SweepResult:
@@ -121,10 +120,10 @@ def run_micro_sweep(
     workload (used by the WHISPER sweep and by tests).  ``jobs > 1`` runs
     the cells on that many worker processes; ``cache`` (off by default —
     library callers opt in, the CLI passes one) serves cells from the
-    on-disk store and writes back fresh results.  ``cell_timeout`` and
-    ``health`` configure the parallel driver's self-healing (see
-    :func:`~repro.harness.parallel.run_cells_parallel`); they are ignored
-    by the serial path, which has no workers to lose.
+    on-disk store and writes back fresh results.  ``health`` records what
+    the parallel driver's self-healing had to do (see
+    :func:`~repro.harness.parallel.run_cells_parallel`); the serial path
+    has no workers to lose.
 
     ``psan_report`` (a :class:`~repro.sanitizer.checker.PsanSweepReport`)
     runs every cell under the persistency-ordering sanitizer and appends
@@ -209,7 +208,6 @@ def run_micro_sweep(
                 txns_per_thread,
                 seed,
                 jobs,
-                cell_timeout=cell_timeout,
                 health=health,
                 psan=psan,
             )

@@ -441,6 +441,10 @@ class ThreadAPI:
             machine.issue(core, tx_commit, txid, self.tid, overhead)
             for addr, piece in self._overlay.items():
                 machine.issue(core, core.exec_store, addr, piece)
+            if self._clwb_at_commit:
+                # The write-back mechanism still posts its clwbs, unfenced,
+                # after the deferred in-place stores.
+                self._clwb_write_set()
             return self.now  # optimistic; no durability guarantee
 
         if not policy.logs_redo:

@@ -8,11 +8,12 @@ import json
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.errors import ConfigError
 
 
 class TestParser:
     def test_adapt_requires_subcommand(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(ConfigError):
             build_parser().parse_args(["adapt"])
 
     def test_train_defaults(self):
@@ -41,11 +42,11 @@ class TestParser:
         assert args.adapt_window == 8
         assert args.design is None
 
-    def test_serve_policy_table_implies_adaptive(self):
-        args = build_parser().parse_args(
-            ["serve", "--policy-table", "t.json"]
-        )
-        assert args.policy_table == "t.json"
+    def test_serve_policy_table_implies_adaptive(self, tmp_path):
+        table = tmp_path / "t.json"
+        table.write_text("{}")
+        args = build_parser().parse_args(["serve", "--policy-table", str(table)])
+        assert args.policy_table == str(table)
 
 
 class TestCommands:
@@ -90,7 +91,7 @@ class TestCommands:
         doc = json.loads(path.read_text())
         assert doc["schema"] == "repro-adapt/v1"
 
-    def test_adapt_train_hands_its_cell_timeout_to_the_sweep(
+    def test_adapt_train_hands_its_sweep_options_to_the_sweep(
         self, tmp_path, monkeypatch
     ):
         sweep = importlib.import_module("repro.harness.sweep")
@@ -118,13 +119,10 @@ class TestCommands:
                     "--jobs",
                     "2",
                     "--no-cache",
-                    "--cell-timeout",
-                    "7.5",
                     "--out",
                     str(tmp_path / "table.json"),
                 ]
             )
-        assert seen["cell_timeout"] == 7.5
         assert seen["jobs"] == 2
         assert seen["cache"] is None
 

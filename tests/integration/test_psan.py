@@ -360,10 +360,9 @@ class TestCli:
             )
 
         monkeypatch.setattr(module, "run_micro_sweep", small_sweep)
-        main(["validate", "--psan", "--no-cache", "--cell-timeout", "30"])
+        main(["validate", "--psan", "--no-cache"])
         out = capsys.readouterr().out
         assert isinstance(seen["psan_report"], PsanSweepReport)
-        assert seen["cell_timeout"] == 30.0
         assert len(seen["psan_report"].reports) == 8
         assert len(_psan_rows(out, ("hash",))) == 8
 

@@ -1,17 +1,24 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import argparse
+import dataclasses
+import importlib
+import itertools
+import shutil
+
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.errors import ConfigError
 
 
 class TestParser:
     def test_requires_command(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(ConfigError):
             build_parser().parse_args([])
 
     def test_figure_choices(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(ConfigError):
             build_parser().parse_args(["figure", "12"])
 
     def test_compare_defaults(self):
@@ -25,10 +32,6 @@ class TestParser:
         assert args.workload == "hash"
         assert args.points == 60
         assert args.seed == 7
-
-    def test_cell_timeout_flag(self):
-        args = build_parser().parse_args(["figure", "6", "--cell-timeout", "2.5"])
-        assert args.cell_timeout == 2.5
 
     def test_ablate_defaults(self):
         args = build_parser().parse_args(["ablate"])
@@ -180,7 +183,7 @@ REJECTED = [
     ["psan", "--threads", "x"],
     ["pstatic", "--threads", "1,x"],
     ["ablate", "--threads", "1,x"],
-    # Flags the command would accept and then drop.
+    # Flags a figure does not read: each figure id takes only its own.
     ["figure", "10", "--chart"],
     ["figure", "11a", "--chart"],
     ["figure", "11b", "--chart"],
@@ -188,15 +191,82 @@ REJECTED = [
     ["figure", "11b", "--jobs", "1"],
     ["figure", "11a", "--no-cache"],
     ["figure", "11b", "--no-cache"],
-    ["figure", "11a", "--cell-timeout", "5"],
-    ["figure", "11b", "--cell-timeout", "5"],
     ["figure", "11b", "--quick"],
+    # Flags the chosen mode of a command does not read.
     ["pstatic", "--differential", "--proofs"],
     ["pstatic", "--verbose"],
+    ["pstatic", "--json", "--proofs"],
     ["psan", "--rules", "--json"],
+    ["psan", "--rules", "--benchmarks", "hash"],
+    ["psan", "--rules", "--threads", "1"],
+    ["psan", "--rules", "--policies", "hwl"],
+    ["psan", "--rules", "--txns", "3"],
+    ["psan", "--rules", "--seed", "1"],
+    ["psan", "--rules", "--no-adversarial"],
+    ["psan", "--rules", "--save-trace", "{tmp}/traces"],
+    ["psan", "--rules", "--from-trace", "{tmp}/trace.jsonl"],
+    ["psan", "--from-trace", "{tmp}/trace.jsonl", "--benchmarks", "nope"],
+    ["psan", "--from-trace", "{tmp}/trace.jsonl", "--threads", "x"],
+    ["psan", "--from-trace", "{tmp}/trace.jsonl", "--policies", "nope"],
+    ["psan", "--from-trace", "{tmp}/trace.jsonl", "--txns", "0"],
+    ["psan", "--from-trace", "{tmp}/trace.jsonl", "--seed", "1"],
+    ["psan", "--from-trace", "{tmp}/trace.jsonl", "--no-adversarial"],
+    ["psan", "--from-trace", "{tmp}/trace.jsonl", "--save-trace", "{tmp}/traces"],
+    # serve's three dependent flags: the entry point carries them but
+    # ignores them, so the parser walk below cannot see these drops.
+    ["serve", "--burst-size", "24"],
+    ["serve", "--adapt-window", "8"],
+    ["serve", "--ring-records", "128"],
+    ["ablate", "--specs", "hwl", "--backends", "hw"],
+    ["ablate", "--specs", "hwl", "--contents", "undo"],
+    ["ablate", "--specs", "hwl", "--writebacks", "clwb"],
+    ["ablate", "--specs", "hwl", "--commits", "instant"],
     ["bench", "compare", "--from", "run.json", "--suites", "lifetime"],
     ["bench", "compare", "--from", "run.json", "--repeats", "1"],
+    # Parser errors: no command, an unknown one, a bad choice or number,
+    # an unknown flag, a missing subcommand.
+    [],
+    ["nope"],
+    ["figure", "12"],
+    ["faults", "--txns", "x"],
+    ["serve", "--arrival", "nope"],
+    ["faults", "--bogus"],
+    ["adapt"],
+    # Paths checked before the run: inputs must exist, outputs need
+    # their directory.
+    ["lint", "{tmp}/missing"],
+    ["psan", "--from-trace", "{tmp}/missing/trace.jsonl"],
+    ["serve", "--policy-table", "{tmp}/missing/table.json"],
+    ["adapt", "run", "--table", "{tmp}/missing/table.json"],
+    ["serve", "--requests", "4", "--markdown", "{tmp}/missing/serve.md"],
+    ["serve", "--requests", "4", "--json", "{tmp}/missing/serve.json"],
+    ["pstatic", "--markdown", "{tmp}/missing/verdicts.md"],
+    ["adapt", "run", "--json", "{tmp}/missing/drift.json"],
+    ["adapt", "train", "--out", "{tmp}/missing/table.json"],
+    ["bench", "run", "--out", "{tmp}/missing/run.json"],
+    ["bench", "compare", "--report", "{tmp}/missing/report.md"],
+    ["bench", "update", "--baseline", "{tmp}/missing/baseline.json"],
 ]
+
+
+def _subcommands(parser) -> dict:
+    """The parsers a parser's subcommand argument chooses between."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def command_of(argv) -> str:
+    """The (sub)command a refusal of ``argv`` names: the leading words
+    that select a parser, or ``repro`` when none does."""
+    parser, words = build_parser(), []
+    for word in argv:
+        parser = _subcommands(parser).get(word)
+        if parser is None:
+            break
+        words.append(word)
+    return " ".join(words) or "repro"
 
 
 class TestRejectedCampaignInput:
@@ -204,15 +274,19 @@ class TestRejectedCampaignInput:
     not a failed run (exit 1), a traceback, or a flag silently dropped."""
 
     @pytest.mark.parametrize(
-        "argv", REJECTED, ids=lambda argv: "_".join(a.lstrip("-") for a in argv)
+        "argv",
+        REJECTED,
+        ids=lambda argv: "_".join(a.lstrip("-") for a in argv) or "no-command",
     )
-    def test_one_line_and_exit_2(self, argv, capsys):
+    def test_one_line_and_exit_2(self, argv, tmp_path, capsys):
+        (tmp_path / "trace.jsonl").write_text("")
+        argv = [word.format(tmp=tmp_path) for word in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
-        command = " ".join(argv[:2]) if argv[0] in ("adapt", "bench") else argv[0]
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith(f"{command}: ")
+        assert captured.err.startswith(f"{command_of(argv)}: ")
+        assert not (tmp_path / "traces").exists()
 
     @pytest.mark.parametrize(
         "argv, hint",
@@ -247,3 +321,207 @@ class TestRejectedCampaignInput:
         assert not CampaignResult("hash", 1, 1, 7).passed
         assert not SwitchCampaignResult("hash", 1, 1, 7).passed
         assert not DistCampaignResult(DistConfig()).passed
+
+
+# ----------------------------------------------------------------------
+# Every flag is read: a walk over the whole parser
+# ----------------------------------------------------------------------
+def canon(value):
+    """A comparable form of an argument an entry point receives."""
+    if isinstance(value, (list, tuple)):
+        return [canon(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): canon(item) for key, item in value.items()}
+    text = repr(value)
+    if " at 0x" in text and hasattr(value, "__dict__"):
+        return type(value).__name__, canon(vars(value))
+    return text
+
+
+class Fake(str):
+    """Stands in for an entry point and whatever it returns.  Attributes,
+    calls, items and iteration all yield more fakes and every call is
+    logged in ``calls``, so a handler runs to its end with nothing
+    simulated and a flag's effect on the calls or the output stays
+    visible."""
+
+    def __new__(cls, name: str, calls: list):
+        fake = super().__new__(cls, name)
+        fake._calls = calls
+        return fake
+
+    def _child(self, name: str) -> "Fake":
+        return Fake(name, self._calls)
+
+    def __getattr__(self, name):
+        if name.startswith("__"):
+            raise AttributeError(name)
+        return self._child(f"{self}.{name}")
+
+    def __call__(self, *args, **kwargs):
+        self._calls.append((str(self), canon(args), canon(kwargs)))
+        return self._child(f"{self}()")
+
+    def __getitem__(self, key):
+        return self._child(f"{self}[{key}]")
+
+    def __iter__(self):
+        return iter((self._child(f"{self}[0]"), self._child(f"{self}[1]")))
+
+    def __format__(self, spec):
+        return str(self)
+
+    def __truediv__(self, other):
+        return self
+
+    __mul__ = __truediv__
+
+
+#: Entry points the walk stubs, by module: everything that simulates,
+#: sanitizes, lints, benchmarks or renders a result.
+STUBS = {
+    "repro.__main__": (
+        "run_micro_sweep", "experiments", "make_microbenchmark", "Preparation",
+    ),
+    "repro.harness.plots": ("figure_chart", "grouped_bars"),
+    "repro.harness.validate": ("validate",),
+    "repro.faults": ("run_fault_campaign",),
+    "repro.dist": ("run_dist_campaign",),
+    "repro.sanitizer": ("run_psan", "PersistOrderChecker", "PsanSweepReport"),
+    "repro.sim.trace": ("Tracer",),
+    "repro.sanitizer.static": ("run_differential", "run_pstatic", "StaticSweepReport"),
+    "repro.sched.serve": ("run_serve",),
+    "repro.adapt": ("train_policy_table", "compare_drift", "run_switch_campaign"),
+    "repro.bench.cli": (
+        "run_bench", "load_baseline", "compare_results", "write_baseline",
+        "result_to_doc",
+    ),
+}
+
+#: Valid values other than the default for the string flags, by dest
+#: (the first that differs from the flag's default is used).
+STRINGS = {
+    "benchmarks": ("hash", "sps"),
+    "threads": ("2",),
+    "policies": ("hwl", "fwb"),
+    "policy": ("fwb", "hwl"),
+    "specs": ("hwl,fwb",),
+    "backends": ("hw",),
+    "contents": ("undo+redo",),
+    "writebacks": ("fwb",),
+    "commits": ("fenced,instant",),
+    "design": ("hwl",),
+    "workload": ("sps",),
+    "suites": ("cache-probe",),
+}
+
+#: Ordered pairs (command, A, B) where B adds nothing to A by design.
+REDUNDANT = {
+    ("serve", "--policy-table", "--adaptive"): "a policy table implies adaptive mode",
+}
+
+
+def leaf_commands(parser=None, words=()):
+    """Every (command words, parser) that runs a command."""
+    parser = parser or build_parser()
+    children = _subcommands(parser)
+    if not children:
+        yield words, parser
+    for word, child in children.items():
+        yield from leaf_commands(child, (*words, word))
+
+
+def flag_value(action, tmp) -> list:
+    """``action`` at a valid value other than its default, as argv words."""
+    kind = getattr(action.type, "__name__", "")
+    if action.nargs == 0:
+        return [action.option_strings[0]]
+    if kind == "existing_path" or action.dest in ("from_file", "baseline"):
+        value = str(tmp / "table.json")
+    elif kind == "output_path":
+        value = str(tmp / "run" / f"{action.dest}.out")
+    elif action.dest in ("save_trace", "dir"):
+        value = str(tmp / "run" / action.dest)
+    elif action.choices:
+        value = [c for c in action.choices if c != action.default][-1]
+    elif action.type is int:
+        value = str((action.default or 1) + 1)
+    elif action.type is float:
+        value = str(action.default * 2)
+    else:
+        value = next(v for v in STRINGS[action.dest] if v != action.default)
+    return [action.option_strings[0], value]
+
+
+class TestEveryFlagIsRead:
+    """Walk every command with its entry points stubbed.  For each
+    ordered pair of flags A and B at non-default values, adding B to A
+    must change what the command calls, prints or writes — or refuse
+    the run in one line with exit 2.  A flag that does neither is
+    dropped silently: the run reports on input nobody gave it."""
+
+    @pytest.fixture
+    def run(self, tmp_path, monkeypatch, capsys):
+        from repro.adapt import default_policy_table
+        from repro.sanitizer.lint import STALE_SUPPRESSION
+
+        calls = []
+        for module, names in STUBS.items():
+            for name in names:
+                fake = Fake(name, calls)
+                monkeypatch.setattr(importlib.import_module(module), name, fake)
+        stale = Fake("finding", calls)
+        stale.rule = STALE_SUPPRESSION
+        monkeypatch.setattr(
+            "repro.sanitizer.lint.lint_paths",
+            lambda paths: calls.append(("lint_paths", canon(paths))) or [stale],
+        )
+        parser = build_parser()
+        monkeypatch.setattr("repro.__main__.build_parser", lambda: parser)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        # A table unlike the built-in one, so that naming it shows.
+        table = dataclasses.replace(default_policy_table(), workload="walk")
+        table.save(tmp_path / "table.json")
+        out = tmp_path / "run"
+
+        def outcome(argv):
+            out.mkdir()
+            calls.clear()
+            code = main(argv)
+            captured = capsys.readouterr()
+            written = {
+                str(path.relative_to(out)): path.read_bytes()
+                for path in sorted(out.rglob("*"))
+                if path.is_file()
+            }
+            shutil.rmtree(out)
+            return code, captured.out, captured.err, list(calls), written
+
+        return outcome
+
+    def test_no_flag_is_dropped(self, run, tmp_path):
+        dropped = []
+        for words, parser in leaf_commands():
+            command = " ".join(words)
+            flags = [
+                action
+                for action in parser._actions
+                if action.option_strings and action.dest != "help"
+            ]
+            for a, b in itertools.product([None, *flags], flags):
+                if a is b:
+                    continue
+                base = [*words, *(flag_value(a, tmp_path) if a else [])]
+                alone, both = run(base), run([*base, *flag_value(b, tmp_path)])
+                refused = both[0] == 2 and len(both[2].splitlines()) == 1
+                pair = (command, a and a.option_strings[0], b.option_strings[0])
+                if both == alone and not refused and pair not in REDUNDANT:
+                    dropped.append(" ".join(filter(None, pair)))
+        assert not dropped, f"flags dropped silently: {dropped}"
+
+    def test_walk_reaches_every_leaf_command(self):
+        commands = {" ".join(words) for words, _parser in leaf_commands()}
+        assert {"figure 6", "figure 11b", "psan", "bench compare", "adapt train"} <= commands
+        assert {command.split()[0] for command in commands} == set(
+            _subcommands(build_parser())
+        )

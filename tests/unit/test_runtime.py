@@ -120,15 +120,26 @@ class TestRedoOverlay:
 
     def test_instant_commit_applies_the_deferred_stores(self):
         """The instant twin of redo-clwb reports commit without a fence,
-        but its deferred in-place stores still land: a later transaction
-        reads the committed value, not the one it replaced."""
+        but its deferred in-place stores still land (and its clwb writes
+        them back): a later transaction reads the committed value, not
+        the one it replaced."""
         pm = make_pm(resolve_design("sw+redo+clwb+instant"))
         api = pm.api(0)
         with api.transaction():
             api.write(0x2000, word(5))
-        assert pm.machine.hierarchy.is_line_dirty(0x2000)
+        assert pm.machine.nvram.peek(0x2000, 8) == word(5)
         with api.transaction():
             assert api.read(0x2000, 8) == word(5)
+
+    @pytest.mark.parametrize("name", ["sw+undo+clwb+instant", "sw+redo+clwb+instant"])
+    def test_software_instant_commit_posts_its_clwbs(self, name):
+        """Instant commit drops the fence, not the write-back mechanism:
+        one committed one-word transaction posts one clwb."""
+        pm = make_pm(resolve_design(name))
+        api = pm.api(0)
+        with api.transaction():
+            api.write(0x2000, word(5))
+        assert pm.machine.stats.clwb_count == 1
 
 
 class TestGoldenModel:
