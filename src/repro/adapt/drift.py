@@ -166,8 +166,7 @@ def drift_schedule(config: DriftConfig) -> list:
         for _ in range(phase.requests):
             request = schedule[index]
             remapped.append(
-                dataclasses.replace(
-                    request,
+                request._replace(
                     key_u=remap_key(request.key_u, phase.key_lo, phase.key_hi),
                     op_u=remap_op(request.op_u, phase.update_ratio),
                 )

@@ -58,6 +58,7 @@ class HardwareLogging:
         self._record_redo = record_redo
         self._protect_wrap = protect_wrap
         self._started: set[int] = set()
+        self._lanes: dict = {}  # tid -> the router's (ring, buffer) lane
         self.tracer = None
         """Optional tracer (set by the machine's ``tracer`` property);
         emits one ``log_place`` event per appended record."""
@@ -125,8 +126,10 @@ class HardwareLogging:
 
     # ------------------------------------------------------------------
     def _append(self, record: LogRecord, tid: int, now: float) -> tuple[float, float]:
-        router = self._router
-        log = router.log_for(tid)
+        lane = self._lanes.get(tid)
+        if lane is None:
+            lane = self._lanes[tid] = self._router.lane(tid)
+        log, buffer = lane
         entry_addr, payload, slot, displaced_line, _kind, _record = log.place(record)
         stall = 0.0
         displaced_dirty = False
@@ -140,8 +143,7 @@ class HardwareLogging:
                     force_completion = completion
                     stall = max(0.0, completion - now)
                     now += stall
-        push_stall, release = router.buffer_for(tid).push(entry_addr, payload, now)
-        self._registers.set_log_pointers(log.head, log.tail)
+        push_stall, release = buffer.push(entry_addr, payload, now)
         if self.tracer is not None:
             self.tracer.emit(
                 now,

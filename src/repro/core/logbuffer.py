@@ -61,7 +61,7 @@ class LogBuffer:
                 now += stall
                 self._stats.log_buffer_stall_cycles += stall
         completion, queue_stall, accepted = self._memctrl.write(
-            addr, payload, now, min_completion=self.last_completion
+            addr, payload, now, self.last_completion
         )
         if self.depth > 0:
             self._accept_times.append(accepted)

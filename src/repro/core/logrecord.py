@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from operator import mul
+from operator import getitem
 from typing import NamedTuple
 
 from ..errors import LogError
@@ -69,27 +69,35 @@ _PADDING: dict = {}
 
 
 def _checksum_tables() -> tuple:
-    """Per input length, the roll's constant term and per-byte weights.
+    """Per input length, the roll's constant term and per-offset tables.
 
     The roll ``value = (value * 31 + byte) & 0xFF`` over ``n`` bytes is
     linear mod 256: it equals ``0x5C * 31**n + sum(byte_k * 31**(n-1-k))``
     mod 256, where ``k`` counts only the rolled bytes (offset 6, the
-    checksum itself, is skipped and weighs 0).
+    checksum itself, is skipped and weighs 0).  An offset's table holds
+    ``weight * byte`` mod 256 for each of the 256 byte values (offsets
+    of equal weight share one), so a byte's term is one lookup.
     """
+    products: dict = {}
     tables = []
     for length in range(HEADER_BYTES + 1):
         rolled = [offset for offset in range(length) if offset != 6]
         weights = [0] * length
         for rank, offset in enumerate(rolled):
             weights[offset] = pow(31, len(rolled) - 1 - rank, 256)
-        tables.append(((0x5C * pow(31, len(rolled), 256)) & 0xFF, tuple(weights)))
+        for weight in weights:
+            if weight not in products:
+                products[weight] = tuple(weight * byte & 0xFF for byte in range(256))
+        terms = tuple(products[weight] for weight in weights)
+        tables.append(((0x5C * pow(31, len(rolled), 256)) & 0xFF, terms))
     return tuple(tables)
 
 
 _CHECKSUM_TABLES = _checksum_tables()
 _CHECKSUM_BYTES = tuple(bytes((value,)) for value in range(256))
-_FLAGS_WEIGHT = _CHECKSUM_TABLES[HEADER_BYTES][1][0]
-"""Weight of the flags byte in a whole header's checksum."""
+_FLAGS_WEIGHT = _CHECKSUM_TABLES[HEADER_BYTES][1][0][1]
+"""Weight of the flags byte in a whole header's checksum (its table's
+term for byte value 1)."""
 
 
 def _checksum(buf: bytes) -> int:
@@ -98,11 +106,13 @@ def _checksum(buf: bytes) -> int:
     A plain XOR would cancel on repeated-byte payloads (a zeroed tail of
     ``b"OO...O"`` keeps the XOR intact); the multiplicative roll makes
     every byte's position matter, so a torn tail is detected.  Computed
-    as a weighted byte sum from :func:`_checksum_tables` (bytes past the
-    header weigh nothing: ``map`` stops at the shorter sequence).
+    as a sum of per-offset table terms from :func:`_checksum_tables`
+    (bytes past the header weigh nothing: ``map`` stops at the shorter
+    sequence).
     """
-    base, weights = _CHECKSUM_TABLES[min(len(buf), HEADER_BYTES)]
-    return (base + sum(map(mul, weights, buf))) & 0xFF
+    length = len(buf)
+    base, tables = _CHECKSUM_TABLES[length if length < HEADER_BYTES else HEADER_BYTES]
+    return sum(map(getitem, tables, buf), base) & 0xFF
 
 
 def stamp_torn(entry: bytes, torn: int) -> bytes:

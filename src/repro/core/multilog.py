@@ -25,7 +25,7 @@ from .nvlog import CircularLog
 
 
 class LogRouter:
-    """Maps a thread ID to its log ring and log buffer.
+    """Maps a thread ID to its lane: its log ring and its log buffer.
 
     With one entry this degenerates to the paper's centralized design.
     """
@@ -36,13 +36,10 @@ class LogRouter:
         self._logs = logs
         self._buffers = buffers
 
-    def log_for(self, tid: int) -> CircularLog:
-        """Ring for thread ``tid``."""
-        return self._logs[tid % len(self._logs)]
-
-    def buffer_for(self, tid: int) -> LogBuffer:
-        """Volatile log buffer for thread ``tid``."""
-        return self._buffers[tid % len(self._buffers)]
+    def lane(self, tid: int) -> "tuple[CircularLog, LogBuffer]":
+        """Ring and volatile log buffer for thread ``tid``."""
+        way = tid % len(self._logs)
+        return self._logs[way], self._buffers[way]
 
 
 def split_log_region(

@@ -146,10 +146,12 @@ class RecoveryManager:
         return window
 
     def _scan_region(self, log, report: RecoveryReport) -> list[LogRecord]:
-        entries: list = []
-        for slot in range(log.num_entries):
-            raw = self._nvram.peek(log.entry_addr(slot), log.entry_size)
-            entries.append(LogRecord.classify(raw, self._verify_checksums))
+        region = self._nvram.peek(log.base, log.size_bytes)  # one read per ring
+        size, verify = log.entry_size, self._verify_checksums
+        entries = [
+            LogRecord.classify(region[offset:offset + size], verify)
+            for offset in range(0, len(region), size)
+        ]
         first, first_status = entries[0]
         if first_status in (DecodeStatus.EMPTY, DecodeStatus.RESET_MARKER):
             # A marker means a crash mid-reset: replay nothing; recover()

@@ -3,8 +3,10 @@
 * one 8-bit physical transaction-ID register bank: the ``txid`` argument
   of ``tx_begin()`` translates to a not-in-use physical ID (256 active
   transactions at a time, reusable after commit);
-* two 64-bit registers holding the circular log's head and tail pointers;
 * optional registers for extra log regions allocated by ``log_grow()``.
+
+The log's head and tail pointer registers are the ring's own
+:attr:`~repro.core.nvlog.CircularLog.head` and ``tail``.
 
 All of this state is volatile (it is reconstructed from the log itself on
 recovery).
@@ -12,7 +14,7 @@ recovery).
 
 from __future__ import annotations
 
-from ..errors import LogError, TransactionError
+from ..errors import TransactionError
 
 PHYSICAL_TXID_SPACE = 256
 
@@ -24,8 +26,6 @@ class SpecialRegisters:
         self._free_ids = list(range(PHYSICAL_TXID_SPACE - 1, -1, -1))
         self._active: dict[int, int] = {}  # user txid -> physical id
         self._generation: dict[int, int] = {}  # physical id -> acquisition count
-        self.log_head = 0
-        self.log_tail = 0
         self.grow_regions: list[tuple[int, int]] = []
 
     # ------------------------------------------------------------------
@@ -76,15 +76,8 @@ class SpecialRegisters:
         return len(self._active)
 
     # ------------------------------------------------------------------
-    # Log pointers
+    # Log regions
     # ------------------------------------------------------------------
-    def set_log_pointers(self, head: int, tail: int) -> None:
-        """Update the 64-bit head/tail pointer registers."""
-        if head < 0 or tail < 0:
-            raise LogError("log pointers must be non-negative")
-        self.log_head = head
-        self.log_tail = tail
-
     def add_grow_region(self, base: int, size: int) -> None:
         """Record an additional log region allocated by ``log_grow()``."""
         self.grow_regions.append((base, size))

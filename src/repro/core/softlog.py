@@ -57,7 +57,7 @@ class SoftwareLog:
         """Place the transaction's header record (tx_begin)."""
         self._registers.acquire_txid(txid)
         physical = self._registers.physical_txid(txid)
-        return self._place(LogRecord(RecordKind.BEGIN, physical, tid))
+        return self._log.place(LogRecord(RecordKind.BEGIN, physical, tid))
 
     def data(
         self, txid: int, tid: int, addr: int, old: bytes, new: bytes
@@ -72,16 +72,11 @@ class SoftwareLog:
             undo=old if self._record_undo else b"",
             redo=new if self._record_redo else b"",
         )
-        return self._place(record)
+        return self._log.place(record)
 
     def commit(self, txid: int, tid: int) -> PlacedRecord:
         """Place the commit record and release the physical txid."""
         physical = self._registers.physical_txid(txid)
-        placed = self._place(LogRecord(RecordKind.COMMIT, physical, tid))
+        placed = self._log.place(LogRecord(RecordKind.COMMIT, physical, tid))
         self._registers.release_txid(txid)
-        return placed
-
-    def _place(self, record: LogRecord) -> PlacedRecord:
-        placed = self._log.place(record)
-        self._registers.set_log_pointers(self._log.head, self._log.tail)
         return placed

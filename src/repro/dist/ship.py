@@ -114,7 +114,9 @@ class LogStreamCollector:
 
     Construction installs the collector as ``machine.log_tap``;
     :meth:`finish` removes it.  The machine calls the three ``on_*``
-    methods; nothing else feeds the stream.
+    methods; nothing else feeds the stream.  The collector attaches
+    itself to the NVRAM device only while a software record awaits its
+    covering write, so the device's other writes cost it nothing.
 
     Resolved records wait in a min-heap keyed ``(durable, placement
     order)``: a hardware record enters it where it is placed, a software
@@ -164,7 +166,10 @@ class LogStreamCollector:
             payload,
         )
         if release is None:
-            self._pending_by_entry[entry_addr] = (order, rec)
+            pending = self._pending_by_entry
+            if not pending:
+                self._machine().nvram.log_tap = self
+            pending[entry_addr] = (order, rec)
             self._unresolved += 1
         else:
             heappush(self._ready, (release, order, rec))
@@ -176,10 +181,9 @@ class LogStreamCollector:
     def on_nvram_write(self, addr: int, size: int, completion: float) -> None:
         """A timed NVRAM write completes at ``completion``: it makes every
         pending software record whose log entry it covers durable.  (Only
-        log entries are pending, so writes elsewhere match nothing.)"""
+        log entries are pending, so writes elsewhere match nothing.)  The
+        last record resolved detaches the collector from the device."""
         pending = self._pending_by_entry
-        if not pending:
-            return
         entry_size = self._entry_size
         entry = addr - (addr % entry_size)
         stop = addr + size
@@ -191,6 +195,8 @@ class LogStreamCollector:
                 heappush(self._ready, (completion, order, rec))
                 self._unresolved -= 1
             entry += entry_size
+        if not pending:
+            self._machine().nvram.log_tap = None
 
     # ------------------------------------------------------------------
     def harvest(self, before: float) -> list:

@@ -18,6 +18,7 @@ routing is stable per client.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import ConfigError
 from ..workloads.rng import thread_rng
@@ -26,8 +27,7 @@ from ..workloads.rng import thread_rng
 _TRAFFIC_STREAM = 0x7A4F1C
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     """One client request travelling through the service layer."""
 
     seq: int
@@ -95,14 +95,8 @@ def open_loop_schedule(config: TrafficConfig, num_shards: int) -> list:
             if seq % config.burst_size == 0 and seq > 0:
                 clock += mean_gap * config.burst_size
         client = rng.randrange(config.clients)
+        # Arguments evaluate left to right: key_u takes the first draw.
         schedule.append(
-            Request(
-                seq=seq,
-                arrival=clock,
-                client=client,
-                shard=client % num_shards,
-                key_u=rng.random(),
-                op_u=rng.random(),
-            )
+            Request(seq, clock, client, client % num_shards, rng.random(), rng.random())
         )
     return schedule

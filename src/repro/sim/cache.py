@@ -17,7 +17,8 @@ line's dirty words are durable; a write-back may not reach NVRAM earlier
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterator, NamedTuple, Optional
+from operator import attrgetter
+from typing import Iterator, Optional
 
 from ..errors import SimulationError
 from ..utils import line_address
@@ -38,13 +39,7 @@ class CacheLine:
         self.log_release = 0.0
 
 
-class EvictedLine(NamedTuple):
-    """A line pushed out of a cache (victim or invalidation)."""
-
-    addr: int
-    data: bytes
-    dirty: bool
-    log_release: float
+_last_use = attrgetter("last_use")
 
 
 class SetAssociativeCache:
@@ -100,13 +95,14 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------
     def fill(
         self, line_addr: int, data: bytes, now: float, dirty: bool = False
-    ) -> tuple[CacheLine, Optional[EvictedLine]]:
+    ) -> tuple[CacheLine, Optional[CacheLine]]:
         """Insert a line and return ``(new_line, evicted_victim)``.
 
-        The victim (which the caller must write back if dirty) is None
-        when the set had room.  Inserting a line that is already present
-        is a simulator bug and raises :class:`SimulationError`.  Hot
-        paths use this instead of :meth:`insert` + :meth:`lookup` to
+        The victim (which the caller must write back if dirty) is the
+        removed :class:`CacheLine` itself, which no set holds any more,
+        or None when the set had room.  Inserting a line that is already
+        present is a simulator bug and raises :class:`SimulationError`.
+        Hot paths use this instead of :meth:`insert` + :meth:`lookup` to
         avoid probing the set twice per fill.
         """
         if len(data) != self._line_size:
@@ -119,11 +115,10 @@ class SetAssociativeCache:
             bucket = self.sets[key] = {}
         elif line_addr in bucket:
             raise SimulationError(f"{self.name}: duplicate insert {line_addr:#x}")
-        victim: Optional[EvictedLine] = None
+        victim = None
         if len(bucket) >= self.config.ways:
-            lru = min(bucket.values(), key=lambda ln: ln.last_use)
-            del bucket[lru.addr]
-            victim = EvictedLine(lru.addr, bytes(lru.data), lru.dirty, lru.log_release)
+            victim = min(bucket.values(), key=_last_use)
+            del bucket[victim.addr]
         line = CacheLine(line_addr, data, now)
         line.dirty = dirty
         bucket[line_addr] = line
@@ -131,23 +126,21 @@ class SetAssociativeCache:
 
     def insert(
         self, line_addr: int, data: bytes, now: float, dirty: bool = False
-    ) -> Optional[EvictedLine]:
+    ) -> Optional[CacheLine]:
         """Insert a line, evicting the LRU victim if the set is full.
 
         Returns the evicted line or None; see :meth:`fill`.
         """
         return self.fill(line_addr, data, now, dirty)[1]
 
-    def invalidate(self, addr: int) -> Optional[EvictedLine]:
-        """Remove the line containing ``addr``; return its final state."""
+    def invalidate(self, addr: int) -> Optional[CacheLine]:
+        """Remove the line containing ``addr`` and return it (None if
+        absent); the caller owns the detached line and its data."""
         line_addr = line_address(addr, self._line_size)
         bucket = self.sets.get(self.set_key(line_addr))
         if not bucket:
             return None
-        line = bucket.pop(line_addr, None)
-        if line is None:
-            return None
-        return EvictedLine(line.addr, bytes(line.data), line.dirty, line.log_release)
+        return bucket.pop(line_addr, None)
 
     def drop_all(self) -> None:
         """Discard every line (power loss)."""

@@ -106,16 +106,21 @@ class Core:
         # Two-phase store: allocate the line and capture the old value
         # first; for persistent stores the HWL engine logs undo+redo
         # before the new value becomes visible to write-backs (so a
-        # log-wrap force in between can never leak an unlogged value).
-        latency, level, old_data, line_addr = self._hierarchy.store_prepare(
+        # log-wrap force in between can never leak an unlogged value),
+        # then the store completes on the line it prepared.
+        hierarchy = self._hierarchy
+        latency, l1_hit, line = hierarchy.store_prepare(
             self.core_id, addr, len(data), self.time
         )
+        line_addr = line.addr
+        off = addr - line_addr
+        old_data = bytes(line.data[off:off + len(data)])
         self.instret += 1
         stats = self._stats
         stats.instructions += 1
         stats.energy_core_pj += self._instruction_pj
         charge = self._config.store_issue_cycles
-        if level != "l1":
+        if not l1_hit:
             extra = latency - self._l1_latency
             charge += self._config.store_miss_exposed * extra
         self.time += charge
@@ -132,7 +137,7 @@ class Core:
                 self.time,
             )
             self.time += stall
-        self._hierarchy.store_finish(self.core_id, addr, data, release)
+        hierarchy.store_finish(line, addr, data, release)
         if self.tracer is not None:
             self.tracer.emit(
                 self.time,

@@ -19,28 +19,15 @@ The hierarchy is functional (lines carry data) and timed.  It implements:
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from ..errors import SimulationError
 from ..utils import line_address
-from .cache import CacheLine, EvictedLine, SetAssociativeCache
+from .cache import CacheLine, SetAssociativeCache
 from .config import SystemConfig
 from .energy import EnergyModel
 from .memctrl import MemoryController
 from .stats import MachineStats
-
-
-class StoreResult(NamedTuple):
-    """Outcome of a store: latency, level, and the overwritten bytes.
-
-    ``old_data`` is the undo value HWL captures from the write-allocated
-    line (hit or miss) without any extra read instruction.
-    """
-
-    latency: float
-    level: str
-    old_data: bytes
-    line_addr: int
 
 
 class CacheHierarchy:
@@ -119,27 +106,29 @@ class CacheHierarchy:
     # Internal movement
     # ------------------------------------------------------------------
     def _post_writeback(self, addr: int, data: bytes, now: float, release: float) -> float:
-        """Post a line write-back to NVRAM honouring the log-release time."""
+        """Post a line write-back to NVRAM honouring the log-release time
+        (``data``, often a line's own buffer, is copied into the image)."""
         if self.writeback_release_hook is not None:
             release = max(release, self.writeback_release_hook(addr, now))
         ticket = self._memctrl.write(addr, data, max(now, release))
         self._stats.writebacks += 1
         return ticket.completion
 
-    def _evict_llc_victim(self, victim: EvictedLine, now: float) -> None:
-        """Handle an LLC eviction: inclusion invalidations, then write-back."""
-        data = bytearray(victim.data)
+    def _evict_llc_victim(self, victim: CacheLine, now: float) -> None:
+        """Handle an LLC eviction: inclusion invalidations (a dirty L1
+        copy merges into the detached victim's buffer), then write-back."""
+        addr = victim.addr
         dirty = victim.dirty
         release = victim.log_release
-        for core_id in list(self._owners(victim.addr)):
-            dropped = self.l1s[core_id].invalidate(victim.addr)
-            self._directory_remove(victim.addr, core_id)
+        for core_id in list(self._owners(addr)):
+            dropped = self.l1s[core_id].invalidate(addr)
+            self._directory_remove(addr, core_id)
             if dropped is not None and dropped.dirty:
-                data[:] = dropped.data
+                victim.data[:] = dropped.data
                 dirty = True
                 release = max(release, dropped.log_release)
         if dirty:
-            self._post_writeback(victim.addr, bytes(data), now, release)
+            self._post_writeback(addr, victim.data, now, release)
 
     def _fetch_llc(self, line_addr: int, now: float) -> tuple[float, CacheLine]:
         """Ensure ``line_addr`` is resident in the LLC; return (extra_latency, line)."""
@@ -174,19 +163,21 @@ class CacheHierarchy:
         if victim is not None:
             self._directory_remove(victim.addr, core_id)
             if victim.dirty:
-                self._merge_into_llc(victim, now)
+                self._merge_into_llc(victim.addr, victim.data, victim.log_release, now)
         line.log_release = release
         return line
 
-    def _merge_into_llc(self, victim: EvictedLine, now: float) -> None:
-        """Write an evicted dirty L1 line into the (inclusive) LLC copy."""
-        llc_line = self.llc.lookup(victim.addr)
+    def _merge_into_llc(self, line_addr: int, data: bytearray, release: float, now: float) -> None:
+        """Write a dirty L1 line's ``data`` into the (inclusive) LLC copy."""
+        bucket = self._llc_sets.get(self._llc_set_key(line_addr))
+        llc_line = bucket.get(line_addr) if bucket else None
         if llc_line is None:  # pragma: no cover - inclusion guarantees presence
-            raise SimulationError(f"inclusion violated for {victim.addr:#x}")
-        llc_line.data[:] = victim.data
+            raise SimulationError(f"inclusion violated for {line_addr:#x}")
+        llc_line.data[:] = data
         llc_line.dirty = True
-        llc_line.log_release = max(llc_line.log_release, victim.log_release)
-        self.llc.touch(llc_line, now)
+        if release > llc_line.log_release:
+            llc_line.log_release = release
+        llc_line.last_use = now
 
     def _pull_remote_dirty(self, core_id: int, line_addr: int, now: float, invalidate: bool) -> float:
         """Fetch another core's dirty copy into the LLC (downgrade or invalidate).
@@ -201,10 +192,7 @@ class CacheHierarchy:
             if remote is None:
                 continue
             if remote.dirty:
-                self._merge_into_llc(
-                    EvictedLine(line_addr, bytes(remote.data), True, remote.log_release),
-                    now,
-                )
+                self._merge_into_llc(line_addr, remote.data, remote.log_release, now)
                 remote.dirty = False
                 remote.log_release = 0.0
                 self._stats.coherence_invalidations += 1
@@ -240,17 +228,23 @@ class CacheHierarchy:
             line.last_use = now
             return self.l1_latency + tax, True, line.data
         stats.l1_misses += 1
-        extra = self._pull_remote_dirty(core_id, line_addr, now, invalidate=False)
+        extra = 0.0
+        owners = self._directory.get(line_addr)
+        if owners is not None and (len(owners) > 1 or core_id not in owners):
+            extra = self._pull_remote_dirty(core_id, line_addr, now, invalidate=False)
         llc_extra, llc_line = self._fetch_llc(line_addr, now)
         filled = self._fill_l1(core_id, line_addr, llc_line.data, now, 0.0)
         return self.l1_latency + llc_extra + extra + tax, False, filled.data
 
-    def store_prepare(self, core_id: int, addr: int, size: int, now: float) -> StoreResult:
-        """Write-allocate phase of a store: bring the line to L1 and read
-        the old bytes — the undo value HWL captures — *without* making the
-        new value visible yet.  The caller completes the store with
-        :meth:`store_finish` (possibly after logging), guaranteeing that a
-        write-back racing in between cannot leak an unlogged new value.
+    def store_prepare(
+        self, core_id: int, addr: int, size: int, now: float
+    ) -> tuple[float, bool, CacheLine]:
+        """Write-allocate phase of a store: returns ``(latency, l1_hit,
+        line)``, ``line`` being the L1 line still holding the old bytes —
+        the undo value HWL captures.  The caller completes the store on
+        it with :meth:`store_finish` (possibly after logging), so a
+        write-back racing in between cannot leak an unlogged new value; a
+        log-wrap force in between writes the line back but leaves it cached.
         """
         line_addr = addr & self._line_mask
         if addr + size > line_addr + self._line_size:
@@ -262,56 +256,41 @@ class CacheHierarchy:
         stats.energy_cache_pj += self._l1_access_pj
         bucket = self._l1_sets[core_id].get(self._l1_set_key(line_addr))
         line = bucket.get(line_addr) if bucket else None
+        # Other cores' copies are invalidated before writing, on a hit
+        # (upgrade of a shared line) as on a miss, if the directory has any.
+        owners = self._directory.get(line_addr)
+        pull = owners is not None and (len(owners) > 1 or core_id not in owners)
         if line is not None:
-            level = "l1"
-            latency = self.l1_latency + tax
             stats.l1_hits += 1
             line.last_use = now
-            # Upgrade: a store to a *shared* line must still invalidate the
-            # other cores' copies before writing (no other owner: nothing
-            # to pull, and the call would add 0.0).
-            owners = self._directory.get(line_addr)
-            if owners is not None and (len(owners) > 1 or core_id not in owners):
-                latency += self._pull_remote_dirty(
-                    core_id, line_addr, now, invalidate=True
-                )
-        else:
-            stats.l1_misses += 1
-            extra = self._pull_remote_dirty(core_id, line_addr, now, invalidate=True)
-            llc_extra, llc_line = self._fetch_llc(line_addr, now)
-            # Sentinel compare: _fetch_llc returns exactly llc_latency on
-            # a hit (never a derived float), so equality is intentional.
-            level = "llc" if llc_extra == self.llc_latency else "mem"  # lint: allow(float-eq)
-            line = self._fill_l1(core_id, line_addr, llc_line.data, now, 0.0)
-            latency = self.l1_latency + llc_extra + extra + tax
-        off = addr - line_addr
-        old = bytes(line.data[off:off + size])
-        return StoreResult(latency, level, old, line_addr)
+            latency = self.l1_latency + tax
+            if pull:
+                latency += self._pull_remote_dirty(core_id, line_addr, now, invalidate=True)
+            return latency, True, line
+        stats.l1_misses += 1
+        extra = self._pull_remote_dirty(core_id, line_addr, now, invalidate=True) if pull else 0.0
+        llc_extra, llc_line = self._fetch_llc(line_addr, now)
+        line = self._fill_l1(core_id, line_addr, llc_line.data, now, 0.0)
+        return self.l1_latency + llc_extra + extra + tax, False, line
 
-    def store_finish(
-        self, core_id: int, addr: int, data: bytes, release: float = 0.0
-    ) -> None:
-        """Complete a prepared store: write the new value and mark dirty.
-
-        ``release`` forbids write-back before the covering log record is
+    def store_finish(self, line: CacheLine, addr: int, data: bytes, release: float = 0.0) -> None:
+        """Complete a store prepared on ``line``: write the new value and
+        mark it dirty.  ``release`` forbids write-back before the covering log record is
         durable (the HWL ordering guarantee).
         """
-        line_addr = addr & self._line_mask
-        bucket = self._l1_sets[core_id].get(self._l1_set_key(line_addr))
-        line = bucket.get(line_addr) if bucket else None
-        if line is None:  # pragma: no cover - prepare just installed it
-            raise SimulationError(f"store_finish without prepared line {addr:#x}")
-        off = addr - line_addr
+        off = addr - line.addr
         line.data[off:off + len(data)] = data
         line.dirty = True
         if release > line.log_release:
             line.log_release = release
 
-    def store(self, core_id: int, addr: int, data: bytes, now: float) -> StoreResult:
-        """Cacheable write (write-allocate); returns the overwritten bytes."""
-        result = self.store_prepare(core_id, addr, len(data), now)
-        self.store_finish(core_id, addr, data)
-        return result
+    def store(self, core_id: int, addr: int, data: bytes, now: float) -> tuple[float, bool, bytes]:
+        """Cacheable write (write-allocate); returns ``(latency, l1_hit, old bytes)``."""
+        latency, l1_hit, line = self.store_prepare(core_id, addr, len(data), now)
+        off = addr - line.addr
+        old = bytes(line.data[off:off + len(data)])
+        self.store_finish(line, addr, data)
+        return latency, l1_hit, old
 
     def set_log_release(self, core_id: int, line_addr: int, release: float) -> None:
         """Forbid write-back of ``line_addr`` before ``release`` (HWL order)."""
@@ -327,12 +306,12 @@ class CacheHierarchy:
         """
         line_addr = line_address(addr, self._line_size)
         self._stats.clwb_count += 1
-        newest: Optional[bytes] = None
+        newest: Optional[bytearray] = None
         release = 0.0
         for owner in list(self._owners(line_addr)):
             remote = self.l1s[owner].lookup(line_addr)
             if remote is not None and remote.dirty:
-                newest = bytes(remote.data)
+                newest = remote.data
                 release = max(release, remote.log_release)
                 remote.dirty = False
                 remote.log_release = 0.0
@@ -341,7 +320,7 @@ class CacheHierarchy:
             if newest is not None:
                 llc_line.data[:] = newest
             elif llc_line.dirty:
-                newest = bytes(llc_line.data)
+                newest = llc_line.data
                 release = max(release, llc_line.log_release)
             llc_line.dirty = False
             llc_line.log_release = 0.0
@@ -359,13 +338,20 @@ class CacheHierarchy:
         return completion
 
     def is_line_dirty(self, line_addr: int) -> bool:
-        """True if any cache holds a dirty copy of ``line_addr``."""
-        for owner in self._owners(line_addr):
-            line = self.l1s[owner].lookup(line_addr)
-            if line is not None and line.dirty:
-                return True
-        llc_line = self.llc.lookup(line_addr)
-        return llc_line is not None and llc_line.dirty
+        """True if any cache holds a dirty copy of ``line_addr`` (the wrap
+        check of every append; it probes in its own frame, as ``load``)."""
+        owners = self._directory.get(line_addr)
+        if owners is not None:
+            key = self._l1_set_key(line_addr)
+            l1_sets = self._l1_sets
+            for owner in owners:
+                bucket = l1_sets[owner].get(key)
+                line = bucket.get(line_addr) if bucket else None
+                if line is not None and line.dirty:
+                    return True
+        bucket = self._llc_sets.get(self._llc_set_key(line_addr))
+        line = bucket.get(line_addr) if bucket else None
+        return line is not None and line.dirty
 
     def flush_all(self, now: float) -> None:
         """Write every dirty line back to NVRAM (inspection/shutdown).
@@ -394,16 +380,14 @@ class CacheHierarchy:
     # ------------------------------------------------------------------
     def fwb_writeback_l1(self, core_id: int, line: CacheLine, now: float) -> None:
         """FWB at an L1: push the dirty line down into the LLC."""
-        self._merge_into_llc(
-            EvictedLine(line.addr, bytes(line.data), True, line.log_release), now
-        )
+        self._merge_into_llc(line.addr, line.data, line.log_release, now)
         line.dirty = False
         line.fwb = False
         line.log_release = 0.0
 
     def fwb_writeback_llc(self, line: CacheLine, now: float) -> float:
         """FWB at the LLC: post the dirty line to NVRAM."""
-        completion = self._post_writeback(line.addr, bytes(line.data), now, line.log_release)
+        completion = self._post_writeback(line.addr, line.data, now, line.log_release)
         line.dirty = False
         line.fwb = False
         line.log_release = 0.0

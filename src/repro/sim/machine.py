@@ -241,16 +241,17 @@ class Machine:
 
         The tap (a :class:`~repro.dist.ship.LogStreamCollector`) is told
         of every log record where it is placed — by the HWL engine or by
-        the transaction runtime — of every reported commit, and of every
-        timed NVRAM write, which is how software records learn when they
-        became durable.  It works with or without a tracer attached.
+        the transaction runtime — and of every reported commit.  While a
+        software record awaits durability, the tap attaches itself to the
+        NVRAM device to hear of the timed write covering it.  It works
+        with or without a tracer attached.
         """
         return self._log_tap
 
     @log_tap.setter
     def log_tap(self, tap) -> None:
         self._log_tap = tap
-        self.nvram.log_tap = tap
+        self.nvram.log_tap = None  # attached by the tap while it awaits a write
         if self.hwl is not None:
             self.hwl.log_tap = tap
 

@@ -64,9 +64,9 @@ class MemoryController:
     slot, bus and bank timing and counters in its own frame; its calls
     are the row-buffer touch (:meth:`NVRAM.row_buffer_access
     <repro.sim.nvram.NVRAM.row_buffer_access>`, shared with reads), the
-    functional :meth:`NVRAM.write <repro.sim.nvram.NVRAM.write>` and the
-    write energy (:meth:`EnergyModel.nvram_write_pj
-    <repro.sim.energy.EnergyModel.nvram_write_pj>`).
+    functional :meth:`NVRAM.write <repro.sim.nvram.NVRAM.write>` and,
+    once per write size, the write energy (:meth:`EnergyModel.nvram_write_pj
+    <repro.sim.energy.EnergyModel.nvram_write_pj>`, whose result it keeps).
     """
 
     def __init__(
@@ -98,6 +98,8 @@ class MemoryController:
         self._bus_free = 0.0
         # Min-heap of completion times of writes occupying write-queue slots.
         self._write_slots: list[float] = []
+        # The energy model's write cost by write size (a pure function).
+        self._write_pj: dict[int, float] = {}
 
     # ------------------------------------------------------------------
     # Public interface
@@ -174,7 +176,10 @@ class MemoryController:
         size = len(data)
         stats.nvram_writes += 1
         stats.nvram_write_bytes += size
-        stats.energy_nvram_pj += self._energy.nvram_write_pj(size)
+        pj = self._write_pj.get(size)
+        if pj is None:
+            pj = self._write_pj[size] = self._energy.nvram_write_pj(size)
+        stats.energy_nvram_pj += pj
         return _ticket(WriteTicket, (durable, stall, accepted))
 
     def retire(self, now: float) -> None:

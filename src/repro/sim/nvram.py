@@ -148,8 +148,6 @@ class NVRAM:
         # Latest instant retire_journal dropped entries at: a crash
         # before it could no longer revert what was dropped.
         self._retired_to = 0.0
-        self.total_read_bytes = 0
-        self.total_write_bytes = 0
         self.injector = None
         """Optional :class:`~repro.faults.plan.FaultInjector`: decides
         what in-flight writes leave behind at a crash (torn writes)."""
@@ -158,8 +156,9 @@ class NVRAM:
         emits one ``nvram_write`` event per timed write.  ``poke`` and
         bulk image restores are untimed setup paths and never emit."""
         self.log_tap = None
-        """Optional log-stream tap (set by the machine's ``log_tap``
-        property); told of every timed write, like the tracer."""
+        """Optional log-stream tap, told of every timed write like the
+        tracer; a :class:`~repro.dist.ship.LogStreamCollector` attaches
+        itself only while a software record awaits its covering write."""
 
     def row_buffer_access(self, bank: int, row: int) -> bool:
         """Touch ``row`` in ``bank``'s row buffers; True on a hit."""
@@ -184,11 +183,11 @@ class NVRAM:
                 f"NVRAM read out of range: addr={addr:#x} size={size} "
                 f"limit={self._size:#x}"
             )
-        self.total_read_bytes += size
         return self.image[addr:end]
 
     def peek(self, addr: int, size: int) -> bytes:
-        """Read without touching traffic counters (for recovery/tests)."""
+        """Read outside the memory controller, so no traffic is counted
+        (for recovery/tests)."""
         end = addr + size
         if addr < 0 or size < 0 or end > self._size:
             raise AddressError(
@@ -220,7 +219,6 @@ class NVRAM:
                 self._lo_hwm = end
         elif addr < self._hi_lwm:
             self._hi_lwm = addr
-        self.total_write_bytes += size
         if self.tracer is not None:
             self.tracer.emit(
                 completion_time,
@@ -234,7 +232,7 @@ class NVRAM:
             self.log_tap.on_nvram_write(addr, size, completion_time)
 
     def poke(self, addr: int, data: bytes) -> None:
-        """Write without timing, journaling, or counters (setup/recovery)."""
+        """Write without timing or journaling (setup/recovery)."""
         end = addr + len(data)
         if addr < 0 or end > self._size:
             raise AddressError(

@@ -9,7 +9,7 @@ memory controller as a posted write.  ``sfence`` flushes the buffer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..utils import line_address
 from .memctrl import MemoryController
@@ -22,7 +22,6 @@ class _Entry:
     data: bytearray
     lo: int
     hi: int
-    opened: float = field(default=0.0)
 
 
 class WriteCombiningBuffer:
@@ -60,7 +59,7 @@ class WriteCombiningBuffer:
         if len(self._entries) >= self._capacity:
             stall = self._drain_one(now)
         off = addr - line_addr
-        entry = _Entry(line_addr, bytearray(self._line_size), off, off + len(data), now)
+        entry = _Entry(line_addr, bytearray(self._line_size), off, off + len(data))
         entry.data[off:off + len(data)] = data
         self._entries.append(entry)
         return stall
@@ -73,7 +72,7 @@ class WriteCombiningBuffer:
             entry.line_addr + entry.lo,
             bytes(entry.data[entry.lo:entry.hi]),
             now,
-            min_completion=self.last_completion,
+            self.last_completion,
         )
         self.last_completion = max(self.last_completion, ticket.completion)
         self._stats.wcb_stall_cycles += ticket.stall

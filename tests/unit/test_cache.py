@@ -77,6 +77,15 @@ class TestEviction:
         victim = cache.insert(addr_for(0, 2), bytes(64), 0.5)
         assert victim.log_release == 123.0
 
+    def test_victim_is_the_removed_line_itself(self, cache):
+        cache.insert(addr_for(0, 0), bytes(64), 0.0)
+        oldest = cache.lookup(addr_for(0, 0))
+        cache.insert(addr_for(0, 1), bytes(64), 1.0)
+        line, victim = cache.fill(addr_for(0, 2), bytes(64), 2.0)
+        assert victim is oldest
+        assert line is cache.lookup(addr_for(0, 2))
+        assert all(resident is not victim for resident in cache.iter_lines())
+
     def test_sets_are_independent(self, cache):
         for tag in range(3):
             cache.insert(addr_for(1, tag), bytes(64), float(tag))
@@ -89,6 +98,14 @@ class TestInvalidate:
         evicted = cache.invalidate(0)
         assert evicted is not None
         assert cache.lookup(0) is None
+
+    def test_invalidate_returns_the_removed_line_itself(self, cache):
+        cache.insert(0, bytes(64), 0.0)
+        line = cache.lookup(0)
+        line.dirty = True
+        assert cache.invalidate(0) is line
+        assert line.dirty
+        assert all(resident is not line for resident in cache.iter_lines())
 
     def test_invalidate_missing_returns_none(self, cache):
         assert cache.invalidate(0) is None

@@ -73,15 +73,27 @@ class TestStorePath:
     def test_store_returns_old_data(self):
         h, nvram, _ = make_hierarchy()
         nvram.poke(64, b"OLDVALUE")
-        result = h.store(0, 64, b"NEWVALUE", 0.0)
-        assert result.old_data == b"OLDVALUE"
+        _latency, l1_hit, old = h.store(0, 64, b"NEWVALUE", 0.0)
+        assert old == b"OLDVALUE"
+        assert not l1_hit
 
     def test_store_hit_returns_cached_old(self):
         h, _, _ = make_hierarchy()
         h.store(0, 64, b"AAAA", 0.0)
-        result = h.store(0, 64, b"BBBB", 1.0)
-        assert result.old_data == b"AAAA"
-        assert result.level == "l1"
+        _latency, l1_hit, old = h.store(0, 64, b"BBBB", 1.0)
+        assert old == b"AAAA"
+        assert l1_hit
+
+    def test_prepare_returns_the_l1_line_holding_old_bytes(self):
+        h, nvram, _ = make_hierarchy()
+        nvram.poke(64, b"OLDVALUE")
+        _latency, l1_hit, line = h.store_prepare(0, 64, 8, 0.0)
+        assert not l1_hit
+        assert line is h.l1s[0].lookup(64)
+        assert bytes(line.data[:8]) == b"OLDVALUE"
+        h.store_finish(line, 64, b"NEWVALUE", 7.0)
+        assert bytes(line.data[:8]) == b"NEWVALUE"
+        assert line.dirty and line.log_release == 7.0
 
     def test_store_sets_dirty(self):
         h, _, _ = make_hierarchy()

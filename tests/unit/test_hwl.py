@@ -6,7 +6,8 @@ from repro.core.logrecord import LogRecord, RecordKind
 from repro.core.recovery import RecoveryManager
 from repro import Machine
 from repro.core.design import FWB, HW_RLOG, HW_ULOG
-from tests.conftest import tiny_system
+from repro.sim.config import LoggingConfig
+from tests.conftest import tiny_system, word
 
 
 def make_machine(policy=FWB, **overrides):
@@ -126,6 +127,27 @@ class TestWrapProtection:
             m.hwl.on_store(0, 1, 0, 0x3000 + i * 8, b"A" * 8, b"B" * 8, 0x3000, 1.0)
         assert m.stats.log_wrap_forced_writebacks >= 1
         assert not m.hierarchy.is_line_dirty(0x2000)
+
+    def test_wrap_force_of_the_stored_line_keeps_it_for_completion(self):
+        # Eight slots: BEGIN in slot 0, then one DATA record per store of
+        # the same word.  The ninth store's record lands in slot 1, over
+        # the first store's record of this very line, still dirty: the
+        # wrap force writes the line back between the store's prepare and
+        # its completion.
+        m = make_machine(logging=LoggingConfig(log_entries=8))
+        core = m.cores[0]
+        core.exec_tx_begin(1, 0, 0)
+        for value in range(1, 9):
+            core.exec_store(0x2000, word(value), persistent=True, txid=1, tid=0)
+        assert m.stats.log_wrap_forced_writebacks == 0
+        line = m.hierarchy.l1s[0].lookup(0x2000)
+        core.exec_store(0x2000, word(9), persistent=True, txid=1, tid=0)
+        assert m.stats.log_wrap_forced_writebacks == 1
+        assert m.nvram.peek(0x2000, 8) == word(8)
+        assert m.hierarchy.l1s[0].lookup(0x2000) is line
+        assert bytes(line.data[:8]) == word(9)
+        assert line.dirty
+        assert line.log_release == m.log_buffer.last_completion
 
     def test_unsafe_hw_logging_skips_protection(self):
         m = make_machine(

@@ -32,10 +32,10 @@ class TestSplit:
 class TestRouter:
     def test_routes_by_tid_modulo(self):
         rings = split_log_region(0x1000, 64, 64, 2)
-        router = LogRouter(rings, [None, None])
-        assert router.log_for(0) is rings[0]
-        assert router.log_for(1) is rings[1]
-        assert router.log_for(2) is rings[0]
+        router = LogRouter(rings, ["b0", "b1"])
+        assert router.lane(0) == (rings[0], "b0")
+        assert router.lane(1) == (rings[1], "b1")
+        assert router.lane(2) == (rings[0], "b0")
 
     def test_mismatched_buffers_rejected(self):
         rings = split_log_region(0x1000, 64, 64, 2)
@@ -54,9 +54,10 @@ class TestMachineIntegration:
         machine = self._machine()
         assert len(machine.logs) == 2
         assert machine.log is machine.logs[0]
-        assert machine.log_router.log_for(1) is machine.logs[1]
-        assert isinstance(machine.log_router.buffer_for(1), LogBuffer)
-        assert machine.log_router.buffer_for(0) is not machine.log_router.buffer_for(1)
+        ring, buffer = machine.log_router.lane(1)
+        assert ring is machine.logs[1]
+        assert isinstance(buffer, LogBuffer)
+        assert machine.log_router.lane(0)[1] is not buffer
 
     def test_threads_append_to_their_own_rings(self):
         machine = self._machine()

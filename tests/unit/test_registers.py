@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.registers import PHYSICAL_TXID_SPACE, SpecialRegisters
-from repro.errors import LogError, TransactionError
+from repro.errors import TransactionError
 
 
 class TestPhysicalTxids:
@@ -55,15 +55,6 @@ class TestPhysicalTxids:
 
 
 class TestLogPointers:
-    def test_set_pointers(self):
-        regs = SpecialRegisters()
-        regs.set_log_pointers(3, 7)
-        assert (regs.log_head, regs.log_tail) == (3, 7)
-
-    def test_negative_rejected(self):
-        with pytest.raises(LogError):
-            SpecialRegisters().set_log_pointers(-1, 0)
-
     def test_grow_regions(self):
         regs = SpecialRegisters()
         regs.add_grow_region(0x1000, 4096)

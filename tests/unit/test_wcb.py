@@ -43,11 +43,11 @@ class TestCoalescing:
         assert nvram.peek(0, 1) == b"\x00"  # oldest entry drained
 
     def test_drain_writes_covered_slice_only(self, setup):
-        wcb, nvram, _ = setup
+        wcb, nvram, stats = setup
         wcb.push(8, b"XY", 0.0)
         wcb.flush(1.0)
         assert nvram.peek(8, 2) == b"XY"
-        assert nvram.total_write_bytes == 2
+        assert stats.nvram_write_bytes == 2
 
 
 class TestFlush:
