@@ -275,9 +275,8 @@ class CacheHierarchy:
 
     def store_finish(self, line: CacheLine, addr: int, data: bytes, release: float = 0.0) -> None:
         """Complete a store prepared on ``line``: write the new value and
-        mark it dirty.  ``release`` forbids write-back before the covering log record is
-        durable (the HWL ordering guarantee).
-        """
+        mark it dirty.  ``release`` forbids write-back before the covering
+        log record is durable (the HWL ordering guarantee)."""
         off = addr - line.addr
         line.data[off:off + len(data)] = data
         line.dirty = True
