@@ -48,7 +48,7 @@ def trial(policy: DesignSpec, seed: int) -> int:
     corrupted = 0
     for addr in slots:
         want = expected.get(addr, (0).to_bytes(8, "little"))
-        if machine.nvram.peek(addr, 8) != want:
+        if machine.nvram.read(addr, 8) != want:
             corrupted += 1
     return corrupted
 

@@ -69,7 +69,7 @@ def main() -> None:
 
     # The invariant the whole design exists for: total money conserved.
     total = sum(
-        int.from_bytes(machine.nvram.peek(addr, 8), "little") for addr in accounts
+        int.from_bytes(machine.nvram.read(addr, 8), "little") for addr in accounts
     )
     print(f"sum of balances        : {total} (expected 400)")
     assert total == 400, "atomicity violated!"

@@ -13,7 +13,7 @@ protocol right there.
 Determinism: probes are counter snapshots, features are pure functions
 of probes, the table is ordered, and the switch itself is the
 deterministic epoch barrier — two runs of the same scenario produce the
-same decision log, which the CI ``adapt-smoke`` job byte-compares.
+same decision log, which tests/sched/test_serve_golden.py pins.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ runtime controller consumes.
 
 Everything is deterministic — cells are bit-identical to serial runs,
 ties break on canonical design order — so training twice writes
-byte-identical tables (the CI ``adapt-smoke`` job compares digests).
+byte-identical tables (tests/adapt/test_controller.py checks it).
 """
 
 from __future__ import annotations

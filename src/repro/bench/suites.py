@@ -68,36 +68,15 @@ import zlib
 from ..core.design import CANONICAL_DESIGNS, FWB, HWL, REDO_CLWB, UNSAFE_BASE, expand_grid
 from ..core.logbuffer import LogBuffer
 from ..core.recovery import recover_image
+from ..faults.campaign import default_campaign_system
 from ..harness.cache import SweepCache
 from ..harness.sweep import run_micro_sweep
 from ..sim.cache import SetAssociativeCache
-from ..sim.config import (
-    CacheConfig,
-    CoreConfig,
-    LoggingConfig,
-    MemCtrlConfig,
-    NVDimmConfig,
-    SystemConfig,
-)
+from ..sim.config import CacheConfig
 from ..sim.machine import Machine
 from ..txn.runtime import PersistentMemory
 from ..workloads.hashtable import HashTableWorkload
 from .registry import BenchTimer, register
-
-
-def _tiny_system(**overrides) -> SystemConfig:
-    """A miniature machine (2 cores, 4 KB L1, 4 MB NVRAM) for the
-    component-level suites; mirrors the test fixtures' configuration."""
-    config = SystemConfig(
-        num_cores=2,
-        core=CoreConfig(),
-        l1=CacheConfig(size_bytes=4 * 1024, ways=4, line_size=64, latency_ns=1.6),
-        llc=CacheConfig(size_bytes=32 * 1024, ways=8, line_size=64, latency_ns=4.4),
-        memctrl=MemCtrlConfig(),
-        nvram=NVDimmConfig(size_bytes=4 * 1024 * 1024),
-        logging=LoggingConfig(log_entries=256),
-    )
-    return config.scaled(**overrides) if overrides else config
 
 
 def _sweep_counters(result) -> dict:
@@ -204,7 +183,7 @@ def cache_probe(quick: bool, timer: BenchTimer) -> dict:
 
 @register("logbuffer-drain", "HWL log-buffer FIFO drain through the memory controller")
 def logbuffer_drain(quick: bool, timer: BenchTimer) -> dict:
-    machine = Machine(_tiny_system(), FWB)
+    machine = Machine(default_campaign_system(log_entries=256), FWB)
     buffer = LogBuffer(depth=15, memctrl=machine.memctrl, stats=machine.stats)
     records = 6_000 if quick else 40_000
     entry = machine.config.logging.log_entry_size
@@ -233,7 +212,7 @@ def logbuffer_drain(quick: bool, timer: BenchTimer) -> dict:
 
 @register("recovery-replay", "post-crash log window scan and undo/redo replay")
 def recovery_replay(quick: bool, timer: BenchTimer) -> dict:
-    machine = Machine(_tiny_system(), HWL)
+    machine = Machine(default_campaign_system(log_entries=256), HWL)
     pm = PersistentMemory(machine)
     workload = HashTableWorkload(
         seed=11, buckets_per_partition=16, keys_per_partition=64
@@ -289,7 +268,7 @@ def _trace_fixture(quick: bool):
         seed=11, buckets_per_partition=32, keys_per_partition=256
     )
     txns = 40 if quick else 150
-    return prepare_workload(workload, _tiny_system()), 2, txns
+    return prepare_workload(workload, default_campaign_system(log_entries=256)), 2, txns
 
 
 @register("compile-decode", "execution-engine decode: micro-op stream -> column trace")
@@ -568,7 +547,7 @@ def adapt_switch(quick: bool, timer: BenchTimer) -> dict:
             "hw+undo+redo+nowb",
         )
     ]
-    system = _tiny_system(logging=LoggingConfig(log_entries=256))
+    system = default_campaign_system(log_entries=256)
     trace = campaign_trace("hash", 7, system, 2, 24 if quick else 96)
     start = resolve_design("hw+undo+redo+nowb")
     # One switch per quarter of the unswitched run's makespan, cycling

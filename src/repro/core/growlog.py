@@ -67,7 +67,7 @@ class RegionDirectory:
 
     def read(self) -> Optional[tuple]:
         """(entry_size, region list) from NVRAM, or None when absent."""
-        raw = self._nvram.peek(self.addr, DIRECTORY_BYTES)
+        raw = self._nvram.read(self.addr, DIRECTORY_BYTES)
         if int.from_bytes(raw[0:8], "little") != DIRECTORY_MAGIC:
             return None
         count = int.from_bytes(raw[8:16], "little")

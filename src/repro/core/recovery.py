@@ -146,7 +146,7 @@ class RecoveryManager:
         return window
 
     def _scan_region(self, log, report: RecoveryReport) -> list[LogRecord]:
-        region = self._nvram.peek(log.base, log.size_bytes)  # one read per ring
+        region = self._nvram.read(log.base, log.size_bytes)  # one read per ring
         size, verify = log.entry_size, self._verify_checksums
         entries = [
             LogRecord.classify(region[offset:offset + size], verify)

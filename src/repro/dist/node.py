@@ -154,7 +154,7 @@ class ReplicaNode:
         the convergence checker must degrade around.
         """
         addr = self.ring.entry_addr(slot)
-        raw = bytearray(self.nvram.peek(addr, self.ring.entry_size))
+        raw = bytearray(self.nvram.read(addr, self.ring.entry_size))
         raw[offset] ^= flip
         self.nvram.poke(addr, bytes(raw))
 
@@ -171,7 +171,7 @@ class ReplicaNode:
         entry_size = self.ring.entry_size
         for slot in range(self.ring.num_entries):
             addr = self.ring.entry_addr(slot)
-            payload = self.nvram.peek(addr, entry_size)
+            payload = self.nvram.read(addr, entry_size)
             record, status = LogRecord.classify(payload)
             if status.name != "OK" or record is None:
                 return self.base_seq + slot
@@ -231,11 +231,11 @@ class ReplicaNode:
         start = self.ring.entry_addr(0)
         kept = self._kept[:drop]
         written = b"".join([entry for _rec, entry in kept])
-        if self.nvram.peek(start, drop * entry_size) != written:
+        if self.nvram.read(start, drop * entry_size) != written:
             slot = next(
                 slot
                 for slot, (_rec, entry) in enumerate(kept)
-                if self.nvram.peek(start + slot * entry_size, entry_size) != entry
+                if self.nvram.read(start + slot * entry_size, entry_size) != entry
             )
             raise ConfigError(
                 f"replica {self.node_id}: cannot compact damaged "
@@ -255,7 +255,7 @@ class ReplicaNode:
         # in NVRAM), then clear the slots it vacated.
         keep = self.appended - drop
         if keep:
-            suffix = self.nvram.peek(self.ring.entry_addr(drop), keep * entry_size)
+            suffix = self.nvram.read(self.ring.entry_addr(drop), keep * entry_size)
             self.nvram.poke(start, suffix)
         self.nvram.poke(self.ring.entry_addr(keep), bytes(drop * entry_size))
         del self._kept[:drop]

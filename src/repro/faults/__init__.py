@@ -38,7 +38,7 @@ from .crashpoints import (
     FaultMonitor,
     sample_indices,
 )
-from .plan import WORD_BYTES, FaultInjector, GhostRecord, TornWrite
+from .plan import FaultInjector, GhostRecord, TornWrite
 
 __all__ = [
     "CampaignResult",
@@ -57,7 +57,6 @@ __all__ = [
     "PolicyReport",
     "TornWrite",
     "UNGUARANTEED_POLICIES",
-    "WORD_BYTES",
     "campaign_workload",
     "default_campaign_system",
     "enumerate_points",

@@ -406,7 +406,7 @@ def _find_empty_slot(nvram: NVRAM, log: CircularLog) -> Optional[int]:
     """First never-written (all-zero) slot of the active region, if any."""
     zero = bytes(log.entry_size)
     for slot in range(log.num_entries):
-        if nvram.peek(log.entry_addr(slot), log.entry_size) == zero:
+        if nvram.read(log.entry_addr(slot), log.entry_size) == zero:
             return slot
     return None
 
@@ -461,7 +461,7 @@ def count_mismatches(nvram: NVRAM, pm: PersistentMemory, crash_time: float) -> i
             want = expected.get(addr)
             if want is None:
                 continue  # written only by post-crash transactions
-            if nvram.peek(addr, len(want)) != want:
+            if nvram.read(addr, len(want)) != want:
                 wrong += 1
         if best is None or wrong < best:
             best = wrong

@@ -25,11 +25,10 @@ from typing import TYPE_CHECKING, Iterable, Union
 
 from ..core.logrecord import HEADER_BYTES, LogRecord, RecordKind
 from ..errors import FaultInjectionError
+from ..utils import WORD_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.nvram import NVRAM
-
-WORD_BYTES = 8
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,7 @@ class FaultInjector:
                 continue
             if not (spec.base <= addr and addr + len(new) <= spec.end):
                 continue
-            keep = min(spec.keep_words * WORD_BYTES, len(new))
+            keep = min(spec.keep_words * WORD_SIZE, len(new))
             if keep >= len(new):
                 continue  # a full keep is not a tear
             self._tears_remaining[id(spec)] = remaining - 1

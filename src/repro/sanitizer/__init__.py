@@ -41,12 +41,8 @@ from __future__ import annotations
 from .checker import PersistOrderChecker, PsanSweepReport, run_psan
 from .hb import Race, RaceDetector, RaceReport, detect_races
 from .lint import LintFinding, lint_paths
-from .replication import (
-    REPLICATION_RULES,
-    ReplicationOrderChecker,
-    check_replication,
-)
-from .rules import PsanDiagnostic, PsanReport, RULES
+from .replication import ReplicationOrderChecker, check_replication
+from .rules import REPLICATION_RULES, PsanDiagnostic, PsanReport, RULES
 from .static import (
     CounterExample,
     DifferentialReport,

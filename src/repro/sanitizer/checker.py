@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from ..core.design import DesignSpec, resolve_design
+from ..utils import WORD_SIZE, align_down
 from .rules import (
     LOGGING_RULES,
     RULES,
@@ -41,11 +42,6 @@ from .rules import (
 )
 
 _EPS = 1e-6
-_WORD = 8
-
-
-def _word_base(addr: int) -> int:
-    return addr - (addr % _WORD)
 
 
 @dataclass
@@ -217,7 +213,7 @@ class PersistOrderChecker:
             return
         tid = event.core  # runner convention: tid == core_id
         txn = self._open.get(tid)
-        word = _word_base(addr)
+        word = align_down(addr, WORD_SIZE)
         if txn is None:
             self._check_post_txn_store(event, tid, addr, word)
             return
@@ -413,7 +409,7 @@ class PersistOrderChecker:
 
     def _observe_heap_write(self, addr: int, size: int, completion: float) -> None:
         end = addr + size
-        word = _word_base(addr)
+        word = align_down(addr, WORD_SIZE)
         while word < end:
             owner = self._word_owner.get(word)
             if owner is not None:
@@ -422,7 +418,7 @@ class PersistOrderChecker:
                     if known is None or completion < known:
                         owner.data_durable[piece] = completion
                 self._heap_obs.append((word, completion, owner))
-            word += _WORD
+            word += WORD_SIZE
 
     def _resolve_log_write(self, addr: int, size: int, completion: float) -> None:
         entry = addr - (addr % self._entry_size)

@@ -40,12 +40,7 @@ from ..sim.ctrace import (
     K_WRITE,
     CompiledTrace,
 )
-
-_WORD = 8
-
-
-def _word_base(addr: int) -> int:
-    return addr - (addr % _WORD)
+from ..utils import WORD_SIZE, align_down
 
 
 @dataclass(frozen=True)
@@ -199,7 +194,7 @@ class RaceDetector:
         vc = self._clock(tid)
         clock = self._tick(tid)
         self.report.accesses += 1
-        word = _word_base(addr)
+        word = align_down(addr, WORD_SIZE)
         end = addr + size
         while word < end:
             state = self._word(word)
@@ -207,7 +202,7 @@ class RaceDetector:
             if prior is not None and prior[0] != tid and prior[1] > vc.get(prior[0], 0):
                 self._race(word, prior, tid, op_index, "read")
             state.reads[tid] = (clock, op_index)
-            word += _WORD
+            word += WORD_SIZE
 
     def write(
         self, tid: int, addr: int, size: int, op_index: int, kind: str = "write"
@@ -216,7 +211,7 @@ class RaceDetector:
         vc = self._clock(tid)
         clock = self._tick(tid)
         self.report.accesses += 1
-        word = _word_base(addr)
+        word = align_down(addr, WORD_SIZE)
         end = addr + size
         while word < end:
             state = self._word(word)
@@ -230,7 +225,7 @@ class RaceDetector:
                         break
             state.write = (tid, clock, op_index, kind)
             state.reads.clear()
-            word += _WORD
+            word += WORD_SIZE
 
     def finish(self) -> RaceReport:
         self.report.words_tracked = len(self._words)

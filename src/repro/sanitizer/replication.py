@@ -27,9 +27,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .rules import PsanDiagnostic, PsanReport
-
-REPLICATION_RULES = ("repl-ack-durable", "repl-commit-quorum", "repl-seq-order")
+from .rules import REPLICATION_RULES, PsanDiagnostic, PsanReport
 
 
 class ReplicationOrderChecker:

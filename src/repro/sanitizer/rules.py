@@ -27,7 +27,7 @@ class Rule:
 
 #: Rule ids whose invariants concern the replication (log-shipping)
 #: layer rather than a single machine's persist ordering.
-REPLICATION_RULE_IDS = ("repl-ack-durable", "repl-commit-quorum", "repl-seq-order")
+REPLICATION_RULES = ("repl-ack-durable", "repl-commit-quorum", "repl-seq-order")
 
 RULES: dict[str, Rule] = {
     rule.id: rule
@@ -160,7 +160,7 @@ RULES: dict[str, Rule] = {
 LOGGING_RULES = tuple(RULES)
 
 #: The single-machine ordering rules (everything but replication).
-ORDERING_RULES = tuple(r for r in RULES if r not in REPLICATION_RULE_IDS)
+ORDERING_RULES = tuple(r for r in RULES if r not in REPLICATION_RULES)
 
 
 def rules_for_design(spec) -> tuple:

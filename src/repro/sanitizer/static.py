@@ -74,7 +74,7 @@ from .checker import cell_trace, replay_checked
 from .hb import RaceReport, detect_races
 from .rules import (
     LOGGING_RULES,
-    REPLICATION_RULE_IDS,
+    REPLICATION_RULES,
     RULES,
     claims_guarantee,
     rules_for_design,
@@ -615,7 +615,7 @@ def verify_trace(
         )
 
     # -- replication rules (single-machine cell) -----------------------
-    for rule in REPLICATION_RULE_IDS:
+    for rule in REPLICATION_RULES:
         verdicts[rule] = StaticVerdict(
             rule,
             PROVEN,

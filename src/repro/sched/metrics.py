@@ -144,7 +144,7 @@ class ServeReport:
         return "\n".join(lines)
 
     def render_markdown(self) -> str:
-        """Markdown summary for the CI ``serve-smoke`` artifact."""
+        """Markdown summary (CI uploads it as an artifact)."""
         lines = [
             f"### `repro serve` — {self.workload} / {self.design}",
             "",

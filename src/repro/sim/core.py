@@ -66,7 +66,7 @@ class Core:
     # ------------------------------------------------------------------
     # Every op retires its instructions in its own frame: ``instret``,
     # ``stats.instructions`` and the core energy (``instruction_pj``
-    # per instruction, as :meth:`EnergyModel.instructions` charges it).
+    # per instruction).
 
     def exec_compute(self, count: int) -> None:
         """``count`` ALU/branch instructions."""

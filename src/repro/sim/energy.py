@@ -13,11 +13,10 @@ exactly the quantities those relative results depend on:
 * Core energy per retired instruction.
 
 The per-access and per-instruction coefficients are public attributes:
-the cache hierarchy's hit paths and the cores' retirement add them to
-the :class:`MachineStats` totals in their own frames, the same float
-additions in the same order as :meth:`cache_access` and
-:meth:`instructions`.  Writes likewise: the memory controller adds what
-:meth:`nvram_write_pj` returns to the total itself.
+the cache hierarchy's access paths and the cores' retirement add them to
+the :class:`MachineStats` totals in their own frames.  Writes likewise:
+the memory controller adds what :meth:`nvram_write_pj` returns to the
+total itself.
 """
 
 from __future__ import annotations
@@ -51,14 +50,3 @@ class EnergyModel:
         pj = self._config.nvram_row_buffer_write_pj_per_bit * bits
         pj += self._config.nvram_array_write_pj_per_bit * bits
         return pj
-
-    def cache_access(self, level: str) -> None:
-        """Charge one access to ``level`` ("l1" or "llc")."""
-        if level == "l1":
-            self._stats.energy_cache_pj += self.l1_access_pj
-        else:
-            self._stats.energy_cache_pj += self.llc_access_pj
-
-    def instructions(self, count: int) -> None:
-        """Charge ``count`` retired instructions of core energy."""
-        self._stats.energy_core_pj += self.instruction_pj * count

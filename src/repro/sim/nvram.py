@@ -176,22 +176,13 @@ class NVRAM:
     # Functional access
     # ------------------------------------------------------------------
     def read(self, addr: int, size: int) -> bytes:
-        """Functional read of ``size`` bytes (no timing)."""
+        """Functional read of ``size`` bytes (no timing).  Traffic is
+        counted at the memory controller, so recovery, replicas and tests
+        read the device here without counting any."""
         end = addr + size
         if addr < 0 or size < 0 or end > self._size:
             raise AddressError(
                 f"NVRAM read out of range: addr={addr:#x} size={size} "
-                f"limit={self._size:#x}"
-            )
-        return self.image[addr:end]
-
-    def peek(self, addr: int, size: int) -> bytes:
-        """Read outside the memory controller, so no traffic is counted
-        (for recovery/tests)."""
-        end = addr + size
-        if addr < 0 or size < 0 or end > self._size:
-            raise AddressError(
-                f"NVRAM peek out of range: addr={addr:#x} size={size} "
                 f"limit={self._size:#x}"
             )
         return self.image[addr:end]

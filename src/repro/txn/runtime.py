@@ -620,4 +620,4 @@ class PersistentMemory:
 
     def setup_read(self, addr: int, size: int) -> bytes:
         """Functional read bypassing caches and timing."""
-        return self.machine.nvram.peek(addr, size)
+        return self.machine.nvram.read(addr, size)

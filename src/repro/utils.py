@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .errors import AddressError, ConfigError
+from .errors import ConfigError
 
 WORD_SIZE = 8
 """Machine word size in bytes (64-bit machine, Section IV-E of the paper)."""
@@ -55,14 +55,6 @@ def split_words(addr: int, data: bytes) -> list[tuple[int, bytes]]:
         offset += take
         remaining -= take
     return pieces
-
-
-def check_range(addr: int, size: int, limit: int, what: str = "access") -> None:
-    """Raise :class:`AddressError` unless ``[addr, addr+size)`` fits ``limit``."""
-    if addr < 0 or size < 0 or addr + size > limit:
-        raise AddressError(
-            f"{what} out of range: addr={addr:#x} size={size} limit={limit:#x}"
-        )
 
 
 def int_to_word(value: int) -> bytes:

@@ -1,5 +1,6 @@
-"""Adaptive serve mode: config plumbing, report shape, and the
-byte-identical determinism the CI adapt-smoke job replays."""
+"""Adaptive serve mode: config plumbing, report shape, and in-process
+determinism (tests/sched/test_serve_golden.py pins CI's adaptive serve
+runs across processes)."""
 
 from __future__ import annotations
 

@@ -1,6 +1,7 @@
 """Crash-at-the-barrier recovery: the switch campaign's core claims,
 exercised directly on a small set of transitions (the full default
-campaign runs in the nightly CI tier)."""
+campaign runs in tier-1, against the verdict tables of
+tests/integration/test_campaign_golden.py)."""
 
 from __future__ import annotations
 

@@ -10,10 +10,8 @@ from repro.dist import (
     evaluate_point,
     run_dist_campaign,
 )
-from repro.sanitizer.replication import (
-    REPLICATION_RULES,
-    check_replication,
-)
+from repro.sanitizer.replication import check_replication
+from repro.sanitizer.rules import REPLICATION_RULES
 
 
 # ----------------------------------------------------------------------

@@ -185,7 +185,7 @@ def test_a_slot_overwritten_with_a_valid_entry_is_refused(traced_hash):
             node.append(rec)
         slot_addr = node.ring.entry_addr(data.seq)
         node.nvram.poke(slot_addr, forged.encode(entry_size, 1))
-        assert LogRecord.decode(node.nvram.peek(slot_addr, entry_size)) == forged._replace(torn=1)
+        assert LogRecord.decode(node.nvram.read(slot_addr, entry_size)) == forged._replace(torn=1)
         heap = node.heap_snapshot()
         with pytest.raises(ConfigError, match=f"damaged slot {data.seq} "):
             node.compact_below(frontier)

@@ -52,7 +52,7 @@ def run_crash_trial(policy, seed, crash_fraction, threads=1, log_entries=128):
         want = expected.get(addr)
         if want is None:
             continue  # written only by post-crash transactions
-        got = machine.nvram.peek(addr, len(want))
+        got = machine.nvram.read(addr, len(want))
         if got != want:
             mismatches.append((addr, got, want))
     return mismatches

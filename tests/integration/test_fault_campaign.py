@@ -33,6 +33,7 @@ from repro.faults.campaign import (
     crash_run,
     default_campaign_system,
     finish_run,
+    instant_variants,
     start_run,
 )
 from repro.sim.nvram import NVRAM
@@ -112,6 +113,19 @@ def test_unsafe_base_demonstrably_fails():
     # failure.
     assert result.passed
     assert "expected" in report.verdict
+
+
+def test_instant_commit_variants_demonstrably_fail():
+    """`repro faults --policy instant --points 12 --txns 30`: each
+    guaranteed design with its commit point detached from durability
+    loses the guarantee, and the campaign shows it without failing."""
+    result = run_fault_campaign(instant_variants(), points=12, txns_per_thread=30)
+    assert len(result.reports) == 4
+    for report in result.reports:
+        assert "instant" in report.policy.value
+        assert report.violations
+        assert report.verdict == "VIOLATED (expected: no guarantee)"
+    assert result.passed
 
 
 def test_campaign_is_deterministic():

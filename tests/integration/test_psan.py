@@ -4,7 +4,7 @@ The acceptance bar from the paper reproduction: the guaranteed designs
 (hwl, fwb, and the software-logging baselines) run every microbenchmark
 clean, while each deliberately-broken design trips exactly the rule its
 missing mechanism implies.  A subset of that matrix runs here; the full
-5-benchmark x 4-thread sweep is the CI ``repro psan`` job.
+benchmark x thread-count sweep runs in CI's ``checks`` job.
 """
 
 import importlib

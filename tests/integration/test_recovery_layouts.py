@@ -82,8 +82,8 @@ def test_summed_report_keeps_the_damage_of_every_ring():
     assert report.committed_instances == 1
     assert report.uncommitted_instances == 1
     assert report.records_scanned == 128
-    assert machine.nvram.peek(slots[0], 8) == word(41)
-    assert machine.nvram.peek(slots[1], 8) == bytes(8)
+    assert machine.nvram.read(slots[0], 8) == word(41)
+    assert machine.nvram.read(slots[1], 8) == bytes(8)
 
 
 def test_two_ring_campaign_recovers_every_ring():

@@ -97,4 +97,4 @@ class TestHierarchyFunctionalEquivalence:
                 model[addr] = data
         machine.hierarchy.flush_all(machine.core_time(0))
         for addr, data in model.items():
-            assert machine.nvram.peek(addr, 8) == data
+            assert machine.nvram.read(addr, 8) == data

@@ -38,7 +38,7 @@ def run_policy(policy, txns):
                 if read_back:
                     observations.append(api.read(slots[slot], 8))
     machine.hierarchy.flush_all(machine.core_time(0))
-    image = bytes(machine.nvram.peek(slots[0], 12 * 8))
+    image = bytes(machine.nvram.read(slots[0], 12 * 8))
     return observations, image
 
 
@@ -79,7 +79,7 @@ def test_grow_and_distributed_match_centralized(txns):
                 for slot, value, _rb in txn:
                     api.write(slots[slot], word(value))
         machine.hierarchy.flush_all(machine.core_time(0))
-        return bytes(machine.nvram.peek(slots[0], 12 * 8))
+        return bytes(machine.nvram.read(slots[0], 12 * 8))
 
     centralized = run_with(LoggingConfig(log_entries=128))
     grown = run_with(LoggingConfig(log_entries=16, enable_log_grow=True))

@@ -59,7 +59,7 @@ def run_and_crash(
     expected = pm.golden.expected_at(crash_time)
     for i, addr in enumerate(slots):
         want = expected.get(addr, word(0))
-        got = machine.nvram.peek(addr, 8)
+        got = machine.nvram.read(addr, 8)
         assert got == want, (
             f"{policy.value}: slot {i} = {got.hex()} want {want.hex()} "
             f"at crash {crash_time:.1f}"

@@ -4,7 +4,11 @@ import argparse
 import dataclasses
 import importlib
 import itertools
+import os
+import re
+import shlex
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -453,6 +457,31 @@ def flag_value(action, tmp) -> list:
     return [action.option_strings[0], value]
 
 
+#: The workflow whose ``python -m repro`` lines the walk runs.
+CI_WORKFLOW = Path(__file__).resolve().parents[2] / ".github" / "workflows" / "ci.yml"
+
+
+def ci_commands(program: str) -> list:
+    """The arguments of every ``program`` command in the CI workflow, a
+    ``run:`` value or a line of a ``run: |`` block, with ``\\``
+    continuations joined."""
+    text = re.sub(r"\\\n\s*", " ", CI_WORKFLOW.read_text())
+    line = re.compile(rf"^\s*(?:run:\s*)?{re.escape(program)}\s+(.*)$", re.M)
+    return [shlex.split(rest) for rest in line.findall(text)]
+
+
+def input_paths(argv) -> list:
+    """The values ``argv`` gives options that read an existing file."""
+    parser = next(p for words, p in leaf_commands() if tuple(argv[: len(words)]) == words)
+    reads = {
+        flag
+        for action in parser._actions
+        if getattr(action.type, "__name__", "") == "existing_path"
+        for flag in action.option_strings
+    }
+    return [value for flag, value in zip(argv, argv[1:]) if flag in reads]
+
+
 class TestEveryFlagIsRead:
     """Walk every command with its entry points stubbed.  For each
     ordered pair of flags A and B at non-default values, adding B to A
@@ -518,6 +547,28 @@ class TestEveryFlagIsRead:
                 if both == alone and not refused and pair not in REDUNDANT:
                     dropped.append(" ".join(filter(None, pair)))
         assert not dropped, f"flags dropped silently: {dropped}"
+
+    def test_every_ci_command_is_accepted(self, run, tmp_path, monkeypatch):
+        """Every ``python -m repro`` line of the CI workflow runs here,
+        from a directory holding only what the job's ``mkdir`` lines
+        make: a line naming a removed or refused flag fails tier-1, not
+        the first push.  A file an earlier line would have written is
+        stood in for by the walk's policy table."""
+        commands = ci_commands("python -m repro")
+        assert len(commands) > 20
+        monkeypatch.chdir(tmp_path)
+        for directories in ci_commands("mkdir"):
+            for directory in directories:
+                (tmp_path / directory).mkdir(parents=True)
+        refused = []
+        for argv in commands:
+            for path in input_paths(argv):
+                if not os.path.exists(path):
+                    shutil.copy(tmp_path / "table.json", path)
+            code, _out, err, _calls, _written = run(argv)
+            if code == 2:
+                refused.append(f"{shlex.join(argv)}: {err.strip()}")
+        assert not refused, "\n".join(refused)
 
     def test_walk_reaches_every_leaf_command(self):
         commands = {" ".join(words) for words, _parser in leaf_commands()}

@@ -58,7 +58,7 @@ class TestLoadStore:
     def test_store_updates_cache_not_nvram(self, machine):
         issue(machine, "store", 0x2000, b"HELLO!!!")
         assert load(machine, 0x2000) == b"HELLO!!!"
-        assert machine.nvram.peek(0x2000, 8) == bytes(8)
+        assert machine.nvram.read(0x2000, 8) == bytes(8)
 
     def test_persistent_store_triggers_hwl(self, hw_machine):
         issue(hw_machine, "tx_begin", 1, 0, 0)
@@ -87,7 +87,7 @@ class TestFenceAndClwb:
         issue(machine, "logstore", machine.log_base, b"R" * 64)
         issue(machine, "fence")
         assert machine.cores[0].wcb.occupancy == 0
-        assert machine.nvram.peek(machine.log_base, 1) == b"R"
+        assert machine.nvram.read(machine.log_base, 1) == b"R"
 
     def test_fence_waits_for_durability(self, machine):
         issue(machine, "store", 0x2000, b"D" * 8)
@@ -101,7 +101,7 @@ class TestFenceAndClwb:
         issue(machine, "store", 0x2000, b"D" * 8)
         issue(machine, "clwb", 0x2000)
         issue(machine, "fence")
-        assert machine.nvram.peek(0x2000, 8) == b"D" * 8
+        assert machine.nvram.read(0x2000, 8) == b"D" * 8
 
     def test_fence_after_drain_is_cheap(self, machine):
         issue(machine, "store", 0x2000, b"D" * 8)

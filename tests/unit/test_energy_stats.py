@@ -2,12 +2,32 @@
 
 import dataclasses
 
+import pytest
+
+from repro import Machine
+from repro.core.design import FWB
 from repro.sim.config import EnergyConfig
 from repro.sim.energy import EnergyModel
 from repro.sim.stats import MachineStats
+from tests.conftest import tiny_system
 
 
 class TestEnergyModel:
+    @pytest.fixture
+    def driven(self):
+        """A live machine's stats after an L1 (and LLC) miss, a hit on
+        the same line and one compute op of five instructions: the
+        cache and core energy are what the hierarchy and cores add."""
+        machine = Machine(tiny_system(), FWB)
+        core = machine.cores[0]
+        addr = machine.heap_base
+        machine.issue(core, core.exec_load, addr, addr)
+        machine.issue(core, core.exec_load, addr, addr)
+        machine.issue(core, core.exec_compute, 5)
+        stats = machine.stats
+        assert (stats.l1_misses, stats.l1_hits, stats.llc_misses) == (1, 1, 1)
+        return stats
+
     def test_row_hit_read_energy(self):
         stats = MachineStats()
         EnergyModel(EnergyConfig(), stats).nvram_read(8, row_hit=True)
@@ -28,18 +48,13 @@ class TestEnergyModel:
         model.nvram_read(64, row_hit=True)
         assert model.nvram_write_pj(64) > 5 * stats.energy_nvram_pj
 
-    def test_cache_levels(self):
-        stats = MachineStats()
-        model = EnergyModel(EnergyConfig(), stats)
-        model.cache_access("l1")
-        l1 = stats.energy_cache_pj
-        model.cache_access("llc")
-        assert stats.energy_cache_pj - l1 > l1
+    def test_cache_levels(self, driven):
+        energy = EnergyConfig()
+        assert driven.energy_cache_pj == 2 * energy.l1_access_pj + energy.llc_access_pj
 
-    def test_instruction_energy(self):
-        stats = MachineStats()
-        EnergyModel(EnergyConfig(), stats).instructions(10)
-        assert stats.energy_core_pj == 700.0
+    def test_instruction_energy(self, driven):
+        assert driven.instructions == 7
+        assert driven.energy_core_pj == 7 * EnergyConfig().instruction_pj
 
 
 class TestMachineStats:

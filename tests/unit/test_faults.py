@@ -69,7 +69,7 @@ class TestStaticFaults:
         ghost = GhostRecord(slot_addr=0x1000, entry_size=64, seed=3)
         injector = FaultInjector([ghost])
         injector.corrupt_image(nvram)
-        assert nvram.peek(0x1000, 64) == ghost.payload()
+        assert nvram.read(0x1000, 64) == ghost.payload()
 
     def test_validation(self):
         with pytest.raises(FaultInjectionError):

@@ -73,7 +73,7 @@ class TestStateMachine:
         machine.hierarchy.store(0, 0x2000, b"P" * 8, 0.0)
         for t in range(4):
             machine.fwb.scan(float(t))
-        assert machine.nvram.peek(0x2000, 8) == b"P" * 8
+        assert machine.nvram.read(0x2000, 8) == b"P" * 8
 
     def test_clean_lines_ignored(self, machine):
         machine.hierarchy.load(0, 0x2000, 0.0, 0x2000)

@@ -120,7 +120,7 @@ class TestMachineIntegration:
         assert report.committed_instances == 1
         assert report.redo_writes == 40
         for i, addr in enumerate(slots):
-            assert machine.nvram.peek(addr, 8) == word(i + 1)
+            assert machine.nvram.read(addr, 8) == word(i + 1)
 
     def test_cold_restart_recovery_from_directory(self):
         machine = self._machine()
@@ -133,7 +133,7 @@ class TestMachineIntegration:
         machine.crash(at_time=durable)
         report = recover_image(machine.nvram, machine.config)
         assert report.committed_instances == 1
-        assert machine.nvram.peek(addr, 8) == word(99)
+        assert machine.nvram.read(addr, 8) == word(99)
 
     def test_heap_shrinks_for_arena(self):
         plain = Machine(tiny_system(logging=LoggingConfig(log_entries=16)), FWB)

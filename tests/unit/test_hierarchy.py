@@ -103,7 +103,7 @@ class TestStorePath:
     def test_store_does_not_write_nvram(self):
         h, nvram, _ = make_hierarchy()
         h.store(0, 64, b"AAAA", 0.0)
-        assert nvram.peek(64, 4) == bytes(4)
+        assert nvram.read(64, 4) == bytes(4)
 
     def test_write_invalidates_remote_copy(self):
         h, _, stats = make_hierarchy()
@@ -137,7 +137,7 @@ class TestEvictionAndInclusion:
         for i in range(1, 9):
             load(h, 0, i * 512, 1, float(i))
         assert stats.writebacks >= 1
-        assert nvram.peek(0, 8) == b"PERSIST!"
+        assert nvram.read(0, 8) == b"PERSIST!"
 
     def test_llc_eviction_invalidates_l1_copies(self):
         h, _, _ = make_hierarchy()
@@ -155,7 +155,7 @@ class TestCLWB:
         h.store(0, 64, b"COMMITME", 0.0)
         completion = h.clwb(0, 64, 1.0)
         assert completion is not None
-        assert nvram.peek(64, 8) == b"COMMITME"
+        assert nvram.read(64, 8) == b"COMMITME"
 
     def test_clwb_clean_line_is_noop(self):
         h, _, _ = make_hierarchy()

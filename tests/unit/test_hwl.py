@@ -143,7 +143,7 @@ class TestWrapProtection:
         line = m.hierarchy.l1s[0].lookup(0x2000)
         core.exec_store(0x2000, word(9), persistent=True, txid=1, tid=0)
         assert m.stats.log_wrap_forced_writebacks == 1
-        assert m.nvram.peek(0x2000, 8) == word(8)
+        assert m.nvram.read(0x2000, 8) == word(8)
         assert m.hierarchy.l1s[0].lookup(0x2000) is line
         assert bytes(line.data[:8]) == word(9)
         assert line.dirty

@@ -24,7 +24,7 @@ class TestUnbuffered:
     def test_record_reaches_nvram(self):
         buf, nvram, _ = make_buffer(0)
         buf.push(0x1000, b"R" * 64, 0.0)
-        assert nvram.peek(0x1000, 1) == b"R"
+        assert nvram.read(0x1000, 1) == b"R"
 
     def test_store_waits_for_bus(self):
         buf, _, stats = make_buffer(0, bus_cycles_per_transfer=12.0)

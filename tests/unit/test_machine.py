@@ -100,14 +100,14 @@ class TestCrash:
         m = Machine(tiny_system(), NON_PERS)
         ticket = m.memctrl.write(0x2000, b"LATE!!!!", 100.0)
         m.crash(at_time=50.0)
-        assert m.nvram.peek(0x2000, 8) == bytes(8)
+        assert m.nvram.read(0x2000, 8) == bytes(8)
         assert ticket.completion > 50.0
 
     def test_crash_keeps_durable_writes(self):
         m = Machine(tiny_system(), NON_PERS)
         ticket = m.memctrl.write(0x2000, b"DURABLE!", 0.0)
         m.crash(at_time=ticket.completion)
-        assert m.nvram.peek(0x2000, 8) == b"DURABLE!"
+        assert m.nvram.read(0x2000, 8) == b"DURABLE!"
 
     def test_crash_before_the_retire_horizon_is_refused(self):
         m = Machine(tiny_system(), NON_PERS)

@@ -69,7 +69,7 @@ class TestWrites:
     def test_write_applies_functionally(self):
         mc, nvram, _ = make_mc()
         mc.write(128, b"ABCDEFGH", 0.0)
-        assert nvram.peek(128, 8) == b"ABCDEFGH"
+        assert nvram.read(128, 8) == b"ABCDEFGH"
 
     def test_write_is_posted(self):
         mc, _, _ = make_mc()

@@ -84,7 +84,7 @@ class TestMachineIntegration:
         report = recover_image(machine.nvram, machine.config)
         assert report.committed_instances == 2
         for tid in range(2):
-            assert machine.nvram.peek(slots[tid], 8) == word(tid + 41)
+            assert machine.nvram.read(slots[tid], 8) == word(tid + 41)
 
     def test_crash_before_one_commit_rolls_back_only_that_ring(self):
         machine = self._machine()
@@ -104,5 +104,5 @@ class TestMachineIntegration:
             pytest.skip("ring service order did not produce a gap")
         machine.crash(at_time=durable0)
         recover_image(machine.nvram, machine.config)
-        assert machine.nvram.peek(slots[0], 8) == word(1)
-        assert machine.nvram.peek(slots[1], 8) == word(0)
+        assert machine.nvram.read(slots[0], 8) == word(1)
+        assert machine.nvram.read(slots[1], 8) == word(0)

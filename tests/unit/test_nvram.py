@@ -40,19 +40,19 @@ class TestFunctionalAccess:
         nvram.write(100, b"hello", completion_time=1.0)
         assert nvram.read(100, 5) == b"hello"
 
-    def test_peek_does_not_count_traffic(self, nvram):
-        # Traffic is counted at the controller; peek goes around it.
+    def test_device_read_does_not_count_traffic(self, nvram):
+        # Traffic is counted at the controller; a device read goes around it.
         stats = MachineStats()
         energy = EnergyModel(EnergyConfig(), stats)
         controller = MemoryController(MemCtrlConfig(), nvram.config, nvram, energy, stats, 2.5)
         controller.read(0, 64, 0.0)
-        nvram.peek(0, 64)
+        nvram.read(0, 64)
         assert (stats.nvram_reads, stats.nvram_read_bytes) == (1, 64)
 
     def test_poke_does_not_count_or_journal(self, nvram):
         nvram.poke(0, b"xyz")
         assert nvram.journal_length == 0
-        assert nvram.peek(0, 3) == b"xyz"
+        assert nvram.read(0, 3) == b"xyz"
 
     def test_out_of_range_read(self, nvram):
         with pytest.raises(AddressError):
@@ -109,19 +109,19 @@ class TestCrashJournal:
         nvram.write(0, b"BBBB", completion_time=20.0)
         reverted = nvram.revert_after(15.0)
         assert reverted == 1
-        assert nvram.peek(0, 4) == b"AAAA"
+        assert nvram.read(0, 4) == b"AAAA"
 
     def test_revert_keeps_durable_writes(self, nvram):
         nvram.write(0, b"AAAA", completion_time=10.0)
         assert nvram.revert_after(10.0) == 0
-        assert nvram.peek(0, 4) == b"AAAA"
+        assert nvram.read(0, 4) == b"AAAA"
 
     def test_revert_restores_in_reverse_order(self, nvram):
         nvram.write(0, b"11", completion_time=5.0)
         nvram.write(0, b"22", completion_time=6.0)
         nvram.write(0, b"33", completion_time=7.0)
         nvram.revert_after(5.5)
-        assert nvram.peek(0, 2) == b"11"
+        assert nvram.read(0, 2) == b"11"
 
     def test_retire_journal_bounds_memory(self, nvram):
         for i in range(10):
@@ -233,7 +233,7 @@ class TestSnapshots:
         a, b = _pair()
         lo_end, hi_start = a.written_extent()
         assert (addr < lo_end) + (addr >= hi_start) == (addr != MIB // 2 - 0x40)
-        b.poke(addr, b"\x01" if b.peek(addr, 1) == b"\x00" else b"\x00")
+        b.poke(addr, b"\x01" if b.read(addr, 1) == b"\x00" else b"\x00")
         assert a.snapshot() != b.snapshot()
         assert b.snapshot() != a.snapshot()
 
@@ -243,8 +243,8 @@ class TestSnapshots:
         copy = NVRAM(NVDimmConfig(size_bytes=MIB))
         copy.restore(a.snapshot())
         assert copy.snapshot() == a.snapshot()
-        assert copy.peek(0x100, 4) == b"heap"
-        assert copy.peek(MIB - 0x100, 4) == b"log!"
+        assert copy.read(0x100, 4) == b"heap"
+        assert copy.read(MIB - 0x100, 4) == b"log!"
         buffer = copy.image
         copy.recycle()  # re-zeroes what restore claimed
         assert buffer[:].count(0) == MIB

@@ -77,7 +77,7 @@ class TestReplay:
         report = manager.recover()
         assert report.committed_instances == 1
         assert report.redo_writes == 1
-        assert nvram.peek(0x100, 8) == b"N" * 8
+        assert nvram.read(0x100, 8) == b"N" * 8
 
     def test_uncommitted_transaction_undone(self, env):
         nvram, log, manager = env
@@ -87,7 +87,7 @@ class TestReplay:
         report = manager.recover()
         assert report.uncommitted_instances == 1
         assert report.undo_writes == 1
-        assert nvram.peek(0x100, 8) == b"O" * 8
+        assert nvram.read(0x100, 8) == b"O" * 8
 
     def test_multi_write_undo_in_reverse(self, env):
         nvram, log, manager = env
@@ -96,7 +96,7 @@ class TestReplay:
         data(nvram, log, 1, 0x100, b"1" * 8, b"2" * 8)
         nvram.poke(0x100, b"2" * 8)
         manager.recover()
-        assert nvram.peek(0x100, 8) == b"0" * 8
+        assert nvram.read(0x100, 8) == b"0" * 8
 
     def test_redo_applied_in_order(self, env):
         nvram, log, manager = env
@@ -105,7 +105,7 @@ class TestReplay:
         data(nvram, log, 1, 0x100, b"1" * 8, b"2" * 8)
         commit(nvram, log, 1)
         manager.recover()
-        assert nvram.peek(0x100, 8) == b"2" * 8
+        assert nvram.read(0x100, 8) == b"2" * 8
 
     def test_mixed_transactions(self, env):
         nvram, log, manager = env
@@ -118,8 +118,8 @@ class TestReplay:
         report = manager.recover()
         assert report.committed_instances == 1
         assert report.uncommitted_instances == 1
-        assert nvram.peek(0x100, 8) == b"B" * 8
-        assert nvram.peek(0x200, 8) == b"C" * 8
+        assert nvram.read(0x100, 8) == b"B" * 8
+        assert nvram.read(0x200, 8) == b"C" * 8
 
     def test_physical_txid_reuse(self, env):
         """Same txid committed twice: each instance handled separately."""
@@ -132,7 +132,7 @@ class TestReplay:
         report = manager.recover()
         assert report.committed_instances == 1
         assert report.uncommitted_instances == 1
-        assert nvram.peek(0x100, 8) == b"1" * 8
+        assert nvram.read(0x100, 8) == b"1" * 8
 
     def test_orphan_data_with_commit_is_redone(self, env):
         """A txn whose BEGIN was overwritten but whose COMMIT survived."""
@@ -140,7 +140,7 @@ class TestReplay:
         data(nvram, log, 3, 0x100, b"X" * 8, b"Y" * 8)
         commit(nvram, log, 3)
         manager.recover()
-        assert nvram.peek(0x100, 8) == b"Y" * 8
+        assert nvram.read(0x100, 8) == b"Y" * 8
 
     def test_undo_only_records_skip_redo(self, env):
         nvram, log, manager = env
@@ -150,7 +150,7 @@ class TestReplay:
         commit(nvram, log, 1)
         report = manager.recover()
         assert report.redo_writes == 0
-        assert nvram.peek(0x100, 8) == b"KEEPKEEP"
+        assert nvram.read(0x100, 8) == b"KEEPKEEP"
 
     def test_log_reset_after_recovery(self, env):
         nvram, log, manager = env
@@ -255,7 +255,7 @@ class TestDamagedLog:
         report = manager.recover()
         assert report.commits_inferred == 1
         assert report.committed_instances == 1
-        assert nvram.peek(0x100, 8) == b"N" * 8  # not rolled back
+        assert nvram.read(0x100, 8) == b"N" * 8  # not rolled back
 
     def test_in_flight_transaction_still_undone(self, env):
         # The inference must not save a transaction that truly was
@@ -267,7 +267,7 @@ class TestDamagedLog:
         report = manager.recover()
         assert report.commits_inferred == 0
         assert report.uncommitted_instances == 1
-        assert nvram.peek(0x100, 8) == b"O" * 8
+        assert nvram.read(0x100, 8) == b"O" * 8
 
     def test_double_recovery_idempotent(self, env):
         nvram, log, manager = env

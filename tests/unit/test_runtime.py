@@ -127,7 +127,7 @@ class TestRedoOverlay:
         api = pm.api(0)
         with api.transaction():
             api.write(0x2000, word(5))
-        assert pm.machine.nvram.peek(0x2000, 8) == word(5)
+        assert pm.machine.nvram.read(0x2000, 8) == word(5)
         with api.transaction():
             assert api.read(0x2000, 8) == word(5)
 
@@ -182,7 +182,7 @@ class TestDurability:
 
         pm.machine.crash(at_time=durable)
         RecoveryManager(pm.machine.nvram, pm.machine.log).recover()
-        assert pm.machine.nvram.peek(0x2000, 8) == b"DURABLE!"
+        assert pm.machine.nvram.read(0x2000, 8) == b"DURABLE!"
 
     def test_crash_before_durability_rolls_back(self, policy):
         """Crashing before the commit record drains loses the transaction
@@ -196,7 +196,7 @@ class TestDurability:
 
         pm.machine.crash(at_time=api.now)  # commit never issued
         RecoveryManager(pm.machine.nvram, pm.machine.log).recover()
-        assert pm.machine.nvram.peek(0x2000, 8) == b"ORIGINAL"
+        assert pm.machine.nvram.read(0x2000, 8) == b"ORIGINAL"
 
 
 class TestInstructionAccounting:

@@ -17,7 +17,7 @@ from repro.sanitizer.static import (
     StaticReport,
     verify_trace,
 )
-from repro.sanitizer.rules import REPLICATION_RULE_IDS, RULES
+from repro.sanitizer.rules import REPLICATION_RULES, RULES
 from repro.sim.config import LoggingConfig
 from tests.conftest import synthetic_trace
 
@@ -252,5 +252,5 @@ class TestReportShape:
     def test_replication_rules_proven_on_single_machine(self):
         trace = synthetic_trace(one_txn())
         report = verify_trace(trace, "hwl", system=small_system(), hb=False)
-        for rule in REPLICATION_RULE_IDS:
+        for rule in REPLICATION_RULES:
             assert report.verdicts[rule].verdict == PROVEN

@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.errors import AddressError, ConfigError
+from repro.errors import ConfigError
 from repro.utils import (
     WORD_SIZE,
     align_down,
     align_up,
-    check_range,
     int_to_word,
     is_power_of_two,
     line_address,
@@ -89,19 +88,6 @@ class TestWords:
 
     def test_short_piece_decode(self):
         assert word_to_int(b"\x05") == 5
-
-
-class TestCheckRange:
-    def test_in_range(self):
-        check_range(0, 10, 10)
-
-    def test_out_of_range(self):
-        with pytest.raises(AddressError):
-            check_range(5, 6, 10)
-
-    def test_negative(self):
-        with pytest.raises(AddressError):
-            check_range(-1, 4, 10)
 
 
 class TestNsToCycles:

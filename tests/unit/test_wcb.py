@@ -40,13 +40,13 @@ class TestCoalescing:
         for i in range(5):
             wcb.push(i * 64, bytes([i]), float(i))
         assert wcb.occupancy == 4
-        assert nvram.peek(0, 1) == b"\x00"  # oldest entry drained
+        assert nvram.read(0, 1) == b"\x00"  # oldest entry drained
 
     def test_drain_writes_covered_slice_only(self, setup):
         wcb, nvram, stats = setup
         wcb.push(8, b"XY", 0.0)
         wcb.flush(1.0)
-        assert nvram.peek(8, 2) == b"XY"
+        assert nvram.read(8, 2) == b"XY"
         assert stats.nvram_write_bytes == 2
 
 
@@ -83,4 +83,4 @@ class TestCrash:
         wcb.push(0, b"LOST", 0.0)
         wcb.drop()
         assert wcb.occupancy == 0
-        assert nvram.peek(0, 4) == bytes(4)
+        assert nvram.read(0, 4) == bytes(4)

@@ -113,7 +113,7 @@ class TestWorkloadBase:
             api.write_word(0x2008, 0x1234)
         assert api.read(0x2008, 8) == (0x1234).to_bytes(8, "little")
         column = CompiledThread()
-        memory = _RecordingMemory(pm.machine.nvram.peek(0, 0x2010))
+        memory = _RecordingMemory(pm.machine.nvram.read(0, 0x2010))
         recorder = RecordingAccessor(memory, column)
         assert recorder.read_word(0x2000) == 0xABCD
         assert (list(column.kinds), list(column.a), list(column.b)) == ([K_READ], [0x2000], [8])
