@@ -12,14 +12,18 @@ fractions.  For each policy it:
    event indices per kind, plus torn-write and ghost-record fault
    variants, plus crash-*during-recovery* points (first crash mid-run,
    second crash between recovery writes).
-3. **Replays** the run once per point, crashes at the event, injects the
-   point's faults, recovers (checksums on), and compares the surviving
-   NVRAM against the golden committed state at the crash instant.
+3. **Replays** the run once per crash instant — every point keyed to one
+   event occurrence (a plain crash, its torn-write and ghost-record
+   variants, the recovery scenario's mid-run crash) shares the replay —
+   and stops it at the event.  Each point then crashes its own fork of
+   that device (:meth:`~repro.sim.nvram.NVRAM.fork`), injects its
+   faults, recovers (checksums on), and compares the surviving NVRAM
+   against the golden committed state at the crash instant.
 
-Every run — profile, recovery scenario and point — replays one compiled
-trace of the workload (:func:`campaign_trace`): the workload's own code
-runs once per campaign, not once per point, and replay leaves the same
-machine state as interpreting it would.
+Every run — profile and crash instant — replays one compiled trace of
+the workload (:func:`campaign_trace`): the workload's own code runs once
+per campaign, not once per point, and replay leaves the same machine
+state as interpreting it would.
 
 Every point is a pure function of (workload, seed, policy, point), so a
 verdict table is reproducible bit-for-bit.  Guaranteed designs (fwb,
@@ -382,24 +386,39 @@ def finish_run(
     return shard
 
 
-def crash_run(
+def run_to_crash(
     shard: ShardMachine, switch: Optional[Tuple[float, DesignSpec]] = None
 ) -> Tuple[float, bool]:
-    """Drive a started shard as :func:`finish_run` does, then crash it.
+    """Drive a started shard as :func:`finish_run` does up to its crash
+    instant, without crashing it.
 
-    The machine crashes at the instant its fault monitor's crash point
-    fired or, when the point lies past the run's last event, at the end
-    of the run.  Returns ``(crash_time, triggered)``.  The
-    :class:`~repro.errors.SimulatedCrash` itself is not returned: its
-    traceback's frames would keep the crashed machine and its NVRAM
-    image alive until the cyclic garbage collector ran.
+    The instant is where the shard's fault monitor's crash point fired
+    or, when the point lies past the run's last event, the end of the
+    run.  Returns ``(crash_time, triggered)``; the device still holds
+    every write posted by then, so it can be forked
+    (:meth:`~repro.sim.nvram.NVRAM.fork`) and crashed more than one
+    way.  The :class:`~repro.errors.SimulatedCrash` itself is not
+    returned: its traceback's frames would keep the machine and its
+    NVRAM image alive until the cyclic garbage collector ran.
     """
     machine = shard.machine
     try:
         finish_run(shard, switch)
     except SimulatedCrash as crash:
-        return machine.crash_at_point(crash), True
-    return machine.crash(), False
+        return crash.at_time, True
+    return max((core.time for core in machine.cores), default=0.0), False
+
+
+def crash_run(
+    shard: ShardMachine, switch: Optional[Tuple[float, DesignSpec]] = None
+) -> Tuple[float, bool]:
+    """:func:`run_to_crash`, then crash the machine at that instant.
+
+    Returns ``(crash_time, triggered)``.
+    """
+    crash_time, triggered = run_to_crash(shard, switch)
+    shard.machine.crash(at_time=crash_time)
+    return crash_time, triggered
 
 
 def _find_empty_slot(nvram: NVRAM, log: CircularLog) -> Optional[int]:
@@ -484,57 +503,13 @@ def _torn_injector(system: SystemConfig) -> FaultInjector:
     )
 
 
-def _run_execution_point(
-    trace: CompiledTrace,
-    system: SystemConfig,
-    policy: DesignSpec,
-    point: FaultPoint,
-) -> PointResult:
-    """Crash at an execution event, optionally injure the log, recover."""
-    injector = None
-    if point.fault == FAULT_TORN:
-        injector = _torn_injector(system)
-    monitor = FaultMonitor(CrashPoint(point.kind, point.index))
-    shard = start_run(trace, system, policy, monitor, injector)
-    crash_time, triggered = crash_run(shard)
-    machine = shard.machine
-    fault_applied = injector is not None and injector.tears_applied > 0
-    if point.fault == FAULT_GHOST:
-        slot = _find_empty_slot(machine.nvram, machine.log)
-        if slot is not None:
-            ghost = FaultInjector(
-                [
-                    GhostRecord(
-                        slot_addr=machine.log.entry_addr(slot),
-                        entry_size=machine.log.entry_size,
-                        seed=point.index,
-                    )
-                ]
-            )
-            ghost.corrupt_image(machine.nvram)
-            fault_applied = True
-    machine.nvram.injector = None  # recovery sees the damaged image as-is
-    report = recover_image(machine.nvram, machine.config)
-    mismatches = count_mismatches(machine.nvram, shard.pm, crash_time)
-    machine.nvram.recycle()  # verified: the next point reuses the buffer
-    return PointResult(
-        point=point,
-        crash_time=crash_time,
-        triggered=triggered,
-        mismatches=mismatches,
-        torn_records_skipped=report.torn_records_skipped,
-        checksum_failures=report.checksum_failures,
-        fault_applied=fault_applied,
-    )
-
-
 @dataclass
 class _RecoveryScenario:
     """Shared state for the crash-during-recovery points of one policy.
 
-    Built once per policy: the workload is crashed at a fixed mid-run
-    point and the surviving image snapshotted; a clean single recovery
-    of that snapshot provides the convergence reference.
+    Built once per policy from the run crashed at a fixed mid-run point:
+    the surviving image, and a clean single recovery of it as the
+    convergence reference.
     """
 
     image: ImageSnapshot
@@ -544,36 +519,97 @@ class _RecoveryScenario:
     steps: int
 
 
-def _build_recovery_scenario(
+@dataclass
+class _CrashInstant:
+    """One replay of a design's run, stopped at a crash event.
+
+    The machine is not crashed yet: its device still holds every write
+    posted by ``crash_time``.  Every point keyed to this event (a plain
+    crash and its ``+torn`` and ``+ghost`` variants) crashes a fork of
+    that device, so the run is replayed once however many points share
+    the instant.  Forks are made one at a time and recycled before the
+    next.
+    """
+
+    trigger: CrashPoint
+    shard: ShardMachine
+    crash_time: float
+    triggered: bool
+
+    def crashed_image(self, injector: Optional[FaultInjector] = None) -> NVRAM:
+        """A fork of the device, crashed at the instant; ``injector``
+        decides what its in-flight writes leave behind."""
+        nvram = self.shard.machine.nvram.fork()
+        nvram.injector = injector
+        nvram.revert_after(self.crash_time)
+        nvram.injector = None  # recovery sees the damaged image as-is
+        return nvram
+
+    def run_point(self, system: SystemConfig, point: FaultPoint) -> PointResult:
+        """Crash a fork, injure its log with the point's fault, recover,
+        and verify it against the run's golden model."""
+        injector = _torn_injector(system) if point.fault == FAULT_TORN else None
+        nvram = self.crashed_image(injector)
+        fault_applied = injector is not None and injector.tears_applied > 0
+        if point.fault == FAULT_GHOST:
+            log = self.shard.machine.log
+            slot = _find_empty_slot(nvram, log)
+            if slot is not None:
+                ghost = GhostRecord(
+                    slot_addr=log.entry_addr(slot),
+                    entry_size=log.entry_size,
+                    seed=point.index,
+                )
+                FaultInjector([ghost]).corrupt_image(nvram)
+                fault_applied = True
+        report = recover_image(nvram, system)
+        mismatches = count_mismatches(nvram, self.shard.pm, self.crash_time)
+        nvram.recycle()  # verified: the next fork reuses the buffer
+        return PointResult(
+            point=point,
+            crash_time=self.crash_time,
+            triggered=self.triggered,
+            mismatches=mismatches,
+            torn_records_skipped=report.torn_records_skipped,
+            checksum_failures=report.checksum_failures,
+            fault_applied=fault_applied,
+        )
+
+    def recovery_scenario(self, system: SystemConfig) -> _RecoveryScenario:
+        """Snapshot the plainly crashed image and profile/reference its
+        recovery pass."""
+        nvram = self.crashed_image()
+        image = nvram.snapshot()
+        # Counting pass doubles as the convergence reference.
+        counter = FaultMonitor()
+        recover_image(nvram, system, crash_injector=counter)
+        reference_image = nvram.snapshot()
+        nvram.recycle()
+        return _RecoveryScenario(
+            image=image,
+            crash_time=self.crash_time,
+            golden_pm=self.shard.pm,
+            reference_image=reference_image,
+            steps=counter.counts[EventKind.RECOVERY],
+        )
+
+    def close(self) -> None:
+        """Crash the run itself at the instant and recycle its device."""
+        machine = self.shard.machine
+        machine.crash(at_time=self.crash_time)
+        machine.nvram.recycle()
+
+
+def _replay_to_crash(
     trace: CompiledTrace,
     system: SystemConfig,
     policy: DesignSpec,
-    retire_total: int,
-) -> Optional[_RecoveryScenario]:
-    """Crash mid-run, snapshot, and profile/reference the recovery pass."""
-    if retire_total <= 0:
-        return None
-    mid = CrashPoint(EventKind.RETIRE, max(0, (retire_total * 3) // 5))
-    shard = start_run(trace, system, policy, FaultMonitor(mid))
-    crash_time, _triggered = crash_run(shard)
-    machine = shard.machine
-    image = machine.nvram.snapshot()
-    machine.nvram.recycle()
-
-    # Counting pass doubles as the convergence reference.
-    reference = NVRAM(system.nvram)
-    reference.restore(image)
-    counter = FaultMonitor()
-    recover_image(reference, system, crash_injector=counter)
-    reference_image = reference.snapshot()
-    reference.recycle()
-    return _RecoveryScenario(
-        image=image,
-        crash_time=crash_time,
-        golden_pm=shard.pm,
-        reference_image=reference_image,
-        steps=counter.counts[EventKind.RECOVERY],
-    )
+    trigger: CrashPoint,
+) -> _CrashInstant:
+    """Replay the run once, up to the instant ``trigger`` fires."""
+    shard = start_run(trace, system, policy, FaultMonitor(trigger))
+    crash_time, triggered = run_to_crash(shard)
+    return _CrashInstant(trigger, shard, crash_time, triggered)
 
 
 def _run_recovery_point(
@@ -703,22 +739,7 @@ def run_fault_campaign(
         finish_run(start_run(trace, system, policy, profile)).machine.nvram.recycle()
         profiles.append(profile)
     for policy, profile in zip(policies, profiles):
-        retire_total = profile.counts[EventKind.RETIRE]
-        scenario = _build_recovery_scenario(trace, system, policy, retire_total)
-        # 2. Enumerate points against the profiled totals.
-        plan = enumerate_points(
-            profile.counts,
-            scenario.steps if scenario is not None else 0,
-            budget=points,
-        )
-        # 3. Execute.
-        report = PolicyReport(policy)
-        for point in plan:
-            if point.kind is EventKind.RECOVERY:
-                outcome = _run_recovery_point(scenario, system, point)
-            else:
-                outcome = _run_execution_point(trace, system, policy, point)
-            report.points.append(outcome)
+        report = _run_policy(trace, system, policy, profile, points)
         result.reports.append(report)
         if progress is not None:
             progress(
@@ -726,3 +747,44 @@ def run_fault_campaign(
                 f"{len(report.violations)} violation(s) — {report.verdict}"
             )
     return result
+
+
+def _run_policy(
+    trace: CompiledTrace,
+    system: SystemConfig,
+    policy: DesignSpec,
+    profile: FaultMonitor,
+    points: int,
+) -> PolicyReport:
+    """Enumerate one design's points and run them, one replay per crash
+    instant; the report lists them in plan order."""
+    retire_total = profile.counts[EventKind.RETIRE]
+    instants: Dict[CrashPoint, List[int]] = {}
+    instant = scenario = None
+    if retire_total > 0:
+        # The recovery scenario's mid-run crash is replayed first; plan
+        # points at the same event fork that replay too.
+        mid = CrashPoint(EventKind.RETIRE, (retire_total * 3) // 5)
+        instant = _replay_to_crash(trace, system, policy, mid)
+        scenario = instant.recovery_scenario(system)
+        instants[mid] = []
+    # 2. Enumerate points against the profiled totals.
+    plan = enumerate_points(
+        profile.counts,
+        scenario.steps if scenario is not None else 0,
+        budget=points,
+    )
+    # 3. Execute.
+    results: List[Optional[PointResult]] = [None] * len(plan)
+    for position, point in enumerate(plan):
+        if point.kind is EventKind.RECOVERY:
+            results[position] = _run_recovery_point(scenario, system, point)
+        else:
+            instants.setdefault(CrashPoint(point.kind, point.index), []).append(position)
+    for trigger, positions in instants.items():
+        if instant is None or instant.trigger != trigger:
+            instant = _replay_to_crash(trace, system, policy, trigger)
+        for position in positions:
+            results[position] = instant.run_point(system, plan[position])
+        instant.close()
+    return PolicyReport(policy, results)

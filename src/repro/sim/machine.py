@@ -479,23 +479,16 @@ class Machine:
             self.stats.record_core(core.core_id, core.instret, core.time)
         return self.stats
 
-    def crash_at_point(self, event) -> float:
-        """Crash at the instant an event-indexed crash point fired.
-
-        ``event`` is the :class:`~repro.errors.SimulatedCrash` raised by
-        an installed fault monitor; the crash lands exactly at the core
-        clock of the triggering event, so the surviving NVRAM state is a
-        pure function of (configuration, crash point).
-        """
-        return self.crash(at_time=event.at_time)
-
     def crash(self, at_time: Optional[float] = None) -> float:
         """Power failure at ``at_time`` (default: the latest core clock).
 
         All volatile state disappears: caches, WCBs, the log buffer, and
         any NVRAM write that had not completed by the crash instant.
         Returns the crash time.  Only the NVRAM image survives; recover
-        it with :func:`repro.core.recovery.recover_image`.
+        it with :func:`repro.core.recovery.recover_image`.  To crash where
+        a fault monitor's crash point fired, pass the
+        :class:`~repro.errors.SimulatedCrash`'s ``at_time``: the surviving
+        image is then a pure function of (configuration, crash point).
 
         Raises :class:`SimulationError`, leaving the machine running,
         when ``at_time`` lies before the NVRAM journal's retire horizon

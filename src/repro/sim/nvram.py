@@ -21,10 +21,11 @@ Device memory follows what a run writes, by two rules:
   re-zeroes only those windows on recycle.
 * *Snapshots.*  Copies, restores and comparisons cover those two windows
   only: :meth:`snapshot` returns an :class:`ImageSnapshot`,
-  :meth:`restore` loads one into a fresh device, and snapshots compare
-  by contents.  An image buffer itself compares by identity, so
-  ``==``/``!=`` on ``nvram.image`` is never a contents check (``repro
-  lint``'s ``device-image-eq`` rule flags it).
+  :meth:`restore` loads one into a fresh device, :meth:`fork` copies a
+  device with its undo journal, and snapshots compare by contents.  An
+  image buffer itself compares by identity, so ``==``/``!=`` on
+  ``nvram.image`` is never a contents check (``repro lint``'s
+  ``device-image-eq`` rule flags it).
 
 Workload set-up does not come through here word by word: its accessor
 (:class:`~repro.workloads.base.SetupAccessor`) reads and writes aligned
@@ -346,8 +347,10 @@ class NVRAM:
                 "in between can no longer be reverted"
             )
         injector = self.injector
+        journal = self._journal
         reverted = 0
-        for completion, addr, old in reversed(self._journal):
+        while journal:  # newest first, consuming the journal
+            completion, addr, old = journal.pop()
             if completion > crash_time:
                 left = old
                 if injector is not None:
@@ -355,8 +358,23 @@ class NVRAM:
                     left = injector.on_revert(addr, old, new)
                 self.image[addr:addr + len(old)] = left
                 reverted += 1
-        self._journal = []
         return reverted
+
+    def fork(self) -> "NVRAM":
+        """A new device holding this one's image, in-flight undo journal
+        and retire horizon.
+
+        One run stopped at a crash instant yields several crashed images
+        this way: each fork reverts (and tears) its own copy at the
+        instant, and this device's image and journal stay as they were.
+        Bank and row-buffer state are not copied: a fork is crashed and
+        recovered, never driven.  :meth:`recycle` it when done.
+        """
+        fork = NVRAM(self.config)
+        fork.restore(self.snapshot())
+        fork._journal = list(self._journal)
+        fork._retired_to = self._retired_to
+        return fork
 
     @property
     def journal_length(self) -> int:

@@ -161,7 +161,7 @@ def test_double_recovery_is_idempotent(policy):
     except SimulatedCrash as exc:
         crash = exc
     if crash is not None:
-        machine.crash_at_point(crash)
+        machine.crash(at_time=crash.at_time)
     else:
         machine.crash()
 

@@ -166,26 +166,27 @@ class TestMachineIntegration:
     def test_campaign_fails_exhausted_arena_before_any_point(self, monkeypatch):
         """An rbtree campaign on a 16-entry grown log exhausts the arena in
         its fwb profile run.  Every design is profiled first, so it fails
-        as a ConfigError naming the reserve before any crash point runs
-        (unsafe-base, which keeps no log, profiles cleanly before it)."""
+        as a ConfigError naming the reserve before any crash instant is
+        replayed (non-pers, which keeps no log, profiles cleanly before
+        it; every logging design, unsafe-base included, exhausts it)."""
         system = default_campaign_system(16)
         system = dataclasses.replace(
             system,
             logging=dataclasses.replace(system.logging, enable_log_grow=True),
         )
-        ran = []
-        for runner in ("_run_execution_point", "_run_recovery_point"):
-            monkeypatch.setattr(
-                campaign, runner, lambda *args, runner=runner: ran.append(runner)
-            )
+
+        def refuse(*args):
+            raise AssertionError("a crash point ran before every profile")
+
+        for runner in ("_replay_to_crash", "_run_recovery_point"):
+            monkeypatch.setattr(campaign, runner, refuse)
         with pytest.raises(ConfigError, match="log_grow_reserve_regions=3 "):
             campaign.run_fault_campaign(
-                policies=("unsafe-base", "fwb"),
+                policies=("non-pers", "fwb"),
                 workload="rbtree",
                 points=30,
                 system=system,
             )
-        assert ran == []
 
     def test_machine_dies_with_its_last_reference(self):
         """The log's region allocator must not hold the machine: a cycle

@@ -7,7 +7,8 @@ import textwrap
 
 import pytest
 
-from repro.errors import AddressError
+from repro.errors import AddressError, SimulationError
+from repro.faults.plan import FaultInjector, TornWrite
 from repro.sim.config import EnergyConfig, MemCtrlConfig, NVDimmConfig
 from repro.sim.energy import EnergyModel
 from repro.sim.memctrl import MemoryController
@@ -273,3 +274,63 @@ class TestSnapshots:
         device = NVRAM(NVDimmConfig(size_bytes=MIB))
         with pytest.raises(AddressError):
             device.restore(ImageSnapshot(2 * MIB, b"", 2 * MIB, b""))
+
+
+def _crashing():
+    """A 1 MiB device mid-run: two durable writes, two in flight past
+    cycle 15, and its journal retired up to cycle 5."""
+    device = NVRAM(NVDimmConfig(size_bytes=MIB))
+    device.write(0x100, b"A" * 16, completion_time=1.0)
+    device.write(0x200, b"B" * 16, completion_time=10.0)
+    device.write(0x100, b"C" * 16, completion_time=20.0)
+    device.write(MIB - 0x100, b"D" * 16, completion_time=30.0)
+    device.retire_journal(5.0)
+    return device
+
+
+class TestFork:
+    def test_a_fork_holds_an_equal_image_and_journal(self):
+        parent = _crashing()
+        fork = parent.fork()
+        assert fork.image is not parent.image
+        assert fork.snapshot() == parent.snapshot()
+        assert fork.written_extent() == parent.written_extent()
+        assert fork.journal_length == parent.journal_length == 3
+        assert fork.revert_after(15.0) == parent.revert_after(15.0) == 2
+        assert fork.snapshot() == parent.snapshot()
+        assert fork.read(0x100, 16) == b"A" * 16
+
+    @pytest.mark.parametrize("torn", [False, True], ids=["reverted", "torn"])
+    def test_crashing_a_fork_leaves_the_parent_untouched(self, torn):
+        parent = _crashing()
+        before = parent.snapshot()
+        fork = parent.fork()
+        injector = FaultInjector([TornWrite(0, MIB, keep_words=1, max_tears=2)])
+        fork.injector = injector if torn else None
+        assert fork.revert_after(15.0) == 2
+        assert injector.tears_applied == (2 if torn else 0)
+        assert fork.snapshot() != before
+        assert parent.snapshot() == before
+        assert parent.journal_length == 3
+        # A second fork crashes the parent's un-reverted image the same way.
+        again = parent.fork()
+        again.revert_after(15.0)
+        assert again.read(0x100, 16) == b"A" * 16
+        assert again.read(MIB - 0x100, 16) == bytes(16)
+
+    def test_a_fork_refuses_an_instant_before_the_retire_horizon(self):
+        parent = _crashing()
+        fork = parent.fork()
+        for device in (parent, fork):
+            with pytest.raises(SimulationError, match="retired up to cycle 5.0"):
+                device.revert_after(4.0)
+
+    def test_a_recycled_fork_returns_its_buffer_to_the_pool(self, monkeypatch):
+        monkeypatch.setattr(NVRAM, "_image_pool", {})
+        parent = _crashing()
+        fork = parent.fork()
+        buffer = fork.image
+        fork.recycle()
+        assert NVRAM._image_pool[MIB] == [buffer]
+        assert buffer[:].count(0) == MIB
+        assert parent.fork().image is buffer
